@@ -8,7 +8,6 @@ from .engine import (
     GammaMonomial,
     aggregate_contributions,
     compute_table,
-    contributions_for,
     hh2_vanishes,
     list_contributions,
 )
@@ -39,7 +38,7 @@ from .invariants import (
 )
 from .jacobian import MonomialBasis, RestrictedPolynomial, milnor_number, monomial_basis, restrict
 from .poly import InvertiblePolynomial, WeightSystem, parse, transpose, weights
-from .symmetry import GroupElement, SymmetryContext, build_context, chi_power, fixed_census, ker_chi
+from .symmetry import GroupElement, SymmetryContext
 
 __all__ = [
     "BigradedTable",
@@ -54,15 +53,10 @@ __all__ = [
     "SymmetryContext",
     "WeightSystem",
     "aggregate_contributions",
-    "build_context",
-    "chi_power",
     "compute_table",
-    "contributions_for",
-    "fixed_census",
     "golden_check",
     "golden_family_poly",
     "hh2_vanishes",
-    "ker_chi",
     "list_contributions",
     "milnor_number",
     "monomial_basis",

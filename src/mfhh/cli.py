@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .engine import BigradedTable, aggregate_contributions, compute_table, hh2_vanishes, list_contributions
-from .errors import EngineError, GoldenMismatch, InputError, MfhhError, UnknownFamily, WindowMismatch
+from .errors import EngineError, GoldenMismatch, InputError, MfhhError, SchemaError, UnknownFamily, WindowMismatch
 from .invariants import FAMILY_NAMES, golden_check, scale_compare, small_res_probe
 from .poly import parse
 from .symmetry import SymmetryContext
@@ -91,9 +91,14 @@ def _poly_text(obj):
     return str(InvertiblePolynomial.from_json(obj, validate=False))
 
 
-def _load_document(path):
-    from .errors import SchemaError
+def _json_int(path, value):
+    # bool is an int subclass, and a float or string must not be truncated
+    if type(value) is not int:
+        raise SchemaError(f"{path}: {value!r} is not an integer")
+    return value
 
+
+def _load_document(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -105,17 +110,31 @@ def _load_document(path):
         if key not in doc:
             raise SchemaError(f"{path}: missing key {key!r}")
     try:
-        dmin, dmax = doc["window"]
-        cells = {(int(c["d"]), int(c["q"])): int(c["dim"]) for c in doc["cells"]}
+        dmin, dmax = (_json_int(path, x) for x in doc["window"])
+        raw = [
+            (_json_int(path, c["d"]), _json_int(path, c["q"]), _json_int(path, c["dim"]))
+            for c in doc["cells"]
+        ]
     except (TypeError, KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed window or cells") from exc
-    return doc, BigradedTable(int(dmin), int(dmax), cells)
+    if dmin > dmax:
+        raise SchemaError(f"{path}: empty window [{dmin}, {dmax}]")
+    cells = {}
+    for d, q, dim in raw:
+        if dim <= 0:
+            raise SchemaError(f"{path}: cell ({d}, {q}) has dim {dim} <= 0")
+        if (d, q) in cells:
+            raise SchemaError(f"{path}: duplicate cell ({d}, {q})")
+        if not dmin <= d <= dmax:
+            raise SchemaError(f"{path}: cell ({d}, {q}) lies outside the window")
+        cells[(d, q)] = dim
+    return BigradedTable(dmin, dmax, cells)
 
 
 def cmd_table(args, out):
     p = parse(args.poly, allow_nonstandard=args.allow_nonstandard)
     ctx = SymmetryContext(p)
-    table = compute_table(p, (args.dmin, args.dmax), ctx=ctx, threads=args.threads)
+    table = compute_table(p, (args.dmin, args.dmax), ctx=ctx)
     contributions = None
     if args.monomials:
         contributions = aggregate_contributions(
@@ -132,8 +151,8 @@ def cmd_table(args, out):
 
 
 def cmd_compare(args, out):
-    _, t1 = _load_document(args.a)
-    _, t2 = _load_document(args.b)
+    t1 = _load_document(args.a)
+    t2 = _load_document(args.b)
     verdict = scale_compare(t1, t2)
     out.write(f"window compared: [{verdict.window[0]}, {verdict.window[1]}]\n")
     if verdict.kind == "equivalent":
@@ -151,7 +170,7 @@ def cmd_compare(args, out):
 
 def cmd_probe(args, out):
     p = parse(args.poly, allow_nonstandard=args.allow_nonstandard)
-    table = compute_table(p, (args.dmin, -1), threads=args.threads)
+    table = compute_table(p, (args.dmin, -1))
     verdict = small_res_probe(table)
     out.write(f"window probed: [{verdict.window[0]}, {verdict.window[1]}]\n")
     if verdict.constant:
@@ -191,8 +210,6 @@ def build_parser():
     t.add_argument("--monomials", action="store_true", help="include the contribution listing")
     t.add_argument("--allow-nonstandard", action="store_true",
                    help="accept non Fermat/chain/loop inputs (warning only)")
-    t.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: HH_THREADS or 1)")
     t.set_defaults(func=cmd_table)
 
     c = sub.add_parser("compare", help="scale-equivalence comparison of two table documents")
@@ -204,7 +221,6 @@ def build_parser():
     pr.add_argument("--poly", required=True)
     pr.add_argument("--dmin", required=True, type=int)
     pr.add_argument("--allow-nonstandard", action="store_true")
-    pr.add_argument("--threads", type=int, default=None)
     pr.set_defaults(func=cmd_probe)
 
     g = sub.add_parser("golden", help="check a built-in family against its closed forms")
@@ -232,9 +248,6 @@ def main(argv=None, out=None, err=None):
     except EngineError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ENGINE
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except MfhhError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ENGINE

@@ -21,12 +21,10 @@ finite degree window provably complete.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import NonterminatingFamily
+from .errors import InputError, NonterminatingFamily, WindowMismatch
 from .jacobian import monomial_basis, restrict
 from .symmetry import SymmetryContext
 
@@ -110,7 +108,10 @@ class BigradedTable:
         return tuple(sorted(out))
 
     def restrict(self, dmin, dmax):
-        assert self.dmin <= dmin and dmax <= self.dmax
+        if not (self.dmin <= dmin and dmax <= self.dmax):
+            raise WindowMismatch(
+                f"window {(dmin, dmax)} is not inside {self.window}"
+            )
         return BigradedTable(
             dmin, dmax, {(d, q): v for (d, q), v in self.cells.items() if dmin <= d <= dmax}
         )
@@ -217,52 +218,22 @@ def _class_contributions(ctx, fixed, window, order):
     return out
 
 
-def contributions_for(ctx, gamma, window, order="grevlex"):
-    """All contributions of one group element inside the window.
-
-    Elements with the same fixed set carry identical monomial families, so
-    this is the per-class computation stamped with the given gamma.
-    """
-    return [
-        Contribution(gamma, con.monomial, con.u, con.degree)
-        for con in _class_contributions(ctx, gamma.fixed, window, order)
-    ]
-
-
-def _resolve_threads(threads):
-    if threads is None:
-        threads = int(os.environ.get("HH_THREADS", "1"))
-    return max(1, threads)
-
-
-def compute_table(p, window, order="grevlex", threads=None, ctx=None):
+def compute_table(p, window, order="grevlex", ctx=None):
     """The bigraded dimension table of p over a finite degree window.
 
-    Work is split per fixed-variable class of ker(chi); the merge is a plain
-    counter sum, so any parallel schedule produces the identical table.
+    Elements with the same fixed set carry identical monomial families, so
+    each fixed-variable class of ker(chi) is computed once and weighted by
+    its size.
     """
     dmin, dmax = window
     if dmin > dmax:
-        raise ValueError("empty degree window")
+        raise InputError("empty degree window")
     if ctx is None:
         ctx = SymmetryContext(p)
-    census = ctx.fixed_census()
-    classes = sorted(census.items(), key=lambda kv: tuple(sorted(kv[0])))
-    threads = _resolve_threads(threads)
-
-    def work(item):
-        fixed, count = item
-        return _class_contributions(ctx, fixed, window, order), count
-
-    if threads > 1 and len(classes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, classes))
-    else:
-        results = [work(item) for item in classes]
-
+    classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
     cells = Counter()
-    for contribs, count in results:
-        for con in contribs:
+    for fixed, count in classes:
+        for con in _class_contributions(ctx, fixed, window, order):
             cells[(con.degree, con.weight)] += count
     return BigradedTable(dmin, dmax, dict(cells))
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotIsolated
+from .errors import InputError, NotIsolated
 
 ORDERS = ("grevlex", "lex")
 
@@ -130,7 +130,8 @@ class MonomialBasis:
 def restrict(p, fixed):
     """Drop every monomial of p that involves a variable outside `fixed`."""
     fixed = tuple(sorted(fixed))
-    assert all(1 <= v <= p.nvars for v in fixed)
+    if not all(1 <= v <= p.nvars for v in fixed):
+        raise InputError(f"variable index out of range 1..{p.nvars}: {fixed}")
     keep = set(fixed)
     terms = []
     for row in p.matrix:

@@ -1,5 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, Diophantine systems,
-lattice membership and finite quotient groups.
+"""Exact integer linear algebra: determinants and Smith normal form.
 
 Matrices are sequences of rows of Python ints, so everything is arbitrary
 precision.  Lattices follow the row convention: the lattice of an r-by-c
@@ -8,22 +7,11 @@ matrix is the set of integer combinations of its rows inside Z^c.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
 
 
 def identity_matrix(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    rng = range(len(b))
-    return [[sum(row[k] * b[k][j] for k in rng) for j in range(cols)] for row in a]
 
 
 def vec_mat(v, m):
@@ -32,28 +20,14 @@ def vec_mat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
 
 
-def _xgcd(a, b):
-    # s*a + t*b == g, g >= 0
-    s, s1 = 1, 0
-    t, t1 = 0, 1
-    g, g1 = a, b
-    while g1:
-        q = g // g1
-        s, s1 = s1, s - q * s1
-        t, t1 = t1, t - q * t1
-        g, g1 = g1, g - q * g1
-    if g < 0:
-        s, t, g = -s, -t, -g
-    return g, s, t
-
-
 def det(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
     if n == 0:
         return 1
     a = [list(map(int, row)) for row in m]
-    assert all(len(row) == n for row in a)
+    if any(len(row) != n for row in a):
+        raise ValueError("det needs a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -108,7 +82,8 @@ def smith(m):
     a = [list(map(int, row)) for row in m]
     r = len(a)
     c = len(a[0]) if r else 0
-    assert all(len(row) == c for row in a)
+    if any(len(row) != c for row in a):
+        raise ValueError("smith needs rows of equal length")
     u = identity_matrix(r)
     v = identity_matrix(c)
 
@@ -190,150 +165,3 @@ def smith(m):
         tuple(tuple(row) for row in a),
         tuple(tuple(row) for row in v),
     )
-
-
-def solve(m, b):
-    """Solve x * M = b over the integers (row convention).
-
-    Returns (x, basis) where basis spans {y : y * M = 0}, or None when there
-    is no integer solution.
-    """
-    r = len(m)
-    c = len(m[0]) if r else 0
-    assert len(b) == c
-    sd = smith(m)
-    diag = sd.diagonal
-    cv = vec_mat(b, sd.v)
-    z = [0] * r
-    for j in range(c):
-        dj = diag[j] if j < len(diag) else 0
-        if dj:
-            if cv[j] % dj:
-                return None
-            z[j] = cv[j] // dj
-        elif cv[j]:
-            return None
-    x = vec_mat(z, sd.u) if r else []
-    basis = [sd.u[i] for i in range(r) if i >= len(diag) or diag[i] == 0]
-    return x, basis
-
-
-def _echelon(rows):
-    """Integer row echelon (Hermite-style) as {pivot column: row}."""
-    pivots = {}
-    width = len(rows[0]) if rows else 0
-    for row in rows:
-        vec = list(row)
-        while True:
-            j = next((k for k, x in enumerate(vec) if x), None)
-            if j is None:
-                break
-            if j in pivots:
-                piv = pivots[j]
-                pa, pb = piv[j], vec[j]
-                if pb % pa == 0:
-                    q = pb // pa
-                    for k in range(j, width):
-                        vec[k] -= q * piv[k]
-                else:
-                    g, s, t = _xgcd(pa, pb)
-                    new = [s * piv[k] + t * vec[k] for k in range(width)]
-                    vec = [(pa // g) * vec[k] - (pb // g) * piv[k] for k in range(width)]
-                    pivots[j] = new
-            else:
-                pivots[j] = vec
-                break
-    return pivots
-
-
-def member(lattice_rows, v):
-    """Is v in the integer row span?  Independent of solve(): this one goes
-    through echelon reduction rather than a Smith decomposition."""
-    rows = [list(r) for r in lattice_rows]
-    if not rows:
-        return not any(v)
-    pivots = _echelon(rows)
-    width = len(rows[0])
-    vec = list(v)
-    assert len(vec) == width
-    for j in range(width):
-        if vec[j]:
-            piv = pivots.get(j)
-            if piv is None or vec[j] % piv[j]:
-                return False
-            q = vec[j] // piv[j]
-            for k in range(j, width):
-                vec[k] -= q * piv[k]
-    return True
-
-
-@dataclass(frozen=True)
-class FiniteQuotient:
-    """Z^m modulo an integer row lattice: invariant factors, free rank and,
-    for full-rank lattices, generators as rational vectors mod 1."""
-
-    orders: tuple  # invariant factors > 1
-    free_rank: int
-    generators: tuple | None  # tuples of Fractions in [0,1); None if infinite
-
-    @property
-    def order(self):
-        if self.free_rank:
-            raise ValueError("infinite quotient")
-        return prod(self.orders) if self.orders else 1
-
-    def elements(self):
-        """All elements as rational vectors mod 1, sorted lexicographically."""
-        if self.free_rank:
-            raise ValueError("infinite quotient")
-        if not self.orders:
-            dim = len(self.generators[0]) if self.generators else 0
-            return [tuple([Fraction(0)] * dim)]
-        dim = len(self.generators[0])
-        out = []
-        for cs in itertools.product(*[range(o) for o in self.orders]):
-            phi = [Fraction(0)] * dim
-            for ci, gen in zip(cs, self.generators):
-                for k in range(dim):
-                    phi[k] += ci * gen[k]
-            out.append(tuple(x % 1 for x in phi))
-        out.sort()
-        return out
-
-
-def quotient(lattice_rows, ambient_dim=None):
-    """The quotient of Z^m by the row span.
-
-    For a full-rank lattice the group elements are represented through the
-    dual embedding v -> v * L^{-1} mod 1, which is faithful; otherwise only
-    the torsion invariant factors and the free rank are reported.
-    """
-    rows = [list(r) for r in lattice_rows]
-    if rows:
-        m = len(rows[0])
-    else:
-        assert ambient_dim is not None
-        m = ambient_dim
-    sd = smith(rows) if rows else None
-    diag = sd.diagonal if sd else ()
-    rank = sum(1 for x in diag if x)
-    free_rank = m - rank
-    orders = tuple(x for x in diag if x > 1)
-    if free_rank:
-        return FiniteQuotient(orders, free_rank, None)
-    if len(rows) != m:
-        # reduce a redundant spanning set to a square basis first
-        pivots = _echelon(rows)
-        square = [pivots[j] for j in sorted(pivots)]
-        sd = smith(square)
-        diag = sd.diagonal
-        orders = tuple(x for x in diag if x > 1)
-    gens = tuple(
-        tuple((Fraction(x, diag[i])) % 1 for x in sd.u[i])
-        for i in range(len(diag))
-        if diag[i] > 1
-    )
-    if not gens:
-        gens = (tuple([Fraction(0)] * m),)
-        return FiniteQuotient((), 0, gens)
-    return FiniteQuotient(orders, 0, gens)

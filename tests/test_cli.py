@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from mfhh.cli import main
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
@@ -104,6 +106,37 @@ def test_compare_schema_error(tmp_path):
     assert code == 2 and "v1" in err
 
 
+GOOD_CELLS = [{"d": -2, "q": 4, "dim": 1}]
+
+
+@pytest.mark.parametrize(
+    "window, cells",
+    [
+        ([2, -2], []),
+        ([-4.0, 0], GOOD_CELLS),
+        ([-4, 0], [{"d": -2, "q": 3.7, "dim": 1}]),
+        ([-4, 0], [{"d": "-2", "q": 4, "dim": 1}]),
+        ([-4, 0], [{"d": -2, "q": 4, "dim": True}]),
+        ([-4, 0], [{"d": -2, "q": 4, "dim": 0}]),
+        ([-4, 0], [{"d": -2, "q": 4, "dim": -1}]),
+        ([-4, 0], GOOD_CELLS + GOOD_CELLS),
+        ([-4, 0], [{"d": 3, "q": 4, "dim": 1}]),
+    ],
+    ids=[
+        "dmin-above-dmax", "float-window", "float-weight", "string-degree",
+        "bool-dim", "zero-dim", "negative-dim", "duplicate-cell", "cell-outside-window",
+    ],
+)
+def test_compare_rejects_malformed_document(tmp_path, window, cells):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"schema": "v1", "window": [-4, 0], "cells": GOOD_CELLS}))
+    assert run(["compare", str(good), str(good)])[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": "v1", "window": window, "cells": cells}))
+    code, _, err = run(["compare", str(good), str(bad)])
+    assert code == 2 and str(bad) in err
+
+
 def test_probe_small_res():
     code, out, _ = run(["probe-small-res", "--poly", "x1^3*x2+x2^5*x3+x3^2+x4^2", "--dmin", "-12"])
     assert code == 0 and "constant rank 1" in out
@@ -111,6 +144,24 @@ def test_probe_small_res():
     assert code == 1 and "non-constant" in out
     code, out, _ = run(["probe-small-res", "--poly", "x1^2+x2^3+x3^3+x4^6", "--dmin", "-12"])
     assert code == 0 and "constant rank 4" in out
+
+
+def test_probe_empty_window_is_input_error():
+    code, _, err = run(["probe-small-res", "--poly", LAUFER1, "--dmin", "0"])
+    assert code == 2 and "empty degree window" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--poly", LAUFER1, "--dmin", "-2", "--dmax", "2", "--threads", "2"],
+        ["probe-small-res", "--poly", LAUFER1, "--dmin", "-2", "--threads", "2"],
+    ],
+)
+def test_threads_option_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
 
 
 def test_golden_cli():

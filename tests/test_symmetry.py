@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mfhh
 from conftest import random_invertible
-from mfhh import lattice
+from lattice_oracle import member, quotient
 from mfhh.errors import DegenerateCharacter
 from mfhh.poly import InvertiblePolynomial, parse
 from mfhh.symmetry import SymmetryContext
@@ -125,6 +130,40 @@ def test_chi_power_additivity(seed, data):
     assert ctx.chi_power([a + b for a, b in zip(b1, b2)]) == u1 + u2
 
 
+@settings(max_examples=30)
+@given(st.integers(0, 10**9), st.data())
+def test_chi_power_matches_degree_and_echelon_membership(seed, data):
+    # independent of the Smith route: every relation has weighted degree 0
+    # and the all-ones vector has degree h, so u is forced to be tot // h;
+    # membership of b - u*1 is then decided by echelon reduction
+    p = random_invertible(random.Random(seed))
+    ctx = SymmetryContext(p)
+    w = p.weights()
+    degrees = (w.d0,) + tuple(w.d)
+    rows = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
+    n2 = p.nvars + 1
+    for _ in range(20):
+        # a lattice point shifted by u*1, then optionally knocked off the
+        # lattice while keeping its degree, or perturbed at random
+        u = data.draw(st.integers(-4, 4))
+        xs = data.draw(st.lists(st.integers(-2, 2), min_size=n2 - 1, max_size=n2 - 1))
+        b = [u + sum(x * row[j] for x, row in zip(xs, rows)) for j in range(n2)]
+        shift = data.draw(st.sampled_from(["none", "degree-zero", "random"]))
+        if shift == "degree-zero":
+            i, j = data.draw(st.lists(st.integers(0, n2 - 1), min_size=2, max_size=2))
+            b[i] += degrees[j]
+            b[j] -= degrees[i]
+        elif shift == "random":
+            b = [bi + data.draw(st.integers(-3, 3)) for bi in b]
+        tot = sum(bi * di for bi, di in zip(b, degrees))
+        if tot % w.h:
+            assert ctx.chi_power(b) is None
+            continue
+        u = tot // w.h
+        expected = u if member(rows, [bi - u for bi in b]) else None
+        assert ctx.chi_power(b) == expected
+
+
 @settings(max_examples=15)
 @given(st.integers(0, 10**9))
 def test_ker_order_and_quotient_cross_check(seed):
@@ -135,7 +174,7 @@ def test_ker_order_and_quotient_cross_check(seed):
     assert len({g.phases for g in ker}) == len(ker)
     # dual route: the quotient of Z^n by the column span of A
     transpose_rows = [list(col) for col in zip(*p.matrix)]
-    quot = lattice.quotient(transpose_rows)
+    quot = quotient(transpose_rows)
     assert set(quot.elements()) == {g.phases for g in ker}
     census = ctx.fixed_census()
     assert sum(census.values()) == len(ker)
@@ -157,3 +196,33 @@ def test_degenerate_character_guard():
     p = InvertiblePolynomial(((1, 1), (-1, -1)))
     with pytest.raises(DegenerateCharacter):
         SymmetryContext(p)
+
+
+def test_guards_survive_python_optimize():
+    # the guards are explicit raises, so `python -O` keeps them
+    code = textwrap.dedent("""
+        from mfhh.engine import BigradedTable
+        from mfhh.errors import DegenerateCharacter, InputError, WindowMismatch
+        from mfhh.jacobian import restrict
+        from mfhh.poly import InvertiblePolynomial, parse
+        from mfhh.symmetry import SymmetryContext
+
+        checks = [
+            (lambda: SymmetryContext(InvertiblePolynomial(((1, 1), (-1, -1)))),
+             DegenerateCharacter),
+            (lambda: BigradedTable(-2, 2, {}).restrict(-3, 2), WindowMismatch),
+            (lambda: restrict(parse("x1^2+x2^3"), (3,)), InputError),
+        ]
+        for call, error in checks:
+            try:
+                call()
+            except error:
+                continue
+            raise SystemExit(f"no {error.__name__} under -O")
+    """)
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stdout + res.stderr

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .engine import BigradedTable, aggregate_contributions, compute_table, hh2_vanishes, list_contributions
+from .engine import BigradedTable, aggregate_contributions, class_contributions, compute_table, hh2_vanishes
 from .errors import EngineError, GoldenMismatch, InputError, MfhhError, SchemaError, UnknownFamily, WindowMismatch
 from .invariants import FAMILY_NAMES, golden_check, scale_compare, small_res_probe
 from .poly import parse
@@ -138,7 +138,7 @@ def cmd_table(args, out):
     contributions = None
     if args.monomials:
         contributions = aggregate_contributions(
-            list_contributions(p, (args.dmin, args.dmax), ctx=ctx)
+            class_contributions(p, (args.dmin, args.dmax), ctx=ctx)
         )
     doc = _document(p, ctx, table, contributions)
     if args.format == "json":

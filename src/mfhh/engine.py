@@ -67,10 +67,11 @@ class GammaMonomial:
 
 @dataclass(frozen=True)
 class Contribution:
-    gamma: object  # GroupElement
+    gamma: object  # GroupElement, or None for a whole fixed class
     monomial: GammaMonomial
     u: int
     degree: int
+    count: int = 1  # the elements it stands for: 1, or the class size
 
     @property
     def weight(self):
@@ -171,8 +172,9 @@ def _line_t_range(c0, u0, dc, du, cmin, off, dmin, dmax):
     return range(max(tlo, t1), t2 + 1)
 
 
-def _class_contributions(ctx, fixed, window, order):
-    """Contributions shared by every gamma with the given fixed set."""
+def _class_contributions(ctx, fixed, count, window, order):
+    """Contributions shared by every gamma with the given fixed set, each
+    standing for the class's count elements."""
     dmin, dmax = window
     n = ctx.n
     n1 = n + 1
@@ -195,13 +197,13 @@ def _class_contributions(ctx, fixed, window, order):
                 c, u = c0 + t * dc, u0 + t * du
                 b = (c,) + base[1:]
                 out.append(
-                    Contribution(None, GammaMonomial("A", c, b), u, 2 * u + n - k + 1)
+                    Contribution(None, GammaMonomial("A", c, b), u, 2 * u + n - k + 1, count)
                 )
             for t in _line_t_range(c0, u0, dc, du, -1, n - k + 2, dmin, dmax):
                 c, u = c0 + t * dc, u0 + t * du
                 b = (c,) + base[1:]
                 out.append(
-                    Contribution(None, GammaMonomial("B", c + 1, b), u, 2 * u + n - k + 2)
+                    Contribution(None, GammaMonomial("B", c + 1, b), u, 2 * u + n - k + 2, count)
                 )
     else:
         for mono in basis.monomials:
@@ -214,33 +216,38 @@ def _class_contributions(ctx, fixed, window, order):
                 continue
             d = 2 * u + n - k + 2
             if dmin <= d <= dmax:
-                out.append(Contribution(None, GammaMonomial("C", None, b), u, d))
+                out.append(Contribution(None, GammaMonomial("C", None, b), u, d, count))
     return out
 
 
 def compute_table(p, window, order="grevlex", ctx=None):
-    """The bigraded dimension table of p over a finite degree window.
-
-    Elements with the same fixed set carry identical monomial families, so
-    each fixed-variable class of ker(chi) is computed once and weighted by
-    its size.
-    """
+    """The bigraded dimension table of p over a finite degree window."""
     dmin, dmax = window
     if dmin > dmax:
         raise InputError("empty degree window")
-    if ctx is None:
-        ctx = SymmetryContext(p)
-    classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
     cells = Counter()
-    for fixed, count in classes:
-        for con in _class_contributions(ctx, fixed, window, order):
-            cells[(con.degree, con.weight)] += count
+    for con in class_contributions(p, window, order, ctx):
+        cells[(con.degree, con.weight)] += con.count
     return BigradedTable(dmin, dmax, dict(cells))
 
 
 def hh2_vanishes(p, order="grevlex", ctx=None):
     """True iff the degree-2 part of the table is empty."""
     return compute_table(p, (2, 2), order=order, ctx=ctx).total() == 0
+
+
+def class_contributions(p, window, order="grevlex", ctx=None):
+    """Yield the listing behind the table with one entry per fixed class.
+
+    Elements with the same fixed set carry identical monomial families, so
+    each fixed-variable class of ker(chi) is computed once; its entries have
+    gamma None and count the class size.  No element of ker(chi) is listed,
+    and only one class's entries are held at a time.
+    """
+    if ctx is None:
+        ctx = SymmetryContext(p)
+    for fixed, count in sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0])):
+        yield from _class_contributions(ctx, fixed, count, window, order)
 
 
 def list_contributions(p, window, order="grevlex", ctx=None):
@@ -251,7 +258,7 @@ def list_contributions(p, window, order="grevlex", ctx=None):
     out = []
     for gamma in ctx.ker_chi():
         if gamma.fixed not in by_class:
-            by_class[gamma.fixed] = _class_contributions(ctx, gamma.fixed, window, order)
+            by_class[gamma.fixed] = _class_contributions(ctx, gamma.fixed, 1, window, order)
         for con in by_class[gamma.fixed]:
             out.append(Contribution(gamma, con.monomial, con.u, con.degree))
     out.sort(
@@ -261,11 +268,14 @@ def list_contributions(p, window, order="grevlex", ctx=None):
 
 
 def aggregate_contributions(contribs, varnames=None):
-    """Collapse a flat listing into (pattern, kind, degree, weight, count) rows."""
-    counts = Counter(
-        (c.monomial.pattern(varnames), c.monomial.kind, c.degree, c.weight)
-        for c in contribs
-    )
+    """Collapse a listing into (pattern, kind, degree, weight, count) rows.
+
+    Each entry adds its count, so the per-element list_contributions and the
+    per-class class_contributions give the same rows.
+    """
+    counts = Counter()
+    for c in contribs:
+        counts[(c.monomial.pattern(varnames), c.monomial.kind, c.degree, c.weight)] += c.count
     rows = [
         {"monomial": m, "type": kind, "d": d, "q": q, "count": n}
         for (m, kind, d, q), n in counts.items()

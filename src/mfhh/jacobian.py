@@ -154,7 +154,13 @@ def _jacobian_generators(r):
     return gens
 
 
-@lru_cache(maxsize=None)
+# Bases are keyed by (matrix, fixed variables, order); a table of an
+# n-variable polynomial uses at most 2^n of them.  The bound keeps a
+# long-lived process from growing without limit.
+BASIS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _basis_cached(matrix, fixed, order):
     from .poly import InvertiblePolynomial
 

@@ -14,12 +14,6 @@ def identity_matrix(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def vec_mat(v, m):
-    """Row vector times matrix."""
-    cols = len(m[0]) if m else 0
-    return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
-
-
 def det(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

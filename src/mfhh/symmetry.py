@@ -7,14 +7,29 @@ exponent vectors in Z^{n+2} modulo the relation lattice R spanned by
 r_i = (-1, a_i1 - 1, ..., a_i,n+1 - 1).  The kernel of the total character
 chi = (1,..,1) is a finite abelian group of order |det A|, whose elements we
 store as rational phase vectors mod 1 (no roots of unity are ever needed).
+
+The table only needs how many elements fix each coordinate set, and that
+census has a closed form that never lists an element.  An element is a
+phase vector phi in (Q/Z)^{n+1} with A*phi = 0 mod 1; it fixes x_j (j >= 1)
+when phi_j = 0 and fixes x_0 when sum(phi) = 0 mod 1.  So the elements fixing
+at least the set S are the solutions of M*phi_T = 0 mod 1, where T are the
+coordinates x_1..x_{n+1} outside S, M is A restricted to the columns T, with
+a row of ones appended when 0 is in S.  A is nonsingular, so M has full
+column rank; writing M = U^-1 * D * V^-1 in Smith form, psi = V^-1 * phi_T
+is a bijection of (Q/Z)^T and D*psi = 0 mod 1 has d_j choices for each psi_j.
+The count is therefore the product of M's invariant factors (1 when T is
+empty), and Moebius inversion over supersets turns these "at least S"
+counts into exact ones, at a cost of 2^(n+2) small Smith forms in place of
+|det A| elements.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 
 from . import lattice
 from .errors import DegenerateCharacter
@@ -58,15 +73,9 @@ class SymmetryContext:
         # the solution line of  b + c*e0 - u*1  in R, shared by all b:
         # unknowns (x_1..x_{n+1}, c, u) against rows (R, -e0, 1)
         e0 = tuple([1] + [0] * n1)
-        self._family_smith = lattice.smith(
-            list(self.relation_rows) + [tuple(-x for x in e0), self.one]
-        )
-        diag = self._family_smith.diagonal
-        hom = [
-            self._family_smith.u[i]
-            for i in range(n1 + 2)
-            if i >= len(diag) or diag[i] == 0
-        ]
+        sd = lattice.smith(list(self.relation_rows) + [tuple(-x for x in e0), self.one])
+        diag = sd.diagonal
+        hom = [sd.u[i] for i in range(n1 + 2) if i >= len(diag) or diag[i] == 0]
         # R has rank n+1 (A is nonsingular), so R plus the all-ones row is
         # independent exactly when the kernel is one line with c != 0
         if len(hom) != 1 or hom[0][-2] == 0:
@@ -77,6 +86,21 @@ class SymmetryContext:
         if dc < 0:
             dc, du = -dc, -du
         self.family_step = (dc, du)
+        # Every d_j is now nonzero.  x*M = b has a solution iff each
+        # z_j = (b.V_j)/d_j is an integer, and then (c0, u0) = sum_j z_j *
+        # U[j][-2:].  Over the common denominator L = lcm(d) that sum is one
+        # integer dot product per coordinate, exact once the congruences hold.
+        self._lcm = lcm(*diag)
+        self._congruences = tuple(
+            (tuple(row[j] for row in sd.v), dj) for j, dj in enumerate(diag) if dj > 1
+        )
+        self._c_weights, self._u_weights = (
+            tuple(
+                sum(row[j] * (self._lcm // dj) * sd.u[j][k] for j, dj in enumerate(diag))
+                for row in sd.v
+            )
+            for k in (-2, -1)
+        )
         self._ker = None
         self._census = None
 
@@ -105,10 +129,35 @@ class SymmetryContext:
         return self._ker
 
     def fixed_census(self):
-        """How many elements of ker(chi) fix each subset of coordinates."""
+        """How many elements of ker(chi) fix each subset of coordinates.
+
+        Closed form (see the module docstring): no element is listed, and
+        subsets fixed by no element are left out.
+        """
         if self._census is None:
-            counts = Counter(g.fixed for g in self._iter_ker())
-            self._census = dict(counts)
+            n2 = self.n + 2  # coordinates x_0..x_{n+1}, bit j of a mask is x_j
+            size = 1 << n2
+            counts = [0] * size
+            for s in range(size):
+                free = [j for j in range(1, n2) if not s >> j & 1]
+                if not free:
+                    counts[s] = 1
+                    continue
+                m = [[row[j - 1] for j in free] for row in self.poly.matrix]
+                if s & 1:
+                    m.append([1] * len(free))
+                counts[s] = prod(lattice.smith(m).diagonal)
+            # Moebius inversion over supersets: at least S -> exactly S
+            for j in range(n2):
+                bit = 1 << j
+                for s in range(size):
+                    if not s & bit:
+                        counts[s] -= counts[s | bit]
+            self._census = {
+                frozenset(j for j in range(n2) if s >> j & 1): c
+                for s, c in enumerate(counts)
+                if c
+            }
         return self._census
 
     # -- characters --------------------------------------------------------
@@ -134,15 +183,11 @@ class SymmetryContext:
         Returns (c0, u0) on the solution line or None; the line's step is the
         context-wide family_step (dc, du) with dc > 0.
         """
-        sd = self._family_smith
-        diag = sd.diagonal
-        cv = lattice.vec_mat(list(base), sd.v)
-        zs = []
-        for j, dj in enumerate(diag):
-            if cv[j] % dj:
+        for col, dj in self._congruences:
+            if sum(map(mul, base, col)) % dj:
                 return None
-            zs.append(cv[j] // dj)
-        c0 = sum(zs[i] * sd.u[i][-2] for i in range(len(zs)))
-        u0 = sum(zs[i] * sd.u[i][-1] for i in range(len(zs)))
-        return c0, u0
+        return (
+            sum(map(mul, base, self._c_weights)) // self._lcm,
+            sum(map(mul, base, self._u_weights)) // self._lcm,
+        )
 

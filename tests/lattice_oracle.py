@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from mfhh.lattice import smith, vec_mat
+from mfhh.lattice import smith
+
+
+def vec_mat(v, m):
+    """Row vector times matrix."""
+    cols = len(m[0]) if m else 0
+    return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
 
 
 def mat_mul(a, b):

@@ -1,3 +1,4 @@
+import io
 import random
 from collections import Counter
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
+from mfhh.cli import main
 from mfhh.engine import (
     aggregate_contributions,
+    class_contributions,
     compute_table,
     hh2_vanishes,
     list_contributions,
@@ -310,3 +313,26 @@ def test_listing_is_deterministic_and_matches_table():
     ]
     cells = Counter((c.degree, c.weight) for c in first)
     assert dict(cells) == compute_table(p, window).cells
+    # the CLI's per-class rows equal the per-element ones
+    rng = random.Random(4)
+    for q in [p] + [random_invertible(rng, max_vars=4, max_det=300) for _ in range(8)]:
+        try:
+            per_element = aggregate_contributions(list_contributions(q, window))
+        except NonterminatingFamily:
+            continue
+        assert aggregate_contributions(class_contributions(q, window)) == per_element
+
+
+def test_census_and_table_never_list_ker_chi(monkeypatch):
+    # cost follows the answer, not |ker chi| = 46189
+    def walk(self):
+        raise AssertionError("ker(chi) was enumerated")
+
+    monkeypatch.setattr(SymmetryContext, "_iter_ker", walk)
+    p = parse("x1^11+x2^13+x3^17+x4^19")
+    ctx = SymmetryContext(p)
+    assert sum(ctx.fixed_census().values()) == 46189
+    assert compute_table(p, (-12, 8), ctx=ctx).total() > 0
+    # and neither does the CLI's --monomials listing
+    argv = ["table", "--poly", LAUFER1, "--dmin", "-4", "--dmax", "4", "--monomials"]
+    assert main(argv, out=io.StringIO()) == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
 from mfhh.errors import NotIsolated
-from mfhh.jacobian import milnor_number, monomial_basis, restrict
+from mfhh.jacobian import _basis_cached, milnor_number, monomial_basis, restrict
 from mfhh.poly import parse
 
 LAUFER = "x1^3*x2+x2^{}*x3+x3^2+x4^2"
@@ -107,3 +107,7 @@ def test_brieskorn_pham_milnor_product(seed):
         m
         for m in __import__("itertools").product(*[range(a - 1) for a in exps])
     }
+
+
+def test_basis_cache_is_bounded():
+    assert isinstance(_basis_cached.cache_info().maxsize, int)

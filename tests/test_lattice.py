@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from lattice_oracle import mat_mul, member, quotient, solve
+from lattice_oracle import mat_mul, member, quotient, solve, vec_mat
 from mfhh import lattice
 
 
@@ -103,12 +103,12 @@ def test_solve_homogeneous_basis():
     # one redundant row: y*M = 0 has a rank-1 solution lattice
     m = [[1, 2], [2, 4], [0, 1]]
     x, basis = solve(m, [1, 3])
-    assert lattice.vec_mat(x, m) == [1, 3]
+    assert vec_mat(x, m) == [1, 3]
     assert len(basis) == 1
     y = basis[0]
-    assert lattice.vec_mat(list(y), m) == [0, 0]
+    assert vec_mat(list(y), m) == [0, 0]
     shifted = [a + 5 * b for a, b in zip(x, y)]
-    assert lattice.vec_mat(shifted, m) == [1, 3]
+    assert vec_mat(shifted, m) == [1, 3]
 
 
 def test_member_examples():
@@ -125,7 +125,7 @@ def test_solve_member_consistency(m, data):
     c = len(m[0])
     if data.draw(st.booleans()):
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
-        v = lattice.vec_mat(coeffs, m)
+        v = vec_mat(coeffs, m)
     else:
         v = data.draw(st.lists(st.integers(-6, 6), min_size=c, max_size=c))
     assert member(m, v) == (solve(m, v) is not None)
@@ -147,7 +147,7 @@ def test_quotient_enumeration_counts_and_glue():
         assert len(set(elems)) == len(elems) == q.order == abs(lattice.det(rows))
         # every element times the defining matrix is integral (dual pairing)
         for e in elems:
-            image = lattice.vec_mat(list(e), rows)
+            image = vec_mat(list(e), rows)
             assert all(Fraction(x).denominator == 1 for x in image)
 
 
@@ -163,7 +163,7 @@ def test_quotient_order_is_det(m):
         elems = q.elements()
         assert len(set(elems)) == abs(d)
         for e in elems:
-            assert all(Fraction(x).denominator == 1 for x in lattice.vec_mat(list(e), m))
+            assert all(Fraction(x).denominator == 1 for x in vec_mat(list(e), m))
 
 
 def test_quotient_enumeration_at_the_ten_thousand_bound():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,7 @@ from conftest import random_invertible
 from lattice_oracle import member, quotient
 from mfhh.errors import DegenerateCharacter
 from mfhh.poly import InvertiblePolynomial, parse
-from mfhh.symmetry import SymmetryContext
+from mfhh.symmetry import GroupElement, SymmetryContext
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
 
@@ -178,6 +179,46 @@ def test_ker_order_and_quotient_cross_check(seed):
     assert set(quot.elements()) == {g.phases for g in ker}
     census = ctx.fixed_census()
     assert sum(census.values()) == len(ker)
+    # the closed-form census counts the fixed sets of the dual route's elements
+    dual = Counter(GroupElement.from_phases(e).fixed for e in quot.elements())
+    assert census == dict(dual)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**9), st.data())
+def test_family_line_matches_degree_and_echelon_membership(seed, data):
+    # independent of the Smith route: base + c*e0 - u*1 in R forces
+    # u = (base.(d0, d) + c*d0) / h, and the solutions (c, u) form a line
+    # with c-step dc, so one exists iff one has c in range(dc)
+    p = random_invertible(random.Random(seed))
+    ctx = SymmetryContext(p)
+    w = p.weights()
+    degrees = (w.d0,) + tuple(w.d)
+    rows = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
+    n2 = p.nvars + 1
+    dc = ctx.family_step[0]
+
+    def on_line(base, c, u):
+        return member(rows, [bi + c * (j == 0) - u for j, bi in enumerate(base)])
+
+    for _ in range(20):
+        if data.draw(st.booleans()):
+            # a point of some family: lattice point - c*e0 + u*1
+            c, u = data.draw(st.integers(-6, 6)), data.draw(st.integers(-4, 4))
+            xs = data.draw(st.lists(st.integers(-2, 2), min_size=n2 - 1, max_size=n2 - 1))
+            base = [u - c * (j == 0) + sum(x * row[j] for x, row in zip(xs, rows))
+                    for j in range(n2)]
+        else:
+            base = data.draw(st.lists(st.integers(-3, 6), min_size=n2, max_size=n2))
+        line = ctx.family_line(base)
+        tot = sum(bi * di for bi, di in zip(base, degrees))
+        solvable = any(
+            (tot + c * w.d0) % w.h == 0 and on_line(base, c, (tot + c * w.d0) // w.h)
+            for c in range(dc)
+        )
+        assert (line is not None) == solvable
+        if line is not None:
+            assert on_line(base, *line)
 
 
 def test_family_line_step_matches_weights():

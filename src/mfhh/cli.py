@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .engine import BigradedTable, aggregate_contributions, class_contributions, compute_table, hh2_vanishes
-from .errors import EngineError, GoldenMismatch, InputError, MfhhError, SchemaError, UnknownFamily, WindowMismatch
+from .errors import GoldenMismatch, InputError, MfhhError, SchemaError, WindowMismatch
 from .invariants import FAMILY_NAMES, golden_check, scale_compare, small_res_probe
 from .poly import parse
 from .symmetry import SymmetryContext
@@ -54,9 +54,9 @@ def _emit_csv(table, out):
         out.write(f"{cell['d']},{cell['q']},{cell['dim']}\n")
 
 
-def _emit_pretty(doc, table, out):
-    out.write(f"polynomial : {_poly_text(doc['poly'])}\n")
-    out.write(f"transpose  : {_poly_text(doc['transpose'])}\n")
+def _emit_pretty(p, doc, table, out):
+    out.write(f"polynomial : {p}\n")
+    out.write(f"transpose  : {p.transpose()}\n")
     w = doc["weights"]
     out.write(
         f"weights    : d={tuple(w['d'])} h={w['h']} d0={w['d0']}"
@@ -83,12 +83,6 @@ def _emit_pretty(doc, table, out):
             out.write(
                 f"  {r['monomial']}  {r['type']}  d={r['d']}  q={r['q']}  x{r['count']}\n"
             )
-
-
-def _poly_text(obj):
-    from .poly import InvertiblePolynomial
-
-    return str(InvertiblePolynomial.from_json(obj, validate=False))
 
 
 def _json_int(path, value):
@@ -146,7 +140,7 @@ def cmd_table(args, out):
     elif args.format == "csv":
         _emit_csv(table, out)
     else:
-        _emit_pretty(doc, table, out)
+        _emit_pretty(p, doc, table, out)
     return EXIT_OK
 
 
@@ -242,12 +236,9 @@ def main(argv=None, out=None, err=None):
     except WindowMismatch as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INCONCLUSIVE
-    except (InputError, UnknownFamily) as exc:
+    except InputError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except EngineError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_ENGINE
     except MfhhError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ENGINE

@@ -14,9 +14,13 @@ x_1..x_{n+1} and u is the unique integer with  b(m) - u*(1,..,1)  in the
 relation lattice, when it exists.  The second grading of a contribution is
 the total x0-exponent b0.
 
-For kinds A and B the solutions (b0, u) form an affine line; its step has
-nonzero u-component exactly when d0 != 0, which makes the enumeration of any
-finite degree window provably complete.
+For a basis monomial p with duals, the solutions (c, u) of
+(c, p) - u*(1,..,1) in the relation lattice form one affine line, the family
+line of (0, p); its step has nonzero u-component exactly when d0 != 0, which
+makes the enumeration of any finite degree window provably complete.  All
+three kinds read that one line: kind A takes its points with c >= 0 (beta =
+c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
+c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 """
 
 from __future__ import annotations
@@ -39,29 +43,24 @@ class GammaMonomial:
     def weight(self):
         return self.b[0]
 
-    def pattern(self, varnames=None):
-        n1 = len(self.b) - 1
-        names = ["x0"] + (
-            list(varnames) if varnames else [f"x{i}" for i in range(1, n1 + 1)]
-        )
+    def pattern(self):
         factors = []
         if self.kind in ("A", "B"):
             if self.beta == 1:
-                factors.append(names[0])
+                factors.append("x0")
             elif self.beta > 1:
-                factors.append(f"{names[0]}^{self.beta}")
+                factors.append(f"x0^{self.beta}")
             if self.kind == "B":
-                factors.append(f"{names[0]}^∨")
+                factors.append("x0^∨")
         else:
-            factors.append(f"{names[0]}^∨")
-        for j in range(1, n1 + 1):
-            e = self.b[j]
+            factors.append("x0^∨")
+        for j, e in enumerate(self.b[1:], start=1):
             if e == 1:
-                factors.append(names[j])
+                factors.append(f"x{j}")
             elif e > 1:
-                factors.append(f"{names[j]}^{e}")
+                factors.append(f"x{j}^{e}")
             elif e == -1:
-                factors.append(f"{names[j]}^∨")
+                factors.append(f"x{j}^∨")
         return "*".join(factors) if factors else "1"
 
 
@@ -141,35 +140,32 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _floor_div(a, b):
-    return a // b
+def _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
+    """All t with cmin <= c(t) = c0 + t*dc <= cmax and 2*u(t) + off in
+    [dmin, dmax]; cmax None leaves c unbounded above.
 
-
-def _line_t_range(c0, u0, dc, du, cmin, off, dmin, dmax):
-    """All t with c(t) = c0 + t*dc >= cmin and 2*u(t) + off in [dmin, dmax].
-
-    dc > 0.  Raises NonterminatingFamily when du == 0 and the (constant)
-    degree sits inside the window: the family would contribute infinitely
-    often, which only happens in the excluded d0 = 0 regime.
+    dc > 0.  Raises NonterminatingFamily when c is unbounded, du == 0 and the
+    (constant) degree sits inside the window: the family would contribute
+    infinitely often, which only happens in the excluded d0 = 0 regime.
     """
     tlo = _ceil_div(cmin - c0, dc)
-    d_const = 2 * u0 + off
+    thi = None if cmax is None else (cmax - c0) // dc
     if du == 0:
-        if dmin <= d_const <= dmax:
+        if not dmin <= 2 * u0 + off <= dmax:
+            return range(0)
+        if thi is None:
             raise NonterminatingFamily(
                 "a monomial family never leaves the degree window (d0 = 0)"
             )
-        return range(0)
+        return range(tlo, thi + 1)
     # dmin <= 2*(u0 + t*du) + off <= dmax
     lo_num = dmin - off - 2 * u0
     hi_num = dmax - off - 2 * u0
     if du > 0:
-        t1 = _ceil_div(lo_num, 2 * du)
-        t2 = _floor_div(hi_num, 2 * du)
+        t1, t2 = _ceil_div(lo_num, 2 * du), hi_num // (2 * du)
     else:
-        t1 = _ceil_div(hi_num, 2 * du)
-        t2 = _floor_div(lo_num, 2 * du)
-    return range(max(tlo, t1), t2 + 1)
+        t1, t2 = _ceil_div(hi_num, 2 * du), lo_num // (2 * du)
+    return range(max(tlo, t1), t2 + 1 if thi is None else min(thi, t2) + 1)
 
 
 def _class_contributions(ctx, fixed, count, window, order):
@@ -177,46 +173,31 @@ def _class_contributions(ctx, fixed, count, window, order):
     standing for the class's count elements."""
     dmin, dmax = window
     n = ctx.n
-    n1 = n + 1
     fixed_vars = tuple(sorted(v for v in fixed if v >= 1))
     k = len(fixed_vars)
+    # (kind, lowest c, highest c, degree offset, beta - c); see the docstring
+    if 0 in fixed:
+        kinds = (("A", 0, None, n - k + 1, 0), ("B", -1, None, n - k + 2, 1))
+    else:
+        kinds = (("C", -1, -1, n - k + 2, None),)
+    dc, du = ctx.family_step
     basis = monomial_basis(restrict(ctx.poly, fixed_vars), order)
     out = []
-    if 0 in fixed:
-        dc, du = ctx.family_step
-        for mono in basis.monomials:
-            exps = dict(zip(basis.variables, mono))
-            base = tuple(
-                [0] + [exps.get(j, 0) if j in fixed else -1 for j in range(1, n1 + 1)]
-            )
-            line = ctx.family_line(base)
-            if line is None:
-                continue
-            c0, u0 = line
-            for t in _line_t_range(c0, u0, dc, du, 0, n - k + 1, dmin, dmax):
+    for mono in basis.monomials:
+        # the basis variables are exactly the fixed ones; the rest are duals
+        exps = dict(zip(basis.variables, mono))
+        rest = tuple(exps.get(j, -1) for j in range(1, n + 2))
+        line = ctx.family_line((0,) + rest)
+        if line is None:
+            continue
+        c0, u0 = line
+        for kind, cmin, cmax, off, shift in kinds:
+            for t in _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
                 c, u = c0 + t * dc, u0 + t * du
-                b = (c,) + base[1:]
+                beta = None if shift is None else c + shift
                 out.append(
-                    Contribution(None, GammaMonomial("A", c, b), u, 2 * u + n - k + 1, count)
+                    Contribution(None, GammaMonomial(kind, beta, (c,) + rest), u, 2 * u + off, count)
                 )
-            for t in _line_t_range(c0, u0, dc, du, -1, n - k + 2, dmin, dmax):
-                c, u = c0 + t * dc, u0 + t * du
-                b = (c,) + base[1:]
-                out.append(
-                    Contribution(None, GammaMonomial("B", c + 1, b), u, 2 * u + n - k + 2, count)
-                )
-    else:
-        for mono in basis.monomials:
-            exps = dict(zip(basis.variables, mono))
-            b = tuple(
-                [-1] + [exps.get(j, 0) if j in fixed else -1 for j in range(1, n1 + 1)]
-            )
-            u = ctx.chi_power(b)
-            if u is None:
-                continue
-            d = 2 * u + n - k + 2
-            if dmin <= d <= dmax:
-                out.append(Contribution(None, GammaMonomial("C", None, b), u, d, count))
     return out
 
 
@@ -267,7 +248,7 @@ def list_contributions(p, window, order="grevlex", ctx=None):
     return out
 
 
-def aggregate_contributions(contribs, varnames=None):
+def aggregate_contributions(contribs):
     """Collapse a listing into (pattern, kind, degree, weight, count) rows.
 
     Each entry adds its count, so the per-element list_contributions and the
@@ -275,7 +256,7 @@ def aggregate_contributions(contribs, varnames=None):
     """
     counts = Counter()
     for c in contribs:
-        counts[(c.monomial.pattern(varnames), c.monomial.kind, c.degree, c.weight)] += c.count
+        counts[(c.monomial.pattern(), c.monomial.kind, c.degree, c.weight)] += c.count
     rows = [
         {"monomial": m, "type": kind, "d": d, "q": q, "count": n}
         for (m, kind, d, q), n in counts.items()

@@ -1,11 +1,12 @@
 """Derived contact invariants of bigraded tables.
 
 scale_compare decides whether two tables agree on the negative-degree range
-after rescaling the second grading by one nonzero constant; with integer
-weights any such constant is a ratio of two nonzero weights, so the search
-is finite.  small_res_probe checks for constant total rank in every negative
-degree of the window.  golden_check validates whole families against their
-closed forms.
+after rescaling the second grading by one nonzero constant; in the highest
+compared degree with a nonzero weight such a constant must map the least (if
+positive) or the largest (if negative) weight of the first table onto the
+least of the second, so at most two constants are tried.  small_res_probe
+checks for constant total rank in every negative degree of the window.
+golden_check validates whole families against their closed forms.
 """
 
 from __future__ import annotations
@@ -70,26 +71,25 @@ def scale_compare(t1, t2):
     if dstar is None:
         # only zero weights anywhere: the tables agree as they stand
         return ScaleVerdict("equivalent", (lo, hi), Fraction(1))
+    # c*nz1 = nz2 as multisets maps the least of nz1 (c > 0) or the largest
+    # (c < 0) onto the least of nz2; every other ratio fails at dstar
     nz1 = [q for q in w1[dstar] if q]
-    nz2 = [q for q in w2[dstar] if q]
+    low2 = min(q for q in w2[dstar] if q)
     candidates = sorted(
-        {Fraction(q2, q1) for q1 in nz1 for q2 in nz2},
+        {Fraction(low2, min(nz1)), Fraction(low2, max(nz1))},
         key=lambda c: (c != 1, abs(c), c),
     )
-    best_fail = None  # (position in `degrees`, candidate)
+    latest_fail = 0  # position in `degrees` of the latest first failure
     for c in candidates:
-        fail = None
         for idx, d in enumerate(degrees):
             left = sorted(c * q for q in w1[d] if q)
             right = sorted(Fraction(q) for q in w2[d] if q)
             if left != right:
-                fail = idx
+                latest_fail = max(latest_fail, idx)
                 break
-        if fail is None:
+        else:
             return ScaleVerdict("equivalent", (lo, hi), c)
-        if best_fail is None or fail > best_fail[0]:
-            best_fail = (fail, c)
-    d = degrees[best_fail[0]]
+    d = degrees[latest_fail]
     return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
 
 
@@ -105,14 +105,13 @@ class SmallResVerdict:
         return self.kind == "constant"
 
 
-def small_res_probe(t, dmin=None):
+def small_res_probe(t):
     """Is the total rank the same in every negative degree of the window?
 
     The verdict is window-relative; it checks the cohomological criterion
     only and says nothing about geometry by itself.
     """
-    lo = t.dmin if dmin is None else max(dmin, t.dmin)
-    hi = min(t.dmax, -1)
+    lo, hi = t.dmin, min(t.dmax, -1)
     ranks = {d: t.dim(d) for d in range(lo, hi + 1)}
     ref = ranks.get(-1, 0)
     witnesses = tuple((d, r) for d, r in sorted(ranks.items()) if r != ref)
@@ -217,10 +216,8 @@ def golden_check(family, l=None, k=1):
     Returns the report when everything matches and raises GoldenMismatch
     (carrying the report) otherwise.
     """
-    if family not in _FAMILIES:
-        raise UnknownFamily(f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}")
-    builder, hh3_form, rank_form, takes_l, conditional = _FAMILIES[family]
     p = golden_family_poly(family, l, k)
+    _, hh3_form, rank_form, takes_l, conditional = _FAMILIES[family]
     window = (-4 * (k + 1), 8)
     table = compute_table(p, window)
     report = GoldenReport(family, l if takes_l else None, k, str(p), window,

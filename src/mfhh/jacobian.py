@@ -154,21 +154,15 @@ def _jacobian_generators(r):
     return gens
 
 
-# Bases are keyed by (matrix, fixed variables, order); a table of an
-# n-variable polynomial uses at most 2^n of them.  The bound keeps a
-# long-lived process from growing without limit.
+# Bases are keyed by the frozen restriction (so by matrix and fixed
+# variables) and the order; a table of an n-variable polynomial uses at most
+# 2^n of them.  The bound keeps a long-lived process from growing without
+# limit.
 BASIS_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _basis_cached(matrix, fixed, order):
-    from .poly import InvertiblePolynomial
-
-    r = restrict(InvertiblePolynomial(matrix), fixed)
-    return _compute_basis(r, order)
-
-
-def _compute_basis(r, order):
+def _basis_cached(r, order):
     nv = len(r.fixed)
     if nv == 0:
         # the ground field: one basis element, the empty monomial
@@ -198,7 +192,7 @@ def _compute_basis(r, order):
 
 def monomial_basis(r, order="grevlex"):
     """Standard monomials of the Jacobian ideal of the restriction."""
-    return _basis_cached(r.parent.matrix, r.fixed, order)
+    return _basis_cached(r, order)
 
 
 def milnor_number(p, order="grevlex"):

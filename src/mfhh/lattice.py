@@ -51,10 +51,6 @@ class SmithDecomposition:
     def diagonal(self):
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0)))
 
-    @property
-    def rank(self):
-        return sum(1 for x in self.diagonal if x)
-
 
 def _find_pivot(a, t, r, c):
     # smallest nonzero absolute value, ties broken row-major: deterministic

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -50,13 +50,6 @@ class WeightSystem:
 @dataclass(frozen=True)
 class InvertiblePolynomial:
     matrix: tuple  # rows = monomials, columns = variables
-    varnames: tuple = field(default=())
-
-    def __post_init__(self):
-        if not self.varnames:
-            object.__setattr__(
-                self, "varnames", tuple(f"x{i + 1}" for i in range(self.nvars))
-            )
 
     @property
     def nvars(self):
@@ -66,7 +59,7 @@ class InvertiblePolynomial:
         return lattice.det(self.matrix)
 
     def transpose(self):
-        return InvertiblePolynomial(tuple(zip(*self.matrix)), self.varnames)
+        return InvertiblePolynomial(tuple(zip(*self.matrix)))
 
     def weights(self):
         return weights(self)
@@ -77,9 +70,9 @@ class InvertiblePolynomial:
             factors = []
             for j, e in enumerate(row):
                 if e == 1:
-                    factors.append(self.varnames[j])
+                    factors.append(f"x{j + 1}")
                 elif e > 1:
-                    factors.append(f"{self.varnames[j]}^{e}")
+                    factors.append(f"x{j + 1}^{e}")
             terms.append("*".join(factors) if factors else "1")
         return " + ".join(terms)
 
@@ -87,10 +80,9 @@ class InvertiblePolynomial:
         return {"vars": self.nvars, "rows": [list(row) for row in self.matrix]}
 
     @classmethod
-    def from_json(cls, obj, validate=True):
+    def from_json(cls, obj):
         rows = tuple(tuple(int(x) for x in row) for row in obj["rows"])
-        if validate:
-            _validate(rows)
+        _validate(rows)
         return cls(rows)
 
 

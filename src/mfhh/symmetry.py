@@ -54,10 +54,6 @@ class GroupElement:
             fixed.add(0)
         return GroupElement(phases, frozenset(fixed))
 
-    @property
-    def phase0(self):
-        return (-sum(self.phases)) % 1
-
 
 class SymmetryContext:
     """Precomputed lattice data for one polynomial; immutable after build."""

@@ -336,3 +336,24 @@ def test_census_and_table_never_list_ker_chi(monkeypatch):
     # and neither does the CLI's --monomials listing
     argv = ["table", "--poly", LAUFER1, "--dmin", "-4", "--dmax", "4", "--monomials"]
     assert main(argv, out=io.StringIO()) == 0
+
+
+def test_table_and_listing_never_call_chi_power(monkeypatch):
+    # kinds A, B and C all read one family_line solve per basis monomial
+    def solve(self, b):
+        raise AssertionError("chi_power was called")
+
+    monkeypatch.setattr(SymmetryContext, "chi_power", solve)
+    rng = random.Random(7)
+    polys = [parse(LAUFER1)] + [random_invertible(rng, max_vars=4, max_det=300) for _ in range(8)]
+    done = 0
+    for p in polys:
+        try:
+            assert compute_table(p, (-8, 4)).total() > 0
+        except NonterminatingFamily:
+            assert p.weights().d0 == 0
+            continue
+        argv = ["table", "--poly", str(p), "--dmin", "-8", "--dmax", "4", "--monomials"]
+        assert main(argv, out=io.StringIO()) == 0
+        done += 1
+    assert done >= 6

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_invertible
 from mfhh.engine import BigradedTable, compute_table
 from mfhh.errors import GoldenMismatch, NonterminatingFamily, UnknownFamily, WindowMismatch
-from mfhh.invariants import golden_check, golden_family_poly, scale_compare, small_res_probe
+from mfhh.invariants import (
+    ScaleVerdict,
+    _negative_overlap,
+    golden_check,
+    golden_family_poly,
+    scale_compare,
+    small_res_probe,
+)
 from mfhh.poly import parse
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
@@ -109,6 +117,82 @@ def test_scale_compare_symmetry_random(seed):
     assert v.kind == w.kind
     if v.kind == "equivalent":
         assert w.c == 1 / v.c
+
+
+def _scale_compare_all_ratios(t1, t2):
+    """The search over every ratio of two nonzero weights at dstar, kept as
+    the reference for scale_compare's two-candidate search."""
+    lo, hi = _negative_overlap(t1, t2)
+    if lo > hi:
+        return ScaleVerdict("inconclusive", (lo, hi))
+    degrees = list(range(hi, lo - 1, -1))
+    w1 = {d: t1.weights(d) for d in degrees}
+    w2 = {d: t2.weights(d) for d in degrees}
+    if all(not w1[d] for d in degrees) and all(not w2[d] for d in degrees):
+        return ScaleVerdict("inconclusive", (lo, hi))
+    for d in degrees:
+        if len(w1[d]) != len(w2[d]):
+            return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
+        z1 = sum(1 for q in w1[d] if q == 0)
+        z2 = sum(1 for q in w2[d] if q == 0)
+        if z1 != z2:
+            return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
+    dstar = next(
+        (d for d in degrees if any(q != 0 for q in w1[d])),
+        None,
+    )
+    if dstar is None:
+        # only zero weights anywhere: the tables agree as they stand
+        return ScaleVerdict("equivalent", (lo, hi), Fraction(1))
+    nz1 = [q for q in w1[dstar] if q]
+    nz2 = [q for q in w2[dstar] if q]
+    candidates = sorted(
+        {Fraction(q2, q1) for q1 in nz1 for q2 in nz2},
+        key=lambda c: (c != 1, abs(c), c),
+    )
+    best_fail = None  # (position in `degrees`, candidate)
+    for c in candidates:
+        fail = None
+        for idx, d in enumerate(degrees):
+            left = sorted(c * q for q in w1[d] if q)
+            right = sorted(Fraction(q) for q in w2[d] if q)
+            if left != right:
+                fail = idx
+                break
+        if fail is None:
+            return ScaleVerdict("equivalent", (lo, hi), c)
+        if best_fail is None or fail > best_fail[0]:
+            best_fail = (fail, c)
+    d = degrees[best_fail[0]]
+    return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
+
+
+@st.composite
+def table_pairs(draw):
+    """Two tables that share a base pattern scaled by two nonzero factors,
+    the second one optionally disturbed and cut to a shifted window."""
+    lo = draw(st.integers(-7, -1))
+    hi = draw(st.integers(lo, 1))
+    cell = st.tuples(st.integers(lo, hi), st.integers(-4, 4))
+    base = draw(st.dictionaries(cell, st.integers(1, 3), max_size=8))
+    scale = st.sampled_from([1, 2, 3, -1, -2, -3])
+    a, b = draw(scale), draw(scale)
+    noise = draw(st.dictionaries(cell, st.integers(1, 2), max_size=2))
+    lo2 = draw(st.integers(lo - 1, hi))
+    cells1, cells2 = Counter(), Counter(noise)
+    for (d, q), dim in base.items():
+        cells1[(d, a * q)] += dim
+        cells2[(d, b * q)] += dim
+    cells2 = {(d, q): dim for (d, q), dim in cells2.items() if d >= lo2}
+    return BigradedTable(lo, hi, dict(cells1)), BigradedTable(lo2, hi, cells2)
+
+
+@settings(max_examples=400)
+@given(table_pairs())
+def test_scale_compare_two_candidates_match_all_ratios(pair):
+    t1, t2 = pair
+    assert scale_compare(t1, t2) == _scale_compare_all_ratios(t1, t2)
+    assert scale_compare(t2, t1) == _scale_compare_all_ratios(t2, t1)
 
 
 def test_small_res_probe():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import __version__
 from .engine import BigradedTable, aggregate_contributions, class_contributions, compute_table, hh2_vanishes
@@ -34,7 +35,8 @@ def _document(p, ctx, table, contributions=None):
         "transpose": p.transpose().to_json(),
         "weights": {"d": list(w.d), "h": w.h, "d0": w.d0},
         "ker_chi_order": abs(p.det()),
-        "hh2_vanishes": hh2_vanishes(p, ctx=ctx),
+        # a window holding degree 2 settles the flag without a second table
+        "hh2_vanishes": table.dim(2) == 0 if table.complete(2) else hh2_vanishes(p, ctx=ctx),
         "window": [table.dmin, table.dmax],
         "cells": table.cell_list(),
     }
@@ -72,9 +74,10 @@ def _emit_pretty(p, doc, table, out):
     out.write(head + "\n")
     out.write("-" * len(head) + "\n")
     for d in range(table.dmax, table.dmin - 1, -1):
-        row = [table.cells.get((d, q), 0) for q in qs]
-        if not any(row):
+        found = table.row(d)
+        if not found:
             continue
+        row = [found.get(q, 0) for q in qs]
         cells = "".join(f"{v if v else '.':>5}" for v in row)
         out.write(f"{d:>3} |{cells} | {sum(row):>5}\n")
     if doc.get("contributions"):
@@ -128,12 +131,18 @@ def _load_document(path):
 def cmd_table(args, out):
     p = parse(args.poly, allow_nonstandard=args.allow_nonstandard)
     ctx = SymmetryContext(p)
-    table = compute_table(p, (args.dmin, args.dmax), ctx=ctx)
+    window = (args.dmin, args.dmax)
     contributions = None
     if args.monomials:
-        contributions = aggregate_contributions(
-            class_contributions(p, (args.dmin, args.dmax), ctx=ctx)
-        )
+        # one walk of the fixed classes: the rows carry (d, q) and the class
+        # sizes, so their counts sum to compute_table's cells
+        contributions = aggregate_contributions(class_contributions(p, window, ctx=ctx))
+        cells = Counter()
+        for r in contributions:
+            cells[(r["d"], r["q"])] += r["count"]
+        table = BigradedTable(*window, cells)
+    else:
+        table = compute_table(p, window, ctx=ctx)
     doc = _document(p, ctx, table, contributions)
     if args.format == "json":
         _emit_json(doc, out)

@@ -81,13 +81,26 @@ class BigradedTable:
     """Dimensions indexed by (degree, weight) inside a finite degree window.
 
     The enumeration is provably complete for every degree in the window, so
-    complete(d) is simply window membership.
+    complete(d) is simply window membership.  A table is not mutated after
+    construction: dim, weights, row and restrict read a per-degree index of
+    cells that is built once, on first use, so a table that is only
+    serialised never builds it.
     """
 
     def __init__(self, dmin, dmax, cells):
         self.dmin = dmin
         self.dmax = dmax
         self.cells = {dw: dim for dw, dim in cells.items() if dim}
+        self._by_degree = None  # degree -> tuple of the weights with a cell
+
+    def _index(self):
+        if self._by_degree is None:
+            rows = {}
+            for d, q in self.cells:
+                rows.setdefault(d, []).append(q)
+            # tuples: the index lives as long as the table, so keep it small
+            self._by_degree = {d: tuple(qs) for d, qs in rows.items()}
+        return self._by_degree
 
     @property
     def window(self):
@@ -96,15 +109,18 @@ class BigradedTable:
     def complete(self, d):
         return self.dmin <= d <= self.dmax
 
+    def row(self, d):
+        """The cells of degree d as a new {weight: dim} dict."""
+        return {q: self.cells[d, q] for q in self._index().get(d, ())}
+
     def dim(self, d):
-        return sum(dim for (dd, _), dim in self.cells.items() if dd == d)
+        return sum(self.cells[d, q] for q in self._index().get(d, ()))
 
     def weights(self, d):
         """Weight multiset in degree d, sorted, with multiplicity."""
         out = []
-        for (dd, q), dim in self.cells.items():
-            if dd == d:
-                out.extend([q] * dim)
+        for q in self._index().get(d, ()):
+            out.extend([q] * self.cells[d, q])
         return tuple(sorted(out))
 
     def restrict(self, dmin, dmax):
@@ -112,9 +128,11 @@ class BigradedTable:
             raise WindowMismatch(
                 f"window {(dmin, dmax)} is not inside {self.window}"
             )
-        return BigradedTable(
-            dmin, dmax, {(d, q): v for (d, q), v in self.cells.items() if dmin <= d <= dmax}
-        )
+        return BigradedTable(dmin, dmax, {
+            (d, q): self.cells[d, q]
+            for d, qs in self._index().items() if dmin <= d <= dmax
+            for q in qs
+        })
 
     def total(self):
         return sum(self.cells.values())
@@ -204,12 +222,10 @@ def _class_contributions(ctx, fixed, count, window, order):
 def compute_table(p, window, order="grevlex", ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     dmin, dmax = window
-    if dmin > dmax:
-        raise InputError("empty degree window")
     cells = Counter()
     for con in class_contributions(p, window, order, ctx):
         cells[(con.degree, con.weight)] += con.count
-    return BigradedTable(dmin, dmax, dict(cells))
+    return BigradedTable(dmin, dmax, cells)
 
 
 def hh2_vanishes(p, order="grevlex", ctx=None):
@@ -223,8 +239,11 @@ def class_contributions(p, window, order="grevlex", ctx=None):
     Elements with the same fixed set carry identical monomial families, so
     each fixed-variable class of ker(chi) is computed once; its entries have
     gamma None and count the class size.  No element of ker(chi) is listed,
-    and only one class's entries are held at a time.
+    and only one class's entries are held at a time.  An empty window is an
+    InputError.
     """
+    if window[0] > window[1]:
+        raise InputError("empty degree window")
     if ctx is None:
         ctx = SymmetryContext(p)
     for fixed, count in sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0])):

@@ -6,7 +6,9 @@ compared degree with a nonzero weight such a constant must map the least (if
 positive) or the largest (if negative) weight of the first table onto the
 least of the second, so at most two constants are tried.  small_res_probe
 checks for constant total rank in every negative degree of the window.
-golden_check validates whole families against their closed forms.
+Both read a table one degree at a time through its per-degree index, so
+they cost O(cells + window length).  golden_check validates whole families
+against their closed forms.
 """
 
 from __future__ import annotations
@@ -81,9 +83,12 @@ def scale_compare(t1, t2):
     )
     latest_fail = 0  # position in `degrees` of the latest first failure
     for c in candidates:
+        # c = a/b with b > 0: c*nz1 = nz2 exactly when a*nz1 = b*nz2, and
+        # multiplying by b keeps the order, so integers can be compared
+        a, b = c.numerator, c.denominator
         for idx, d in enumerate(degrees):
-            left = sorted(c * q for q in w1[d] if q)
-            right = sorted(Fraction(q) for q in w2[d] if q)
+            left = sorted(a * q for q in w1[d] if q)
+            right = sorted(b * q for q in w2[d] if q)
             if left != right:
                 latest_fail = max(latest_fail, idx)
                 break

@@ -4,6 +4,9 @@ import json
 import pytest
 
 from mfhh.cli import main
+from mfhh.engine import compute_table, hh2_vanishes
+from mfhh.poly import parse
+from mfhh.symmetry import SymmetryContext
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
 
@@ -67,6 +70,37 @@ def test_table_input_errors():
     assert code == 2
     code, _, err = run(["table", "--poly", "x1^2+x2^2", "--dmin", "2", "--dmax", "0"])
     assert code == 2
+    code, _, err = run(["table", "--poly", "x1^2+x2^2", "--dmin", "2", "--dmax", "0", "--monomials"])
+    assert code == 2 and "empty degree window" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--monomials"]])
+def test_table_walks_the_fixed_classes_once(monkeypatch, extra):
+    # the degree-2 flag and the --monomials listing reuse the window's walk
+    solves = []
+    family_line = SymmetryContext.family_line
+
+    def counted(self, base):
+        solves.append(base)
+        return family_line(self, base)
+
+    monkeypatch.setattr(SymmetryContext, "family_line", counted)
+    compute_table(parse(LAUFER1), (-12, 4))
+    once = len(solves)
+    solves.clear()
+    code, _, err = run(["table", "--poly", LAUFER1, "--dmin", "-12", "--dmax", "4", *extra])
+    assert code == 0, err
+    assert len(solves) == once > 0
+
+
+@pytest.mark.parametrize("text", [LAUFER1, "x1^5+x2^3", "x2^4+x1^2*x2+x3^2"])
+@pytest.mark.parametrize("window", [(-12, 4), (2, 2), (3, 8), (-6, 1)])
+def test_document_hh2_flag_matches_engine(text, window):
+    code, out, err = run(
+        ["table", "--poly", text, "--dmin", str(window[0]), "--dmax", str(window[1]), "--format", "json"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["hh2_vanishes"] is hh2_vanishes(parse(text))
 
 
 def test_table_engine_error_exit_code():

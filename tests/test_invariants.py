@@ -10,6 +10,7 @@ from mfhh.engine import BigradedTable, compute_table
 from mfhh.errors import GoldenMismatch, NonterminatingFamily, UnknownFamily, WindowMismatch
 from mfhh.invariants import (
     ScaleVerdict,
+    SmallResVerdict,
     _negative_overlap,
     golden_check,
     golden_family_poly,
@@ -193,6 +194,151 @@ def test_scale_compare_two_candidates_match_all_ratios(pair):
     t1, t2 = pair
     assert scale_compare(t1, t2) == _scale_compare_all_ratios(t1, t2)
     assert scale_compare(t2, t1) == _scale_compare_all_ratios(t2, t1)
+
+
+class _ScanningTable(BigradedTable):
+    """A table whose dim and weights scan every cell, as before the
+    per-degree index: the reference side of the comparisons below."""
+
+    def dim(self, d):
+        return sum(dim for (dd, _), dim in self.cells.items() if dd == d)
+
+    def weights(self, d):
+        """Weight multiset in degree d, sorted, with multiplicity."""
+        out = []
+        for (dd, q), dim in self.cells.items():
+            if dd == d:
+                out.extend([q] * dim)
+        return tuple(sorted(out))
+
+
+def _scanning(t):
+    return _ScanningTable(t.dmin, t.dmax, t.cells)
+
+
+def _scale_compare_fractions(t1, t2):
+    """scale_compare as it was before the integer comparison, kept verbatim
+    as the reference for it."""
+    lo, hi = _negative_overlap(t1, t2)
+    if lo > hi:
+        return ScaleVerdict("inconclusive", (lo, hi))
+    degrees = list(range(hi, lo - 1, -1))
+    w1 = {d: t1.weights(d) for d in degrees}
+    w2 = {d: t2.weights(d) for d in degrees}
+    if all(not w1[d] for d in degrees) and all(not w2[d] for d in degrees):
+        return ScaleVerdict("inconclusive", (lo, hi))
+    for d in degrees:
+        if len(w1[d]) != len(w2[d]):
+            return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
+        z1 = sum(1 for q in w1[d] if q == 0)
+        z2 = sum(1 for q in w2[d] if q == 0)
+        if z1 != z2:
+            return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
+    dstar = next(
+        (d for d in degrees if any(q != 0 for q in w1[d])),
+        None,
+    )
+    if dstar is None:
+        # only zero weights anywhere: the tables agree as they stand
+        return ScaleVerdict("equivalent", (lo, hi), Fraction(1))
+    # c*nz1 = nz2 as multisets maps the least of nz1 (c > 0) or the largest
+    # (c < 0) onto the least of nz2; every other ratio fails at dstar
+    nz1 = [q for q in w1[dstar] if q]
+    low2 = min(q for q in w2[dstar] if q)
+    candidates = sorted(
+        {Fraction(low2, min(nz1)), Fraction(low2, max(nz1))},
+        key=lambda c: (c != 1, abs(c), c),
+    )
+    latest_fail = 0  # position in `degrees` of the latest first failure
+    for c in candidates:
+        for idx, d in enumerate(degrees):
+            left = sorted(c * q for q in w1[d] if q)
+            right = sorted(Fraction(q) for q in w2[d] if q)
+            if left != right:
+                latest_fail = max(latest_fail, idx)
+                break
+        else:
+            return ScaleVerdict("equivalent", (lo, hi), c)
+    d = degrees[latest_fail]
+    return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
+
+
+def _small_res_probe_scan(t):
+    """small_res_probe as it was before the per-degree index, kept verbatim
+    as the reference for it."""
+    lo, hi = t.dmin, min(t.dmax, -1)
+    ranks = {d: t.dim(d) for d in range(lo, hi + 1)}
+    ref = ranks.get(-1, 0)
+    witnesses = tuple((d, r) for d, r in sorted(ranks.items()) if r != ref)
+    if witnesses:
+        return SmallResVerdict("nonconstant", (lo, hi), None, witnesses)
+    return SmallResVerdict("constant", (lo, hi), ref)
+
+
+def _assert_same_verdicts(t1, t2):
+    s1, s2 = _scanning(t1), _scanning(t2)
+    assert small_res_probe(t1) == _small_res_probe_scan(s1)
+    assert small_res_probe(t2) == _small_res_probe_scan(s2)
+    assert scale_compare(t1, t2) == _scale_compare_fractions(s1, s2)
+    assert scale_compare(t2, t1) == _scale_compare_fractions(s2, s1)
+
+
+@settings(max_examples=400)
+@given(table_pairs())
+def test_indexed_invariants_match_cell_scans(pair):
+    _assert_same_verdicts(*pair)
+
+
+# two anchor pairs of the long_window benchmark workload, each window cut to
+# an eighth of its length there
+@pytest.mark.parametrize("first, second", [
+    (("x1^2+x2^2+x3^3+x4^3", (-244, 8)), ("x1^2+x2^2+x3^2*x4+x3*x4^2", (-244, 8))),
+    (("x1^2*x2+x2^2*x3+x3^6*x4+x4^3", (-137, 8)), ("x1^3*x2+x2^2*x3+x3^2*x4+x4^2", (-175, 8))),
+])
+def test_indexed_invariants_match_cell_scans_on_anchor_tables(first, second):
+    t1, t2 = (table(text, window) for text, window in (first, second))
+    _assert_same_verdicts(t1, t1)
+    _assert_same_verdicts(t1, t2)
+
+
+@st.composite
+def raw_cells(draw, dmin, dmax):
+    """Cells with zero dims, empty degrees and degrees outside the window."""
+    cell = st.tuples(st.integers(dmin - 2, dmax + 2), st.integers(-4, 4))
+    return draw(st.dictionaries(cell, st.integers(0, 3), max_size=14))
+
+
+def _assert_matches_scan(t, cells):
+    # cells holds only nonzero dims; every query is a scan of it
+    for d in range(t.dmin - 3, t.dmax + 4):
+        assert t.dim(d) == sum(dim for (dd, _), dim in cells.items() if dd == d)
+        assert t.weights(d) == tuple(sorted(
+            q for (dd, q), dim in cells.items() if dd == d for _ in range(dim)
+        ))
+        assert t.row(d) == {q: dim for (dd, q), dim in cells.items() if dd == d}
+    assert t.total() == sum(cells.values())
+
+
+@given(st.data())
+def test_table_index_matches_cell_scan(data):
+    dmin = data.draw(st.integers(-6, 3))
+    dmax = data.draw(st.integers(dmin, 6))
+    raw = data.draw(raw_cells(dmin, dmax))
+    t = BigradedTable(dmin, dmax, raw)
+    cells = {dw: dim for dw, dim in raw.items() if dim}
+    assert t.cells == cells
+    _assert_matches_scan(t, cells)
+    lo = data.draw(st.integers(dmin, dmax))
+    hi = data.draw(st.integers(lo, dmax))
+    part = {(d, q): dim for (d, q), dim in cells.items() if lo <= d <= hi}
+    r = t.restrict(lo, hi)
+    assert r.window == (lo, hi) and r.cells == part
+    _assert_matches_scan(r, part)
+    other_raw = data.draw(st.one_of(st.just(raw), raw_cells(dmin, dmax)))
+    other_window = data.draw(st.sampled_from([(dmin, dmax), (lo, hi)]))
+    other = BigradedTable(*other_window, other_raw)
+    same = other_window == t.window and {dw: v for dw, v in other_raw.items() if v} == cells
+    assert (t == other) == same == (other == t)
 
 
 def test_small_res_probe():

@@ -6,6 +6,31 @@ derivatives with respect to the fixed variables.  monomial_basis() returns
 the standard monomials (a divisibility-closed staircase) of a Groebner basis
 under the requested order, so the result is deterministic; the dimension is
 order-independent and equals the Milnor number for the full restriction.
+
+Components.  Call two fixed variables linked when some term contains both,
+and split the variables into the classes this generates.  Each partial
+derivative involves the variables of one class only, so the Jacobian ideal
+is the sum of the classes' ideals, and those live in disjoint variables.
+Take a Groebner basis of each class under the order restricted to its
+variables (grevlex and lex both restrict to grevlex and lex on any subset
+of the variables, in the same relative order).  Their union is a Groebner
+basis of the sum: an S-pair across two classes has coprime leading
+monomials, so it reduces to zero by Buchberger's first criterion.  A
+monomial is therefore standard exactly when its part in each class is, and
+the staircase is the product of the per-class staircases; the ring is
+finite-dimensional exactly when every class's ring is.  Staircases are
+computed and cached per class, so an atom shared by several restrictions
+or polynomials is solved once.
+
+Growing a staircase.  Every monomial m != 0 has one parent m - e_last,
+where last is its highest variable with a nonzero exponent, so the parents
+form a tree on all monomials whose edges add e_v with v >= last.  A
+staircase is closed under division, so it is the part of that tree reached
+from 0 through standard monomials.  A child c = m + e_v of a standard m is
+standard unless a leading monomial lm divides c; such an lm does not divide
+m, so lm[v] == c[v].  Indexing the leads by (v, lm[v]) tests only those,
+and the walk visits at most nvars * mu candidates instead of the bounding
+box of the pure-power leads.
 """
 
 from __future__ import annotations
@@ -13,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from operator import itemgetter, le, neg
 
 from .errors import InputError, NotIsolated
 
@@ -21,7 +46,7 @@ ORDERS = ("grevlex", "lex")
 
 
 def _grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def _lex_key(m):
@@ -37,7 +62,7 @@ def _key(order):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_mul(a, b):
@@ -140,12 +165,11 @@ def restrict(p, fixed):
     return RestrictedPolynomial(p, fixed, tuple(terms))
 
 
-def _jacobian_generators(r):
-    nv = len(r.fixed)
+def _jacobian_generators(terms, nvars):
     gens = []
-    for v in range(nv):
+    for v in range(nvars):
         g = {}
-        for t in r.terms:
+        for t in terms:
             if t[v]:
                 m = tuple(e - (k == v) for k, e in enumerate(t))
                 g[m] = g.get(m, Fraction(0)) + t[v]
@@ -154,45 +178,92 @@ def _jacobian_generators(r):
     return gens
 
 
-# Bases are keyed by the frozen restriction (so by matrix and fixed
-# variables) and the order; a table of an n-variable polynomial uses at most
-# 2^n of them.  The bound keeps a long-lived process from growing without
-# limit.
+def _components(r):
+    """Split the fixed variables into the classes that share a term.
+
+    Yields (positions, terms) per class in order of its first variable:
+    positions index r.fixed, and the class's terms are written over those
+    positions only, sorted so that equal atoms give equal cache keys.
+    """
+    root = list(range(len(r.fixed)))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for t in r.terms:
+        support = [find(k) for k, e in enumerate(t) if e]
+        for k in support[1:]:
+            root[k] = support[0]
+    positions, terms = {}, {}
+    for v in range(len(root)):
+        positions.setdefault(find(v), []).append(v)
+    for t in r.terms:
+        terms.setdefault(find(next(k for k, e in enumerate(t) if e)), []).append(t)
+    for c, pos in positions.items():
+        local = sorted(tuple(t[v] for v in pos) for t in terms.get(c, ()))
+        yield tuple(pos), tuple(local)
+
+
+# Staircases are cached per component, keyed by its terms in local
+# coordinates, its number of variables and the order, so an atom shared by
+# several restrictions or polynomials is solved once.  The bound keeps a
+# long-lived process from growing without limit.
 BASIS_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _basis_cached(r, order):
-    nv = len(r.fixed)
-    if nv == 0:
-        # the ground field: one basis element, the empty monomial
-        return MonomialBasis((), ((),))
+def _basis_cached(terms, nvars, order):
+    """Staircase of one component, in growth order; None if it is infinite."""
     key = _key(order)
-    basis = _groebner(_jacobian_generators(r), key)
-    leads = [max(g, key=key) for g in basis]
+    leads = [max(g, key=key) for g in _groebner(_jacobian_generators(terms, nvars), key)]
     # finite dimension iff every variable has a pure power among the leads
-    bounds = [None] * nv
+    bounded = [False] * nvars
     for lm in leads:
         support = [k for k, e in enumerate(lm) if e]
         if len(support) == 1:
-            k = support[0]
-            if bounds[k] is None or lm[k] < bounds[k]:
-                bounds[k] = lm[k]
-    if any(b is None for b in bounds):
-        raise NotIsolated(
-            f"Jacobian ring of the restriction to {r.fixed} is infinite-dimensional"
-        )
-    standard = []
-    for m in product(*[range(b) for b in bounds]):
-        if not any(_divides(lm, m) for lm in leads):
-            standard.append(m)
-    standard.sort(key=key)
-    return MonomialBasis(r.fixed, tuple(standard))
+            bounded[support[0]] = True
+    if not all(bounded):
+        return None
+    # grow from 0 along the parent tree of the module docstring, testing a
+    # child m + e_v only against the leads with lm[v] == m[v] + 1
+    by_edge = {}
+    for lm in set(leads):
+        for v, e in enumerate(lm):
+            if e:
+                by_edge.setdefault((v, e), []).append(lm)
+    zero = (0,) * nvars
+    grown = [] if zero in leads else [(zero, 0)]
+    for m, last in grown:  # extended while it is walked
+        for v in range(last, nvars):
+            c = m[:v] + (m[v] + 1,) + m[v + 1:]
+            edge = by_edge.get((v, c[v]))
+            if edge is None or not any(_divides(lm, c) for lm in edge):
+                grown.append((c, v))
+    return tuple(m for m, _ in grown)
 
 
 def monomial_basis(r, order="grevlex"):
-    """Standard monomials of the Jacobian ideal of the restriction."""
-    return _basis_cached(r, order)
+    """Standard monomials of the Jacobian ideal of the restriction, sorted
+    by the order; ValueError for an order outside ORDERS."""
+    key = _key(order)
+    monomials = [()]
+    positions = []
+    for pos, terms in _components(r):
+        staircase = _basis_cached(terms, len(pos), order)
+        if staircase is None:
+            raise NotIsolated(
+                f"Jacobian ring of the restriction to {r.fixed} is infinite-dimensional"
+            )
+        monomials = [m + s for m in monomials for s in staircase]
+        positions += pos
+    if positions != sorted(positions):
+        # the classes interleave: move each exponent back to its variable
+        place = itemgetter(*[positions.index(v) for v in range(len(positions))])
+        monomials = [place(m) for m in monomials]
+    monomials.sort(key=key)
+    return MonomialBasis(r.fixed, tuple(monomials))
 
 
 def milnor_number(p, order="grevlex"):

@@ -1,13 +1,31 @@
 import random
+from itertools import product
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
+from mfhh import jacobian
+from mfhh.engine import compute_table
 from mfhh.errors import NotIsolated
-from mfhh.jacobian import _basis_cached, milnor_number, monomial_basis, restrict
-from mfhh.poly import parse
+from mfhh.jacobian import (
+    ORDERS,
+    MonomialBasis,
+    _basis_cached,
+    _divides,
+    _grevlex_key,
+    _groebner,
+    _jacobian_generators,
+    _key,
+    _lex_key,
+    milnor_number,
+    monomial_basis,
+    restrict,
+)
+from mfhh.lattice import det
+from mfhh.poly import InvertiblePolynomial, parse
+from mfhh.symmetry import SymmetryContext
 
 LAUFER = "x1^3*x2+x2^{}*x3+x3^2+x4^2"
 
@@ -105,9 +123,187 @@ def test_brieskorn_pham_milnor_product(seed):
     basis = monomial_basis(restrict(p, range(1, len(exps) + 1)))
     assert set(basis.monomials) == {
         m
-        for m in __import__("itertools").product(*[range(a - 1) for a in exps])
+        for m in product(*[range(a - 1) for a in exps])
     }
 
 
 def test_basis_cache_is_bounded():
     assert isinstance(_basis_cached.cache_info().maxsize, int)
+
+
+def _box_walk_basis(r, order):
+    """The previous `_basis_cached` body: Buchberger on the whole
+    restriction, then a walk of the bounding box of the pure-power leads.
+    Kept verbatim as the reference for the per-component grown staircase,
+    except that `_jacobian_generators` now takes the terms and nvars."""
+    nv = len(r.fixed)
+    if nv == 0:
+        # the ground field: one basis element, the empty monomial
+        return MonomialBasis((), ((),))
+    key = _key(order)
+    basis = _groebner(_jacobian_generators(r.terms, nv), key)
+    leads = [max(g, key=key) for g in basis]
+    # finite dimension iff every variable has a pure power among the leads
+    bounds = [None] * nv
+    for lm in leads:
+        support = [k for k, e in enumerate(lm) if e]
+        if len(support) == 1:
+            k = support[0]
+            if bounds[k] is None or lm[k] < bounds[k]:
+                bounds[k] = lm[k]
+    if any(b is None for b in bounds):
+        raise NotIsolated(
+            f"Jacobian ring of the restriction to {r.fixed} is infinite-dimensional"
+        )
+    standard = []
+    for m in product(*[range(b) for b in bounds]):
+        if not any(_divides(lm, m) for lm in leads):
+            standard.append(m)
+    standard.sort(key=key)
+    return MonomialBasis(r.fixed, tuple(standard))
+
+
+def _random_nonstandard(rng):
+    """A nonsingular exponent matrix with entries 0..3 (bare linear terms and
+    three-variable terms included), as `--allow-nonstandard` admits."""
+    n = rng.randint(1, 4)
+    while True:
+        mat = tuple(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(n))
+        if det(mat):
+            return InvertiblePolynomial(mat)
+
+
+def _basis_or_error(r, order, basis_fn):
+    try:
+        b = basis_fn(r, order)
+    except NotIsolated as exc:
+        return str(exc)
+    return b.variables, b.monomials
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**9), st.booleans())
+def test_grown_staircase_matches_box_walk(seed, nonstandard):
+    rng = random.Random(seed)
+    if nonstandard:
+        p = _random_nonstandard(rng)
+    else:
+        p = random_invertible(rng, max_vars=5, max_det=3000)
+    r = restrict(p, [v for v in range(1, p.nvars + 1) if rng.random() < 0.7])
+    for order in ORDERS:
+        want = _basis_or_error(r, order, _box_walk_basis)
+        assert _basis_or_error(r, order, monomial_basis) == want
+
+
+LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"
+CHAIN4 = "x1^12*x2+x2^12*x3+x3^7*x4+x4^13"
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("text, mu", [(LOOP6, 7056), (CHAIN4, 12091)])
+def test_basis_work_follows_milnor_number(monkeypatch, text, mu, order):
+    # the bounding-box walk made 353,876 and 149,892 tests here (grevlex)
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return _divides(a, b)
+
+    monkeypatch.setattr(jacobian, "_divides", counted)
+    _basis_cached.cache_clear()
+    p = parse(text)
+    basis = monomial_basis(restrict(p, range(1, p.nvars + 1)), order)
+    assert basis.dimension == mu
+    assert calls <= p.nvars * mu
+
+
+def _table_and_hits(p):
+    before = _basis_cached.cache_info().hits
+    table = compute_table(p, (-12, 8))
+    return table, _basis_cached.cache_info().hits - before
+
+
+def test_basis_cache_key_is_parent_free():
+    q = parse("x1^2+x2^3+x3^5+x4^11")
+    _basis_cached.cache_clear()
+    cold, cold_hits = _table_and_hits(q)
+    _basis_cached.cache_clear()
+    _table_and_hits(parse("x1^2+x2^3+x3^5+x4^7"))
+    warm, warm_hits = _table_and_hits(q)
+    # the Fermat atoms x1^2, x2^3 and x3^5 were solved for the first polynomial
+    assert warm_hits > cold_hits
+    assert warm == cold
+
+
+def test_unknown_order_fails_fast(monkeypatch):
+    with pytest.raises(ValueError, match="unknown monomial order 'bogus'"):
+        monomial_basis(restrict(laufer(1), ()), "bogus")
+
+    def no_line(self, b):
+        raise AssertionError("a family line was solved before the order was checked")
+
+    monkeypatch.setattr(SymmetryContext, "family_line", no_line)
+    with pytest.raises(ValueError, match="unknown monomial order 'bogus'"):
+        compute_table(laufer(1), (-4, 4), order="bogus")
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_staircase(sympy, r, order):
+    """Standard monomials of sympy's Groebner basis of the Jacobian ideal, or
+    None when some variable has no pure power among its leads."""
+    xs = [sympy.Symbol(f"y{i}") for i in range(len(r.fixed))]
+    f = sum(prod(x**e for x, e in zip(xs, t)) for t in r.terms)
+    derivatives = [d for d in (sympy.diff(f, x) for x in xs) if d != 0]
+    leads = []
+    if derivatives:
+        grobner = sympy.groebner(derivatives, *xs, order=order)
+        leads = [g.monoms(order=order)[0] for g in grobner.polys]
+    bounds = [None] * len(xs)
+    for lm in leads:
+        support = [k for k, e in enumerate(lm) if e]
+        if len(support) == 1:
+            bounds[support[0]] = lm[support[0]]
+    if None in bounds:
+        return None
+    return {
+        m
+        for m in product(*[range(b) for b in bounds])
+        if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
+    }
+
+
+def test_sympy_orders_match_the_engine_keys(sympy):
+    # checked first: on x1^3*x2+x2^3 sympy's grevlex and lex choose the same
+    # leading monomials as _grevlex_key and _lex_key, with x1 > x2
+    x1, x2 = sympy.symbols("x1 x2")
+    f = x1**3 * x2 + x2**3
+    for order, key in (("grevlex", _grevlex_key), ("lex", _lex_key)):
+        for g in sympy.groebner([f.diff(x1), f.diff(x2)], x1, x2, order=order).polys:
+            assert g.monoms(order=order)[0] == max(g.monoms(), key=key)
+        r = restrict(parse("x1^3*x2+x2^3"), (1, 2))
+        assert set(monomial_basis(r, order).monomials) == _sympy_staircase(sympy, r, order)
+    # and the two orders agree with sympy's on every monomial up to degree 4
+    monos = list(product(range(5), repeat=3))
+    for order, key in (("grevlex", _grevlex_key), ("lex", _lex_key)):
+        sympy_key = sympy.polys.orderings.monomial_key(order)
+        assert sorted(monos, key=sympy_key) == sorted(monos, key=key)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**9))
+def test_basis_matches_sympy_groebner(sympy, seed):
+    rng = random.Random(seed)
+    p = random_invertible(rng, max_vars=4, max_det=300)
+    r = restrict(p, [v for v in range(1, p.nvars + 1) if rng.random() < 0.7])
+    for order in ORDERS:
+        want = _sympy_staircase(sympy, r, order)
+        if want is None:
+            with pytest.raises(NotIsolated):
+                monomial_basis(r, order)
+        else:
+            assert set(monomial_basis(r, order).monomials) == want

@@ -21,6 +21,17 @@ makes the enumeration of any finite degree window provably complete.  All
 three kinds read that one line: kind A takes its points with c >= 0 (beta =
 c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
 c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
+
+Cost model.  The lines of each restriction of w that can reach the window
+are found and solved once, by lines.restrictions, for the class with x0 and
+the class without it; a table costs integer key sums per staircase monomial
+of each component, not per product monomial.  Only the points of those lines
+inside the window become cells or, for listings, GammaMonomial and
+Contribution objects.
+
+Listing order.  class_contributions yields the classes in sorted fixed-set
+order and sorts each class's hits by (order key of the basis monomial, kind
+A before B, t), which is the order of a walk over the sorted monomial basis.
 """
 
 from __future__ import annotations
@@ -28,8 +39,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError, NonterminatingFamily, WindowMismatch
-from .jacobian import monomial_basis, restrict
+from .errors import InputError, WindowMismatch
+from .jacobian import _key
+from .lines import restrictions, t_range
 from .symmetry import SymmetryContext
 
 
@@ -154,78 +166,27 @@ class BigradedTable:
         return f"BigradedTable({self.dmin}, {self.dmax}, {len(self.cells)} cells)"
 
 
-def _ceil_div(a, b):
-    return -((-a) // b)
-
-
-def _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
-    """All t with cmin <= c(t) = c0 + t*dc <= cmax and 2*u(t) + off in
-    [dmin, dmax]; cmax None leaves c unbounded above.
-
-    dc > 0.  Raises NonterminatingFamily when c is unbounded, du == 0 and the
-    (constant) degree sits inside the window: the family would contribute
-    infinitely often, which only happens in the excluded d0 = 0 regime.
-    """
-    tlo = _ceil_div(cmin - c0, dc)
-    thi = None if cmax is None else (cmax - c0) // dc
-    if du == 0:
-        if not dmin <= 2 * u0 + off <= dmax:
-            return range(0)
-        if thi is None:
-            raise NonterminatingFamily(
-                "a monomial family never leaves the degree window (d0 = 0)"
-            )
-        return range(tlo, thi + 1)
-    # dmin <= 2*(u0 + t*du) + off <= dmax
-    lo_num = dmin - off - 2 * u0
-    hi_num = dmax - off - 2 * u0
-    if du > 0:
-        t1, t2 = _ceil_div(lo_num, 2 * du), hi_num // (2 * du)
-    else:
-        t1, t2 = _ceil_div(hi_num, 2 * du), lo_num // (2 * du)
-    return range(max(tlo, t1), t2 + 1 if thi is None else min(thi, t2) + 1)
-
-
-def _class_contributions(ctx, fixed, count, window, order):
-    """Contributions shared by every gamma with the given fixed set, each
-    standing for the class's count elements."""
-    dmin, dmax = window
-    n = ctx.n
-    fixed_vars = tuple(sorted(v for v in fixed if v >= 1))
-    k = len(fixed_vars)
-    # (kind, lowest c, highest c, degree offset, beta - c); see the docstring
-    if 0 in fixed:
-        kinds = (("A", 0, None, n - k + 1, 0), ("B", -1, None, n - k + 2, 1))
-    else:
-        kinds = (("C", -1, -1, n - k + 2, None),)
-    dc, du = ctx.family_step
-    basis = monomial_basis(restrict(ctx.poly, fixed_vars), order)
-    out = []
-    for mono in basis.monomials:
-        # the basis variables are exactly the fixed ones; the rest are duals
-        exps = dict(zip(basis.variables, mono))
-        rest = tuple(exps.get(j, -1) for j in range(1, n + 2))
-        line = ctx.family_line((0,) + rest)
-        if line is None:
-            continue
-        c0, u0 = line
-        for kind, cmin, cmax, off, shift in kinds:
-            for t in _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
-                c, u = c0 + t * dc, u0 + t * du
-                beta = None if shift is None else c + shift
-                out.append(
-                    Contribution(None, GammaMonomial(kind, beta, (c,) + rest), u, 2 * u + off, count)
-                )
-    return out
+def _sorted_census(ctx):
+    return sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
 
 
 def compute_table(p, window, order="grevlex", ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
-    dmin, dmax = window
+    if window[0] > window[1]:
+        raise InputError("empty degree window")
+    if ctx is None:
+        ctx = SymmetryContext(p)
+    step = ctx.family_step
+    dc, du = step
     cells = Counter()
-    for con in class_contributions(p, window, order, ctx):
-        cells[(con.degree, con.weight)] += con.count
-    return BigradedTable(dmin, dmax, cells)
+    for _, rows, _, lines in restrictions(ctx, _sorted_census(ctx), window, order):
+        for c0, u0, _, hits in lines:
+            for i in hits:
+                _, count, kind = rows[i]
+                off = kind[3]
+                for t in t_range(c0, u0, step, kind, window):
+                    cells[(2 * (u0 + t * du) + off, c0 + t * dc)] += count
+    return BigradedTable(*window, cells)
 
 
 def hh2_vanishes(p, order="grevlex", ctx=None):
@@ -233,34 +194,85 @@ def hh2_vanishes(p, order="grevlex", ctx=None):
     return compute_table(p, (2, 2), order=order, ctx=ctx).total() == 0
 
 
+def _class_entries(ctx, restriction, fixed, window, order):
+    """The contributions of one class of a solved restriction, in the basis
+    order of their monomials, kind A before B, then t; only hits are
+    decoded into objects."""
+    fixed_vars, rows, comps, lines = restriction
+    key = _key(order)
+    step = ctx.family_step
+    dc, du = step
+    out = []
+    for c0, u0, picks, hits in lines:
+        rest = None
+        for i in hits:
+            row_fixed, count, kind = rows[i]
+            if row_fixed != fixed:
+                continue
+            name, _, _, off, shift = kind
+            for t in t_range(c0, u0, step, kind, window):
+                if rest is None:
+                    # exponents of x_1..x_{n+1}: dual markers off the fixed variables
+                    rest = [-1] * (ctx.n + 1)
+                    for comp, j in zip(comps, picks):
+                        for v, e in zip(comp.variables, comp.monomials[j]):
+                            rest[v - 1] = e
+                    rest = tuple(rest)
+                    rank = key(tuple(rest[v - 1] for v in fixed_vars))
+                c, u = c0 + t * dc, u0 + t * du
+                beta = None if shift is None else c + shift
+                con = Contribution(
+                    None, GammaMonomial(name, beta, (c,) + rest), u, 2 * u + off, count
+                )
+                out.append((rank, name, t, con))
+    out.sort(key=lambda h: h[:3])
+    return [h[3] for h in out]
+
+
+def _classes(ctx, classes, window, order):
+    """Yield (fixed set, contributions) for the given (fixed set, count)
+    classes in their order.  A restriction is solved at its first class and
+    kept until its other class has had its turn, so every error is raised
+    at the class that raised it when each class was solved on its own."""
+    solved = restrictions(ctx, classes, window, order)
+    pending = {}
+    for fixed, _ in classes:
+        r = pending.pop(fixed, None)
+        if r is None:
+            r = next(solved)
+            pending.update((other, r) for other, _, _ in r[1] if other != fixed)
+        yield fixed, _class_entries(ctx, r, fixed, window, order)
+
+
 def class_contributions(p, window, order="grevlex", ctx=None):
     """Yield the listing behind the table with one entry per fixed class.
 
     Elements with the same fixed set carry identical monomial families, so
     each fixed-variable class of ker(chi) is computed once; its entries have
-    gamma None and count the class size.  No element of ker(chi) is listed,
-    and only one class's entries are held at a time.  An empty window is an
-    InputError.
+    gamma None and count the class size.  No element of ker(chi) is listed.
+    A class S and the class S + {x0} share one restriction, whose lines are
+    solved once.  An empty window is an InputError.
     """
     if window[0] > window[1]:
         raise InputError("empty degree window")
     if ctx is None:
         ctx = SymmetryContext(p)
-    for fixed, count in sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0])):
-        yield from _class_contributions(ctx, fixed, count, window, order)
+    for _, entries in _classes(ctx, _sorted_census(ctx), window, order):
+        yield from entries
 
 
 def list_contributions(p, window, order="grevlex", ctx=None):
     """The flat, deterministic (gamma, monomial) listing behind the table."""
     if ctx is None:
         ctx = SymmetryContext(p)
-    by_class = {}
-    out = []
-    for gamma in ctx.ker_chi():
-        if gamma.fixed not in by_class:
-            by_class[gamma.fixed] = _class_contributions(ctx, gamma.fixed, 1, window, order)
-        for con in by_class[gamma.fixed]:
-            out.append(Contribution(gamma, con.monomial, con.u, con.degree))
+    ker = ctx.ker_chi()
+    classes = [(fixed, 1) for fixed in dict.fromkeys(gamma.fixed for gamma in ker)]
+    by_class = dict(_classes(ctx, classes, window, order))
+    out = [
+        Contribution(gamma, con.monomial, con.u, con.degree)
+        for gamma in ker
+        for con in by_class[gamma.fixed]
+    ]
     out.sort(
         key=lambda c: (-c.degree, c.monomial.kind, c.monomial.b, c.gamma.phases)
     )

@@ -207,11 +207,15 @@ def golden_family_poly(family, l=None, k=1):
     if family not in _FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}")
     builder, _, _, takes_l, _ = _FAMILIES[family]
+    if k < 1:
+        raise UnknownFamily(f"family {family!r} needs k >= 1")
     if takes_l:
         if l is None:
             raise UnknownFamily(f"family {family!r} needs the parameter l")
         if family == "can_cA" and l < 2:
             raise UnknownFamily("family 'can_cA' needs l >= 2")
+        if l < 1:
+            raise UnknownFamily(f"family {family!r} needs l >= 1")
     return parse(builder(l, k))
 
 

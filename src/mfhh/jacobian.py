@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, le, neg
+from operator import itemgetter, le, mul, neg
 
 from .errors import InputError, NotIsolated
 
@@ -244,25 +244,48 @@ def _basis_cached(terms, nvars, order):
     return tuple(m for m, _ in grown)
 
 
+def not_isolated(fixed):
+    """The error for a restriction whose Jacobian ring is infinite."""
+    return NotIsolated(
+        f"Jacobian ring of the restriction to {fixed} is infinite-dimensional"
+    )
+
+
+def component_variables(r):
+    """The variables of each connected component of r, in order of their
+    first variable.  Restricting r.parent to them gives back the component,
+    and r's staircase is the product of theirs."""
+    return [tuple(r.fixed[v] for v in pos) for pos, _ in _components(r)]
+
+
+def _sort_weights(order, nvars, bound):
+    """Integer weights whose dot product with a monomial sorts exactly as
+    the order's key, for exponents below bound: grevlex is (degree, -m_last,
+    .., -m_1) and lex is m itself, read as digits in base bound."""
+    if order == "grevlex":
+        return [bound**nvars - bound**i for i in range(nvars)]
+    return [bound ** (nvars - 1 - i) for i in range(nvars)]
+
+
 def monomial_basis(r, order="grevlex"):
     """Standard monomials of the Jacobian ideal of the restriction, sorted
     by the order; ValueError for an order outside ORDERS."""
-    key = _key(order)
+    _key(order)
     monomials = [()]
     positions = []
     for pos, terms in _components(r):
         staircase = _basis_cached(terms, len(pos), order)
         if staircase is None:
-            raise NotIsolated(
-                f"Jacobian ring of the restriction to {r.fixed} is infinite-dimensional"
-            )
+            raise not_isolated(r.fixed)
         monomials = [m + s for m in monomials for s in staircase]
         positions += pos
     if positions != sorted(positions):
         # the classes interleave: move each exponent back to its variable
         place = itemgetter(*[positions.index(v) for v in range(len(positions))])
         monomials = [place(m) for m in monomials]
-    monomials.sort(key=key)
+    bound = 1 + max(map(max, monomials)) if r.fixed and monomials else 1
+    weights = _sort_weights(order, len(r.fixed), bound)
+    monomials.sort(key=lambda m: sum(map(mul, m, weights)))
     return MonomialBasis(r.fixed, tuple(monomials))
 
 

@@ -86,17 +86,23 @@ class SymmetryContext:
         # z_j = (b.V_j)/d_j is an integer, and then (c0, u0) = sum_j z_j *
         # U[j][-2:].  Over the common denominator L = lcm(d) that sum is one
         # integer dot product per coordinate, exact once the congruences hold.
-        self._lcm = lcm(*diag)
-        self._congruences = tuple(
-            (tuple(row[j] for row in sd.v), dj) for j, dj in enumerate(diag) if dj > 1
+        # All of it is linear in b: line_columns lists its dot products with
+        # line_weights, one per congruence modulus in line_moduli, then the c
+        # and u weights; the columns of a sum of vectors are the sums of
+        # their columns.
+        L = self.line_denominator = lcm(*diag)
+        self.line_moduli = tuple(dj for dj in diag if dj > 1)
+        congruences = tuple(
+            tuple(row[j] for row in sd.v) for j, dj in enumerate(diag) if dj > 1
         )
-        self._c_weights, self._u_weights = (
+        c_weights, u_weights = (
             tuple(
-                sum(row[j] * (self._lcm // dj) * sd.u[j][k] for j, dj in enumerate(diag))
+                sum(row[j] * (L // dj) * sd.u[j][k] for j, dj in enumerate(diag))
                 for row in sd.v
             )
             for k in (-2, -1)
         )
+        self.line_weights = congruences + (c_weights, u_weights)
         self._ker = None
         self._census = None
 
@@ -173,17 +179,20 @@ class SymmetryContext:
             return None
         return u0 - (c0 // dc) * du
 
+    def line_columns(self, b):
+        """The integer dot products of b that fix its family line: one per
+        congruence, then the c and u weights.  Linear in b."""
+        return tuple(sum(map(mul, b, w)) for w in self.line_weights)
+
     def family_line(self, base):
         """Solve  base + c*e0 - u*1  in R  for (c, u).
 
         Returns (c0, u0) on the solution line or None; the line's step is the
         context-wide family_step (dc, du) with dc > 0.
         """
-        for col, dj in self._congruences:
-            if sum(map(mul, base, col)) % dj:
+        columns = self.line_columns(base)
+        for s, dj in zip(columns, self.line_moduli):
+            if s % dj:
                 return None
-        return (
-            sum(map(mul, base, self._c_weights)) // self._lcm,
-            sum(map(mul, base, self._u_weights)) // self._lcm,
-        )
-
+        L = self.line_denominator
+        return columns[-2] // L, columns[-1] // L

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
+from mfhh import lines
 from mfhh.cli import main
 from mfhh.engine import compute_table, hh2_vanishes
 from mfhh.poly import parse
-from mfhh.symmetry import SymmetryContext
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
 
@@ -78,13 +78,13 @@ def test_table_input_errors():
 def test_table_walks_the_fixed_classes_once(monkeypatch, extra):
     # the degree-2 flag and the --monomials listing reuse the window's walk
     solves = []
-    family_line = SymmetryContext.family_line
+    solve = lines.solve_restriction
 
-    def counted(self, base):
-        solves.append(base)
-        return family_line(self, base)
+    def counted(ctx, fixed_vars, *args):
+        solves.append(fixed_vars)
+        return solve(ctx, fixed_vars, *args)
 
-    monkeypatch.setattr(SymmetryContext, "family_line", counted)
+    monkeypatch.setattr(lines, "solve_restriction", counted)
     compute_table(parse(LAUFER1), (-12, 4))
     once = len(solves)
     solves.clear()
@@ -207,6 +207,24 @@ def test_golden_cli():
     assert code == 2
     code, _, err = run(["golden", "--family", "bp_cA", "--k", "1"])
     assert code == 2  # missing --l
+
+
+@pytest.mark.parametrize("family", ["bp_cA", "can_cA", "bp_cD4", "laufer", "bp_cE6", "bp_cE8"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_golden_rejects_k_below_one(family, k):
+    # k = 0 would build an unparseable x4^0 (bp_cD4) or drop a factor (laufer)
+    code, out, err = run(["golden", "--family", family, "--l", "3", "--k", k])
+    assert code == 2 and out == ""
+    assert f"family {family!r} needs k >= 1" in err
+
+
+@pytest.mark.parametrize("l", ["0", "-2"])
+def test_golden_rejects_bp_ca_l_below_one(l):
+    code, out, err = run(["golden", "--family", "bp_cA", "--l", l, "--k", "1"])
+    assert code == 2 and out == ""
+    assert "family 'bp_cA' needs l >= 1" in err
+    code, out, _ = run(["golden", "--family", "bp_cA", "--l", "1", "--k", "1"])
+    assert code == 0 and "MISMATCH" not in out
 
 
 def test_pretty_output_contains_metadata():

@@ -1,21 +1,26 @@
 import io
 import random
+import warnings
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
+from mfhh import lines
 from mfhh.cli import main
 from mfhh.engine import (
+    BigradedTable,
+    Contribution,
+    GammaMonomial,
     aggregate_contributions,
     class_contributions,
     compute_table,
     hh2_vanishes,
     list_contributions,
 )
-from mfhh.errors import InputError, NonterminatingFamily
-from mfhh.jacobian import milnor_number
+from mfhh.errors import InputError, MfhhError, NonterminatingFamily, NotIsolated
+from mfhh.jacobian import milnor_number, monomial_basis, restrict
 from mfhh.poly import parse
 from mfhh.symmetry import SymmetryContext
 
@@ -338,8 +343,32 @@ def test_census_and_table_never_list_ker_chi(monkeypatch):
     assert main(argv, out=io.StringIO()) == 0
 
 
+@pytest.mark.parametrize(
+    "text, shared", [("x1^11+x2^13+x3^17+x4^19", 0), ("x1^2+x2^3+x3^5+x4^600", 7)]
+)
+def test_each_restriction_is_solved_once(monkeypatch, text, shared):
+    # a class S and the class S + {x0} restrict w to the same variables
+    solves = []
+    solve = lines.solve_restriction
+
+    def counted(ctx, fixed_vars, *args):
+        solves.append(fixed_vars)
+        return solve(ctx, fixed_vars, *args)
+
+    monkeypatch.setattr(lines, "solve_restriction", counted)
+    p = parse(text)
+    ctx = SymmetryContext(p)
+    restrictions = {tuple(sorted(fixed - {0})) for fixed in ctx.fixed_census()}
+    assert len(ctx.fixed_census()) - len(restrictions) == shared
+    compute_table(p, (-12, 8), ctx=ctx)
+    assert sorted(solves) == sorted(restrictions)
+    solves.clear()
+    list(class_contributions(p, (-12, 8), ctx=ctx))
+    assert sorted(solves) == sorted(restrictions)
+
+
 def test_table_and_listing_never_call_chi_power(monkeypatch):
-    # kinds A, B and C all read one family_line solve per basis monomial
+    # kinds A, B and C all read the lines of one per-restriction solve
     def solve(self, b):
         raise AssertionError("chi_power was called")
 
@@ -357,3 +386,210 @@ def test_table_and_listing_never_call_chi_power(monkeypatch):
         assert main(argv, out=io.StringIO()) == 0
         done += 1
     assert done >= 6
+
+
+# -- reference: the per-monomial walk the engine used before its line kernel --
+#
+# _line_t_range and _class_contributions are kept verbatim from the engine
+# before it solved lines per restriction from per-component columns: one
+# sorted monomial_basis per class, one family_line solve per basis monomial.
+
+
+def _ceil_div(a, b):
+    return -((-a) // b)
+
+
+def _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
+    """All t with cmin <= c(t) = c0 + t*dc <= cmax and 2*u(t) + off in
+    [dmin, dmax]; cmax None leaves c unbounded above.
+
+    dc > 0.  Raises NonterminatingFamily when c is unbounded, du == 0 and the
+    (constant) degree sits inside the window: the family would contribute
+    infinitely often, which only happens in the excluded d0 = 0 regime.
+    """
+    tlo = _ceil_div(cmin - c0, dc)
+    thi = None if cmax is None else (cmax - c0) // dc
+    if du == 0:
+        if not dmin <= 2 * u0 + off <= dmax:
+            return range(0)
+        if thi is None:
+            raise NonterminatingFamily(
+                "a monomial family never leaves the degree window (d0 = 0)"
+            )
+        return range(tlo, thi + 1)
+    # dmin <= 2*(u0 + t*du) + off <= dmax
+    lo_num = dmin - off - 2 * u0
+    hi_num = dmax - off - 2 * u0
+    if du > 0:
+        t1, t2 = _ceil_div(lo_num, 2 * du), hi_num // (2 * du)
+    else:
+        t1, t2 = _ceil_div(hi_num, 2 * du), lo_num // (2 * du)
+    return range(max(tlo, t1), t2 + 1 if thi is None else min(thi, t2) + 1)
+
+
+def _class_contributions(ctx, fixed, count, window, order):
+    """Contributions shared by every gamma with the given fixed set, each
+    standing for the class's count elements."""
+    dmin, dmax = window
+    n = ctx.n
+    fixed_vars = tuple(sorted(v for v in fixed if v >= 1))
+    k = len(fixed_vars)
+    # (kind, lowest c, highest c, degree offset, beta - c); see the docstring
+    if 0 in fixed:
+        kinds = (("A", 0, None, n - k + 1, 0), ("B", -1, None, n - k + 2, 1))
+    else:
+        kinds = (("C", -1, -1, n - k + 2, None),)
+    dc, du = ctx.family_step
+    basis = monomial_basis(restrict(ctx.poly, fixed_vars), order)
+    out = []
+    for mono in basis.monomials:
+        # the basis variables are exactly the fixed ones; the rest are duals
+        exps = dict(zip(basis.variables, mono))
+        rest = tuple(exps.get(j, -1) for j in range(1, n + 2))
+        line = ctx.family_line((0,) + rest)
+        if line is None:
+            continue
+        c0, u0 = line
+        for kind, cmin, cmax, off, shift in kinds:
+            for t in _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
+                c, u = c0 + t * dc, u0 + t * du
+                beta = None if shift is None else c + shift
+                out.append(
+                    Contribution(None, GammaMonomial(kind, beta, (c,) + rest), u, 2 * u + off, count)
+                )
+    return out
+
+
+def reference_class_contributions(p, window, order):
+    if window[0] > window[1]:
+        raise InputError("empty degree window")
+    ctx = SymmetryContext(p)
+    for fixed, count in sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0])):
+        yield from _class_contributions(ctx, fixed, count, window, order)
+
+
+def reference_table(p, window, order):
+    cells = Counter()
+    for con in reference_class_contributions(p, window, order):
+        cells[(con.degree, con.weight)] += con.count
+    return BigradedTable(*window, cells)
+
+
+def reference_list_contributions(p, window, order):
+    ctx = SymmetryContext(p)
+    by_class = {}
+    out = []
+    for gamma in ctx.ker_chi():
+        if gamma.fixed not in by_class:
+            by_class[gamma.fixed] = _class_contributions(ctx, gamma.fixed, 1, window, order)
+        for con in by_class[gamma.fixed]:
+            out.append(Contribution(gamma, con.monomial, con.u, con.degree))
+    out.sort(
+        key=lambda c: (-c.degree, c.monomial.kind, c.monomial.b, c.gamma.phases)
+    )
+    return out
+
+
+def _outcome(call):
+    """The value of call(), or the class and message of the error it raised."""
+    try:
+        return "value", call()
+    except (MfhhError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def assert_matches_reference(p, window, order, listing=True):
+    """Tables, per-class entries (in order) and the per-element listing equal
+    the reference, errors included."""
+    got = _outcome(lambda: compute_table(p, window, order))
+    assert got == _outcome(lambda: reference_table(p, window, order))
+    got = _outcome(lambda: list(class_contributions(p, window, order)))
+    assert got == _outcome(lambda: list(reference_class_contributions(p, window, order)))
+    if listing:
+        got = _outcome(lambda: list_contributions(p, window, order))
+        assert got == _outcome(lambda: reference_list_contributions(p, window, order))
+    return got[0]
+
+
+windows = st.one_of(
+    st.tuples(st.integers(-30, 8), st.integers(0, 24)),
+    st.tuples(st.integers(-400, -100), st.integers(0, 400)),  # wide and negative
+).map(lambda lo_len: (lo_len[0], lo_len[0] + lo_len[1]))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**9), windows, st.sampled_from(["grevlex", "lex"]))
+def test_kernel_matches_reference(seed, window, order):
+    p = random_invertible(random.Random(seed), max_vars=5, max_det=3000)
+    # the per-element listing enumerates ker(chi); keep it to the small groups
+    assert_matches_reference(p, window, order, listing=abs(p.det()) <= 400)
+
+
+@pytest.mark.parametrize(
+    "text, sign",
+    [
+        ("x1^2+x2^3+x3^5+x4^7", -1),  # d0 < 0
+        ("x1^11+x2^13+x3^17", 1),  # d0 > 0
+        (LAUFER1, -1),
+        ("x1^3*x2+x2^4*x3+x3^2*x1+x4^3", -1),  # a loop next to a Fermat atom
+        ("x1^2*x2+x2^3*x3+x3^4+x4^5+x5^2", -1),  # a chain, three Fermat atoms
+    ],
+)
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_kernel_matches_reference_across_d0_and_kinds(text, sign, order):
+    p = parse(text)
+    d0 = p.weights().d0
+    assert (d0 > 0) - (d0 < 0) == sign
+    # kind C: classes without x0 exist, and some land in a wide window
+    ctx = SymmetryContext(p)
+    assert any(0 not in fixed for fixed in ctx.fixed_census())
+    for window in ((-12, 8), (-200, 3), (3, 3), (5, 5)):
+        assert assert_matches_reference(p, window, order, abs(p.det()) <= 400) == "value"
+    # an empty window: an InputError for tables, an empty per-element listing
+    assert_matches_reference(p, (1, 0), order, abs(p.det()) <= 400)
+    with pytest.raises(InputError):
+        compute_table(p, (1, 0), order)
+    kinds = {c.monomial.kind for c in class_contributions(p, (-200, 8), order)}
+    assert kinds == {"A", "B", "C"}
+
+
+@pytest.mark.parametrize("text", ["x1^2+x2^2", "x1^2+x2^4+x3^4", "x1^3+x2^3+x3^3"])
+def test_kernel_matches_reference_when_d0_is_zero(text):
+    p = parse(text)
+    assert p.weights().d0 == 0
+    for window in ((0, 0), (-6, 4), (2, 5)):
+        assert_matches_reference(p, window, "grevlex")
+    with pytest.raises(NonterminatingFamily):
+        compute_table(p, (-6, 4))
+
+
+def _nonstandard(rng):
+    """A nonsingular exponent matrix that need not be a sum of atoms."""
+    while True:
+        n = rng.randint(2, 4)
+        rows = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        text = "+".join(
+            "*".join(f"x{j + 1}^{e}" for j, e in enumerate(row) if e) for row in rows if any(row)
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                p = parse(text, allow_nonstandard=True)
+            SymmetryContext(p)
+        except MfhhError:
+            continue
+        if abs(p.det()) <= 200:
+            return p
+
+
+def test_kernel_matches_reference_on_nonstandard_inputs():
+    rng = random.Random(8)
+    raised = Counter()
+    for _ in range(60):
+        p = _nonstandard(rng)
+        window = (-10, 6)
+        order = rng.choice(["grevlex", "lex"])
+        if assert_matches_reference(p, window, order) == "raised":
+            raised[_outcome(lambda: compute_table(p, window, order))[1]] += 1
+    # the same first restriction is named as infinite-dimensional
+    assert raised[NotIsolated] >= 5

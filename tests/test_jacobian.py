@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
-from mfhh import jacobian
+from mfhh import jacobian, lines
 from mfhh.engine import compute_table
 from mfhh.errors import NotIsolated
 from mfhh.jacobian import (
@@ -25,7 +25,6 @@ from mfhh.jacobian import (
 )
 from mfhh.lattice import det
 from mfhh.poly import InvertiblePolynomial, parse
-from mfhh.symmetry import SymmetryContext
 
 LAUFER = "x1^3*x2+x2^{}*x3+x3^2+x4^2"
 
@@ -110,6 +109,9 @@ def test_basis_is_staircase_and_order_independent(seed):
     lex = monomial_basis(r, "lex")
     assert _is_staircase(lex.monomials)
     assert grevlex.dimension == lex.dimension
+    # the integer sort weights order exactly as the keys
+    assert list(grevlex.monomials) == sorted(grevlex.monomials, key=_grevlex_key)
+    assert list(lex.monomials) == sorted(lex.monomials, key=_lex_key)
 
 
 @settings(max_examples=20)
@@ -240,10 +242,10 @@ def test_unknown_order_fails_fast(monkeypatch):
     with pytest.raises(ValueError, match="unknown monomial order 'bogus'"):
         monomial_basis(restrict(laufer(1), ()), "bogus")
 
-    def no_line(self, b):
+    def no_line(*args):
         raise AssertionError("a family line was solved before the order was checked")
 
-    monkeypatch.setattr(SymmetryContext, "family_line", no_line)
+    monkeypatch.setattr(lines, "solve_restriction", no_line)
     with pytest.raises(ValueError, match="unknown monomial order 'bogus'"):
         compute_table(laufer(1), (-4, 4), order="bogus")
 

@@ -37,7 +37,7 @@ from .invariants import (
     small_res_probe,
 )
 from .jacobian import MonomialBasis, RestrictedPolynomial, milnor_number, monomial_basis, restrict
-from .poly import InvertiblePolynomial, WeightSystem, parse, transpose, weights
+from .poly import InvertiblePolynomial, WeightSystem, parse, weights
 from .symmetry import GroupElement, SymmetryContext
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "restrict",
     "scale_compare",
     "small_res_probe",
-    "transpose",
     "weights",
     "FAMILY_NAMES",
 ]

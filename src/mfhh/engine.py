@@ -30,8 +30,9 @@ inside the window become cells or, for listings, GammaMonomial and
 Contribution objects.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
-order and sorts each class's hits by (order key of the basis monomial, kind
-A before B, t), which is the order of a walk over the sorted monomial basis.
+order and sorts each class's hits by (grevlex key of the basis monomial, kind
+A before B, t), which is the order of a walk over the grevlex monomial basis.
+The table does not depend on the basis, so no other order is offered.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, WindowMismatch
-from .jacobian import _key
+from .jacobian import _grevlex_key
 from .lines import restrictions, t_range
 from .symmetry import SymmetryContext
 
@@ -170,7 +171,7 @@ def _sorted_census(ctx):
     return sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
 
 
-def compute_table(p, window, order="grevlex", ctx=None):
+def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     if window[0] > window[1]:
         raise InputError("empty degree window")
@@ -179,7 +180,7 @@ def compute_table(p, window, order="grevlex", ctx=None):
     step = ctx.family_step
     dc, du = step
     cells = Counter()
-    for _, rows, _, lines in restrictions(ctx, _sorted_census(ctx), window, order):
+    for _, rows, _, lines in restrictions(ctx, _sorted_census(ctx), window):
         for c0, u0, _, hits in lines:
             for i in hits:
                 _, count, kind = rows[i]
@@ -189,17 +190,16 @@ def compute_table(p, window, order="grevlex", ctx=None):
     return BigradedTable(*window, cells)
 
 
-def hh2_vanishes(p, order="grevlex", ctx=None):
+def hh2_vanishes(p, ctx=None):
     """True iff the degree-2 part of the table is empty."""
-    return compute_table(p, (2, 2), order=order, ctx=ctx).total() == 0
+    return compute_table(p, (2, 2), ctx=ctx).total() == 0
 
 
-def _class_entries(ctx, restriction, fixed, window, order):
-    """The contributions of one class of a solved restriction, in the basis
-    order of their monomials, kind A before B, then t; only hits are
-    decoded into objects."""
+def _class_entries(ctx, restriction, fixed, window):
+    """The contributions of one class of a solved restriction, ranked by the
+    grevlex key of their basis monomials, kind A before B, then t; only hits
+    are decoded into objects."""
     fixed_vars, rows, comps, lines = restriction
-    key = _key(order)
     step = ctx.family_step
     dc, du = step
     out = []
@@ -218,7 +218,7 @@ def _class_entries(ctx, restriction, fixed, window, order):
                         for v, e in zip(comp.variables, comp.monomials[j]):
                             rest[v - 1] = e
                     rest = tuple(rest)
-                    rank = key(tuple(rest[v - 1] for v in fixed_vars))
+                    rank = _grevlex_key(tuple(rest[v - 1] for v in fixed_vars))
                 c, u = c0 + t * dc, u0 + t * du
                 beta = None if shift is None else c + shift
                 con = Contribution(
@@ -229,22 +229,22 @@ def _class_entries(ctx, restriction, fixed, window, order):
     return [h[3] for h in out]
 
 
-def _classes(ctx, classes, window, order):
+def _classes(ctx, classes, window):
     """Yield (fixed set, contributions) for the given (fixed set, count)
     classes in their order.  A restriction is solved at its first class and
     kept until its other class has had its turn, so every error is raised
     at the class that raised it when each class was solved on its own."""
-    solved = restrictions(ctx, classes, window, order)
+    solved = restrictions(ctx, classes, window)
     pending = {}
     for fixed, _ in classes:
         r = pending.pop(fixed, None)
         if r is None:
             r = next(solved)
             pending.update((other, r) for other, _, _ in r[1] if other != fixed)
-        yield fixed, _class_entries(ctx, r, fixed, window, order)
+        yield fixed, _class_entries(ctx, r, fixed, window)
 
 
-def class_contributions(p, window, order="grevlex", ctx=None):
+def class_contributions(p, window, ctx=None):
     """Yield the listing behind the table with one entry per fixed class.
 
     Elements with the same fixed set carry identical monomial families, so
@@ -257,17 +257,17 @@ def class_contributions(p, window, order="grevlex", ctx=None):
         raise InputError("empty degree window")
     if ctx is None:
         ctx = SymmetryContext(p)
-    for _, entries in _classes(ctx, _sorted_census(ctx), window, order):
+    for _, entries in _classes(ctx, _sorted_census(ctx), window):
         yield from entries
 
 
-def list_contributions(p, window, order="grevlex", ctx=None):
+def list_contributions(p, window, ctx=None):
     """The flat, deterministic (gamma, monomial) listing behind the table."""
     if ctx is None:
         ctx = SymmetryContext(p)
     ker = ctx.ker_chi()
     classes = [(fixed, 1) for fixed in dict.fromkeys(gamma.fixed for gamma in ker)]
-    by_class = dict(_classes(ctx, classes, window, order))
+    by_class = dict(_classes(ctx, classes, window))
     out = [
         Contribution(gamma, con.monomial, con.u, con.degree)
         for gamma in ker

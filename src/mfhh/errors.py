@@ -52,7 +52,7 @@ class WindowMismatch(MfhhError):
 
 
 class SchemaError(InputError):
-    """A table document does not match the v1 schema."""
+    """A table or polynomial document does not match its v1 schema."""
 
 
 class UnknownFamily(InputError):

@@ -289,6 +289,6 @@ def monomial_basis(r, order="grevlex"):
     return MonomialBasis(r.fixed, tuple(monomials))
 
 
-def milnor_number(p, order="grevlex"):
+def milnor_number(p):
     """Dimension of the Jacobian ring of the unrestricted polynomial."""
-    return monomial_basis(restrict(p, range(1, p.nvars + 1)), order).dimension
+    return monomial_basis(restrict(p, range(1, p.nvars + 1))).dimension

@@ -7,14 +7,15 @@ context-wide step (dc, du); engine reads kinds A, B and C off it.
 
 A class S and the class S + {x0} restrict w to the same fixed variables and
 read the same lines, so each restriction is solved once.  Its Jacobian basis
-is the product of its connected components' staircases (see jacobian), and
-a line's columns (SymmetryContext.line_columns) are linear in the exponent
-vector, so they are sums of per-component columns.  Once per table, each
-staircase monomial of each component gets its key: the residues of its
-congruence columns and of its u column modulo L*|du|, which decide whether
-the line exists and at which weights u it has points.  A restriction then
-adds integer keys over the product of the smaller half of its components
-and looks the larger half's monomials up against the keys that reach the
+is the product of its connected components' grevlex staircases (see
+jacobian; the table does not depend on the basis), and a line's columns
+(SymmetryContext.line_columns) are linear in the exponent vector, so they
+are sums of per-component columns.  Once per table, each staircase
+monomial of each component gets its key: the residues of its congruence
+columns and of its u column modulo L*|du|, which decide whether the line
+exists and at which weights u it has points.  A restriction then adds
+integer keys over the product of the smaller half of its components and
+looks the larger half's monomials up against the keys that reach the
 window (see solve_restriction); no product monomial is built or sorted.
 Only the lines found get (c0, u0), and t_range finds their points in the
 window in closed form.
@@ -28,7 +29,7 @@ from operator import mul
 # jacobian.monomial_basis, such as perfbench's tracer, sees each call
 from . import jacobian
 from .errors import NonterminatingFamily, NotIsolated
-from .jacobian import _key, component_variables, not_isolated, restrict
+from .jacobian import component_variables, not_isolated, restrict
 
 
 def _ceil_div(a, b):
@@ -112,28 +113,27 @@ def _product(components, moduli):
     return out
 
 
-def restrictions(ctx, classes, window, order):
+def restrictions(ctx, classes, window):
     """Solve each restriction once, in order of the first of the given
     (fixed set, count) classes that uses it; yields (fixed_vars, rows,
-    components, lines) as solve_restriction.  Component staircases and
-    their columns are shared by all restrictions of the walk."""
-    _key(order)  # an unknown order fails before any line is solved
+    components, lines) as solve_restriction.  Component staircases (grevlex)
+    and their columns are shared by all restrictions of the walk."""
     groups = {}
     for fixed, count in classes:
         groups.setdefault(tuple(sorted(fixed - {0})), []).append((fixed, count))
     components = {}
     for fixed_vars, group in groups.items():
-        yield (fixed_vars,) + solve_restriction(ctx, fixed_vars, group, window, order, components)
+        yield (fixed_vars,) + solve_restriction(ctx, fixed_vars, group, window, components)
 
 
-def solve_restriction(ctx, fixed_vars, group, window, order, components):
+def solve_restriction(ctx, fixed_vars, group, window, components):
     """(rows, components, lines) for the restriction to fixed_vars and its
     (fixed set, count) classes.
 
     rows are (fixed set, count, kind): A and B for the class with x0, C for
     the one without.  lines are (c0, u0, picks, indices of the rows it can
     hit) for the lines that can hit the window; picks index, per component,
-    the staircase monomial of the line.
+    the grevlex staircase monomial of the line.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -160,7 +160,7 @@ def solve_restriction(ctx, fixed_vars, group, window, order, components):
     for variables in component_variables(restrict(ctx.poly, fixed_vars)):
         if variables not in components:
             try:
-                basis = jacobian.monomial_basis(restrict(ctx.poly, variables), order)
+                basis = jacobian.monomial_basis(restrict(ctx.poly, variables))
             except NotIsolated:
                 raise not_isolated(fixed_vars) from None
             components[variables] = _Component(ctx, variables, basis.monomials, moduli)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import lattice
-from .errors import CoefficientError, NoPositiveSolution, NotInvertible, PolySyntaxError
+from .errors import CoefficientError, NoPositiveSolution, NotInvertible, PolySyntaxError, SchemaError
 
 _TOKEN = re.compile(r"x[1-9][0-9]*|\^|\*|\+|[0-9]+|\S")
 
@@ -81,7 +81,19 @@ class InvertiblePolynomial:
 
     @classmethod
     def from_json(cls, obj):
-        rows = tuple(tuple(int(x) for x in row) for row in obj["rows"])
+        """The polynomial of a to_json dict, validated; a SchemaError unless
+        rows is a list of lists of ints and vars, if given, counts them."""
+        rows = obj.get("rows") if isinstance(obj, dict) else None
+        # bool is an int subclass, and a float or string must not be truncated
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) and all(type(e) is int for e in row) for row in rows)
+        ):
+            raise SchemaError("a polynomial document needs 'rows', a list of integer lists")
+        n = obj.get("vars", len(rows))
+        if type(n) is not int or n != len(rows):
+            raise SchemaError(f"a polynomial document has 'vars' {n!r} but {len(rows)} rows")
+        rows = tuple(map(tuple, rows))
         _validate(rows)
         return cls(rows)
 
@@ -135,6 +147,12 @@ def _atomic_shape_ok(rows):
     return assign(0)
 
 
+def _not_square(n, width):
+    return NotInvertible(
+        f"{n} monomials but {width} variables; an invertible polynomial is square"
+    )
+
+
 def _validate(rows, allow_nonstandard=False):
     n = len(rows)
     if n == 0:
@@ -145,9 +163,7 @@ def _validate(rows, allow_nonstandard=False):
     if any(e < 0 for r in rows for e in r):
         raise NotInvertible("negative exponent")
     if width != n:
-        raise NotInvertible(
-            f"{n} monomials but {width} variables; an invertible polynomial is square"
-        )
+        raise _not_square(n, width)
     for j in range(n):
         if all(r[j] == 0 for r in rows):
             raise NotInvertible(f"variable x{j + 1} does not occur")
@@ -213,16 +229,15 @@ def parse(text, allow_nonstandard=False):
     if pos != len(toks):
         raise PolySyntaxError(f"unexpected token {toks[pos]!r}")
 
-    width = max(v for t in terms for v in t)
-    rows = tuple(tuple(t.get(j + 1, 0) for j in range(width)) for t in terms)
-    if len(set(rows)) != len(rows):
+    # exponents are positive, so equal terms are equal dicts
+    if len({frozenset(t.items()) for t in terms}) != len(terms):
         raise NotInvertible("repeated monomial")
+    width = max(v for t in terms for v in t)
+    if width > len(terms):
+        raise _not_square(len(terms), width)  # before building width-long rows
+    rows = tuple(tuple(t.get(j + 1, 0) for j in range(width)) for t in terms)
     _validate(rows, allow_nonstandard=allow_nonstandard)
     return InvertiblePolynomial(rows)
-
-
-def transpose(p):
-    return p.transpose()
 
 
 def weights(p):

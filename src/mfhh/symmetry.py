@@ -164,21 +164,6 @@ class SymmetryContext:
 
     # -- characters --------------------------------------------------------
 
-    def chi_power(self, b):
-        """The unique u with b - u*(1,..,1) in R, or None.
-
-        This is the c = 0 point of b's family line; it is unique because the
-        family step has dc > 0.
-        """
-        line = self.family_line(b)
-        if line is None:
-            return None
-        c0, u0 = line
-        dc, du = self.family_step
-        if c0 % dc:
-            return None
-        return u0 - (c0 // dc) * du
-
     def line_columns(self, b):
         """The integer dot products of b that fix its family line: one per
         congruence, then the c and u weights.  Linear in b."""

@@ -1,9 +1,10 @@
-"""Test-only lattice routines: membership, Diophantine solving and finite
-quotient groups.
+"""Test-only lattice routines: membership, Diophantine solving, finite
+quotient groups and the character power of a vector.
 
 Nothing in the package calls these.  `member` goes through echelon
 reduction, with no Smith form, so it checks the package's Smith-based
-solvers independently; `quotient` enumerates ker(chi) by the dual route.
+solvers independently; `quotient` enumerates ker(chi) by the dual route;
+`chi_power` reads u off a SymmetryContext's family line.
 Matrices are sequences of rows of Python ints (row convention).
 """
 
@@ -192,3 +193,20 @@ def quotient(lattice_rows, ambient_dim=None):
         gens = (tuple([Fraction(0)] * m),)
         return FiniteQuotient((), 0, gens)
     return FiniteQuotient(orders, 0, gens)
+
+
+def chi_power(ctx, b):
+    """The unique u with b - u*(1,..,1) in the relation lattice of the
+    SymmetryContext ctx, or None.
+
+    This is the c = 0 point of b's family line; it is unique because the
+    family step has dc > 0.
+    """
+    line = ctx.family_line(b)
+    if line is None:
+        return None
+    c0, u0 = line
+    dc, du = ctx.family_step
+    if c0 % dc:
+        return None
+    return u0 - (c0 // dc) * du

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from conftest import random_invertible
 from mfhh import lattice
-from mfhh.errors import CoefficientError, NoPositiveSolution, NotInvertible, PolySyntaxError
+from mfhh.errors import (
+    CoefficientError,
+    NoPositiveSolution,
+    NotInvertible,
+    PolySyntaxError,
+    SchemaError,
+)
 from mfhh.poly import InvertiblePolynomial, parse, weights
 
 
@@ -131,6 +137,33 @@ def test_json_roundtrip():
     p = parse("x1^3*x2+x2^3*x3+x3^2+x4^2")
     assert InvertiblePolynomial.from_json(p.to_json()) == p
     assert p.to_json() == {"vars": 4, "rows": [[3, 1, 0, 0], [0, 3, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]]}
+    # a well-formed document is validated as parse validates
+    with pytest.raises(NotInvertible, match="singular"):
+        InvertiblePolynomial.from_json({"vars": 2, "rows": [[2, 2], [1, 1]]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": [[2.7]]},  # a float entry, once truncated to x1^2
+        {"rows": [["3"]]},  # a string entry, once converted
+        {},  # no rows
+        {"rows": 5},  # rows that are not a list
+        {"vars": 2, "rows": [[2]]},  # vars that disagrees with the rows
+    ],
+)
+def test_from_json_rejects_malformed_documents(obj):
+    with pytest.raises(SchemaError):
+        InvertiblePolynomial.from_json(obj)
+
+
+def test_parse_huge_variable_index_fails_fast():
+    # no width-long row is built: an index of 10**12 is rejected at once
+    with pytest.raises(NotInvertible, match="^1 monomials but 1000000000000 variables"):
+        parse("x1000000000000^2")
+    # with today's message order: a repeated monomial is named first
+    with pytest.raises(NotInvertible, match="^repeated monomial$"):
+        parse("x1000000000000^2+x1000000000000^2")
 
 
 def test_no_positive_weight_system():

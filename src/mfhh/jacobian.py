@@ -4,17 +4,17 @@ The restriction of w to a set of fixed variables keeps the monomials that
 only involve those variables; the Jacobian ideal is generated by the partial
 derivatives with respect to the fixed variables.  monomial_basis() returns
 the standard monomials (a divisibility-closed staircase) of a Groebner basis
-under the requested order, so the result is deterministic; the dimension is
-order-independent and equals the Milnor number for the full restriction.
+under grevlex, in ascending grevlex order, so the result is deterministic;
+its dimension equals the Milnor number for the full restriction.  Grevlex is
+the package's only monomial order: the tables do not depend on the basis.
 
 Components.  Call two fixed variables linked when some term contains both,
 and split the variables into the classes this generates.  Each partial
 derivative involves the variables of one class only, so the Jacobian ideal
 is the sum of the classes' ideals, and those live in disjoint variables.
-Take a Groebner basis of each class under the order restricted to its
-variables (grevlex and lex both restrict to grevlex and lex on any subset
-of the variables, in the same relative order).  Their union is a Groebner
-basis of the sum: an S-pair across two classes has coprime leading
+Take a Groebner basis of each class under grevlex on its variables, which
+is grevlex on all of them restricted to the class.  Their union is a
+Groebner basis of the sum: an S-pair across two classes has coprime leading
 monomials, so it reduces to zero by Buchberger's first criterion.  A
 monomial is therefore standard exactly when its part in each class is, and
 the staircase is the product of the per-class staircases; the ring is
@@ -22,15 +22,21 @@ finite-dimensional exactly when every class's ring is.  Staircases are
 computed and cached per class, so an atom shared by several restrictions
 or polynomials is solved once.
 
-Growing a staircase.  Every monomial m != 0 has one parent m - e_last,
-where last is its highest variable with a nonzero exponent, so the parents
-form a tree on all monomials whose edges add e_v with v >= last.  A
-staircase is closed under division, so it is the part of that tree reached
-from 0 through standard monomials.  A child c = m + e_v of a standard m is
-standard unless a leading monomial lm divides c; such an lm does not divide
-m, so lm[v] == c[v].  Indexing the leads by (v, lm[v]) tests only those,
-and the walk visits at most nvars * mu candidates instead of the bounding
-box of the pure-power leads.
+Growing a staircase.  Every monomial m != 0 has one parent m - e_first,
+where first is its lowest variable with a nonzero exponent, so the parents
+form a tree on all monomials whose edges add e_v with v <= first.  Walk it
+breadth-first from 0, adding e_v in descending v.  Then each degree comes
+after the one below it, and within a degree the monomials come in ascending
+grevlex order: grevlex puts first the monomial with the larger exponent at
+the highest variable where two differ, and by induction on the degree the
+walk reaches the parents in that order and, from one parent, adds the
+higher variables first.  A staircase is closed under division, so it is the
+part of that tree reached from 0 through standard monomials, and the walk
+emits it already sorted.  A child c = m + e_v of a standard m is standard
+unless a leading monomial lm divides c; such an lm does not divide m, so
+lm[v] == c[v].  Indexing the leads by (v, lm[v]) tests only those, and the
+walk visits at most nvars * mu candidates instead of the bounding box of
+the pure-power leads.
 """
 
 from __future__ import annotations
@@ -38,27 +44,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, le, mul, neg
+from operator import itemgetter, le, neg
 
 from .errors import InputError, NotIsolated
-
-ORDERS = ("grevlex", "lex")
 
 
 def _grevlex_key(m):
     return (sum(m), tuple(map(neg, reversed(m))))
-
-
-def _lex_key(m):
-    return tuple(m)
-
-
-def _key(order):
-    if order == "grevlex":
-        return _grevlex_key
-    if order == "lex":
-        return _lex_key
-    raise ValueError(f"unknown monomial order {order!r}")
 
 
 def _divides(a, b):
@@ -145,7 +137,7 @@ class RestrictedPolynomial:
 @dataclass(frozen=True)
 class MonomialBasis:
     variables: tuple  # 1-based indices, aligned with each monomial tuple
-    monomials: tuple  # staircase, sorted by the construction order
+    monomials: tuple  # staircase, in ascending grevlex order
 
     @property
     def dimension(self):
@@ -207,17 +199,18 @@ def _components(r):
 
 
 # Staircases are cached per component, keyed by its terms in local
-# coordinates, its number of variables and the order, so an atom shared by
-# several restrictions or polynomials is solved once.  The bound keeps a
+# coordinates and its number of variables, so an atom shared by several
+# restrictions or polynomials is solved once.  The bound keeps a
 # long-lived process from growing without limit.
 BASIS_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _basis_cached(terms, nvars, order):
-    """Staircase of one component, in growth order; None if it is infinite."""
-    key = _key(order)
-    leads = [max(g, key=key) for g in _groebner(_jacobian_generators(terms, nvars), key)]
+def _basis_cached(terms, nvars):
+    """Staircase of one component in ascending grevlex order; None if it is
+    infinite."""
+    gens = _groebner(_jacobian_generators(terms, nvars), _grevlex_key)
+    leads = [max(g, key=_grevlex_key) for g in gens]
     # finite dimension iff every variable has a pure power among the leads
     bounded = [False] * nvars
     for lm in leads:
@@ -226,17 +219,18 @@ def _basis_cached(terms, nvars, order):
             bounded[support[0]] = True
     if not all(bounded):
         return None
-    # grow from 0 along the parent tree of the module docstring, testing a
-    # child m + e_v only against the leads with lm[v] == m[v] + 1
+    # grow from 0 breadth-first along the parent tree of the module
+    # docstring, testing a child m + e_v only against the leads with
+    # lm[v] == m[v] + 1
     by_edge = {}
     for lm in set(leads):
         for v, e in enumerate(lm):
             if e:
                 by_edge.setdefault((v, e), []).append(lm)
     zero = (0,) * nvars
-    grown = [] if zero in leads else [(zero, 0)]
-    for m, last in grown:  # extended while it is walked
-        for v in range(last, nvars):
+    grown = [] if zero in leads else [(zero, nvars - 1)]
+    for m, first in grown:  # extended while it is walked
+        for v in range(first, -1, -1):
             c = m[:v] + (m[v] + 1,) + m[v + 1:]
             edge = by_edge.get((v, c[v]))
             if edge is None or not any(_divides(lm, c) for lm in edge):
@@ -258,34 +252,27 @@ def component_variables(r):
     return [tuple(r.fixed[v] for v in pos) for pos, _ in _components(r)]
 
 
-def _sort_weights(order, nvars, bound):
-    """Integer weights whose dot product with a monomial sorts exactly as
-    the order's key, for exponents below bound: grevlex is (degree, -m_last,
-    .., -m_1) and lex is m itself, read as digits in base bound."""
-    if order == "grevlex":
-        return [bound**nvars - bound**i for i in range(nvars)]
-    return [bound ** (nvars - 1 - i) for i in range(nvars)]
-
-
-def monomial_basis(r, order="grevlex"):
-    """Standard monomials of the Jacobian ideal of the restriction, sorted
-    by the order; ValueError for an order outside ORDERS."""
-    _key(order)
-    monomials = [()]
+def monomial_basis(r):
+    """Standard monomials of the Jacobian ideal of the restriction, in
+    ascending grevlex order."""
+    staircases = []
     positions = []
     for pos, terms in _components(r):
-        staircase = _basis_cached(terms, len(pos), order)
+        staircase = _basis_cached(terms, len(pos))
         if staircase is None:
             raise not_isolated(r.fixed)
-        monomials = [m + s for m in monomials for s in staircase]
+        staircases.append(staircase)
         positions += pos
+    if len(staircases) == 1:
+        return MonomialBasis(r.fixed, staircases[0])
+    monomials = [()]
+    for staircase in staircases:
+        monomials = [m + s for m in monomials for s in staircase]
     if positions != sorted(positions):
         # the classes interleave: move each exponent back to its variable
         place = itemgetter(*[positions.index(v) for v in range(len(positions))])
         monomials = [place(m) for m in monomials]
-    bound = 1 + max(map(max, monomials)) if r.fixed and monomials else 1
-    weights = _sort_weights(order, len(r.fixed), bound)
-    monomials.sort(key=lambda m: sum(map(mul, m, weights)))
+    monomials.sort(key=_grevlex_key)
     return MonomialBasis(r.fixed, tuple(monomials))
 
 

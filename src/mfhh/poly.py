@@ -153,6 +153,16 @@ def _not_square(n, width):
     )
 
 
+def _nat(tok, what):
+    """int(tok), or a PolySyntaxError where Python's limit on the digits of
+    an int conversion refuses it; the message gives the length, since such
+    an int cannot be printed either."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise PolySyntaxError(f"{what} of {len(tok)} digits is too long") from None
+
+
 def _validate(rows, allow_nonstandard=False):
     n = len(rows)
     if n == 0:
@@ -204,14 +214,14 @@ def parse(text, allow_nonstandard=False):
             raise CoefficientError(f"coefficient {tok} is not allowed; monomials are monic")
         if tok[0] != "x":
             raise PolySyntaxError(f"expected a variable, got {tok!r}")
-        var = int(tok[1:])
+        var = _nat(tok[1:], "variable index")
         exp = 1
         if peek() == "^":
             take()
             etok = take()
             if etok is None or not etok.isdigit() or etok.startswith("0"):
                 raise PolySyntaxError("expected a positive exponent after '^'")
-            exp = int(etok)
+            exp = _nat(etok, "exponent")
         exps[var] = exps.get(var, 0) + exp
 
     def parse_term():

@@ -168,16 +168,3 @@ class SymmetryContext:
         """The integer dot products of b that fix its family line: one per
         congruence, then the c and u weights.  Linear in b."""
         return tuple(sum(map(mul, b, w)) for w in self.line_weights)
-
-    def family_line(self, base):
-        """Solve  base + c*e0 - u*1  in R  for (c, u).
-
-        Returns (c0, u0) on the solution line or None; the line's step is the
-        context-wide family_step (dc, du) with dc > 0.
-        """
-        columns = self.line_columns(base)
-        for s, dj in zip(columns, self.line_moduli):
-            if s % dj:
-                return None
-        L = self.line_denominator
-        return columns[-2] // L, columns[-1] // L

@@ -1,10 +1,11 @@
 """Test-only lattice routines: membership, Diophantine solving, finite
-quotient groups and the character power of a vector.
+quotient groups, family lines and the character power of a vector.
 
 Nothing in the package calls these.  `member` goes through echelon
 reduction, with no Smith form, so it checks the package's Smith-based
 solvers independently; `quotient` enumerates ker(chi) by the dual route;
-`chi_power` reads u off a SymmetryContext's family line.
+`family_line` solves one vector's family line from a SymmetryContext's
+line columns, and `chi_power` reads u off that line.
 Matrices are sequences of rows of Python ints (row convention).
 """
 
@@ -195,6 +196,20 @@ def quotient(lattice_rows, ambient_dim=None):
     return FiniteQuotient(orders, 0, gens)
 
 
+def family_line(ctx, base):
+    """Solve  base + c*e0 - u*1  in R  for (c, u).
+
+    Returns (c0, u0) on the solution line or None; the line's step is the
+    context-wide family_step (dc, du) with dc > 0.
+    """
+    columns = ctx.line_columns(base)
+    for s, dj in zip(columns, ctx.line_moduli):
+        if s % dj:
+            return None
+    L = ctx.line_denominator
+    return columns[-2] // L, columns[-1] // L
+
+
 def chi_power(ctx, b):
     """The unique u with b - u*(1,..,1) in the relation lattice of the
     SymmetryContext ctx, or None.
@@ -202,7 +217,7 @@ def chi_power(ctx, b):
     This is the c = 0 point of b's family line; it is unique because the
     family step has dc > 0.
     """
-    line = ctx.family_line(b)
+    line = family_line(ctx, b)
     if line is None:
         return None
     c0, u0 = line

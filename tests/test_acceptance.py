@@ -347,7 +347,8 @@ def test_criterion_6_property_suite():
                 failures.append(f"B/A pairing failed for {p} at ({d},{q})")
 
     # basis-order independence of tables: the engine's grevlex tables equal
-    # the brute-force oracle's tables from lex bases
+    # the brute-force oracle's tables from lex bases, which the test-side box
+    # walk builds
     for text in (
         "x1^3*x2+x2^3*x3+x3^2+x4^2",
         "x1^2+x2^2+x3^2*x4+x3*x4^2",

@@ -7,7 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from basis_oracle import basis_in
 from conftest import random_invertible
+from lattice_oracle import family_line
 from mfhh import lines
 from mfhh.cli import main
 from mfhh.engine import (
@@ -309,8 +311,16 @@ def test_basis_order_independence_reference_inputs():
 
 
 def test_tables_listings_and_milnor_number_take_no_order():
-    # tables do not depend on the basis; only monomial_basis chooses an order
-    for entry in (compute_table, hh2_vanishes, class_contributions, list_contributions, milnor_number):
+    # tables do not depend on the basis, and grevlex is the only order
+    entries = (
+        compute_table,
+        hh2_vanishes,
+        class_contributions,
+        list_contributions,
+        milnor_number,
+        monomial_basis,
+    )
+    for entry in entries:
         assert "order" not in inspect.signature(entry).parameters, entry.__name__
 
 
@@ -375,9 +385,10 @@ def test_each_restriction_is_solved_once(monkeypatch, text, shared):
 
 # -- reference: the per-monomial walk the engine used before its line kernel --
 #
-# _line_t_range and _class_contributions are kept verbatim from the engine
-# before it solved lines per restriction from per-component columns: one
-# sorted monomial_basis per class, one family_line solve per basis monomial.
+# _line_t_range and _class_contributions are kept from the engine before it
+# solved lines per restriction from per-component columns: one sorted basis
+# per class, one family_line solve per basis monomial.  The basis is the
+# package's grevlex basis or, for lex, the test-side box walk.
 
 
 def _ceil_div(a, b):
@@ -425,13 +436,13 @@ def _class_contributions(ctx, fixed, count, window, order):
     else:
         kinds = (("C", -1, -1, n - k + 2, None),)
     dc, du = ctx.family_step
-    basis = monomial_basis(restrict(ctx.poly, fixed_vars), order)
+    basis = basis_in(restrict(ctx.poly, fixed_vars), order)
     out = []
     for mono in basis.monomials:
         # the basis variables are exactly the fixed ones; the rest are duals
         exps = dict(zip(basis.variables, mono))
         rest = tuple(exps.get(j, -1) for j in range(1, n + 2))
-        line = ctx.family_line((0,) + rest)
+        line = family_line(ctx, (0,) + rest)
         if line is None:
             continue
         c0, u0 = line

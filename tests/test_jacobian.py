@@ -5,24 +5,12 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
 from mfhh import jacobian
 from mfhh.engine import compute_table
 from mfhh.errors import NotIsolated
-from mfhh.jacobian import (
-    ORDERS,
-    MonomialBasis,
-    _basis_cached,
-    _divides,
-    _grevlex_key,
-    _groebner,
-    _jacobian_generators,
-    _key,
-    _lex_key,
-    milnor_number,
-    monomial_basis,
-    restrict,
-)
+from mfhh.jacobian import _basis_cached, _divides, _grevlex_key, milnor_number, monomial_basis, restrict
 from mfhh.lattice import det
 from mfhh.poly import InvertiblePolynomial, parse
 
@@ -68,7 +56,7 @@ def test_two_variable_loop_milnor():
     basis = monomial_basis(restrict(p, {3, 4}))
     assert basis.dimension == 4
     assert (1, 0) in basis.monomials and (0, 1) in basis.monomials
-    lex = monomial_basis(restrict(p, {3, 4}), order="lex")
+    lex = box_walk_basis(restrict(p, {3, 4}), "lex")
     assert lex.dimension == 4
 
 
@@ -102,16 +90,16 @@ def test_basis_is_staircase_and_order_independent(seed):
     fixed = tuple(v for v in full if rng.random() < 0.7)
     r = restrict(p, fixed)
     try:
-        grevlex = monomial_basis(r, "grevlex")
+        grevlex = monomial_basis(r)
     except NotIsolated:
         return
     assert _is_staircase(grevlex.monomials)
-    lex = monomial_basis(r, "lex")
+    lex = box_walk_basis(r, "lex")
     assert _is_staircase(lex.monomials)
     assert grevlex.dimension == lex.dimension
-    # the integer sort weights order exactly as the keys
-    assert list(grevlex.monomials) == sorted(grevlex.monomials, key=_grevlex_key)
-    assert list(lex.monomials) == sorted(lex.monomials, key=_lex_key)
+    # bases come in ascending grevlex order
+    assert list(grevlex.monomials) == sorted(grevlex.monomials, key=grevlex_key)
+    assert list(lex.monomials) == sorted(lex.monomials, key=lex_key)
 
 
 @settings(max_examples=20)
@@ -129,40 +117,15 @@ def test_brieskorn_pham_milnor_product(seed):
     }
 
 
+def test_connected_basis_is_the_grown_staircase():
+    # one component: the walk's tuple is the basis, with no product or sort
+    r = restrict(laufer(1), {1, 2, 3})
+    [(pos, terms)] = jacobian._components(r)
+    assert monomial_basis(r).monomials is _basis_cached(terms, len(pos))
+
+
 def test_basis_cache_is_bounded():
     assert isinstance(_basis_cached.cache_info().maxsize, int)
-
-
-def _box_walk_basis(r, order):
-    """The previous `_basis_cached` body: Buchberger on the whole
-    restriction, then a walk of the bounding box of the pure-power leads.
-    Kept verbatim as the reference for the per-component grown staircase,
-    except that `_jacobian_generators` now takes the terms and nvars."""
-    nv = len(r.fixed)
-    if nv == 0:
-        # the ground field: one basis element, the empty monomial
-        return MonomialBasis((), ((),))
-    key = _key(order)
-    basis = _groebner(_jacobian_generators(r.terms, nv), key)
-    leads = [max(g, key=key) for g in basis]
-    # finite dimension iff every variable has a pure power among the leads
-    bounds = [None] * nv
-    for lm in leads:
-        support = [k for k, e in enumerate(lm) if e]
-        if len(support) == 1:
-            k = support[0]
-            if bounds[k] is None or lm[k] < bounds[k]:
-                bounds[k] = lm[k]
-    if any(b is None for b in bounds):
-        raise NotIsolated(
-            f"Jacobian ring of the restriction to {r.fixed} is infinite-dimensional"
-        )
-    standard = []
-    for m in product(*[range(b) for b in bounds]):
-        if not any(_divides(lm, m) for lm in leads):
-            standard.append(m)
-    standard.sort(key=key)
-    return MonomialBasis(r.fixed, tuple(standard))
 
 
 def _random_nonstandard(rng):
@@ -175,9 +138,9 @@ def _random_nonstandard(rng):
             return InvertiblePolynomial(mat)
 
 
-def _basis_or_error(r, order, basis_fn):
+def _basis_or_error(basis_fn, *args):
     try:
-        b = basis_fn(r, order)
+        b = basis_fn(*args)
     except NotIsolated as exc:
         return str(exc)
     return b.variables, b.monomials
@@ -192,18 +155,22 @@ def test_grown_staircase_matches_box_walk(seed, nonstandard):
     else:
         p = random_invertible(rng, max_vars=5, max_det=3000)
     r = restrict(p, [v for v in range(1, p.nvars + 1) if rng.random() < 0.7])
-    for order in ORDERS:
-        want = _basis_or_error(r, order, _box_walk_basis)
-        assert _basis_or_error(r, order, monomial_basis) == want
+    want = _basis_or_error(box_walk_basis, r, "grevlex")
+    assert _basis_or_error(monomial_basis, r) == want
+    # the lex box walk gives the same dimension or the same error
+    lex = _basis_or_error(box_walk_basis, r, "lex")
+    if isinstance(want, str):
+        assert lex == want
+    else:
+        assert lex[0] == want[0] and len(lex[1]) == len(want[1])
 
 
 LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"
 CHAIN4 = "x1^12*x2+x2^12*x3+x3^7*x4+x4^13"
 
 
-@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("text, mu", [(LOOP6, 7056), (CHAIN4, 12091)])
-def test_basis_work_follows_milnor_number(monkeypatch, text, mu, order):
+def test_basis_work_follows_milnor_number(monkeypatch, text, mu):
     # the bounding-box walk made 353,876 and 149,892 tests here (grevlex)
     calls = 0
 
@@ -215,7 +182,7 @@ def test_basis_work_follows_milnor_number(monkeypatch, text, mu, order):
     monkeypatch.setattr(jacobian, "_divides", counted)
     _basis_cached.cache_clear()
     p = parse(text)
-    basis = monomial_basis(restrict(p, range(1, p.nvars + 1)), order)
+    basis = monomial_basis(restrict(p, range(1, p.nvars + 1)))
     assert basis.dimension == mu
     assert calls <= p.nvars * mu
 
@@ -236,11 +203,6 @@ def test_basis_cache_key_is_parent_free():
     # the Fermat atoms x1^2, x2^3 and x3^5 were solved for the first polynomial
     assert warm_hits > cold_hits
     assert warm == cold
-
-
-def test_unknown_order_fails_fast():
-    with pytest.raises(ValueError, match="unknown monomial order 'bogus'"):
-        monomial_basis(restrict(laufer(1), ()), "bogus")
 
 
 @pytest.fixture(scope="module")
@@ -274,17 +236,19 @@ def _sympy_staircase(sympy, r, order):
 
 def test_sympy_orders_match_the_engine_keys(sympy):
     # checked first: on x1^3*x2+x2^3 sympy's grevlex and lex choose the same
-    # leading monomials as _grevlex_key and _lex_key, with x1 > x2
+    # leading monomials as the package's grevlex key and the test-side keys,
+    # with x1 > x2
+    keys = (("grevlex", _grevlex_key), ("grevlex", grevlex_key), ("lex", lex_key))
     x1, x2 = sympy.symbols("x1 x2")
     f = x1**3 * x2 + x2**3
-    for order, key in (("grevlex", _grevlex_key), ("lex", _lex_key)):
+    r = restrict(parse("x1^3*x2+x2^3"), (1, 2))
+    for order, key in keys:
         for g in sympy.groebner([f.diff(x1), f.diff(x2)], x1, x2, order=order).polys:
             assert g.monoms(order=order)[0] == max(g.monoms(), key=key)
-        r = restrict(parse("x1^3*x2+x2^3"), (1, 2))
-        assert set(monomial_basis(r, order).monomials) == _sympy_staircase(sympy, r, order)
-    # and the two orders agree with sympy's on every monomial up to degree 4
+        assert set(basis_in(r, order).monomials) == _sympy_staircase(sympy, r, order)
+    # and the keys agree with sympy's orders on every monomial up to degree 4
     monos = list(product(range(5), repeat=3))
-    for order, key in (("grevlex", _grevlex_key), ("lex", _lex_key)):
+    for order, key in keys:
         sympy_key = sympy.polys.orderings.monomial_key(order)
         assert sorted(monos, key=sympy_key) == sorted(monos, key=key)
 
@@ -295,10 +259,11 @@ def test_basis_matches_sympy_groebner(sympy, seed):
     rng = random.Random(seed)
     p = random_invertible(rng, max_vars=4, max_det=300)
     r = restrict(p, [v for v in range(1, p.nvars + 1) if rng.random() < 0.7])
-    for order in ORDERS:
+    # monomial_basis in grevlex, the test-side box walk in lex
+    for order in KEYS:
         want = _sympy_staircase(sympy, r, order)
         if want is None:
             with pytest.raises(NotIsolated):
-                monomial_basis(r, order)
+                basis_in(r, order)
         else:
-            assert set(monomial_basis(r, order).monomials) == want
+            assert set(basis_in(r, order).monomials) == want

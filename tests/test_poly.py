@@ -1,3 +1,4 @@
+import io
 import random
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_invertible
 from mfhh import lattice
+from mfhh.cli import main
 from mfhh.errors import (
     CoefficientError,
     NoPositiveSolution,
@@ -164,6 +166,24 @@ def test_parse_huge_variable_index_fails_fast():
     # with today's message order: a repeated monomial is named first
     with pytest.raises(NotInvertible, match="^repeated monomial$"):
         parse("x1000000000000^2+x1000000000000^2")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x" + "1" * 5000 + "^2", "variable index of 5000 digits is too long"),
+        ("x1^" + "9" * 5000, "exponent of 5000 digits is too long"),
+    ],
+    ids=["index", "exponent"],
+)
+def test_parse_rejects_numbers_past_the_int_digit_limit(text, message):
+    # int() refuses more than 4300 digits with a bare ValueError
+    with pytest.raises(PolySyntaxError, match=f"^{message}$"):
+        parse(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["table", "--poly", text, "--dmin", "-2", "--dmax", "2"], out=out, err=err) == 2
+    assert err.getvalue() == f"error: {message}\n"
+    assert out.getvalue() == ""
 
 
 def test_no_positive_weight_system():

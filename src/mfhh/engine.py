@@ -25,9 +25,9 @@ c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 Cost model.  The lines of each restriction of w that can reach the window
 are found and solved once, by lines.restrictions, for the class with x0 and
 the class without it; a table costs integer key sums per staircase monomial
-of each component, not per product monomial.  Only the points of those lines
-inside the window become cells or, for listings, GammaMonomial and
-Contribution objects.
+of each component, not per product monomial.  Each line found comes decoded,
+with its basis monomial and dual markers, and only its points inside the
+window become cells or, for listings, Contribution objects.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -177,10 +177,9 @@ def compute_table(p, window, ctx=None):
         raise InputError("empty degree window")
     if ctx is None:
         ctx = SymmetryContext(p)
-    step = ctx.family_step
-    dc, du = step
+    dc, du = step = ctx.family_step
     cells = Counter()
-    for _, rows, _, lines in restrictions(ctx, _sorted_census(ctx), window):
+    for rows, lines in restrictions(ctx, _sorted_census(ctx), window):
         for c0, u0, _, hits in lines:
             for i in hits:
                 _, count, kind = rows[i]
@@ -198,27 +197,19 @@ def hh2_vanishes(p, ctx=None):
 def _class_entries(ctx, restriction, fixed, window):
     """The contributions of one class of a solved restriction, ranked by the
     grevlex key of their basis monomials, kind A before B, then t; only hits
-    are decoded into objects."""
-    fixed_vars, rows, comps, lines = restriction
-    step = ctx.family_step
-    dc, du = step
+    become objects."""
+    rows, lines = restriction
+    dc, du = step = ctx.family_step
     out = []
-    for c0, u0, picks, hits in lines:
-        rest = None
+    for c0, u0, rest, hits in lines:
+        # the fixed variables' exponents, in variable order
+        rank = _grevlex_key(tuple(e for e in rest if e >= 0))
         for i in hits:
             row_fixed, count, kind = rows[i]
             if row_fixed != fixed:
                 continue
             name, _, _, off, shift = kind
             for t in t_range(c0, u0, step, kind, window):
-                if rest is None:
-                    # exponents of x_1..x_{n+1}: dual markers off the fixed variables
-                    rest = [-1] * (ctx.n + 1)
-                    for comp, j in zip(comps, picks):
-                        for v, e in zip(comp.variables, comp.monomials[j]):
-                            rest[v - 1] = e
-                    rest = tuple(rest)
-                    rank = _grevlex_key(tuple(rest[v - 1] for v in fixed_vars))
                 c, u = c0 + t * dc, u0 + t * du
                 beta = None if shift is None else c + shift
                 con = Contribution(
@@ -240,7 +231,7 @@ def _classes(ctx, classes, window):
         r = pending.pop(fixed, None)
         if r is None:
             r = next(solved)
-            pending.update((other, r) for other, _, _ in r[1] if other != fixed)
+            pending.update((other, r) for other, _, _ in r[0] if other != fixed)
         yield fixed, _class_entries(ctx, r, fixed, window)
 
 
@@ -262,7 +253,10 @@ def class_contributions(p, window, ctx=None):
 
 
 def list_contributions(p, window, ctx=None):
-    """The flat, deterministic (gamma, monomial) listing behind the table."""
+    """The flat, deterministic (gamma, monomial) listing behind the table.
+    An empty window is an InputError."""
+    if window[0] > window[1]:
+        raise InputError("empty degree window")
     if ctx is None:
         ctx = SymmetryContext(p)
     ker = ctx.ker_chi()

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import itemgetter, le, neg
 
 from .errors import InputError, NotIsolated
@@ -252,22 +253,27 @@ def component_variables(r):
     return [tuple(r.fixed[v] for v in pos) for pos, _ in _components(r)]
 
 
-def monomial_basis(r):
-    """Standard monomials of the Jacobian ideal of the restriction, in
-    ascending grevlex order."""
-    staircases = []
-    positions = []
+def _staircases(r):
+    """(positions, staircase) per component of r; NotIsolated at the first
+    infinite one."""
     for pos, terms in _components(r):
         staircase = _basis_cached(terms, len(pos))
         if staircase is None:
             raise not_isolated(r.fixed)
-        staircases.append(staircase)
-        positions += pos
+        yield pos, staircase
+
+
+def monomial_basis(r):
+    """Standard monomials of the Jacobian ideal of the restriction, in
+    ascending grevlex order."""
+    staircases = list(_staircases(r))
     if len(staircases) == 1:
-        return MonomialBasis(r.fixed, staircases[0])
+        return MonomialBasis(r.fixed, staircases[0][1])
     monomials = [()]
-    for staircase in staircases:
+    positions = []
+    for pos, staircase in staircases:
         monomials = [m + s for m in monomials for s in staircase]
+        positions += pos
     if positions != sorted(positions):
         # the classes interleave: move each exponent back to its variable
         place = itemgetter(*[positions.index(v) for v in range(len(positions))])
@@ -277,5 +283,6 @@ def monomial_basis(r):
 
 
 def milnor_number(p):
-    """Dimension of the Jacobian ring of the unrestricted polynomial."""
-    return monomial_basis(restrict(p, range(1, p.nvars + 1))).dimension
+    """Dimension of the Jacobian ring of p: its components' staircase sizes
+    multiplied, with no product basis built."""
+    return prod(len(s) for _, s in _staircases(restrict(p, range(1, p.nvars + 1))))

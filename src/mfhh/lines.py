@@ -9,16 +9,17 @@ A class S and the class S + {x0} restrict w to the same fixed variables and
 read the same lines, so each restriction is solved once.  Its Jacobian basis
 is the product of its connected components' grevlex staircases (see
 jacobian; the table does not depend on the basis), and a line's columns
-(SymmetryContext.line_columns) are linear in the exponent vector, so they
-are sums of per-component columns.  Once per table, each staircase
+(SymmetryContext.line_columns) are linear in the exponent vector, so its
+key is a sum of per-component keys.  Once per table, each staircase
 monomial of each component gets its key: the residues of its congruence
 columns and of its u column modulo L*|du|, which decide whether the line
 exists and at which weights u it has points.  A restriction then adds
 integer keys over the product of the smaller half of its components and
 looks the larger half's monomials up against the keys that reach the
 window (see solve_restriction); no product monomial is built or sorted.
-Only the lines found get (c0, u0), and t_range finds their points in the
-window in closed form.
+Only a line that is found is decoded: its exponent vector is put together
+from the components' monomials, line_columns gives its point (c0, u0), and
+t_range finds its points in the window in closed form.
 """
 
 from __future__ import annotations
@@ -76,76 +77,71 @@ def t_range(c0, u0, step, kind, window):
 
 
 class _Component:
-    """A connected component's staircase, with (key, U, (index,)) for each
-    monomial and the c weights of its variables; see solve_restriction."""
+    """A connected component's variables and grevlex staircase, with (key,
+    (index,)) for each monomial; see solve_restriction."""
 
-    __slots__ = ("variables", "monomials", "entries", "c_weights")
+    __slots__ = ("variables", "monomials", "entries")
 
     def __init__(self, ctx, variables, monomials, moduli):
-        # the weights of these variables only, one column at a time
-        *congruences, self.c_weights, u_weights = (
-            [w[v] for v in variables] for w in ctx.line_weights
-        )
-        us = [sum(map(mul, m, u_weights)) for m in monomials]
+        # the weights of these variables only, one column at a time; the
+        # c column plays no part in a key
+        *congruences, _, u_weights = ([w[v] for v in variables] for w in ctx.line_weights)
         keys = zip(*(
             [sum(map(mul, m, w)) % q for m in monomials]
-            for w, q in zip(congruences, moduli)
-        ), [u % moduli[-1] for u in us])
+            for w, q in zip(congruences + [u_weights], moduli)
+        ))
         self.variables = variables
         self.monomials = monomials
-        self.entries = list(zip(keys, us, ((j,) for j in range(len(monomials)))))
-
-    def c_column(self, j):
-        return sum(map(mul, self.monomials[j], self.c_weights))
+        self.entries = list(zip(keys, ((j,) for j in range(len(monomials)))))
 
 
 def _product(components, moduli):
-    """(key, U, picks) for every product of the components' monomials."""
-    if not components:
-        return [((0,) * len(moduli), 0, ())]
-    out = components[0].entries
+    """(key, picks) for every product of the components' monomials."""
+    out = components[0].entries if components else [((0,) * len(moduli), ())]
     for comp in components[1:]:
         out = [
-            (tuple((a + b) % q for a, b, q in zip(k, k2, moduli)), u + u2, p + p2)
-            for k, u, p in out
-            for k2, u2, p2 in comp.entries
+            (tuple((a + b) % q for a, b, q in zip(k, k2, moduli)), p + p2)
+            for k, p in out
+            for k2, p2 in comp.entries
         ]
     return out
 
 
 def restrictions(ctx, classes, window):
     """Solve each restriction once, in order of the first of the given
-    (fixed set, count) classes that uses it; yields (fixed_vars, rows,
-    components, lines) as solve_restriction.  Component staircases (grevlex)
-    and their columns are shared by all restrictions of the walk."""
+    (fixed set, count) classes that uses it; yields (rows, lines) as
+    solve_restriction.  Component staircases (grevlex) and their keys are
+    shared by all restrictions of the walk."""
     groups = {}
     for fixed, count in classes:
         groups.setdefault(tuple(sorted(fixed - {0})), []).append((fixed, count))
     components = {}
     for fixed_vars, group in groups.items():
-        yield (fixed_vars,) + solve_restriction(ctx, fixed_vars, group, window, components)
+        yield solve_restriction(ctx, fixed_vars, group, window, components)
 
 
 def solve_restriction(ctx, fixed_vars, group, window, components):
-    """(rows, components, lines) for the restriction to fixed_vars and its
-    (fixed set, count) classes.
+    """(rows, lines) for the restriction to fixed_vars and its (fixed set,
+    count) classes.
 
     rows are (fixed set, count, kind): A and B for the class with x0, C for
-    the one without.  lines are (c0, u0, picks, indices of the rows it can
-    hit) for the lines that can hit the window; picks index, per component,
-    the grevlex staircase monomial of the line.
+    the one without.  lines are (c0, u0, rest, indices of the rows it can
+    hit) for the lines that can hit the window.  rest holds the exponents of
+    x_1..x_{n+1}: the line's grevlex basis monomial on the fixed variables
+    and the dual marker -1 on the others; (c0, u0) is the point that
+    line_columns((0,) + rest) gives over L.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
     vanishes mod its d_j and the u column U = u*L mod L*|du|.  So a line's
     key, those residues, is the sum of its components' keys and that of the
     dual markers, and it must equal the key of some u whose degree
-    2*u + offset lies in the window.  Components
-    are split into two halves of about equal product size, the larger one
-    holding the largest component; for each product line of the smaller
-    half, the keys the larger half must bring are looked up while its lines
-    are scanned.  With du == 0 every key is wanted and every line is tested,
-    so t_range raises.
+    2*u + offset lies in the window.  Components are split into two halves
+    of about equal product size, the larger one holding the largest
+    component; for each product line of the smaller half, the keys the
+    larger half must bring are looked up while its lines are scanned.  Only
+    the lines found are decoded.  With du == 0 every key is wanted and every
+    line is tested, so t_range raises.
     """
     dmin, dmax = window
     n = ctx.n
@@ -184,15 +180,18 @@ def solve_restriction(ctx, fixed_vars, group, window, components):
     right = _product(halves[0], moduli)
     comps = halves[1] + halves[0]  # the order of a line's picks
     lines = []
-    for k, u, picks in _product(halves[1], moduli):
+    for k, picks in _product(halves[1], moduli):
         shifted = {
             tuple((a - b) % q for a, b, q in zip(wk, k, moduli)): hits
             for wk, hits in wanted.items()
         }
-        for k2, u2, picks2 in right:
+        for k2, picks2 in right:
             hits = shifted.get(k2)
             if hits:
-                line = picks + picks2
-                c = duals[-2] + sum(map(_Component.c_column, comps, line))
-                lines.append((c // L, (duals[-1] + u + u2) // L, line, hits))
-    return rows, comps, lines
+                rest = [-1] * (n + 1)
+                for comp, j in zip(comps, picks + picks2):
+                    for v, e in zip(comp.variables, comp.monomials[j]):
+                        rest[v - 1] = e
+                *_, c, u = ctx.line_columns([0] + rest)
+                lines.append((c // L, u // L, tuple(rest), hits))
+    return rows, lines

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from basis_oracle import basis_in
 from conftest import random_invertible
-from lattice_oracle import family_line
+from lattice_oracle import family_line, member
 from mfhh import lines
 from mfhh.cli import main
 from mfhh.engine import (
@@ -237,9 +237,17 @@ def test_nonterminating_family():
     assert compute_table(p, (2, 5)).cells == {}
 
 
-def test_empty_window_is_input_error():
-    with pytest.raises(InputError):
-        compute_table(parse(LAUFER1), (1, 0))
+def test_empty_window_is_input_error(monkeypatch):
+    # raised before ker(chi) is listed or any restriction is solved
+    def never(*args):
+        raise AssertionError("ker(chi) was enumerated or a restriction solved")
+
+    monkeypatch.setattr(SymmetryContext, "_iter_ker", never)
+    monkeypatch.setattr(lines, "solve_restriction", never)
+    p = parse("x1^11+x2^13+x3^17+x4^19")
+    for call in (compute_table, list_contributions, lambda *a: list(class_contributions(*a))):
+        with pytest.raises(InputError, match="empty degree window"):
+            call(p, (1, 0))
 
 
 def test_positive_d0_tables_are_finite():
@@ -472,6 +480,8 @@ def reference_table(p, window, order):
 
 
 def reference_list_contributions(p, window, order):
+    if window[0] > window[1]:
+        raise InputError("empty degree window")
     ctx = SymmetryContext(p)
     by_class = {}
     out = []
@@ -524,6 +534,38 @@ def test_kernel_matches_reference(seed, window, order):
     assert_matches_reference(p, window, abs(p.det()) <= 400, table_order=order)
 
 
+def assert_lines_decoded(p, window):
+    """Every line of lines.restrictions is a decoded lattice point: rest is
+    a basis monomial of the restriction with dual markers off it, and
+    (c0, rest) - u0*(1,..,1) is in the relation lattice.  Returns the number
+    of lines."""
+    relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
+    ctx = SymmetryContext(p)
+    classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
+    found = 0
+    for rows, restriction_lines in lines.restrictions(ctx, classes, window):
+        fixed_vars = tuple(sorted(rows[0][0] - {0}))
+        basis = set(monomial_basis(restrict(p, fixed_vars)).monomials)
+        for c0, u0, rest, hits in restriction_lines:
+            assert len(rest) == p.nvars and hits
+            assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
+            assert tuple(e for e in rest if e >= 0) in basis
+            assert member(relations, [b - u0 for b in (c0,) + rest])
+            found += 1
+    return found
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**9), windows)
+def test_kernel_lines_are_decoded_lattice_points(seed, window):
+    assert_lines_decoded(random_invertible(random.Random(seed), max_vars=5, max_det=3000), window)
+
+
+def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
+    for text in (LAUFER1, "x1^3*x2+x2^4*x3+x3^2*x1+x4^3", "x1^2*x2+x2^3*x3+x3^4+x4^5+x5^2"):
+        assert assert_lines_decoded(parse(text), (-40, 8)) > 0
+
+
 @pytest.mark.parametrize(
     "text, sign",
     [
@@ -544,7 +586,7 @@ def test_kernel_matches_reference_across_d0_and_kinds(text, sign, order):
     assert any(0 not in fixed for fixed in ctx.fixed_census())
     for window in ((-12, 8), (-200, 3), (3, 3), (5, 5)):
         assert assert_matches_reference(p, window, abs(p.det()) <= 400, order) == "value"
-    # an empty window: an InputError for tables, an empty per-element listing
+    # an empty window is an InputError for tables and both listings
     assert_matches_reference(p, (1, 0), abs(p.det()) <= 400, order)
     with pytest.raises(InputError):
         compute_table(p, (1, 0))

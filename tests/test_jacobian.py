@@ -1,4 +1,5 @@
 import random
+import warnings
 from itertools import product
 from math import prod
 
@@ -185,6 +186,32 @@ def test_basis_work_follows_milnor_number(monkeypatch, text, mu):
     basis = monomial_basis(restrict(p, range(1, p.nvars + 1)))
     assert basis.dimension == mu
     assert calls <= p.nvars * mu
+
+
+def test_milnor_number_multiplies_component_sizes(monkeypatch):
+    # no product basis is built, un-interleaved or sorted to be counted
+    def no_basis(r):
+        raise AssertionError("monomial_basis was called")
+
+    monkeypatch.setattr(jacobian, "monomial_basis", no_basis)
+    assert milnor_number(parse("x1^16+x2^16+x3^16+x4^16")) == 15**4
+    assert milnor_number(parse(LOOP6)) == 7056
+    assert milnor_number(parse(CHAIN4)) == 12091
+    # an infinite component raises at once: the later one is never solved
+    solved = []
+
+    def recorded(terms, nvars):
+        solved.append(terms)
+        return _basis_cached(terms, nvars)
+
+    monkeypatch.setattr(jacobian, "_basis_cached", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = parse("x1^2*x2^2+x2^3+x3^2", allow_nonstandard=True)
+    with pytest.raises(NotIsolated) as exc:
+        milnor_number(p)
+    assert str(exc.value) == "Jacobian ring of the restriction to (1, 2, 3) is infinite-dimensional"
+    assert solved == [((0, 3), (2, 2))]
 
 
 def _table_and_hits(p):

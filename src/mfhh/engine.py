@@ -171,12 +171,16 @@ def _sorted_census(ctx):
     return sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
 
 
-def compute_table(p, window, ctx=None):
-    """The bigraded dimension table of p over a finite degree window."""
+def _context(p, window, ctx):
+    """ctx, or a new context for p; an empty window is an InputError."""
     if window[0] > window[1]:
         raise InputError("empty degree window")
-    if ctx is None:
-        ctx = SymmetryContext(p)
+    return SymmetryContext(p) if ctx is None else ctx
+
+
+def compute_table(p, window, ctx=None):
+    """The bigraded dimension table of p over a finite degree window."""
+    ctx = _context(p, window, ctx)
     dc, du = step = ctx.family_step
     cells = Counter()
     for rows, lines in restrictions(ctx, _sorted_census(ctx), window):
@@ -244,10 +248,7 @@ def class_contributions(p, window, ctx=None):
     A class S and the class S + {x0} share one restriction, whose lines are
     solved once.  An empty window is an InputError.
     """
-    if window[0] > window[1]:
-        raise InputError("empty degree window")
-    if ctx is None:
-        ctx = SymmetryContext(p)
+    ctx = _context(p, window, ctx)
     for _, entries in _classes(ctx, _sorted_census(ctx), window):
         yield from entries
 
@@ -255,10 +256,7 @@ def class_contributions(p, window, ctx=None):
 def list_contributions(p, window, ctx=None):
     """The flat, deterministic (gamma, monomial) listing behind the table.
     An empty window is an InputError."""
-    if window[0] > window[1]:
-        raise InputError("empty degree window")
-    if ctx is None:
-        ctx = SymmetryContext(p)
+    ctx = _context(p, window, ctx)
     ker = ctx.ker_chi()
     classes = [(fixed, 1) for fixed in dict.fromkeys(gamma.fixed for gamma in ker)]
     by_class = dict(_classes(ctx, classes, window))

@@ -17,10 +17,10 @@ is grevlex on all of them restricted to the class.  Their union is a
 Groebner basis of the sum: an S-pair across two classes has coprime leading
 monomials, so it reduces to zero by Buchberger's first criterion.  A
 monomial is therefore standard exactly when its part in each class is, and
-the staircase is the product of the per-class staircases; the ring is
-finite-dimensional exactly when every class's ring is.  Staircases are
-computed and cached per class, so an atom shared by several restrictions
-or polynomials is solved once.
+the staircase is the product of the per-class staircases; the ring is 0 if
+one class's is (1 is in its ideal), else finite-dimensional exactly when
+every class's ring is.  Staircases are computed and cached per class, so an
+atom shared by several restrictions or polynomials is solved once.
 
 Growing a staircase.  Every monomial m != 0 has one parent m - e_first,
 where first is its lowest variable with a nonzero exponent, so the parents
@@ -212,8 +212,9 @@ def _basis_cached(terms, nvars):
     infinite."""
     gens = _groebner(_jacobian_generators(terms, nvars), _grevlex_key)
     leads = [max(g, key=_grevlex_key) for g in gens]
-    # finite dimension iff every variable has a pure power among the leads
-    bounded = [False] * nvars
+    zero = (0,) * nvars
+    # finite iff each variable has a pure-power lead, or 1 is a lead (ring 0)
+    bounded = [zero in leads] * nvars
     for lm in leads:
         support = [k for k, e in enumerate(lm) if e]
         if len(support) == 1:
@@ -228,7 +229,6 @@ def _basis_cached(terms, nvars):
         for v, e in enumerate(lm):
             if e:
                 by_edge.setdefault((v, e), []).append(lm)
-    zero = (0,) * nvars
     grown = [] if zero in leads else [(zero, nvars - 1)]
     for m, first in grown:  # extended while it is walked
         for v in range(first, -1, -1):
@@ -254,13 +254,13 @@ def component_variables(r):
 
 
 def _staircases(r):
-    """(positions, staircase) per component of r; NotIsolated at the first
-    infinite one."""
-    for pos, terms in _components(r):
-        staircase = _basis_cached(terms, len(pos))
-        if staircase is None:
-            raise not_isolated(r.fixed)
-        yield pos, staircase
+    """(positions, staircase) per component of r, or one empty one if a ring is 0."""
+    found = [(pos, _basis_cached(terms, len(pos))) for pos, terms in _components(r)]
+    if () in (s for _, s in found):
+        return [((), ())]
+    if None in (s for _, s in found):
+        raise not_isolated(r.fixed)
+    return found
 
 
 def monomial_basis(r):

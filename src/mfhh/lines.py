@@ -152,15 +152,18 @@ def solve_restriction(ctx, fixed_vars, group, window, components):
         for fixed, count in group
         for kind in kinds(n, len(fixed_vars), 0 in fixed)
     ]
-    comps = []
+    comps, infinite = [], False
     for variables in component_variables(restrict(ctx.poly, fixed_vars)):
         if variables not in components:
             try:
                 basis = jacobian.monomial_basis(restrict(ctx.poly, variables))
             except NotIsolated:
-                raise not_isolated(fixed_vars) from None
+                infinite = True  # and so is the ring, unless another one is 0
+                continue
             components[variables] = _Component(ctx, variables, basis.monomials, moduli)
         comps.append(components[variables])
+    if infinite and all(c.monomials for c in comps):
+        raise not_isolated(fixed_vars)
     # the dual markers on the unfixed variables
     duals = ctx.line_columns([0] + [-(v not in fixed_vars) for v in range(1, n + 2)])
     # the keys the components must bring: one per residue of u mod |du|

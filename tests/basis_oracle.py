@@ -38,6 +38,9 @@ def box_walk_basis(r, order):
     key = KEYS[order]
     basis = _groebner(_jacobian_generators(r.terms, nv), key)
     leads = [max(g, key=key) for g in basis]
+    if (0,) * nv in leads:
+        # the unit ideal: the ring is 0 whatever the other leads are
+        return MonomialBasis(r.fixed, ())
     # finite dimension iff every variable has a pure power among the leads
     bounds = [None] * nv
     for lm in leads:

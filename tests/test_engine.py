@@ -566,6 +566,19 @@ def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
         assert assert_lines_decoded(parse(text), (-40, 8)) > 0
 
 
+def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
+    # {x1, x2} alone is never isolated; x3 bare makes its ideal, so the ring, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        zero = parse("x1^2*x2^2+x2^3+x3", allow_nonstandard=True)
+        infinite = parse("x1^2*x2^2+x2^3+x3^2", allow_nonstandard=True)
+    group = [(frozenset({1, 2, 3}), 1)]
+    rows, found = lines.solve_restriction(SymmetryContext(zero), (1, 2, 3), group, (-10, 10), {})
+    assert len(rows) == 1 and found == []
+    with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):
+        lines.solve_restriction(SymmetryContext(infinite), (1, 2, 3), group, (-10, 10), {})
+
+
 @pytest.mark.parametrize(
     "text, sign",
     [

@@ -4,7 +4,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
@@ -149,6 +149,7 @@ def _basis_or_error(basis_fn, *args):
 
 @settings(max_examples=200)
 @given(st.integers(0, 10**9), st.booleans())
+@example(seed=805, nonstandard=True)  # a unit Jacobian ideal, as below
 def test_grown_staircase_matches_box_walk(seed, nonstandard):
     rng = random.Random(seed)
     if nonstandard:
@@ -164,6 +165,16 @@ def test_grown_staircase_matches_box_walk(seed, nonstandard):
         assert lex == want
     else:
         assert lex[0] == want[0] and len(lex[1]) == len(want[1])
+
+
+def test_unit_jacobian_ideal_has_an_empty_staircase():
+    # x2*x4^3 + x4 + x2^2*x3: d/dx4 = 1 + 3*x2*x4^2 and x2^2 lie in the ideal,
+    # so 1 does and the ring is 0, finite with no standard monomial
+    p = InvertiblePolynomial(((2, 2, 0, 0), (0, 1, 0, 3), (0, 0, 0, 1), (0, 2, 1, 0)))
+    r = restrict(p, (2, 3, 4))
+    assert monomial_basis(r).monomials == ()
+    assert box_walk_basis(r, "grevlex").monomials == ()
+    assert box_walk_basis(r, "lex").monomials == ()
 
 
 LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"
@@ -197,7 +208,8 @@ def test_milnor_number_multiplies_component_sizes(monkeypatch):
     assert milnor_number(parse("x1^16+x2^16+x3^16+x4^16")) == 15**4
     assert milnor_number(parse(LOOP6)) == 7056
     assert milnor_number(parse(CHAIN4)) == 12091
-    # an infinite component raises at once: the later one is never solved
+    # an infinite component raises, but only once every component is solved,
+    # since a later one with the unit ideal would make the ring 0
     solved = []
 
     def recorded(terms, nvars):
@@ -208,10 +220,12 @@ def test_milnor_number_multiplies_component_sizes(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = parse("x1^2*x2^2+x2^3+x3^2", allow_nonstandard=True)
+        unit = parse("x1^2*x2^2+x2^3+x3", allow_nonstandard=True)
     with pytest.raises(NotIsolated) as exc:
         milnor_number(p)
     assert str(exc.value) == "Jacobian ring of the restriction to (1, 2, 3) is infinite-dimensional"
-    assert solved == [((0, 3), (2, 2))]
+    assert solved == [((0, 3), (2, 2)), ((2,),)]
+    assert milnor_number(unit) == 0
 
 
 def _table_and_hits(p):

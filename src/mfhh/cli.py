@@ -99,7 +99,8 @@ def _load_document(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the int digit limit
         raise SchemaError(f"cannot read table document {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != "v1":
         raise SchemaError(f"{path}: not a v1 table document")

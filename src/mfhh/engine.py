@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from .errors import InputError, WindowMismatch
 from .jacobian import _grevlex_key
 from .lines import restrictions, t_range
+from .poly import monomial_text
 from .symmetry import SymmetryContext
 
 
@@ -57,24 +58,9 @@ class GammaMonomial:
         return self.b[0]
 
     def pattern(self):
-        factors = []
-        if self.kind in ("A", "B"):
-            if self.beta == 1:
-                factors.append("x0")
-            elif self.beta > 1:
-                factors.append(f"x0^{self.beta}")
-            if self.kind == "B":
-                factors.append("x0^∨")
-        else:
-            factors.append("x0^∨")
-        for j, e in enumerate(self.b[1:], start=1):
-            if e == 1:
-                factors.append(f"x{j}")
-            elif e > 1:
-                factors.append(f"x{j}^{e}")
-            elif e == -1:
-                factors.append(f"x{j}^∨")
-        return "*".join(factors) if factors else "1"
+        power = [(0, self.beta)] if self.kind in ("A", "B") else []
+        dual = [(0, -1)] if self.kind in ("B", "C") else []
+        return monomial_text(power + dual + list(enumerate(self.b[1:], start=1)))
 
 
 @dataclass(frozen=True)

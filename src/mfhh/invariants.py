@@ -128,48 +128,48 @@ def small_res_probe(t):
 # -- golden families ---------------------------------------------------------
 
 # name -> (polynomial builder, dim HH^3 closed form, constant negative rank,
-#          takes l?, conditional on an unproven equivalence?)
+#          least l or None if it takes no l, conditional on an unproven equivalence?)
 _FAMILIES = {
     "bp_cA": (
         lambda l, k: f"x1^2+x2^2+x3^{l + 1}+x4^{k * (l + 1)}",
         lambda l, k: l * (k * (l + 1) - 1),
         lambda l, k: l,
-        True,
+        1,
         False,
     ),
     "can_cA": (
         lambda l, k: f"x1^2+x2^2+x3^{l}*x4+x3*x4^{k * (l - 1) + 1}",
         lambda l, k: (k * l + 1) * (l - 1),
         lambda l, k: l,
-        True,
+        2,
         False,
     ),
     "bp_cD4": (
         lambda l, k: f"x1^2+x2^3+x3^3+x4^{6 * k}",
         lambda l, k: 24 * k - 4,
         lambda l, k: 4,
-        False,
+        None,
         False,
     ),
     "laufer": (
         lambda l, k: f"x1^3*x2+x2^{2 * k + 1}*x3+x3^2+x4^2",
         lambda l, k: 6 * k + 5,
         lambda l, k: 1,
-        False,
+        None,
         True,
     ),
     "bp_cE6": (
         lambda l, k: f"x1^2+x2^3+x3^4+x4^{12 * k}",
         lambda l, k: 72 * k - 6,
         lambda l, k: 6,
-        False,
+        None,
         False,
     ),
     "bp_cE8": (
         lambda l, k: f"x1^2+x2^3+x3^5+x4^{30 * k}",
         lambda l, k: 240 * k - 8,
         lambda l, k: 8,
-        False,
+        None,
         False,
     ),
 }
@@ -206,16 +206,14 @@ class GoldenReport:
 def golden_family_poly(family, l=None, k=1):
     if family not in _FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}")
-    builder, _, _, takes_l, _ = _FAMILIES[family]
+    builder, _, _, least_l, _ = _FAMILIES[family]
     if k < 1:
         raise UnknownFamily(f"family {family!r} needs k >= 1")
-    if takes_l:
+    if least_l is not None:
         if l is None:
             raise UnknownFamily(f"family {family!r} needs the parameter l")
-        if family == "can_cA" and l < 2:
-            raise UnknownFamily("family 'can_cA' needs l >= 2")
-        if l < 1:
-            raise UnknownFamily(f"family {family!r} needs l >= 1")
+        if l < least_l:
+            raise UnknownFamily(f"family {family!r} needs l >= {least_l}")
     return parse(builder(l, k))
 
 
@@ -226,10 +224,10 @@ def golden_check(family, l=None, k=1):
     (carrying the report) otherwise.
     """
     p = golden_family_poly(family, l, k)
-    _, hh3_form, rank_form, takes_l, conditional = _FAMILIES[family]
+    _, hh3_form, rank_form, least_l, conditional = _FAMILIES[family]
     window = (-4 * (k + 1), 8)
     table = compute_table(p, window)
-    report = GoldenReport(family, l if takes_l else None, k, str(p), window,
+    report = GoldenReport(family, None if least_l is None else l, k, str(p), window,
                           conditional=conditional)
     report.checks.append(("dim HH^3", hh3_form(l, k), table.dim(3)))
     report.checks.append(("dim HH^2", 0, table.dim(2)))

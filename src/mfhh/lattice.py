@@ -68,81 +68,68 @@ def smith(m):
 
     The pivot rule (min |entry|, then lowest row-major index) makes the
     output deterministic for a given input.
+
+    For an r-by-c M the work is done on one matrix of r + c rows: row i < r
+    is row i of M with row i of U on its right, starting as [M | I_r], and
+    row r + j is row j of V, starting as I_c.  A row operation moves whole
+    rows of [M | U]; a column operation moves columns < c of every row, V's
+    included.  U, D and V are sliced out at the end.
     """
     a = [list(map(int, row)) for row in m]
     r = len(a)
     c = len(a[0]) if r else 0
     if any(len(row) != c for row in a):
         raise ValueError("smith needs rows of equal length")
-    u = identity_matrix(r)
-    v = identity_matrix(c)
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+    w = [row + unit for row, unit in zip(a, identity_matrix(r))] + identity_matrix(c)
 
     def swap_cols(i, j):
         if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
+            for row in w:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        asrc, adst = a[src], a[dst]
-        for k in range(c):
-            adst[k] += q * asrc[k]
-        usrc, udst = u[src], u[dst]
-        for k in range(r):
-            udst[k] += q * usrc[k]
+        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
 
     def add_col(src, dst, q):
-        for row in a:
+        for row in w:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(r, c):
-        piv = _find_pivot(a, t, r, c)
+        piv = _find_pivot(w, t, r, c)
         if piv is None:
             break
         while True:
             pi, pj = piv
-            swap_rows(t, pi)
+            w[t], w[pi] = w[pi], w[t]
             swap_cols(t, pj)
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
+            if w[t][t] < 0:
+                w[t] = [-x for x in w[t]]
+            p = w[t][t]
             clean = True
             for i in range(t + 1, r):
-                if a[i][t]:
-                    q = a[i][t] // p
+                if w[i][t]:
+                    q = w[i][t] // p
                     if q:
                         add_row(t, i, -q)
-                    if a[i][t]:
+                    if w[i][t]:
                         clean = False
             for j in range(t + 1, c):
-                if a[t][j]:
-                    q = a[t][j] // p
+                if w[t][j]:
+                    q = w[t][j] // p
                     if q:
                         add_col(t, j, -q)
-                    if a[t][j]:
+                    if w[t][j]:
                         clean = False
             if not clean:
                 # some remainder is now smaller than the pivot; rechoose
-                piv = _find_pivot(a, t, r, c)
+                piv = _find_pivot(w, t, r, c)
                 continue
-            p = a[t][t]
+            p = w[t][t]
             bad = None
             for i in range(t + 1, r):
-                if any(a[i][j] % p for j in range(t + 1, c)):
+                if any(w[i][j] % p for j in range(t + 1, c)):
                     bad = i
                     break
             if bad is None:
@@ -151,7 +138,7 @@ def smith(m):
             piv = (t, t)
         t += 1
     return SmithDecomposition(
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in v),
+        tuple(tuple(row[c:]) for row in w[:r]),
+        tuple(tuple(row[:c]) for row in w[:r]),
+        tuple(tuple(row) for row in w[r:]),
     )

@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import lattice
@@ -38,6 +37,14 @@ def _tokenize(text):
             raise PolySyntaxError(f"bad token {tok!r}")
         out.append(tok)
     return out
+
+
+def monomial_text(pairs):
+    """The monomial of (j, e) pairs as text: x{j} for e = 1, the dual x{j}^∨
+    for e = -1 and x{j}^{e} for any other e != 0, joined by '*'; pairs with
+    e = 0 are skipped, and no factor at all is "1"."""
+    factors = (f"x{j}" if e == 1 else f"x{j}^∨" if e == -1 else f"x{j}^{e}" for j, e in pairs if e)
+    return "*".join(factors) or "1"
 
 
 @dataclass(frozen=True)
@@ -65,16 +72,7 @@ class InvertiblePolynomial:
         return weights(self)
 
     def __str__(self):
-        terms = []
-        for row in self.matrix:
-            factors = []
-            for j, e in enumerate(row):
-                if e == 1:
-                    factors.append(f"x{j + 1}")
-                elif e > 1:
-                    factors.append(f"x{j + 1}^{e}")
-            terms.append("*".join(factors) if factors else "1")
-        return " + ".join(terms)
+        return " + ".join(monomial_text(enumerate(row, start=1)) for row in self.matrix)
 
     def to_json(self):
         return {"vars": self.nvars, "rows": [list(row) for row in self.matrix]}
@@ -253,28 +251,16 @@ def parse(text, allow_nonstandard=False):
 def weights(p):
     """The primitive positive solution of A*d = h*(1,..,1), plus d0 = h - sum d.
 
-    Solved exactly over the rationals; gcd(d_1,..,d_n,h) = 1 by construction.
+    By Cramer's rule d_i / h = det(A_i) / det(A), where A_i is A with column
+    i replaced by ones; so (d, h) = (det(A_1), .., det(A_n); det(A)), exact
+    through lattice.det, divided by their gcd and signed so that h > 0.  A
+    singular A gives h = 0 and so a NoPositiveSolution.
     """
-    n = p.nvars
-    aug = [[Fraction(e) for e in row] + [Fraction(1)] for row in p.matrix]
-    # Gaussian elimination; the matrix is nonsingular so this cannot fail
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    x = [aug[i][n] for i in range(n)]  # x_i = d_i / h
-    h = 1
-    for xi in x:
-        h = h * xi.denominator // gcd(h, xi.denominator)
-    d = [int(xi * h) for xi in x]
-    g = h
-    for di in d:
-        g = gcd(g, di)
+    h = lattice.det(p.matrix)
+    d = [lattice.det([[*row[:i], 1, *row[i + 1:]] for row in p.matrix]) for i in range(p.nvars)]
+    g = gcd(h, *d) or 1
+    if h < 0:
+        g = -g
     d = [di // g for di in d]
     h //= g
     if h <= 0 or any(di <= 0 for di in d):

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mfhh
 from mfhh import lines
 from mfhh.cli import main
 from mfhh.engine import compute_table, hh2_vanishes
@@ -140,6 +144,33 @@ def test_compare_schema_error(tmp_path):
     assert code == 2 and "v1" in err
 
 
+def test_compare_without_negative_overlap_is_inconclusive(tmp_path):
+    a = tmp_path / "a.json"
+    _, out, _ = run(["table", "--poly", LAUFER1, "--dmin", "0", "--dmax", "4", "--format", "json"])
+    a.write_text(out)
+    code, msg, _ = run(["compare", str(a), str(a)])
+    assert code == 4
+    assert msg.endswith("inconclusive: no negative-degree overlap to compare\n")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        b'{"schema": "v1", "window": [-4, 0], "cells": [{"d": -2, "q": 1' + b"0" * 4999 + b', "dim": 1}]}',
+        b"[" * 100000,
+    ],
+    ids=["not-utf8", "int-past-digit-limit", "nested-past-recursion-limit"],
+)
+def test_compare_unreadable_document_is_schema_error(tmp_path, content):
+    # json.load raises ValueError or RecursionError here, not JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(["compare", str(bad), str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read table document {bad}: ")
+
+
 GOOD_CELLS = [{"d": -2, "q": 4, "dim": 1}]
 
 
@@ -231,3 +262,29 @@ def test_pretty_output_contains_metadata():
     code, out, _ = run(["table", "--poly", LAUFER1, "--dmin", "-4", "--dmax", "4"])
     assert code == 0
     assert "transpose" in out and "d0=-8" in out and "HH^2 vanishes: True" in out
+
+
+def test_pretty_output_of_an_empty_table():
+    code, out, _ = run(["table", "--poly", "x1^2+x2^2", "--dmin", "2", "--dmax", "5"])
+    assert code == 0
+    assert out.endswith("(table is empty on this window)\n")
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m mfhh.cli` runs sys.exit(main()) on the real stdout and exit code
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_module(argv):
+        return subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=env, capture_output=True)
+
+    argv = ["table", "--poly", "x1^2+x2^3", "--dmin", "-2", "--dmax", "2", "--format", "csv"]
+    res = run_module(argv)
+    code, out, _ = run(argv)
+    assert code == 0
+    assert (res.returncode, res.stdout, res.stderr) == (0, out.encode(), b"")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": "v0"}')
+    res = run_module(["compare", str(bad), str(bad)])
+    assert res.returncode == 2 and res.stdout == b""
+    assert res.stderr == f"error: {bad}: not a v1 table document\n".encode()

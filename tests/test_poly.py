@@ -55,6 +55,20 @@ def test_parse_rejects():
         parse("x0^2+x1^2")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1^2+", "unexpected end of input"),
+        ("x1^2*^2", "expected a variable, got '^'"),
+        ("x1^2 x2^2", "unexpected token 'x2'"),
+    ],
+)
+def test_parse_syntax_error_messages(text, message):
+    with pytest.raises(PolySyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_parse_allow_nonstandard_downgrades_shape_check():
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
@@ -159,6 +173,20 @@ def test_from_json_rejects_malformed_documents(obj):
         InvertiblePolynomial.from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "empty polynomial"),
+        ([[2, 0], [3]], "ragged exponent matrix"),
+        ([[2, -1], [0, 2]], "negative exponent"),
+    ],
+)
+def test_from_json_rejects_rows_that_are_not_invertible(rows, message):
+    with pytest.raises(NotInvertible) as exc:
+        InvertiblePolynomial.from_json({"rows": rows})
+    assert str(exc.value) == message
+
+
 def test_parse_huge_variable_index_fails_fast():
     # no width-long row is built: an index of 10**12 is rejected at once
     with pytest.raises(NotInvertible, match="^1 monomials but 1000000000000 variables"):
@@ -190,3 +218,9 @@ def test_no_positive_weight_system():
     # parses as a loop shape but has a degenerate weight system
     with pytest.raises(NoPositiveSolution):
         parse("x1^2*x2+x1*x2").weights()
+
+
+def test_singular_matrix_has_no_positive_weight_system():
+    # det A = 0 leaves h = 0 in Cramer's rule
+    with pytest.raises(NoPositiveSolution):
+        InvertiblePolynomial(((1, 1), (1, 1))).weights()

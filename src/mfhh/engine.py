@@ -24,10 +24,14 @@ c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
 Cost model.  The lines of each restriction of w that can reach the window
 are found and solved once, by lines.restrictions, for the class with x0 and
-the class without it; a table costs integer key sums per staircase monomial
-of each component, not per product monomial.  Each line found comes decoded,
-with its basis monomial and dual markers, and only its points inside the
-window become cells or, for listings, Contribution objects.
+the class without it.  Tables read each atom's Kreuzer-Krawitz boxes, keyed
+once per variable range, so a restriction of Milnor number mu costs about
+2*sqrt(mu * wanted keys) key sums and a standard polynomial's table takes
+no Groebner basis; listings, and components that are no atom
+(--allow-nonstandard), key each monomial of the grevlex staircase instead.
+Each line found comes decoded, with its basis monomial and dual markers,
+and only its points inside the window become cells or, for listings,
+Contribution objects.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -169,7 +173,7 @@ def compute_table(p, window, ctx=None):
     ctx = _context(p, window, ctx)
     dc, du = step = ctx.family_step
     cells = Counter()
-    for rows, lines in restrictions(ctx, _sorted_census(ctx), window):
+    for rows, lines in restrictions(ctx, _sorted_census(ctx), window, boxes=True):
         for c0, u0, _, hits in lines:
             for i in hits:
                 _, count, kind = rows[i]

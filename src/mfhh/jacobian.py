@@ -37,6 +37,13 @@ unless a leading monomial lm divides c; such an lm does not divide m, so
 lm[v] == c[v].  Indexing the leads by (v, lm[v]) tests only those, and the
 walk visits at most nvars * mu candidates instead of the bounding box of
 the pure-power leads.
+
+Bases for tables.  A table does not depend on the basis, and each component
+of a restriction of a standard polynomial with a finite ring is one Fermat,
+chain or loop atom, whose Kreuzer-Krawitz basis is a few boxes of exponents
+(atom_boxes).  So tables take no Groebner basis of a standard polynomial:
+Buchberger and the grown staircase serve the listings (whose monomials are
+grevlex ones), milnor_number, and components that are no atom.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from math import prod
 from operator import itemgetter, le, neg
 
 from .errors import InputError, NotIsolated
+from .poly import atom_heads
 
 
 def _grevlex_key(m):
@@ -237,6 +245,45 @@ def _basis_cached(terms, nvars):
             if edge is None or not any(_divides(lm, c) for lm in edge):
                 grown.append((c, v))
     return tuple(m for m, _ in grown)
+
+
+def atom_boxes(r):
+    """The Kreuzer-Krawitz basis of a connected restriction that is one
+    Fermat, chain or loop atom, as disjoint boxes: tuples of one range of
+    exponents per variable of r.fixed.  None for any other restriction.
+
+    A loop x1^a1*x2 + .. + xn^an*x1 has the box prod [0, a_i).  A chain
+    x1^a1*x2 + .. + xn^an (a Fermat atom when n = 1) has the box
+    alpha_i < a_i less the alpha that agree with P = (a1-1, 0, a3-1, 0, ..)
+    up to an even position 2l and have alpha_2l >= 1, and for odd n also P
+    itself.  So it keeps the alpha that first leave P at an odd position i,
+    with alpha_i < a_i - 1 there, plus P for even n: one box per odd i.
+    """
+    k = len(r.fixed)
+    heads = atom_heads(r.terms) if len(r.terms) == k else None
+    if heads is None:
+        return None
+    a, nxt = [0] * k, {}
+    for row, (tail, head) in zip(r.terms, heads):
+        a[tail] = row[tail]
+        if head is not None:
+            nxt[tail] = head
+    if len(nxt) == k:  # a loop, or several when r is not connected
+        return [tuple(map(range, a))]
+    order = [min(set(range(k)) - set(nxt.values()))]  # a chain starts at no head
+    while order[-1] in nxt:
+        order.append(nxt[order[-1]])
+    if len(order) != k:
+        return None  # r is not connected
+    boxes = []
+    for first in range(0, k + 1, 2):
+        box = [None] * k
+        for i, v in enumerate(order):
+            pin = a[v] - 1 if i % 2 == 0 else 0
+            box[v] = range(pin, pin + 1) if i < first else range(a[v] - (i == first))
+        if all(box):
+            boxes.append(tuple(box))
+    return boxes
 
 
 def not_isolated(fixed):

@@ -6,31 +6,37 @@ markers on the unfixed variables, the solutions (c, u) of
 context-wide step (dc, du); engine reads kinds A, B and C off it.
 
 A class S and the class S + {x0} restrict w to the same fixed variables and
-read the same lines, so each restriction is solved once.  Its Jacobian basis
-is the product of its connected components' grevlex staircases (see
-jacobian; the table does not depend on the basis), and a line's columns
-(SymmetryContext.line_columns) are linear in the exponent vector, so its
-key is a sum of per-component keys.  Once per table, each staircase
-monomial of each component gets its key: the residues of its congruence
-columns and of its u column modulo L*|du|, which decide whether the line
-exists and at which weights u it has points.  A restriction then adds
-integer keys over the product of the smaller half of its components and
-looks the larger half's monomials up against the keys that reach the
-window (see solve_restriction); no product monomial is built or sorted.
-Only a line that is found is decoded: its exponent vector is put together
-from the components' monomials, line_columns gives its point (c0, u0), and
-t_range finds its points in the window in closed form.
+read the same lines, so each restriction is solved once.  Its Jacobian ring
+is the product of its connected components' rings (see jacobian), so a
+basis is a union of products of factors.  Tables take a component that is
+a Fermat, chain or loop atom from its Kreuzer-Krawitz boxes, whose factors
+are single variables' exponent ranges; the table does not depend on the
+basis.  Listings, whose monomials are grevlex ones, and tables on a
+component that is no atom take the component's grevlex staircase as one
+factor.  A line's columns (SymmetryContext.line_columns) are linear in the
+exponent vector, so its key, the residues of its congruence columns and of
+its u column modulo L*|du|, which decide whether the line exists and at
+which weights u it has points, is the sum of its factors' keys.  Each
+factor is keyed once per walk.  A restriction indexes the product keys of
+the larger side of its factors and looks each key that reaches the window,
+less a product key of the smaller side, up in that index (see
+solve_restriction), so it costs about |smaller side| * |wanted keys| +
+|larger side| rather than its Milnor number.  Only a line that is found is
+decoded: its exponent vector is put together from the factors' monomials,
+line_columns gives its point (c0, u0), and t_range finds its points in the
+window in closed form.
 """
 
 from __future__ import annotations
 
+from itertools import chain, product
 from operator import mul
 
 # monomial_basis is called through its module, so a wrapper installed on
 # jacobian.monomial_basis, such as perfbench's tracer, sees each call
 from . import jacobian
 from .errors import NonterminatingFamily, NotIsolated
-from .jacobian import component_variables, not_isolated, restrict
+from .jacobian import atom_boxes, component_variables, not_isolated, restrict
 
 
 def _ceil_div(a, b):
@@ -76,72 +82,92 @@ def t_range(c0, u0, step, kind, window):
     return range(lo, hi + 1)
 
 
-class _Component:
-    """A connected component's variables and grevlex staircase, with (key,
-    (index,)) for each monomial; see solve_restriction."""
-
-    __slots__ = ("variables", "monomials", "entries")
-
-    def __init__(self, ctx, variables, monomials, moduli):
-        # the weights of these variables only, one column at a time; the
-        # c column plays no part in a key
-        *congruences, _, u_weights = ([w[v] for v in variables] for w in ctx.line_weights)
-        keys = zip(*(
-            [sum(map(mul, m, w)) % q for m in monomials]
-            for w, q in zip(congruences + [u_weights], moduli)
-        ))
-        self.variables = variables
-        self.monomials = monomials
-        self.entries = list(zip(keys, ((j,) for j in range(len(monomials)))))
+def _factor(ctx, variables, monomials, moduli):
+    """(variables, [(key, monomial)]) for monomials over the variables; see
+    solve_restriction."""
+    # the weights of these variables only, one column at a time; the c
+    # column plays no part in a key
+    *congruences, _, u_weights = ([w[v] for v in variables] for w in ctx.line_weights)
+    keys = zip(*(
+        [sum(map(mul, m, w)) % q for m in monomials]
+        for w, q in zip(congruences + [u_weights], moduli)
+    ))
+    return variables, list(zip(keys, monomials))
 
 
-def _product(components, moduli):
-    """(key, picks) for every product of the components' monomials."""
-    out = components[0].entries if components else [((0,) * len(moduli), ())]
-    for comp in components[1:]:
+def _component(ctx, variables, moduli, cache, boxes):
+    """The basis of one component as alternatives whose union it is, each a
+    list of factors whose product it is: per-variable ranges of the
+    Kreuzer-Krawitz boxes of an atom when boxes is set, else one factor
+    holding the grevlex staircase.  [] when the ring is 0, None when it is
+    infinite.  A variable's range is keyed once per walk."""
+    r = restrict(ctx.poly, variables)
+    found = atom_boxes(r) if boxes else None
+    if found is None:
+        try:
+            basis = jacobian.monomial_basis(r)
+        except NotIsolated:
+            return None
+        return [[_factor(ctx, variables, basis.monomials, moduli)]] if basis.monomials else []
+    for box in found:
+        for v, exps in zip(variables, box):
+            # (variable, range) keys never meet the components' variable tuples
+            if (v, exps) not in cache:
+                cache[v, exps] = _factor(ctx, (v,), [(e,) for e in exps], moduli)
+    return [[cache[v, exps] for v, exps in zip(variables, box)] for box in found]
+
+
+def _product(factors, moduli):
+    """(key, exponents) for every product of the factors' monomials, the
+    exponents in the order of the factors' variables."""
+    out = factors[0][1] if factors else [((0,) * len(moduli), ())]
+    for _, entries in factors[1:]:
         out = [
-            (tuple((a + b) % q for a, b, q in zip(k, k2, moduli)), p + p2)
-            for k, p in out
-            for k2, p2 in comp.entries
+            (tuple((a + b) % q for a, b, q in zip(k, k2, moduli)), e + e2)
+            for k, e in out
+            for k2, e2 in entries
         ]
     return out
 
 
-def restrictions(ctx, classes, window):
+def restrictions(ctx, classes, window, boxes=False):
     """Solve each restriction once, in order of the first of the given
     (fixed set, count) classes that uses it; yields (rows, lines) as
-    solve_restriction.  Component staircases (grevlex) and their keys are
-    shared by all restrictions of the walk."""
+    solve_restriction.  Component bases and their keys are shared by all
+    restrictions of the walk."""
     groups = {}
     for fixed, count in classes:
         groups.setdefault(tuple(sorted(fixed - {0})), []).append((fixed, count))
-    components = {}
+    cache = {}
     for fixed_vars, group in groups.items():
-        yield solve_restriction(ctx, fixed_vars, group, window, components)
+        yield solve_restriction(ctx, fixed_vars, group, window, cache, boxes)
 
 
-def solve_restriction(ctx, fixed_vars, group, window, components):
+def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     """(rows, lines) for the restriction to fixed_vars and its (fixed set,
     count) classes.
 
     rows are (fixed set, count, kind): A and B for the class with x0, C for
     the one without.  lines are (c0, u0, rest, indices of the rows it can
     hit) for the lines that can hit the window.  rest holds the exponents of
-    x_1..x_{n+1}: the line's grevlex basis monomial on the fixed variables
-    and the dual marker -1 on the others; (c0, u0) is the point that
-    line_columns((0,) + rest) gives over L.
+    x_1..x_{n+1}: the line's basis monomial on the fixed variables and the
+    dual marker -1 on the others; (c0, u0) is the point that
+    line_columns((0,) + rest) gives over L.  The basis is the grevlex
+    staircase, or with boxes the Kreuzer-Krawitz boxes of the components
+    that are atoms (see _component).
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
     vanishes mod its d_j and the u column U = u*L mod L*|du|.  So a line's
-    key, those residues, is the sum of its components' keys and that of the
+    key, those residues, is the sum of its factors' keys and that of the
     dual markers, and it must equal the key of some u whose degree
-    2*u + offset lies in the window.  Components are split into two halves
-    of about equal product size, the larger one holding the largest
-    component; for each product line of the smaller half, the keys the
-    larger half must bring are looked up while its lines are scanned.  Only
-    the lines found are decoded.  With du == 0 every key is wanted and every
-    line is tested, so t_range raises.
+    2*u + offset lies in the window.  Each product of the components'
+    alternatives is a product of factors, split in two sides; the larger
+    side's product keys are indexed, and each wanted key minus a product
+    key of the smaller side is looked up, so a product costs about
+    |smaller side| * |wanted| + |larger side|.  Only the lines found are
+    decoded.  With du == 0 every key is wanted and every line is found, so
+    t_range raises.
     """
     dmin, dmax = window
     n = ctx.n
@@ -154,47 +180,43 @@ def solve_restriction(ctx, fixed_vars, group, window, components):
     ]
     comps, infinite = [], False
     for variables in component_variables(restrict(ctx.poly, fixed_vars)):
-        if variables not in components:
-            try:
-                basis = jacobian.monomial_basis(restrict(ctx.poly, variables))
-            except NotIsolated:
-                infinite = True  # and so is the ring, unless another one is 0
-                continue
-            components[variables] = _Component(ctx, variables, basis.monomials, moduli)
-        comps.append(components[variables])
-    if infinite and all(c.monomials for c in comps):
+        if variables not in cache:
+            cache[variables] = _component(ctx, variables, moduli, cache, boxes)
+        if cache[variables] is None:
+            infinite = True  # and so is the ring, unless another one is 0
+        else:
+            comps.append(cache[variables])
+    if infinite and all(comps):
         raise not_isolated(fixed_vars)
     # the dual markers on the unfixed variables
     duals = ctx.line_columns([0] + [-(v not in fixed_vars) for v in range(1, n + 2)])
-    # the keys the components must bring: one per residue of u mod |du|
-    # among the window's weights, less the dual markers' key
+    # the keys the factors must bring: one per residue of u mod |du| among
+    # the window's weights, less the dual markers' key
     wanted = {}
     for i, (_, _, kind) in enumerate(rows):
         lo, hi = _ceil_div(dmin - kind[3], 2), (dmax - kind[3]) // 2
         for u in range(lo, min(hi, lo + moduli[-1] // L - 1) + 1):
             key = tuple(-x % q for x, q in zip(duals[:-2] + (duals[-1] - u * L,), moduli))
             wanted.setdefault(key, []).append(i)
-    halves = ([], [])  # the larger half first
-    sizes = [1, 1]
-    for comp in sorted(comps, key=lambda c: -len(c.monomials)):
-        side = sizes[1] < sizes[0]
-        halves[side].append(comp)
-        sizes[side] *= len(comp.monomials)
-    right = _product(halves[0], moduli)
-    comps = halves[1] + halves[0]  # the order of a line's picks
     lines = []
-    for k, picks in _product(halves[1], moduli):
-        shifted = {
-            tuple((a - b) % q for a, b, q in zip(wk, k, moduli)): hits
-            for wk, hits in wanted.items()
-        }
-        for k2, picks2 in right:
-            hits = shifted.get(k2)
-            if hits:
-                rest = [-1] * (n + 1)
-                for comp, j in zip(comps, picks + picks2):
-                    for v, e in zip(comp.variables, comp.monomials[j]):
+    for alternative in product(*comps) if wanted else ():
+        sides = ([], [])  # the larger side, then the smaller
+        costs = [1, len(wanted)]
+        for f in sorted(chain(*alternative), key=lambda f: -len(f[1])):
+            side = costs[1] < costs[0]
+            sides[side].insert(0, f)  # ascending: products grow from the smallest
+            costs[side] *= len(f[1])
+        larger, smaller = sides
+        index = {}
+        for k, exps in _product(larger, moduli):
+            index.setdefault(k, []).append(exps)
+        variables = [v for f in smaller + larger for v in f[0]]
+        for k, exps in _product(smaller, moduli):
+            for wk, hits in wanted.items():
+                for exps2 in index.get(tuple((a - b) % q for a, b, q in zip(wk, k, moduli)), ()):
+                    rest = [-1] * (n + 1)
+                    for v, e in zip(variables, exps + exps2):
                         rest[v - 1] = e
-                *_, c, u = ctx.line_columns([0] + rest)
-                lines.append((c // L, u // L, tuple(rest), hits))
+                    *_, c, u = ctx.line_columns([0] + rest)
+                    lines.append((c // L, u // L, tuple(rest), hits))
     return rows, lines

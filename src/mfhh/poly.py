@@ -96,9 +96,11 @@ class InvertiblePolynomial:
         return cls(rows)
 
 
-def _atomic_shape_ok(rows):
-    """Can the monomials be matched to distinct 'tail' variables so that the
-    head pointers form disjoint chains and loops?"""
+def atom_heads(rows):
+    """Match the monomials to distinct 'tail' variables so that the head
+    pointers form disjoint chains and loops: (tail, head) per row, head None
+    for a pure power x_tail^a (a >= 2) and else the variable of exponent 1
+    next to x_tail.  None when no such matching exists."""
     n = len(rows)
     options = []
     for row in rows:
@@ -106,7 +108,7 @@ def _atomic_shape_ok(rows):
         if len(nz) == 1:
             j, e = nz[0]
             if e < 2:
-                return False  # a bare linear monomial is not an atom
+                return None  # a bare linear monomial is not an atom
             options.append([(j, None)])
         elif len(nz) == 2:
             (j1, e1), (j2, e2) = nz
@@ -116,13 +118,14 @@ def _atomic_shape_ok(rows):
             if e1 == 1:
                 opts.append((j2, j1))
             if not opts:
-                return False
+                return None
             options.append(opts)
         else:
-            return False
+            return None
 
     used = [False] * n
     head_seen = [False] * n
+    chosen = []
 
     def assign(i):
         if i == n:
@@ -135,14 +138,16 @@ def _atomic_shape_ok(rows):
             used[tail] = True
             if head is not None:
                 head_seen[head] = True
+            chosen.append((tail, head))
             if assign(i + 1):
                 return True
+            chosen.pop()
             used[tail] = False
             if head is not None:
                 head_seen[head] = False
         return False
 
-    return assign(0)
+    return tuple(chosen) if assign(0) else None
 
 
 def _not_square(n, width):
@@ -177,7 +182,7 @@ def _validate(rows, allow_nonstandard=False):
             raise NotInvertible(f"variable x{j + 1} does not occur")
     if lattice.det(rows) == 0:
         raise NotInvertible("exponent matrix is singular")
-    if not _atomic_shape_ok(rows):
+    if atom_heads(rows) is None:
         msg = "polynomial is not a sum of Fermat/chain/loop atoms"
         if allow_nonstandard:
             warnings.warn(msg)

@@ -148,7 +148,7 @@ class SymmetryContext:
                 m = [[row[j - 1] for j in free] for row in self.poly.matrix]
                 if s & 1:
                     m.append([1] * len(free))
-                counts[s] = prod(lattice.smith(m).diagonal)
+                counts[s] = prod(lattice.invariant_factors(m))
             # Moebius inversion over supersets: at least S -> exactly S
             for j in range(n2):
                 bit = 1 << j

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from basis_oracle import basis_in
 from conftest import random_invertible
 from lattice_oracle import family_line, member
-from mfhh import lines
+from mfhh import jacobian, lines
 from mfhh.cli import main
 from mfhh.engine import (
     BigradedTable,
@@ -615,6 +615,33 @@ def test_kernel_matches_reference_when_d0_is_zero(text):
         assert_matches_reference(p, window)
     with pytest.raises(NonterminatingFamily):
         compute_table(p, (-6, 4))
+
+
+# perfbench's large_group anchors, then a 6-variable loop and a 4-variable
+# chain with Milnor numbers 7056 and 12091
+BOX_TABLE_INPUTS = (
+    "x1^2+x2^3+x3^5+x4^600",
+    "x1^11+x2^13+x3^17+x4^19",
+    "x1^6*x2+x2^7*x3+x3^8*x4+x4^9*x1",
+    "x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x5+x5^3*x6+x6^24",
+    "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1",
+    "x1^12*x2+x2^12*x3+x3^7*x4+x4^13",
+)
+
+
+@pytest.mark.parametrize("text", BOX_TABLE_INPUTS)
+def test_standard_tables_run_no_buchberger(monkeypatch, text):
+    # tables read the Kreuzer-Krawitz boxes of the atoms; no staircase is grown
+    p = parse(text)
+    window = (-12, 8)
+    expected = reference_table(p, window, "lex"), reference_table(p, (2, 2), "lex").total() == 0
+
+    def never(*args):
+        raise AssertionError("a Jacobian staircase was grown")
+
+    monkeypatch.setattr(jacobian, "_groebner", never)
+    monkeypatch.setattr(jacobian, "_basis_cached", never)
+    assert (compute_table(p, window), hh2_vanishes(p)) == expected
 
 
 def _nonstandard(rng):

@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 from itertools import product
 from math import prod
 
@@ -9,11 +10,20 @@ from hypothesis import example, given, settings, strategies as st
 from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
 from mfhh import jacobian
-from mfhh.engine import compute_table
+from mfhh.engine import class_contributions
 from mfhh.errors import NotIsolated
-from mfhh.jacobian import _basis_cached, _divides, _grevlex_key, milnor_number, monomial_basis, restrict
+from mfhh.jacobian import (
+    _basis_cached,
+    _divides,
+    _grevlex_key,
+    atom_boxes,
+    milnor_number,
+    monomial_basis,
+    restrict,
+)
 from mfhh.lattice import det
-from mfhh.poly import InvertiblePolynomial, parse
+from mfhh.poly import InvertiblePolynomial, atom_heads, parse
+from mfhh.symmetry import SymmetryContext
 
 LAUFER = "x1^3*x2+x2^{}*x3+x3^2+x4^2"
 
@@ -177,6 +187,71 @@ def test_unit_jacobian_ideal_has_an_empty_staircase():
     assert box_walk_basis(r, "lex").monomials == ()
 
 
+def _atom(kind, exps):
+    """One atom: x1^a1 (Fermat), x1^a1*x2 + .. + xn^an (chain) or
+    x1^a1*x2 + .. + xn^an*x1 (loop)."""
+    n = len(exps)
+    rows = []
+    for i, a in enumerate(exps):
+        row = [0] * n
+        row[i] = a
+        if kind == "chain" and i < n - 1:
+            row[i + 1] = 1
+        elif kind == "loop":
+            row[(i + 1) % n] += 1
+        rows.append(tuple(row))
+    return InvertiblePolynomial(tuple(rows))
+
+
+def _line_keys(ctx, variables, monomials):
+    """The multiset of line keys of monomials over the variables: their
+    congruence columns mod the line moduli and u column mod L*|du|."""
+    moduli = ctx.line_moduli + (ctx.line_denominator * (abs(ctx.family_step[1]) or 1),)
+    keys = Counter()
+    for m in monomials:
+        b = [0] * (ctx.n + 2)
+        for v, e in zip(variables, m):
+            b[v] = e
+        columns = ctx.line_columns(b)
+        keys[tuple(x % q for x, q in zip(columns[:-2] + columns[-1:], moduli))] += 1
+    return keys
+
+
+atoms = st.one_of(
+    st.tuples(st.just("fermat"), st.lists(st.integers(1, 7), min_size=1, max_size=1)),
+    st.tuples(st.just("chain"), st.lists(st.integers(1, 7), min_size=1, max_size=5)),
+    st.tuples(st.just("loop"), st.lists(st.integers(1, 7), min_size=2, max_size=5)),
+).filter(lambda atom: prod(atom[1]) <= 4000)
+
+
+@settings(max_examples=80)
+@given(atoms)
+@example(("chain", [1, 3, 1, 2]))  # links with a_i = 1
+@example(("loop", [1, 3, 3]))
+@example(("fermat", [1]))
+def test_kreuzer_krawitz_boxes_match_the_staircase(atom):
+    kind, exps = atom
+    p = _atom(kind, exps)
+    n = p.nvars
+    if atom_heads(p.matrix) is None:
+        # a bare linear term (x1, or a chain ending in xn) is no atom
+        assert atom_boxes(restrict(p, range(1, n + 1))) is None
+        return
+    if p.det() == 0:
+        return  # a loop of ones in an even number of variables is singular
+    ctx = SymmetryContext(p)
+    # a chain's tails are chains again; a loop has no isolated restriction
+    for first in range(1, n + 1 if kind == "chain" else 2):
+        r = restrict(p, range(first, n + 1))
+        boxes = atom_boxes(r)
+        assert all(len(box) == len(r.fixed) for box in boxes)
+        points = [m for box in boxes for m in product(*box)]
+        assert len(set(points)) == len(points)  # the boxes are disjoint
+        staircase = monomial_basis(r).monomials
+        assert len(points) == len(staircase)
+        assert _line_keys(ctx, r.fixed, points) == _line_keys(ctx, r.fixed, staircase)
+
+
 LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"
 CHAIN4 = "x1^12*x2+x2^12*x3+x3^7*x4+x4^13"
 
@@ -228,19 +303,20 @@ def test_milnor_number_multiplies_component_sizes(monkeypatch):
     assert milnor_number(unit) == 0
 
 
-def _table_and_hits(p):
+def _listing_and_hits(p):
+    # tables of standard polynomials read box bases; listings read the cache
     before = _basis_cached.cache_info().hits
-    table = compute_table(p, (-12, 8))
-    return table, _basis_cached.cache_info().hits - before
+    listing = list(class_contributions(p, (-12, 8)))
+    return listing, _basis_cached.cache_info().hits - before
 
 
 def test_basis_cache_key_is_parent_free():
     q = parse("x1^2+x2^3+x3^5+x4^11")
     _basis_cached.cache_clear()
-    cold, cold_hits = _table_and_hits(q)
+    cold, cold_hits = _listing_and_hits(q)
     _basis_cached.cache_clear()
-    _table_and_hits(parse("x1^2+x2^3+x3^5+x4^7"))
-    warm, warm_hits = _table_and_hits(q)
+    _listing_and_hits(parse("x1^2+x2^3+x3^5+x4^7"))
+    warm, warm_hits = _listing_and_hits(q)
     # the Fermat atoms x1^2, x2^3 and x3^5 were solved for the first polynomial
     assert warm_hits > cold_hits
     assert warm == cold

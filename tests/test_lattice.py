@@ -78,6 +78,23 @@ def test_smith_properties(m):
         assert b % a == 0
 
 
+# up to 5 rows (none included) and 5 columns, with many zeros
+sparse_matrices = st.integers(0, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-1000, 1000)), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@given(sparse_matrices)
+def test_invariant_factors_are_the_smith_diagonal(m):
+    assert lattice.invariant_factors(m) == lattice.smith(m).diagonal
+
+
 @given(square)
 def test_det_matches_fraction_oracle(m):
     assert lattice.det(m) == frac_det(m)

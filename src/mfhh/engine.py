@@ -23,14 +23,11 @@ c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
 c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
 Cost model.  The lines of each restriction of w that can reach the window
-are found and solved once, by lines.restrictions, for the class with x0 and
-the class without it.  Tables read each atom's Kreuzer-Krawitz boxes, keyed
-once per variable range, so a restriction of Milnor number mu costs about
-2*sqrt(mu * wanted keys) key sums and a standard polynomial's table takes
-no Groebner basis; listings, and components that are no atom
-(--allow-nonstandard), key each monomial of the grevlex staircase instead.
-Each line found comes decoded, with its basis monomial and dual markers,
-and only its points inside the window become cells or, for listings,
+are found and solved once, by lines.restrictions, for the class with x0
+and the class without it; the lines module gives their cost.  Tables ask
+for Kreuzer-Krawitz boxes, so a standard polynomial's table takes no
+Groebner basis; listings read the grevlex staircase.  Only the points of
+the lines found inside the window become cells or, for listings,
 Contribution objects.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set

@@ -38,12 +38,10 @@ lm[v] == c[v].  Indexing the leads by (v, lm[v]) tests only those, and the
 walk visits at most nvars * mu candidates instead of the bounding box of
 the pure-power leads.
 
-Bases for tables.  A table does not depend on the basis, and each component
-of a restriction of a standard polynomial with a finite ring is one Fermat,
-chain or loop atom, whose Kreuzer-Krawitz basis is a few boxes of exponents
-(atom_boxes).  So tables take no Groebner basis of a standard polynomial:
-Buchberger and the grown staircase serve the listings (whose monomials are
-grevlex ones), milnor_number, and components that are no atom.
+Bases for tables.  A table does not depend on the basis, so tables ask
+monomial_basis for boxes: each component of a standard polynomial is an
+atom and gets its Kreuzer-Krawitz boxes with no Groebner basis.  The
+staircase serves listings, milnor_number and components that are no atom.
 """
 
 from __future__ import annotations
@@ -151,6 +149,16 @@ class MonomialBasis:
     @property
     def dimension(self):
         return len(self.monomials)
+
+
+@dataclass(frozen=True)
+class BoxBasis:
+    variables: tuple  # 1-based indices, aligned with each box
+    boxes: tuple  # disjoint boxes, each one range of exponents per variable
+
+    @property
+    def dimension(self):
+        return sum(prod(map(len, box)) for box in self.boxes)
 
 
 def restrict(p, fixed):
@@ -310,9 +318,14 @@ def _staircases(r):
     return found
 
 
-def monomial_basis(r):
+def monomial_basis(r, boxes=False):
     """Standard monomials of the Jacobian ideal of the restriction, in
-    ascending grevlex order."""
+    ascending grevlex order.  With boxes, a restriction that is one Fermat,
+    chain or loop atom gets its Kreuzer-Krawitz basis as a BoxBasis
+    instead (see atom_boxes)."""
+    found = atom_boxes(r) if boxes else None
+    if found is not None:
+        return BoxBasis(r.fixed, tuple(found))
     staircases = list(_staircases(r))
     if len(staircases) == 1:
         return MonomialBasis(r.fixed, staircases[0][1])

@@ -8,23 +8,22 @@ context-wide step (dc, du); engine reads kinds A, B and C off it.
 A class S and the class S + {x0} restrict w to the same fixed variables and
 read the same lines, so each restriction is solved once.  Its Jacobian ring
 is the product of its connected components' rings (see jacobian), so a
-basis is a union of products of factors.  Tables take a component that is
-a Fermat, chain or loop atom from its Kreuzer-Krawitz boxes, whose factors
-are single variables' exponent ranges; the table does not depend on the
-basis.  Listings, whose monomials are grevlex ones, and tables on a
-component that is no atom take the component's grevlex staircase as one
-factor.  A line's columns (SymmetryContext.line_columns) are linear in the
-exponent vector, so its key, the residues of its congruence columns and of
-its u column modulo L*|du|, which decide whether the line exists and at
+basis is a union of products of factors.  Tables take an atom's
+Kreuzer-Krawitz boxes, whose factors are single variables' exponent ranges;
+listings, whose monomials are grevlex ones, and components that are no atom
+take the grevlex staircase as one factor.
+
+Cost model.  A line's columns (SymmetryContext.line_columns) are linear in
+the exponent vector, so its key, the residues of its congruence columns and
+of its u column modulo L*|du|, which decide whether the line exists and at
 which weights u it has points, is the sum of its factors' keys.  Each
 factor is keyed once per walk.  A restriction indexes the product keys of
-the larger side of its factors and looks each key that reaches the window,
-less a product key of the smaller side, up in that index (see
-solve_restriction), so it costs about |smaller side| * |wanted keys| +
-|larger side| rather than its Milnor number.  Only a line that is found is
-decoded: its exponent vector is put together from the factors' monomials,
-line_columns gives its point (c0, u0), and t_range finds its points in the
-window in closed form.
+the larger side of its factors and looks each wanted key, less a product
+key of the smaller side, up in that index, so it costs about
+|smaller side| * |wanted keys| + |larger side| rather than its Milnor
+number.  Only a line that is found is decoded: its exponent vector is put
+together from the factors' monomials, line_columns gives its point
+(c0, u0), and t_range finds its points in the window in closed form.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from operator import mul
 # jacobian.monomial_basis, such as perfbench's tracer, sees each call
 from . import jacobian
 from .errors import NonterminatingFamily, NotIsolated
-from .jacobian import atom_boxes, component_variables, not_isolated, restrict
+from .jacobian import BoxBasis, component_variables, not_isolated, restrict
 
 
 def _ceil_div(a, b):
@@ -97,24 +96,22 @@ def _factor(ctx, variables, monomials, moduli):
 
 def _component(ctx, variables, moduli, cache, boxes):
     """The basis of one component as alternatives whose union it is, each a
-    list of factors whose product it is: per-variable ranges of the
-    Kreuzer-Krawitz boxes of an atom when boxes is set, else one factor
-    holding the grevlex staircase.  [] when the ring is 0, None when it is
-    infinite.  A variable's range is keyed once per walk."""
-    r = restrict(ctx.poly, variables)
-    found = atom_boxes(r) if boxes else None
-    if found is None:
-        try:
-            basis = jacobian.monomial_basis(r)
-        except NotIsolated:
-            return None
+    list of factors whose product it is: one factor per variable range of
+    each box of a BoxBasis, else one factor holding the staircase.  [] when
+    the ring is 0, None when it is infinite."""
+    try:
+        # positional: perfbench's tracer reads a second argument as the order
+        basis = jacobian.monomial_basis(restrict(ctx.poly, variables), boxes)
+    except NotIsolated:
+        return None
+    if not isinstance(basis, BoxBasis):
         return [[_factor(ctx, variables, basis.monomials, moduli)]] if basis.monomials else []
-    for box in found:
+    for box in basis.boxes:
         for v, exps in zip(variables, box):
             # (variable, range) keys never meet the components' variable tuples
             if (v, exps) not in cache:
                 cache[v, exps] = _factor(ctx, (v,), [(e,) for e in exps], moduli)
-    return [[cache[v, exps] for v, exps in zip(variables, box)] for box in found]
+    return [[cache[v, exps] for v, exps in zip(variables, box)] for box in basis.boxes]
 
 
 def _product(factors, moduli):
@@ -152,22 +149,15 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     hit) for the lines that can hit the window.  rest holds the exponents of
     x_1..x_{n+1}: the line's basis monomial on the fixed variables and the
     dual marker -1 on the others; (c0, u0) is the point that
-    line_columns((0,) + rest) gives over L.  The basis is the grevlex
-    staircase, or with boxes the Kreuzer-Krawitz boxes of the components
-    that are atoms (see _component).
+    line_columns((0,) + rest) gives over L.  With boxes, components that
+    are atoms take their Kreuzer-Krawitz boxes (see _component).
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
-    vanishes mod its d_j and the u column U = u*L mod L*|du|.  So a line's
-    key, those residues, is the sum of its factors' keys and that of the
-    dual markers, and it must equal the key of some u whose degree
-    2*u + offset lies in the window.  Each product of the components'
-    alternatives is a product of factors, split in two sides; the larger
-    side's product keys are indexed, and each wanted key minus a product
-    key of the smaller side is looked up, so a product costs about
-    |smaller side| * |wanted| + |larger side|.  Only the lines found are
-    decoded.  With du == 0 every key is wanted and every line is found, so
-    t_range raises.
+    vanishes mod its d_j and the u column U = u*L mod L*|du|.  So the key
+    of a line, plus that of the dual markers, must equal the key of some u
+    whose degree 2*u + offset lies in the window.  With du == 0 every key
+    is wanted and every line is found, so t_range raises.
     """
     dmin, dmax = window
     n = ctx.n

@@ -3,6 +3,7 @@ import io
 import random
 import warnings
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from mfhh.engine import (
     list_contributions,
 )
 from mfhh.errors import InputError, MfhhError, NonterminatingFamily, NotIsolated
-from mfhh.jacobian import milnor_number, monomial_basis, restrict
+from mfhh.jacobian import BoxBasis, component_variables, milnor_number, monomial_basis, restrict
 from mfhh.poly import parse
 from mfhh.symmetry import SymmetryContext
 
@@ -534,7 +535,21 @@ def test_kernel_matches_reference(seed, window, order):
     assert_matches_reference(p, window, abs(p.det()) <= 400, table_order=order)
 
 
-def assert_lines_decoded(p, window):
+def _component_bases(p, fixed_vars, boxes):
+    """(variables, set of basis monomials) per component of the restriction:
+    the points of its boxes when monomial_basis gives a BoxBasis, else its
+    staircase.  The restriction's basis is the product of these."""
+    found = []
+    for variables in component_variables(restrict(p, fixed_vars)):
+        basis = monomial_basis(restrict(p, variables), boxes)
+        if isinstance(basis, BoxBasis):
+            found.append((variables, {m for box in basis.boxes for m in product(*box)}))
+        else:
+            found.append((variables, set(basis.monomials)))
+    return found
+
+
+def assert_lines_decoded(p, window, boxes=False):
     """Every line of lines.restrictions is a decoded lattice point: rest is
     a basis monomial of the restriction with dual markers off it, and
     (c0, rest) - u0*(1,..,1) is in the relation lattice.  Returns the number
@@ -543,27 +558,30 @@ def assert_lines_decoded(p, window):
     ctx = SymmetryContext(p)
     classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
     found = 0
-    for rows, restriction_lines in lines.restrictions(ctx, classes, window):
+    for rows, restriction_lines in lines.restrictions(ctx, classes, window, boxes):
         fixed_vars = tuple(sorted(rows[0][0] - {0}))
-        basis = set(monomial_basis(restrict(p, fixed_vars)).monomials)
+        bases = _component_bases(p, fixed_vars, boxes)
         for c0, u0, rest, hits in restriction_lines:
             assert len(rest) == p.nvars and hits
             assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
-            assert tuple(e for e in rest if e >= 0) in basis
+            for variables, basis in bases:
+                assert tuple(rest[v - 1] for v in variables) in basis
             assert member(relations, [b - u0 for b in (c0,) + rest])
             found += 1
     return found
 
 
 @settings(max_examples=40)
-@given(st.integers(0, 10**9), windows)
-def test_kernel_lines_are_decoded_lattice_points(seed, window):
-    assert_lines_decoded(random_invertible(random.Random(seed), max_vars=5, max_det=3000), window)
+@given(st.integers(0, 10**9), windows, st.booleans())
+def test_kernel_lines_are_decoded_lattice_points(seed, window, boxes):
+    p = random_invertible(random.Random(seed), max_vars=5, max_det=3000)
+    assert_lines_decoded(p, window, boxes)
 
 
 def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
     for text in (LAUFER1, "x1^3*x2+x2^4*x3+x3^2*x1+x4^3", "x1^2*x2+x2^3*x3+x3^4+x4^5+x5^2"):
-        assert assert_lines_decoded(parse(text), (-40, 8)) > 0
+        for boxes in (False, True):
+            assert assert_lines_decoded(parse(text), (-40, 8), boxes) > 0
 
 
 def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():

@@ -40,8 +40,9 @@ the pure-power leads.
 
 Bases for tables.  A table does not depend on the basis, so tables ask
 monomial_basis for boxes: each component of a standard polynomial is an
-atom and gets its Kreuzer-Krawitz boxes with no Groebner basis.  The
-staircase serves listings, milnor_number and components that are no atom.
+atom and gets its Kreuzer-Krawitz boxes with no Groebner basis, and so
+does each atom of milnor_number.  The staircase serves listings and
+components that are no atom.
 """
 
 from __future__ import annotations
@@ -343,6 +344,20 @@ def monomial_basis(r, boxes=False):
 
 
 def milnor_number(p):
-    """Dimension of the Jacobian ring of p: its components' staircase sizes
-    multiplied, with no product basis built."""
-    return prod(len(s) for _, s in _staircases(restrict(p, range(1, p.nvars + 1))))
+    """Dimension of the Jacobian ring of p: its components' dimensions
+    multiplied, with no product basis built.  An atom's dimension is read
+    off its boxes, so no Groebner basis is computed for it.  A component
+    whose ring is 0 makes the product 0 even next to an infinite one, so
+    every component is solved before one raises."""
+    r = restrict(p, range(1, p.nvars + 1))
+    dims = []
+    for variables in component_variables(r):
+        try:
+            dims.append(monomial_basis(restrict(p, variables), True).dimension)
+        except NotIsolated:
+            dims.append(None)
+    if 0 in dims:
+        return 0
+    if None in dims:
+        raise not_isolated(r.fixed)
+    return prod(dims)

@@ -19,8 +19,24 @@ column rank; writing M = U^-1 * D * V^-1 in Smith form, psi = V^-1 * phi_T
 is a bijection of (Q/Z)^T and D*psi = 0 mod 1 has d_j choices for each psi_j.
 The count is therefore the product of M's invariant factors (1 when T is
 empty), and Moebius inversion over supersets turns these "at least S"
-counts into exact ones, at a cost of 2^(n+2) small Smith forms in place of
-|det A| elements.
+counts into exact ones.
+
+Those Smith forms are taken per block.  Split the variables into the
+connected blocks of A (two are linked when a monomial has both); A is
+block diagonal, so ker(chi) is the product of the blocks' groups G_B and
+only the x_0 condition couples them.  Within a block, a row whose only
+nonzero entry outside S is a 1 forces that phase to 0 as well, so the
+"at least S" counts depend only on the closure of S under that rule: a
+Fermat atom has 2 closed sets, an m-chain m+1 and a loop 2.  For each
+closed set S_B, h_B is the number of elements of G_B fixing at least S_B
+and m_B = h_B / h'_B, with h'_B the same count with the row of ones
+appended, is the order of the phase sum sigma_B on that subgroup.  Then
+at least S fixes prod h_B elements, and at least S + {x_0} fixes
+prod h_B / lcm(m_B) of them: sum(phi) is the sum of the sigma_B, each
+uniform on the cyclic subgroup of order m_B of Q/Z, so the sum is uniform
+on the subgroup of order lcm(m_B).  That is two small Smith forms per
+closed proper subset of each block in place of one per subset of
+x_0..x_{n+1}.
 """
 
 from __future__ import annotations
@@ -33,6 +49,7 @@ from operator import mul
 
 from . import lattice
 from .errors import DegenerateCharacter
+from .jacobian import component_variables, restrict
 
 
 @dataclass(frozen=True, order=True)
@@ -130,6 +147,33 @@ class SymmetryContext:
             self._ker = sorted(self._iter_ker())
         return self._ker
 
+    def _block_counts(self, block):
+        """(mask, h_B, m_B) for each subset of one block's variables, with
+        the subset as a mask over x_0..x_{n+1} (see the module docstring)."""
+        rows = [[row[v - 1] for v in block] for row in self.poly.matrix]
+        rows = [row for row in rows if any(row)]
+        counts, closed = [], {}
+        for s in range(1 << len(block)):
+            c, grown = s, True
+            while grown:  # close s: a lone 1 outside it is forced to be fixed
+                grown = False
+                for row in rows:
+                    outside = [j for j, a in enumerate(row) if a and not c >> j & 1]
+                    if len(outside) == 1 and row[outside[0]] == 1:
+                        c |= 1 << outside[0]
+                        grown = True
+            if c not in closed:
+                free = [j for j in range(len(block)) if not c >> j & 1]
+                h = h1 = 1
+                if free:
+                    m = [[row[j] for j in free] for row in rows]
+                    h = prod(lattice.invariant_factors(m))
+                    h1 = prod(lattice.invariant_factors(m + [[1] * len(free)]))
+                closed[c] = (h, h // h1)
+            mask = sum(1 << v for j, v in enumerate(block) if s >> j & 1)
+            counts.append((mask, *closed[c]))
+        return counts
+
     def fixed_census(self):
         """How many elements of ker(chi) fix each subset of coordinates.
 
@@ -138,21 +182,17 @@ class SymmetryContext:
         """
         if self._census is None:
             n2 = self.n + 2  # coordinates x_0..x_{n+1}, bit j of a mask is x_j
-            size = 1 << n2
-            counts = [0] * size
-            for s in range(size):
-                free = [j for j in range(1, n2) if not s >> j & 1]
-                if not free:
-                    counts[s] = 1
-                    continue
-                m = [[row[j - 1] for j in free] for row in self.poly.matrix]
-                if s & 1:
-                    m.append([1] * len(free))
-                counts[s] = prod(lattice.invariant_factors(m))
+            counts = [0] * (1 << n2)
+            p = self.poly
+            blocks = component_variables(restrict(p, range(1, p.nvars + 1)))
+            for parts in itertools.product(*map(self._block_counts, blocks)):
+                s = sum(mask for mask, _, _ in parts)
+                counts[s] = prod(h for _, h, _ in parts)
+                counts[s | 1] = counts[s] // lcm(*(m for _, _, m in parts))
             # Moebius inversion over supersets: at least S -> exactly S
             for j in range(n2):
                 bit = 1 << j
-                for s in range(size):
+                for s in range(1 << n2):
                     if not s & bit:
                         counts[s] -= counts[s | bit]
             self._census = {

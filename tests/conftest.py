@@ -8,8 +8,9 @@ settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
 
 
-def random_invertible(rng: random.Random, max_vars=4, max_det=10000):
-    """A random valid polynomial: a shuffled sum of Fermat/chain/loop atoms."""
+def random_invertible(rng: random.Random, max_vars=4, max_det=10000, max_atom=3):
+    """A random valid polynomial: a shuffled sum of Fermat/chain/loop atoms,
+    each chain or loop of at most max_atom variables."""
     while True:
         n = rng.randint(1, max_vars)
         blocks = []
@@ -20,10 +21,10 @@ def random_invertible(rng: random.Random, max_vars=4, max_det=10000):
             if remaining == 1 or kind == "fermat":
                 blocks.append(("fermat", [rng.randint(2, 6)]))
             elif kind == "chain":
-                size = rng.randint(2, min(3, remaining))
+                size = rng.randint(2, min(max_atom, remaining))
                 blocks.append(("chain", [rng.randint(2, 5) for _ in range(size)]))
             else:
-                size = rng.randint(2, min(3, remaining))
+                size = rng.randint(2, min(max_atom, remaining))
                 blocks.append(("loop", [rng.randint(2, 4) for _ in range(size)]))
             nv += len(blocks[-1][1])
         rows = []

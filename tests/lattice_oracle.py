@@ -1,11 +1,13 @@
 """Test-only lattice routines: membership, Diophantine solving, finite
-quotient groups, family lines and the character power of a vector.
+quotient groups, family lines, the character power of a vector and the
+fixed-set census by masks.
 
 Nothing in the package calls these.  `member` goes through echelon
 reduction, with no Smith form, so it checks the package's Smith-based
 solvers independently; `quotient` enumerates ker(chi) by the dual route;
 `family_line` solves one vector's family line from a SymmetryContext's
-line columns, and `chi_power` reads u off that line.
+line columns, and `chi_power` reads u off that line.  `census_by_masks`
+takes one Smith form per subset of x_0..x_{n+1}, with no blocks or closure.
 Matrices are sequences of rows of Python ints (row convention).
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from mfhh.lattice import smith
+from mfhh.lattice import invariant_factors, smith
 
 
 def vec_mat(v, m):
@@ -225,3 +227,33 @@ def chi_power(ctx, b):
     if c0 % dc:
         return None
     return u0 - (c0 // dc) * du
+
+
+def census_by_masks(p):
+    """How many elements of ker(chi) fix each subset of coordinates, from
+    the invariant factors of A on the free columns of every one of the
+    2^(n+2) subsets (a row of ones when x_0 is in it), then Moebius
+    inversion over supersets.  Subsets fixed by no element are left out."""
+    n2 = p.nvars + 1  # coordinates x_0..x_{n+1}, bit j of a mask is x_j
+    size = 1 << n2
+    counts = [0] * size
+    for s in range(size):
+        free = [j for j in range(1, n2) if not s >> j & 1]
+        if not free:
+            counts[s] = 1
+            continue
+        m = [[row[j - 1] for j in free] for row in p.matrix]
+        if s & 1:
+            m.append([1] * len(free))
+        counts[s] = prod(invariant_factors(m))
+    # Moebius inversion over supersets: at least S -> exactly S
+    for j in range(n2):
+        bit = 1 << j
+        for s in range(size):
+            if not s & bit:
+                counts[s] -= counts[s | bit]
+    return {
+        frozenset(j for j in range(n2) if s >> j & 1): c
+        for s, c in enumerate(counts)
+        if c
+    }

@@ -17,6 +17,7 @@ from mfhh.jacobian import (
     _divides,
     _grevlex_key,
     atom_boxes,
+    component_variables,
     milnor_number,
     monomial_basis,
     restrict,
@@ -275,32 +276,53 @@ def test_basis_work_follows_milnor_number(monkeypatch, text, mu):
 
 
 def test_milnor_number_multiplies_component_sizes(monkeypatch):
-    # no product basis is built, un-interleaved or sorted to be counted
-    def no_basis(r):
-        raise AssertionError("monomial_basis was called")
+    # no product basis is built, un-interleaved or sorted to be counted:
+    # each basis milnor_number asks for is one component's
+    solved = []
+    basis = jacobian.monomial_basis
 
-    monkeypatch.setattr(jacobian, "monomial_basis", no_basis)
+    def one_component(r, boxes=False):
+        assert len(component_variables(r)) == 1, f"a product basis on {r.fixed}"
+        solved.append(r.fixed)
+        return basis(r, boxes)
+
+    monkeypatch.setattr(jacobian, "monomial_basis", one_component)
     assert milnor_number(parse("x1^16+x2^16+x3^16+x4^16")) == 15**4
     assert milnor_number(parse(LOOP6)) == 7056
     assert milnor_number(parse(CHAIN4)) == 12091
     # an infinite component raises, but only once every component is solved,
     # since a later one with the unit ideal would make the ring 0
-    solved = []
-
-    def recorded(terms, nvars):
-        solved.append(terms)
-        return _basis_cached(terms, nvars)
-
-    monkeypatch.setattr(jacobian, "_basis_cached", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = parse("x1^2*x2^2+x2^3+x3^2", allow_nonstandard=True)
         unit = parse("x1^2*x2^2+x2^3+x3", allow_nonstandard=True)
+    solved.clear()
     with pytest.raises(NotIsolated) as exc:
         milnor_number(p)
     assert str(exc.value) == "Jacobian ring of the restriction to (1, 2, 3) is infinite-dimensional"
-    assert solved == [((0, 3), (2, 2)), ((2,),)]
+    assert solved == [(1, 2), (3,)]
     assert milnor_number(unit) == 0
+
+
+# perfbench's large_group anchors and a 6-variable loop
+@pytest.mark.parametrize(
+    "text, mu",
+    [
+        ("x1^2+x2^3+x3^5+x4^600", 4792),
+        ("x1^11+x2^13+x3^17+x4^19", 34560),
+        ("x1^6*x2+x2^7*x3+x3^8*x4+x4^9*x1", 3024),
+        ("x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x5+x5^3*x6+x6^24", 4369),
+        (LOOP6, 7056),
+    ],
+)
+def test_milnor_number_of_atoms_runs_no_buchberger(monkeypatch, text, mu):
+    # each atom's dimension is its box count, so no staircase is grown
+    def never(*args):
+        raise AssertionError("a Jacobian staircase was grown")
+
+    monkeypatch.setattr(jacobian, "_groebner", never)
+    monkeypatch.setattr(jacobian, "_basis_cached", never)
+    assert milnor_number(parse(text)) == mu
 
 
 def _listing_and_hits(p):

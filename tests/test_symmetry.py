@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import mfhh
 from conftest import random_invertible
-from lattice_oracle import chi_power, family_line, member, quotient
+from lattice_oracle import census_by_masks, chi_power, family_line, member, quotient
+from mfhh import lattice
 from mfhh.errors import DegenerateCharacter
+from mfhh.lattice import det
 from mfhh.poly import InvertiblePolynomial, parse
 from mfhh.symmetry import GroupElement, SymmetryContext
 
@@ -182,6 +184,70 @@ def test_ker_order_and_quotient_cross_check(seed):
     # the closed-form census counts the fixed sets of the dual route's elements
     dual = Counter(GroupElement.from_phases(e).fixed for e in quot.elements())
     assert census == dict(dual)
+
+
+@given(st.integers(0, 10**9))
+def test_census_matches_mask_census_on_large_atoms(seed):
+    # chains and loops of up to 6 variables, as in the large_group pools
+    p = random_invertible(random.Random(seed), max_vars=6, max_det=10**6, max_atom=6)
+    assert SymmetryContext(p).fixed_census() == census_by_masks(p)
+
+
+def _random_nonsingular(rng):
+    """The context of a random nonsingular matrix with entries 0..3 that
+    uses every column, or None if the draw is singular, leaves a column
+    out or has a total character of finite order."""
+    n = rng.randint(1, 5)
+    rows = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
+    if not all(any(col) for col in zip(*rows)) or det(rows) == 0:
+        return None
+    p = InvertiblePolynomial(rows)
+    try:
+        return SymmetryContext(p)
+    except DegenerateCharacter:
+        return None
+
+
+@given(st.integers(0, 10**9))
+def test_census_matches_mask_census_on_nonstandard_matrices(seed):
+    # blocks need not be atoms: the closure rule and the lcm join still hold
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 20:
+        ctx = _random_nonsingular(rng)
+        if ctx is not None:
+            assert ctx.fixed_census() == census_by_masks(ctx.poly), ctx.poly.matrix
+            checked += 1
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        ("x1^7+x2^5+x3^4+x4^6+x5^3+x6^3", 12),
+        ("x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x5+x5^3*x6+x6^24", 12),
+        ("x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1", 2),
+    ],
+)
+def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, calls):
+    # one per closed proper subset of each block and one with the row of
+    # ones: a 6-chain has 6 such sets, a Fermat atom 1 and a loop 1; the
+    # census by masks takes 126 here
+    def walk(self):
+        raise AssertionError("ker(chi) was enumerated")
+
+    counted = []
+    factors = lattice.invariant_factors
+
+    def counting(m):
+        counted.append(m)
+        return factors(m)
+
+    monkeypatch.setattr(SymmetryContext, "_iter_ker", walk)
+    ctx = SymmetryContext(parse(text))
+    monkeypatch.setattr(lattice, "invariant_factors", counting)
+    census = ctx.fixed_census()
+    assert len(counted) <= calls
+    assert sum(census.values()) == abs(ctx.poly.det())
 
 
 @settings(max_examples=30)

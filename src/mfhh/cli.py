@@ -73,10 +73,8 @@ def _emit_pretty(p, doc, table, out):
     head = "deg |" + "".join(f"{q:>5}" for q in qs) + " | total"
     out.write(head + "\n")
     out.write("-" * len(head) + "\n")
-    for d in range(table.dmax, table.dmin - 1, -1):
+    for d in sorted({d for d, _ in table.cells}, reverse=True):
         found = table.row(d)
-        if not found:
-            continue
         row = [found.get(q, 0) for q in qs]
         cells = "".join(f"{v if v else '.':>5}" for v in row)
         out.write(f"{d:>3} |{cells} | {sum(row):>5}\n")

@@ -82,25 +82,25 @@ class BigradedTable:
 
     The enumeration is provably complete for every degree in the window, so
     complete(d) is simply window membership.  A table is not mutated after
-    construction: dim, weights, row and restrict read a per-degree index of
-    cells that is built once, on first use, so a table that is only
-    serialised never builds it.
+    construction: dim, weights, row and restrict read its rows, a
+    {degree: {weight: dim}} index of the cells that is built once, on first
+    use, so a table that is only serialised never builds it.  Each reads
+    only the degrees it is asked for, never the whole window.
     """
 
     def __init__(self, dmin, dmax, cells):
         self.dmin = dmin
         self.dmax = dmax
         self.cells = {dw: dim for dw, dim in cells.items() if dim}
-        self._by_degree = None  # degree -> tuple of the weights with a cell
+        self._rows = None  # degree -> {weight: dim}, only degrees with a cell
 
     def _index(self):
-        if self._by_degree is None:
+        if self._rows is None:
             rows = {}
-            for d, q in self.cells:
-                rows.setdefault(d, []).append(q)
-            # tuples: the index lives as long as the table, so keep it small
-            self._by_degree = {d: tuple(qs) for d, qs in rows.items()}
-        return self._by_degree
+            for (d, q), dim in self.cells.items():
+                rows.setdefault(d, {})[q] = dim
+            self._rows = rows
+        return self._rows
 
     @property
     def window(self):
@@ -111,16 +111,16 @@ class BigradedTable:
 
     def row(self, d):
         """The cells of degree d as a new {weight: dim} dict."""
-        return {q: self.cells[d, q] for q in self._index().get(d, ())}
+        return dict(self._index().get(d, {}))
 
     def dim(self, d):
-        return sum(self.cells[d, q] for q in self._index().get(d, ()))
+        return sum(self._index().get(d, {}).values())
 
     def weights(self, d):
         """Weight multiset in degree d, sorted, with multiplicity."""
         out = []
-        for q in self._index().get(d, ()):
-            out.extend([q] * self.cells[d, q])
+        for q, dim in self._index().get(d, {}).items():
+            out.extend([q] * dim)
         return tuple(sorted(out))
 
     def restrict(self, dmin, dmax):
@@ -129,9 +129,9 @@ class BigradedTable:
                 f"window {(dmin, dmax)} is not inside {self.window}"
             )
         return BigradedTable(dmin, dmax, {
-            (d, q): self.cells[d, q]
-            for d, qs in self._index().items() if dmin <= d <= dmax
-            for q in qs
+            (d, q): dim
+            for d, row in self._index().items() if dmin <= d <= dmax
+            for q, dim in row.items()
         })
 
     def total(self):

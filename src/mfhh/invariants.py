@@ -4,11 +4,13 @@ scale_compare decides whether two tables agree on the negative-degree range
 after rescaling the second grading by one nonzero constant; in the highest
 compared degree with a nonzero weight such a constant must map the least (if
 positive) or the largest (if negative) weight of the first table onto the
-least of the second, so at most two constants are tried.  small_res_probe
-checks for constant total rank in every negative degree of the window.
-Both read a table one degree at a time through its per-degree index, so
-they cost O(cells + window length).  golden_check validates whole families
-against their closed forms.
+least of the second, so at most two constants are tried.  A degree with no
+cell in either table agrees under every constant, so scale_compare reads
+only the rows of the degrees that hold a cell and costs O(cells), however
+long the window.  small_res_probe checks for constant total rank in every
+negative degree of the window; its witnesses list every deviating degree,
+empty ones included, so it costs O(cells + window length).  golden_check
+validates whole families against their closed forms.
 """
 
 from __future__ import annotations
@@ -52,50 +54,50 @@ def scale_compare(t1, t2):
     no negative-degree content to compare.
     """
     lo, hi = _negative_overlap(t1, t2)
-    if lo > hi:
-        return ScaleVerdict("inconclusive", (lo, hi))
-    degrees = list(range(hi, lo - 1, -1))
-    w1 = {d: t1.weights(d) for d in degrees}
-    w2 = {d: t2.weights(d) for d in degrees}
-    if all(not w1[d] for d in degrees) and all(not w2[d] for d in degrees):
-        return ScaleVerdict("inconclusive", (lo, hi))
-    for d in degrees:
-        if len(w1[d]) != len(w2[d]):
-            return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
-        z1 = sum(1 for q in w1[d] if q == 0)
-        z2 = sum(1 for q in w2[d] if q == 0)
-        if z1 != z2:
-            return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
-    dstar = next(
-        (d for d in degrees if any(q != 0 for q in w1[d])),
-        None,
+    # a degree with no cell in either table agrees under every constant
+    degrees = sorted(
+        {d for t in (t1, t2) for d, _ in t.cells if lo <= d <= hi}, reverse=True
     )
-    if dstar is None:
+    if not degrees:
+        return ScaleVerdict("inconclusive", (lo, hi))
+
+    def rows():
+        return ((d, t1.row(d), t2.row(d)) for d in degrees)
+
+    def distinguished(d):
+        return ScaleVerdict(
+            "distinguished", (lo, hi), None, d, (t1.weights(d), t2.weights(d))
+        )
+
+    for d, r1, r2 in rows():
+        if sum(r1.values()) != sum(r2.values()) or r1.get(0) != r2.get(0):
+            return distinguished(d)
+    star = next(((r1, r2) for _, r1, r2 in rows() if r1.keys() - {0}), None)
+    if star is None:
         # only zero weights anywhere: the tables agree as they stand
         return ScaleVerdict("equivalent", (lo, hi), Fraction(1))
     # c*nz1 = nz2 as multisets maps the least of nz1 (c > 0) or the largest
-    # (c < 0) onto the least of nz2; every other ratio fails at dstar
-    nz1 = [q for q in w1[dstar] if q]
-    low2 = min(q for q in w2[dstar] if q)
+    # (c < 0) onto the least of nz2; every other ratio fails at that degree
+    nz1 = star[0].keys() - {0}
+    low2 = min(star[1].keys() - {0})
     candidates = sorted(
         {Fraction(low2, min(nz1)), Fraction(low2, max(nz1))},
         key=lambda c: (c != 1, abs(c), c),
     )
-    latest_fail = 0  # position in `degrees` of the latest first failure
+    fails = []
     for c in candidates:
         # c = a/b with b > 0: c*nz1 = nz2 exactly when a*nz1 = b*nz2, and
-        # multiplying by b keeps the order, so integers can be compared
+        # q -> a*q is one-to-one, so the rows can be compared as dicts
         a, b = c.numerator, c.denominator
-        for idx, d in enumerate(degrees):
-            left = sorted(a * q for q in w1[d] if q)
-            right = sorted(b * q for q in w2[d] if q)
-            if left != right:
-                latest_fail = max(latest_fail, idx)
-                break
-        else:
+        fail = next((
+            d for d, r1, r2 in rows()
+            if {a * q: m for q, m in r1.items() if q} != {b * q: m for q, m in r2.items() if q}
+        ), None)
+        if fail is None:
             return ScaleVerdict("equivalent", (lo, hi), c)
-    d = degrees[latest_fail]
-    return ScaleVerdict("distinguished", (lo, hi), None, d, (w1[d], w2[d]))
+        fails.append(fail)
+    # the witness is the lowest of the candidates' first failures
+    return distinguished(min(fails))
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class SmallResVerdict:
     kind: str  # 'constant' | 'nonconstant'
     window: tuple
     rank: int | None = None
-    witnesses: tuple = ()  # (degree, rank) pairs deviating from rank at -1
+    witnesses: tuple = ()  # (degree, rank) pairs off the rank at min(dmax, -1)
 
     @property
     def constant(self):
@@ -118,7 +120,7 @@ def small_res_probe(t):
     """
     lo, hi = t.dmin, min(t.dmax, -1)
     ranks = {d: t.dim(d) for d in range(lo, hi + 1)}
-    ref = ranks.get(-1, 0)
+    ref = ranks.get(hi, 0)
     witnesses = tuple((d, r) for d, r in sorted(ranks.items()) if r != ref)
     if witnesses:
         return SmallResVerdict("nonconstant", (lo, hi), None, witnesses)

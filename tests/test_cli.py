@@ -9,7 +9,7 @@ import pytest
 import mfhh
 from mfhh import lines
 from mfhh.cli import main
-from mfhh.engine import compute_table, hh2_vanishes
+from mfhh.engine import BigradedTable, compute_table, hh2_vanishes
 from mfhh.poly import parse
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
@@ -137,6 +137,21 @@ def test_compare_disjoint_windows(tmp_path):
     assert code == 4
 
 
+def test_compare_reads_only_degrees_with_cells(tmp_path):
+    # a window of 10^9 degrees with five cells answers at once
+    low = -10**9
+    cells = [
+        {"d": low, "q": 3, "dim": 1}, {"d": -7, "q": 0, "dim": 1}, {"d": -7, "q": 2, "dim": 2},
+        {"d": -1, "q": 4, "dim": 1}, {"d": 5, "q": 1, "dim": 3},
+    ]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(json.dumps({"schema": "v1", "window": [low, 8], "cells": cells}))
+    code, msg, err = run(["compare", *map(str, paths)])
+    assert (code, err) == (0, "")
+    assert msg == f"window compared: [{low}, -1]\nequivalent up to scale c = 1\n"
+
+
 def test_compare_schema_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "v0"}')
@@ -262,6 +277,19 @@ def test_pretty_output_contains_metadata():
     code, out, _ = run(["table", "--poly", LAUFER1, "--dmin", "-4", "--dmax", "4"])
     assert code == 0
     assert "transpose" in out and "d0=-8" in out and "HH^2 vanishes: True" in out
+
+
+def test_pretty_table_reads_only_degrees_with_cells(monkeypatch):
+    read = []
+    row = BigradedTable.row
+    monkeypatch.setattr(BigradedTable, "row", lambda self, d: read.append(d) or row(self, d))
+    monkeypatch.setattr(BigradedTable, "weights", lambda self, d: pytest.fail("weights read"))
+    quintic = "x1^5+x2^5+x3^5+x4^5"
+    code, out, _ = run(["table", "--poly", quintic, "--dmin", "-10000000", "--dmax", "8"])
+    assert code == 0
+    held = sorted({d for d, _ in compute_table(parse(quintic), (-10**7, 8)).cells}, reverse=True)
+    assert read == held
+    assert [int(line.split("|")[0]) for line in out.splitlines()[6:]] == held
 
 
 def test_pretty_output_of_an_empty_table():

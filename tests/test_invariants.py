@@ -268,7 +268,7 @@ def _small_res_probe_scan(t):
     as the reference for it."""
     lo, hi = t.dmin, min(t.dmax, -1)
     ranks = {d: t.dim(d) for d in range(lo, hi + 1)}
-    ref = ranks.get(-1, 0)
+    ref = ranks.get(hi, 0)
     witnesses = tuple((d, r) for d, r in sorted(ranks.items()) if r != ref)
     if witnesses:
         return SmallResVerdict("nonconstant", (lo, hi), None, witnesses)
@@ -289,16 +289,52 @@ def test_indexed_invariants_match_cell_scans(pair):
     _assert_same_verdicts(*pair)
 
 
-# two anchor pairs of the long_window benchmark workload, each window cut to
-# an eighth of its length there
+# the four anchor pairs of the long_window benchmark workload, each window
+# cut to an eighth of its length there
 @pytest.mark.parametrize("first, second", [
     (("x1^2+x2^2+x3^3+x4^3", (-244, 8)), ("x1^2+x2^2+x3^2*x4+x3*x4^2", (-244, 8))),
     (("x1^2*x2+x2^2*x3+x3^6*x4+x4^3", (-137, 8)), ("x1^3*x2+x2^2*x3+x3^2*x4+x4^2", (-175, 8))),
+    (("x1^2+x2^3+x3^5+x4^30", (-142, 8)), ("x1^2+x2^3+x3^4+x4^12", (-142, 8))),
+    ((LAUFER1, (-330, 8)), (LAUFER2, (-330, 8))),
 ])
 def test_indexed_invariants_match_cell_scans_on_anchor_tables(first, second):
     t1, t2 = (table(text, window) for text, window in (first, second))
     _assert_same_verdicts(t1, t1)
     _assert_same_verdicts(t1, t2)
+
+
+def _record_reads(monkeypatch):
+    """Wrap BigradedTable.row and .weights to log each degree they read."""
+    read = []
+    for name in ("row", "weights"):
+        method = getattr(BigradedTable, name)
+
+        def logged(self, d, method=method):
+            read.append(d)
+            return method(self, d)
+
+        monkeypatch.setattr(BigradedTable, name, logged)
+    return read
+
+
+LOW = -10**9
+SPARSE = {(LOW, 3): 1, (-7, 2): 2, (-7, 0): 1, (-1, 4): 1, (5, 1): 3}
+
+
+@pytest.mark.parametrize("other, kind, witness", [
+    (SPARSE, "equivalent", None),
+    ({(d, 2 * q): dim for (d, q), dim in SPARSE.items()}, "equivalent", None),
+    # agrees under c = 2 down to the bottom of the window, then fails there
+    ({**{(d, 2 * q): dim for (d, q), dim in SPARSE.items() if d > LOW}, (LOW, 5): 1},
+     "distinguished", LOW),
+    ({(-3, 2): 1}, "distinguished", -1),
+])
+def test_scale_compare_reads_only_degrees_with_cells(monkeypatch, other, kind, witness):
+    t1, t2 = BigradedTable(LOW, 8, SPARSE), BigradedTable(LOW, 8, other)
+    read = _record_reads(monkeypatch)
+    v = scale_compare(t1, t2)
+    assert (v.kind, v.witness_degree) == (kind, witness)
+    assert read and set(read) <= {d for t in (t1, t2) for d, _ in t.cells if d < 0}
 
 
 @st.composite
@@ -309,13 +345,17 @@ def raw_cells(draw, dmin, dmax):
 
 
 def _assert_matches_scan(t, cells):
-    # cells holds only nonzero dims; every query is a scan of it
-    for d in range(t.dmin - 3, t.dmax + 4):
-        assert t.dim(d) == sum(dim for (dd, _), dim in cells.items() if dd == d)
-        assert t.weights(d) == tuple(sorted(
-            q for (dd, q), dim in cells.items() if dd == d for _ in range(dim)
-        ))
-        assert t.row(d) == {q: dim for (dd, q), dim in cells.items() if dd == d}
+    # cells holds only nonzero dims; every query is a scan of it.  The second
+    # pass checks that changing a row handed out leaves the table as it was.
+    for _ in range(2):
+        for d in range(t.dmin - 3, t.dmax + 4):
+            assert t.dim(d) == sum(dim for (dd, _), dim in cells.items() if dd == d)
+            assert t.weights(d) == tuple(sorted(
+                q for (dd, q), dim in cells.items() if dd == d for _ in range(dim)
+            ))
+            row = t.row(d)
+            assert row == {q: dim for (dd, q), dim in cells.items() if dd == d}
+            row[0] = 99
     assert t.total() == sum(cells.values())
 
 
@@ -349,6 +389,15 @@ def test_small_res_probe():
     v3 = small_res_probe(table("x1^2+x2^2+x3^2+x4^3"))
     assert not v3.constant
     assert v3.witnesses  # the deviating degrees are reported
+
+
+def test_small_res_probe_takes_its_reference_at_the_top_of_the_window():
+    # rank 2 in every negative degree: a window that stops below -1 must
+    # still read it, not the empty rank at -1
+    p = parse("x1^2+x2^2+x3^3+x4^3")
+    for window in ((-10, -1), (-10, -3)):
+        v = small_res_probe(compute_table(p, window))
+        assert v == SmallResVerdict("constant", window, 2)
 
 
 def test_small_res_probe_self_consistency():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from . import __version__
 from .engine import BigradedTable, aggregate_contributions, class_contributions, compute_table, hh2_vanishes
@@ -134,12 +133,9 @@ def cmd_table(args, out):
     contributions = None
     if args.monomials:
         # one walk of the fixed classes: the rows carry (d, q) and the class
-        # sizes, so their counts sum to compute_table's cells
+        # sizes, so as runs of one cell they sum to compute_table's cells
         contributions = aggregate_contributions(class_contributions(p, window, ctx=ctx))
-        cells = Counter()
-        for r in contributions:
-            cells[(r["d"], r["q"])] += r["count"]
-        table = BigradedTable(*window, cells)
+        table = BigradedTable(*window, runs=[(r["d"], r["q"], 1, r["count"]) for r in contributions])
     else:
         table = compute_table(p, window, ctx=ctx)
     doc = _document(p, ctx, table, contributions)

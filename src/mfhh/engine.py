@@ -26,9 +26,9 @@ Cost model.  The lines of each restriction of w that can reach the window
 are found and solved once, by lines.restrictions, for the class with x0
 and the class without it; the lines module gives their cost.  Tables ask
 for Kreuzer-Krawitz boxes, so a standard polynomial's table takes no
-Groebner basis; listings read the grevlex staircase.  Only the points of
-the lines found inside the window become cells or, for listings,
-Contribution objects.
+Groebner basis; listings read the grevlex staircase.  A table keeps each
+found line's points in the window as one run along the family step, and
+fills its cells from the runs in bulk; listings make a Contribution per point.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 from .errors import InputError, WindowMismatch
 from .jacobian import _grevlex_key
@@ -77,30 +79,64 @@ class Contribution:
         return self.monomial.weight
 
 
+def stretches(runs, sd, sq):
+    """Sweep runs along the step (sd, sq), sd > 0, line by line: (r, base, k,
+    k2, h) per stretch of points (r + i*sd, base + i*sq), k <= i < k2, of dim h != 0."""
+    lines = {}
+    for d, q, n, m in runs:
+        k, r = divmod(d, sd)
+        lines.setdefault((r, q - k * sq), []).extend(((k, m), (k + n, -m)))
+    for (r, base), events in lines.items():
+        events.sort()
+        height = 0
+        for (k, m), (k2, _) in zip(events, events[1:]):
+            height += m
+            if height and k2 > k:
+                yield r, base, k, k2, height
+
+
+def clip(runs, step, dmin, dmax):
+    """The runs along step cut to the degrees dmin..dmax."""
+    sd, sq = step
+    cuts = ((d, q, m, max(0, -((d - dmin) // sd)), min(n, (dmax - d) // sd + 1)) for d, q, n, m in runs)
+    return [(d + i * sd, q + i * sq, j - i, m) for d, q, m, i, j in cuts if i < j]
+
+
 class BigradedTable:
     """Dimensions indexed by (degree, weight) inside a finite degree window.
 
     The enumeration is provably complete for every degree in the window, so
     complete(d) is simply window membership.  A table is not mutated after
-    construction: dim, weights, row and restrict read its rows, a
-    {degree: {weight: dim}} index of the cells that is built once, on first
-    use, so a table that is only serialised never builds it.  Each reads
-    only the degrees it is asked for, never the whole window.
+    construction.  It holds runs (d, q, n, m), the cells (d + i*sd, q + i*sq),
+    i < n, of dim m along its step (sd, sq), sd > 0: one per found line and
+    row for compute_table, one per cell for a table built from cells.  dim
+    reads profiles swept once from the runs, and row and restrict clip runs.
     """
 
-    def __init__(self, dmin, dmax, cells):
-        self.dmin = dmin
-        self.dmax = dmax
-        self.cells = {dw: dim for dw, dim in cells.items() if dim}
-        self._rows = None  # degree -> {weight: dim}, only degrees with a cell
+    def __init__(self, dmin, dmax, cells=None, runs=None, step=(1, 1)):
+        self.dmin, self.dmax = dmin, dmax
+        self.step = sd, sq = step
+        self.runs = runs = [(d, q, 1, dim) for (d, q), dim in cells.items() if dim] if runs is None else runs
+        self.cells = {}  # distinct lines hold distinct cells
+        for r, base, k, k2, dim in stretches(runs, sd, sq):
+            points = zip(range(r + k * sd, r + k2 * sd, sd), range(base + k * sq, base + k2 * sq, sq))
+            self.cells.update(zip(points, repeat(dim)))
+        self._points = {}  # degree -> its runs of one cell; None -> the longer runs
+        for run in runs:
+            self._points.setdefault(run[0] if run[2] == 1 else None, []).append(run)
 
-    def _index(self):
-        if self._rows is None:
-            rows = {}
-            for (d, q), dim in self.cells.items():
-                rows.setdefault(d, {})[q] = dim
-            self._rows = rows
-        return self._rows
+    @cached_property
+    def profiles(self):
+        """({degree: rank}, {degree: dim at weight 0}) over the degrees with a cell."""
+        sd, sq = self.step
+        ranks, zeros = {}, Counter()
+        for r, _, k, k2, rank in stretches([(d, 0, n, m) for d, _, n, m in self.runs], sd, 0):
+            ranks.update(dict.fromkeys(range(r + k * sd, r + k2 * sd, sd), rank))
+        for d, q, n, m in self.runs:
+            i, rem = divmod(-q, sq)  # a run has at most one point of weight 0
+            if not rem and 0 <= i < n:
+                zeros[d + i * sd] += m
+        return ranks, zeros
 
     @property
     def window(self):
@@ -111,28 +147,24 @@ class BigradedTable:
 
     def row(self, d):
         """The cells of degree d as a new {weight: dim} dict."""
-        return dict(self._index().get(d, {}))
+        out = Counter()
+        for _, q, _, m in clip(self._points.get(d, []) + self._points.get(None, []), self.step, d, d):
+            out[q] += m
+        return dict(out)
 
     def dim(self, d):
-        return sum(self._index().get(d, {}).values())
+        return self.profiles[0].get(d, 0)
 
     def weights(self, d):
         """Weight multiset in degree d, sorted, with multiplicity."""
-        out = []
-        for q, dim in self._index().get(d, {}).items():
-            out.extend([q] * dim)
-        return tuple(sorted(out))
+        return tuple(sorted(q for q, dim in self.row(d).items() for _ in range(dim)))
 
     def restrict(self, dmin, dmax):
         if not (self.dmin <= dmin and dmax <= self.dmax):
             raise WindowMismatch(
                 f"window {(dmin, dmax)} is not inside {self.window}"
             )
-        return BigradedTable(dmin, dmax, {
-            (d, q): dim
-            for d, row in self._index().items() if dmin <= d <= dmax
-            for q, dim in row.items()
-        })
+        return BigradedTable(dmin, dmax, runs=clip(self.runs, self.step, dmin, dmax), step=self.step)
 
     def total(self):
         return sum(self.cells.values())
@@ -169,15 +201,16 @@ def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     ctx = _context(p, window, ctx)
     dc, du = step = ctx.family_step
-    cells = Counter()
+    runs = []
     for rows, lines in restrictions(ctx, _sorted_census(ctx), window, boxes=True):
         for c0, u0, _, hits in lines:
             for i in hits:
                 _, count, kind = rows[i]
-                off = kind[3]
-                for t in t_range(c0, u0, step, kind, window):
-                    cells[(2 * (u0 + t * du) + off, c0 + t * dc)] += count
-    return BigradedTable(*window, cells)
+                ts = t_range(c0, u0, step, kind, window)
+                # a run starts at its lowest degree; with du == 0 it is one point
+                for t in ts[:1] if du >= 0 else ts[-1:]:
+                    runs.append((2 * (u0 + t * du) + kind[3], c0 + t * dc, len(ts), count))
+    return BigradedTable(*window, runs=runs, step=(2 * abs(du) or 1, dc if du >= 0 else -dc))
 
 
 def hh2_vanishes(p, ctx=None):

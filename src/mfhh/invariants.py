@@ -4,21 +4,21 @@ scale_compare decides whether two tables agree on the negative-degree range
 after rescaling the second grading by one nonzero constant; in the highest
 compared degree with a nonzero weight such a constant must map the least (if
 positive) or the largest (if negative) weight of the first table onto the
-least of the second, so at most two constants are tried.  A degree with no
-cell in either table agrees under every constant, so scale_compare reads
-only the rows of the degrees that hold a cell and costs O(cells), however
-long the window.  small_res_probe checks for constant total rank in every
-negative degree of the window; its witnesses list every deviating degree,
-empty ones included, so it costs O(cells + window length).  golden_check
-validates whole families against their closed forms.
+least of the second, so at most two constants are tried.  It compares rank
+and zero-weight profiles by set algebra, then sweeps the rescaled runs, in
+O(runs + degrees with a cell) however long the window.  small_res_probe
+reads the rank profile and walks the window only when the reference rank is
+not 0, as every empty degree is then a witness.  golden_check validates
+whole families against their closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .engine import compute_table
+from .engine import clip, compute_table, stretches
 from .errors import GoldenMismatch, UnknownFamily, WindowMismatch
 from .poly import parse
 
@@ -46,6 +46,23 @@ def _negative_overlap(t1, t2):
     return lo, hi
 
 
+def _last_difference(sides):
+    """The highest degree where two (runs, step, factor) sides differ as
+    multisets of points with weights times factor, or None.  Runs of the
+    first side's slope split to the lcm of the degree steps, others into
+    points, and the pieces are swept along that common step."""
+    (_, (sd1, sq1), f1), (_, (sd2, _), _) = sides
+    S = lcm(sd1, sd2)
+    Q = f1 * sq1 * (S // sd1)
+    pieces = []
+    for (runs, (sd, sq), f), sign in zip(sides, (1, -1)):
+        j = S // sd if f * sq * (S // sd) == Q else None
+        for d, q, n, m in runs:
+            pieces += ((d + i * sd, f * (q + i * sq), -((i - n) // j) if j else 1, sign * m)
+                       for i in range(min(j or n, n)))
+    return max((r + (k2 - 1) * S for r, _, _, k2, _ in stretches(pieces, S, Q)), default=None)
+
+
 def scale_compare(t1, t2):
     """Compare negative-degree weight multisets up to one rational rescale.
 
@@ -54,45 +71,39 @@ def scale_compare(t1, t2):
     no negative-degree content to compare.
     """
     lo, hi = _negative_overlap(t1, t2)
-    # a degree with no cell in either table agrees under every constant
-    degrees = sorted(
-        {d for t in (t1, t2) for d, _ in t.cells if lo <= d <= hi}, reverse=True
-    )
-    if not degrees:
+    runs1, runs2 = (clip(t.runs, t.step, lo, hi) for t in (t1, t2))
+    if not (runs1 or runs2):
         return ScaleVerdict("inconclusive", (lo, hi))
-
-    def rows():
-        return ((d, t1.row(d), t2.row(d)) for d in degrees)
 
     def distinguished(d):
         return ScaleVerdict(
             "distinguished", (lo, hi), None, d, (t1.weights(d), t2.weights(d))
         )
 
-    for d, r1, r2 in rows():
-        if sum(r1.values()) != sum(r2.values()) or r1.get(0) != r2.get(0):
-            return distinguished(d)
-    star = next(((r1, r2) for _, r1, r2 in rows() if r1.keys() - {0}), None)
+    # totals and zero-weight dims first: the highest degree where either differs
+    (r1, z1), (r2, z2) = t1.profiles, t2.profiles
+    differ = (r1.items() ^ r2.items()) | (z1.items() ^ z2.items())
+    fail = max((d for d, _ in differ if lo <= d <= hi), default=None)
+    if fail is not None:
+        return distinguished(fail)
+    # the highest degree where t1 has a nonzero weight
+    star = max((d for d, r in r1.items() if lo <= d <= hi and r != z1.get(d, 0)), default=None)
     if star is None:
         # only zero weights anywhere: the tables agree as they stand
         return ScaleVerdict("equivalent", (lo, hi), Fraction(1))
     # c*nz1 = nz2 as multisets maps the least of nz1 (c > 0) or the largest
     # (c < 0) onto the least of nz2; every other ratio fails at that degree
-    nz1 = star[0].keys() - {0}
-    low2 = min(star[1].keys() - {0})
+    nz1 = t1.row(star).keys() - {0}
+    low2 = min(t2.row(star).keys() - {0})
     candidates = sorted(
         {Fraction(low2, min(nz1)), Fraction(low2, max(nz1))},
         key=lambda c: (c != 1, abs(c), c),
     )
     fails = []
     for c in candidates:
-        # c = a/b with b > 0: c*nz1 = nz2 exactly when a*nz1 = b*nz2, and
-        # q -> a*q is one-to-one, so the rows can be compared as dicts
-        a, b = c.numerator, c.denominator
-        fail = next((
-            d for d, r1, r2 in rows()
-            if {a * q: m for q, m in r1.items() if q} != {b * q: m for q, m in r2.items() if q}
-        ), None)
+        # c = a/b with b > 0: c*nz1 = nz2 exactly when a*nz1 = b*nz2; the
+        # zero weights may stay in, as their dims already agree
+        fail = _last_difference(((runs1, t1.step, c.numerator), (runs2, t2.step, c.denominator)))
         if fail is None:
             return ScaleVerdict("equivalent", (lo, hi), c)
         fails.append(fail)
@@ -119,9 +130,11 @@ def small_res_probe(t):
     only and says nothing about geometry by itself.
     """
     lo, hi = t.dmin, min(t.dmax, -1)
-    ranks = {d: t.dim(d) for d in range(lo, hi + 1)}
+    ranks = t.profiles[0]
     ref = ranks.get(hi, 0)
-    witnesses = tuple((d, r) for d, r in sorted(ranks.items()) if r != ref)
+    # at rank 0 only the degrees with a cell deviate; else walk the window
+    degrees = range(lo, hi + 1) if ref else sorted(d for d in ranks if lo <= d <= hi)
+    witnesses = tuple((d, r) for d in degrees if (r := ranks.get(d, 0)) != ref)
     if witnesses:
         return SmallResVerdict("nonconstant", (lo, hi), None, witnesses)
     return SmallResVerdict("constant", (lo, hi), ref)

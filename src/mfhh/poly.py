@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import lattice
 from .errors import CoefficientError, NoPositiveSolution, NotInvertible, PolySyntaxError, SchemaError
@@ -105,49 +105,49 @@ def atom_heads(rows):
     options = []
     for row in rows:
         nz = [(j, e) for j, e in enumerate(row) if e]
-        if len(nz) == 1:
-            j, e = nz[0]
-            if e < 2:
-                return None  # a bare linear monomial is not an atom
-            options.append([(j, None)])
+        opts = []
+        if len(nz) == 1 and nz[0][1] >= 2:  # a bare linear monomial is not an atom
+            opts = [(nz[0][0], None)]
         elif len(nz) == 2:
             (j1, e1), (j2, e2) = nz
-            opts = []
-            if e2 == 1:
-                opts.append((j1, j2))
-            if e1 == 1:
-                opts.append((j2, j1))
-            if not opts:
-                return None
-            options.append(opts)
-        else:
+            opts = [(j1, j2)] * (e2 == 1) + [(j2, j1)] * (e1 == 1)
+        if not opts:
             return None
+        options.append(opts)
+    options.append([])  # past the last row
+    # depth first without recursion: trials[i] yields the options row i has left
+    chosen, trials, tails, heads = [], [iter(options[0])], set(), set()
+    while len(chosen) < n:
+        pick = next((o for o in trials[-1] if o[0] not in tails and o[1] not in heads), None)
+        if pick is None:
+            trials.pop()
+            if not chosen:
+                return None
+            tail, head = chosen.pop()
+            tails.remove(tail)
+            heads.discard(head)
+            continue
+        chosen.append(pick)
+        tails.add(pick[0])
+        heads |= {pick[1]} - {None}  # any number of rows end a chain
+        trials.append(iter(options[len(chosen)]))
+    return tuple(chosen)
 
-    used = [False] * n
-    head_seen = [False] * n
-    chosen = []
 
-    def assign(i):
-        if i == n:
-            return True
-        for tail, head in options[i]:
-            if used[tail]:
-                continue
-            if head is not None and head_seen[head]:
-                continue
-            used[tail] = True
-            if head is not None:
-                head_seen[head] = True
-            chosen.append((tail, head))
-            if assign(i + 1):
-                return True
-            chosen.pop()
-            used[tail] = False
-            if head is not None:
-                head_seen[head] = False
-        return False
-
-    return tuple(chosen) if assign(0) else None
+def atom_det(rows, heads):
+    """det A up to sign from the atoms of atom_heads: the product of the tails'
+    exponents over a Fermat atom or chain, less (-1)^length over a loop."""
+    follow = {tail: (head, row[tail]) for row, (tail, head) in zip(rows, heads)}
+    det = 1
+    while follow:
+        start = v = next(iter(follow))
+        walk = []
+        while v in follow:
+            v, a = follow.pop(v)
+            walk.append(a)
+        # a walk that comes back to its start went round a loop
+        det *= prod(walk) - (-1) ** len(walk) * (v == start)
+    return det
 
 
 def _not_square(n, width):
@@ -180,9 +180,11 @@ def _validate(rows, allow_nonstandard=False):
     for j in range(n):
         if all(r[j] == 0 for r in rows):
             raise NotInvertible(f"variable x{j + 1} does not occur")
-    if lattice.det(rows) == 0:
+    # only a matrix that is no sum of atoms needs Bareiss
+    heads = atom_heads(rows)
+    if (lattice.det(rows) if heads is None else atom_det(rows, heads)) == 0:
         raise NotInvertible("exponent matrix is singular")
-    if atom_heads(rows) is None:
+    if heads is None:
         msg = "polynomial is not a sum of Fermat/chain/loop atoms"
         if allow_nonstandard:
             warnings.warn(msg)

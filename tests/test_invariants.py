@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -440,3 +441,93 @@ def test_golden_unknown_family():
 def test_golden_family_poly_text():
     assert str(golden_family_poly("laufer", k=2)) == "x1^3*x2 + x2^5*x3 + x3^2 + x4^2"
     assert str(golden_family_poly("bp_cE8", k=1)) == "x1^2 + x2^3 + x3^5 + x4^30"
+
+
+def _traced_peak(f):
+    """(f(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_small_res_probe_of_an_empty_table_does_not_walk_its_window():
+    p = parse("x1^5+x2^5+x3^5+x4^5")
+    window = (-10**6, -1)
+    v, peak = _traced_peak(lambda: small_res_probe(compute_table(p, window)))
+    assert v == SmallResVerdict("constant", window, 0)
+    assert peak < 5 * 2**20
+
+
+def test_small_res_probe_keeps_only_the_witnesses_of_a_nonzero_rank():
+    # rank 1 on [-N, -1] along one run, plus a cell at -7 and three empty
+    # degrees below the run: four witnesses in a window of N + 3 degrees
+    n = 10**5
+    t = BigradedTable(-n - 3, -1, runs=[(-n, 0, n, 1), (-7, 5, 1, 1)], step=(1, 1))
+    assert t.total() == n + 1
+    t.dim(-1)  # the table's own rank profile is built before tracing
+    v, peak = _traced_peak(lambda: small_res_probe(t))
+    witnesses = ((-n - 3, 0), (-n - 2, 0), (-n - 1, 0), (-7, 2))
+    assert v == SmallResVerdict("nonconstant", (-n - 3, -1), None, witnesses)
+    assert peak < 2**20
+
+
+def _run_copy(t, k=1, j=1):
+    """t in run form with its weights times k, each run split into runs j
+    times as long in step; the cells are those of t, weights times k."""
+    sd, sq = t.step
+    runs = [
+        (d + i * sd, k * (q + i * sq), -((i - n) // j), m)
+        for d, q, n, m in t.runs for i in range(min(j, n))
+    ]
+    return BigradedTable(t.dmin, t.dmax, runs=runs, step=(j * sd, j * k * sq))
+
+
+def _random_run_table(rng):
+    """A table with a cell in a negative degree and at most 100 cells, which
+    keeps the all-ratios reference quick, or None after ten tries."""
+    for _ in range(10):
+        p = random_invertible(rng, max_vars=4, max_det=300)
+        dmin = rng.randint(-20, -2)
+        try:
+            t = compute_table(p, (dmin, rng.randint(dmin, 3)))
+        except NonterminatingFamily:
+            continue
+        if len(t.cells) <= 100 and any(d < 0 for d, _ in t.cells):
+            return t
+    return None
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**9))
+def test_run_form_invariants_match_cell_references(seed):
+    rng = random.Random(seed)
+    t1, t2 = _random_run_table(rng), _random_run_table(rng)
+    if t1 is None or t2 is None:
+        return
+    c = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+    a, b = c.numerator, c.denominator
+    base = _run_copy(t1, b)  # run form, with weights that c keeps integral
+    scaled, scaled_cells = _run_copy(t1, a), rescale(base, c)
+    assert scaled == scaled_cells
+    # t1 split to two degree steps whose lcm is neither of them
+    split2, split3 = _run_copy(t1, j=2), _run_copy(t1, j=3)
+    cells1, cells2 = rescale(t1, 1), rescale(t2, 1)
+    for x in (t1, t2, base, split2, split3, scaled, scaled_cells, cells1, cells2):
+        assert small_res_probe(x) == _small_res_probe_scan(_scanning(x))
+        lo = rng.randint(x.dmin, x.dmax)
+        hi = rng.randint(lo, x.dmax)
+        part = {(d, q): dim for (d, q), dim in x.cells.items() if lo <= d <= hi}
+        assert x.restrict(lo, hi) == BigradedTable(lo, hi, part)
+    for x, y in [(t1, t2), (t1, split2), (split2, split3), (base, scaled), (base, scaled_cells),
+                 (scaled_cells, scaled), (cells1, t1), (cells2, t1)]:
+        for u, v in ((x, y), (y, x)):
+            try:
+                want = _scale_compare_fractions(_scanning(u), _scanning(v))
+            except WindowMismatch:
+                with pytest.raises(WindowMismatch):
+                    scale_compare(u, v)
+                continue
+            assert scale_compare(u, v) == want == _scale_compare_all_ratios(_scanning(u), _scanning(v))

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from mfhh.errors import (
     PolySyntaxError,
     SchemaError,
 )
-from mfhh.poly import InvertiblePolynomial, parse, weights
+from mfhh.poly import InvertiblePolynomial, atom_det, atom_heads, parse, weights
 
 
 def test_parse_diagonal():
@@ -224,3 +225,54 @@ def test_singular_matrix_has_no_positive_weight_system():
     # det A = 0 leaves h = 0 in Cramer's rule
     with pytest.raises(NoPositiveSolution):
         InvertiblePolynomial(((1, 1), (1, 1))).weights()
+
+
+@st.composite
+def atom_matrices(draw):
+    """A shuffled sum of Fermat, chain and loop atoms whose exponents may be
+    1 wherever an atom allows it, so loops of even length can be singular."""
+    blocks = draw(st.lists(st.sampled_from(["fermat", "chain", "loop"]), min_size=1, max_size=4))
+    rows, base = [], 0
+    for kind in blocks:
+        m = 1 if kind == "fermat" else draw(st.integers(2, 4))
+        exps = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        if kind != "loop":
+            exps[-1] += 1  # a chain ends in a power x^a with a >= 2
+        for i, a in enumerate(exps):
+            row = {base + i: a}
+            if kind == "chain" and i < m - 1 or kind == "loop":
+                row[base + (i + 1) % m] = 1
+            rows.append(row)
+        base += m
+    perm = draw(st.permutations(range(base)))
+    order = draw(st.permutations(range(base)))
+    return tuple(tuple(rows[r].get(perm[j], 0) for j in range(base)) for r in order)
+
+
+@given(atom_matrices())
+def test_atom_det_matches_bareiss(rows):
+    heads = atom_heads(rows)
+    assert heads is not None
+    assert abs(atom_det(rows, heads)) == abs(lattice.det(rows))
+
+
+def test_singular_loop_of_ones_keeps_its_message():
+    with pytest.raises(NotInvertible, match="^exponent matrix is singular$"):
+        parse("x1*x2+x2*x3+x3*x4+x4*x1")
+    assert parse("x1*x2+x2*x3+x3*x1").det() == 2
+
+
+def test_atom_heads_does_not_recurse_per_row():
+    n = 1100
+    fermat = tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
+    chain = tuple(tuple(2 if i == j else int(j == i + 1) for j in range(n)) for i in range(n))
+    assert atom_heads(fermat) == tuple((i, None) for i in range(n))
+    assert atom_heads(chain) == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, None),)
+    assert atom_det(chain, atom_heads(chain)) == 2**n
+
+
+def test_parse_of_many_variables_takes_no_bareiss():
+    start = time.perf_counter()
+    p = parse("+".join(f"x{i}^2" for i in range(1, 1201)))
+    assert p.nvars == 1200
+    assert time.perf_counter() - start < 10

@@ -27,8 +27,9 @@ are found and solved once, by lines.restrictions, for the class with x0
 and the class without it; the lines module gives their cost.  Tables ask
 for Kreuzer-Krawitz boxes, so a standard polynomial's table takes no
 Groebner basis; listings read the grevlex staircase.  A table keeps each
-found line's points in the window as one run along the family step, and
-fills its cells from the runs in bulk; listings make a Contribution per point.
+found line's points in the window as one run along the family step, so it
+costs O(runs) however long its window, and builds its cells only when they
+are read; listings make a Contribution per point.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -109,34 +110,26 @@ class BigradedTable:
     complete(d) is simply window membership.  A table is not mutated after
     construction.  It holds runs (d, q, n, m), the cells (d + i*sd, q + i*sq),
     i < n, of dim m along its step (sd, sq), sd > 0: one per found line and
-    row for compute_table, one per cell for a table built from cells.  dim
-    reads profiles swept once from the runs, and row and restrict clip runs.
+    row for compute_table, one per cell for a table built from cells.  Every
+    query is O(runs): row, dim and restrict clip them, and total sums n*m.
+    The cells are swept from the runs on first read (cell_list, ==).
     """
 
     def __init__(self, dmin, dmax, cells=None, runs=None, step=(1, 1)):
-        self.dmin, self.dmax = dmin, dmax
-        self.step = sd, sq = step
+        self.dmin, self.dmax, self.step = dmin, dmax, step
         self.runs = runs = [(d, q, 1, dim) for (d, q), dim in cells.items() if dim] if runs is None else runs
-        self.cells = {}  # distinct lines hold distinct cells
-        for r, base, k, k2, dim in stretches(runs, sd, sq):
-            points = zip(range(r + k * sd, r + k2 * sd, sd), range(base + k * sq, base + k2 * sq, sq))
-            self.cells.update(zip(points, repeat(dim)))
         self._points = {}  # degree -> its runs of one cell; None -> the longer runs
         for run in runs:
             self._points.setdefault(run[0] if run[2] == 1 else None, []).append(run)
 
     @cached_property
-    def profiles(self):
-        """({degree: rank}, {degree: dim at weight 0}) over the degrees with a cell."""
+    def cells(self):
         sd, sq = self.step
-        ranks, zeros = {}, Counter()
-        for r, _, k, k2, rank in stretches([(d, 0, n, m) for d, _, n, m in self.runs], sd, 0):
-            ranks.update(dict.fromkeys(range(r + k * sd, r + k2 * sd, sd), rank))
-        for d, q, n, m in self.runs:
-            i, rem = divmod(-q, sq)  # a run has at most one point of weight 0
-            if not rem and 0 <= i < n:
-                zeros[d + i * sd] += m
-        return ranks, zeros
+        cells = {}  # distinct lines hold distinct cells
+        for r, base, k, k2, dim in stretches(self.runs, sd, sq):
+            points = zip(range(r + k * sd, r + k2 * sd, sd), range(base + k * sq, base + k2 * sq, sq))
+            cells.update(zip(points, repeat(dim)))
+        return cells
 
     @property
     def window(self):
@@ -145,15 +138,19 @@ class BigradedTable:
     def complete(self, d):
         return self.dmin <= d <= self.dmax
 
+    def _at(self, d):
+        """The runs through degree d, clipped to their point there."""
+        return clip(self._points.get(d, []) + self._points.get(None, []), self.step, d, d)
+
     def row(self, d):
         """The cells of degree d as a new {weight: dim} dict."""
         out = Counter()
-        for _, q, _, m in clip(self._points.get(d, []) + self._points.get(None, []), self.step, d, d):
+        for _, q, _, m in self._at(d):
             out[q] += m
         return dict(out)
 
     def dim(self, d):
-        return self.profiles[0].get(d, 0)
+        return sum(m for *_, m in self._at(d))
 
     def weights(self, d):
         """Weight multiset in degree d, sorted, with multiplicity."""
@@ -161,29 +158,21 @@ class BigradedTable:
 
     def restrict(self, dmin, dmax):
         if not (self.dmin <= dmin and dmax <= self.dmax):
-            raise WindowMismatch(
-                f"window {(dmin, dmax)} is not inside {self.window}"
-            )
+            raise WindowMismatch(f"window {(dmin, dmax)} is not inside {self.window}")
         return BigradedTable(dmin, dmax, runs=clip(self.runs, self.step, dmin, dmax), step=self.step)
 
     def total(self):
-        return sum(self.cells.values())
+        return sum(n * m for _, _, n, m in self.runs)
 
     def cell_list(self):
-        return [
-            {"d": d, "q": q, "dim": self.cells[(d, q)]}
-            for d, q in sorted(self.cells)
-        ]
+        return [{"d": d, "q": q, "dim": self.cells[(d, q)]} for d, q in sorted(self.cells)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BigradedTable)
-            and self.window == other.window
-            and self.cells == other.cells
-        )
+        return isinstance(other, BigradedTable) and self.window == other.window and self.cells == other.cells
 
     def __repr__(self):
-        return f"BigradedTable({self.dmin}, {self.dmax}, {len(self.cells)} cells)"
+        cells = sum(k2 - k for _, _, k, k2, _ in stretches(self.runs, *self.step))
+        return f"BigradedTable({self.dmin}, {self.dmax}, {cells} cells)"
 
 
 def _sorted_census(ctx):

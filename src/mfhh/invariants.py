@@ -4,12 +4,12 @@ scale_compare decides whether two tables agree on the negative-degree range
 after rescaling the second grading by one nonzero constant; in the highest
 compared degree with a nonzero weight such a constant must map the least (if
 positive) or the largest (if negative) weight of the first table onto the
-least of the second, so at most two constants are tried.  It compares rank
-and zero-weight profiles by set algebra, then sweeps the rescaled runs, in
-O(runs + degrees with a cell) however long the window.  small_res_probe
-reads the rank profile and walks the window only when the reference rank is
-not 0, as every empty degree is then a witness.  golden_check validates
-whole families against their closed forms.
+least of the second, so at most two constants are tried.  It reads runs,
+never cells: one sweep each compares ranks and weight-0 dims, and one per
+constant the rescaled runs, in O(runs log runs) however long the window
+(runs of another slope than the first table's are cut into points).
+small_res_probe sweeps the rank less its reference, in O(runs log runs +
+witnesses).  golden_check validates whole families against their closed forms.
 """
 
 from __future__ import annotations
@@ -38,12 +38,8 @@ class ScaleVerdict:
 
 def _negative_overlap(t1, t2):
     if t1.dmin > t2.dmax or t2.dmin > t1.dmax:
-        raise WindowMismatch(
-            f"windows {t1.window} and {t2.window} are disjoint"
-        )
-    lo = max(t1.dmin, t2.dmin)
-    hi = min(t1.dmax, t2.dmax, -1)
-    return lo, hi
+        raise WindowMismatch(f"windows {t1.window} and {t2.window} are disjoint")
+    return max(t1.dmin, t2.dmin), min(t1.dmax, t2.dmax, -1)
 
 
 def _last_difference(sides):
@@ -76,18 +72,21 @@ def scale_compare(t1, t2):
         return ScaleVerdict("inconclusive", (lo, hi))
 
     def distinguished(d):
-        return ScaleVerdict(
-            "distinguished", (lo, hi), None, d, (t1.weights(d), t2.weights(d))
-        )
+        return ScaleVerdict("distinguished", (lo, hi), None, d, (t1.weights(d), t2.weights(d)))
 
-    # totals and zero-weight dims first: the highest degree where either differs
-    (r1, z1), (r2, z2) = t1.profiles, t2.profiles
-    differ = (r1.items() ^ r2.items()) | (z1.items() ^ z2.items())
-    fail = max((d for d, _ in differ if lo <= d <= hi), default=None)
+    # ranks and zero-weight dims first: the highest degree where either
+    # differs; a run has at most one point of weight 0
+    z1, z2 = ([(d - q // sq * sd, 0, 1, m) for d, q, n, m in runs if q % sq == 0 and 0 <= -q // sq < n]
+              for runs, (sd, sq) in ((runs1, t1.step), (runs2, t2.step)))
+    fail = max({_last_difference(((runs1, t1.step, 0), (runs2, t2.step, 0))),
+                _last_difference(((z1, (1, 1), 0), (z2, (1, 1), 0)))} - {None}, default=None)
     if fail is not None:
         return distinguished(fail)
-    # the highest degree where t1 has a nonzero weight
-    star = max((d for d, r in r1.items() if lo <= d <= hi and r != z1.get(d, 0)), default=None)
+    # the highest degree where t1 has a nonzero weight: a run's top point, or
+    # the one below it when the top has weight 0
+    sd1, sq1 = t1.step
+    star = max((d + i * sd1 for d, q, n, _ in runs1 for i in [n - 1 - (q + (n - 1) * sq1 == 0)] if i >= 0),
+               default=None)
     if star is None:
         # only zero weights anywhere: the tables agree as they stand
         return ScaleVerdict("equivalent", (lo, hi), Fraction(1))
@@ -130,11 +129,13 @@ def small_res_probe(t):
     only and says nothing about geometry by itself.
     """
     lo, hi = t.dmin, min(t.dmax, -1)
-    ranks = t.profiles[0]
-    ref = ranks.get(hi, 0)
-    # at rank 0 only the degrees with a cell deviate; else walk the window
-    degrees = range(lo, hi + 1) if ref else sorted(d for d in ranks if lo <= d <= hi)
-    witnesses = tuple((d, r) for d in degrees if (r := ranks.get(d, 0)) != ref)
+    sd, ref = t.step[0], t.dim(hi)
+    # the rank less ref along the window, one run of -ref per residue class
+    # of the degree step: the witnesses are the points of its stretches
+    runs = [(d, 0, n, m) for d, _, n, m in clip(t.runs, t.step, lo, hi)]
+    runs += [(d, 0, (hi - d) // sd + 1, -ref) for d in range(lo, min(lo + sd, hi + 1))] if ref else []
+    witnesses = tuple(sorted((d, h + ref) for r, _, k, k2, h in stretches(runs, sd, 0)
+                             for d in range(r + k * sd, r + k2 * sd, sd)))
     if witnesses:
         return SmallResVerdict("nonconstant", (lo, hi), None, witnesses)
     return SmallResVerdict("constant", (lo, hi), ref)

@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from math import gcd, prod
+from fractions import Fraction
+from math import lcm, prod
 
 from . import lattice
 from .errors import CoefficientError, NoPositiveSolution, NotInvertible, PolySyntaxError, SchemaError
@@ -256,20 +257,26 @@ def parse(text, allow_nonstandard=False):
 
 
 def weights(p):
-    """The primitive positive solution of A*d = h*(1,..,1), plus d0 = h - sum d.
-
-    By Cramer's rule d_i / h = det(A_i) / det(A), where A_i is A with column
-    i replaced by ones; so (d, h) = (det(A_1), .., det(A_n); det(A)), exact
-    through lattice.det, divided by their gcd and signed so that h > 0.  A
-    singular A gives h = 0 and so a NoPositiveSolution.
-    """
-    h = lattice.det(p.matrix)
-    d = [lattice.det([[*row[:i], 1, *row[i + 1:]] for row in p.matrix]) for i in range(p.nvars)]
-    g = gcd(h, *d) or 1
-    if h < 0:
-        g = -g
-    d = [di // g for di in d]
-    h //= g
-    if h <= 0 or any(di <= 0 for di in d):
-        raise NoPositiveSolution(f"weight system {tuple(d)};{h} is not positive")
-    return WeightSystem(tuple(d), h, h - sum(d))
+    """The primitive positive solution of A*d = h*(1,..,1), plus d0 = h - sum d:
+    d/h solves A*q = (1,..,1) by one exact elimination that skips every zero
+    multiplier, and h is the lcm of q's denominators."""
+    n = p.nvars
+    rows = [[*row, 1] for row in p.matrix]
+    for j in range(n):
+        i = next((i for i in range(j, n) if rows[i][j]), None)
+        if i is None:
+            raise NoPositiveSolution("the exponent matrix is singular: no weight system solves it")
+        rows[i], rows[j] = rows[j], rows[i]
+        for row in rows[j + 1:]:
+            if row[j]:
+                f = Fraction(row[j]) / rows[j][j]
+                row[j:] = [a - f * b for a, b in zip(row[j:], rows[j][j:])]
+    q = [0] * n
+    for j in reversed(range(n)):  # back substitution over the nonzero entries
+        row = rows[j]
+        q[j] = (row[n] - sum(row[k] * q[k] for k in range(j + 1, n) if row[k])) / Fraction(row[j])
+    h = lcm(*(x.denominator for x in q))
+    d = tuple(int(x * h) for x in q)
+    if any(di <= 0 for di in d):
+        raise NoPositiveSolution(f"weight system {d};{h} is not positive")
+    return WeightSystem(d, h, h - sum(d))

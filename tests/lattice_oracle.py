@@ -1,6 +1,6 @@
 """Test-only lattice routines: membership, Diophantine solving, finite
 quotient groups, family lines, the character power of a vector and the
-fixed-set census by masks.
+fixed-set census by masks, and weight systems by Cramer's rule.
 
 Nothing in the package calls these.  `member` goes through echelon
 reduction, with no Smith form, so it checks the package's Smith-based
@@ -8,6 +8,8 @@ solvers independently; `quotient` enumerates ker(chi) by the dual route;
 `family_line` solves one vector's family line from a SymmetryContext's
 line columns, and `chi_power` reads u off that line.  `census_by_masks`
 takes one Smith form per subset of x_0..x_{n+1}, with no blocks or closure.
+`cramer_weights` takes n + 1 Bareiss determinants where `poly.weights`
+makes one elimination.
 Matrices are sequences of rows of Python ints (row convention).
 """
 
@@ -16,9 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
+from mfhh import lattice
+from mfhh.errors import NoPositiveSolution
 from mfhh.lattice import invariant_factors, smith
+from mfhh.poly import WeightSystem
 
 
 def vec_mat(v, m):
@@ -257,3 +262,23 @@ def census_by_masks(p):
         for s, c in enumerate(counts)
         if c
     }
+
+
+def cramer_weights(p):
+    """The primitive positive solution of A*d = h*(1,..,1), plus d0 = h - sum d.
+
+    By Cramer's rule d_i / h = det(A_i) / det(A), where A_i is A with column
+    i replaced by ones; so (d, h) = (det(A_1), .., det(A_n); det(A)), exact
+    through lattice.det, divided by their gcd and signed so that h > 0.  A
+    singular A gives h = 0 and so a NoPositiveSolution.
+    """
+    h = lattice.det(p.matrix)
+    d = [lattice.det([[*row[:i], 1, *row[i + 1:]] for row in p.matrix]) for i in range(p.nvars)]
+    g = gcd(h, *d) or 1
+    if h < 0:
+        g = -g
+    d = [di // g for di in d]
+    h //= g
+    if h <= 0 or any(di <= 0 for di in d):
+        raise NoPositiveSolution(f"weight system {tuple(d)};{h} is not positive")
+    return WeightSystem(tuple(d), h, h - sum(d))

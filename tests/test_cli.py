@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,27 @@ def test_probe_small_res():
     assert code == 1 and "non-constant" in out
     code, out, _ = run(["probe-small-res", "--poly", "x1^2+x2^3+x3^3+x4^6", "--dmin", "-12"])
     assert code == 0 and "constant rank 4" in out
+
+
+def test_probe_of_a_million_degrees_in_a_child_process():
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    argv = ["probe-small-res", "--poly", "x1^2+x2^2+x3^3+x4^3", "--dmin", "-1000000"]
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert res.returncode == 0 and b"constant rank 2 in every negative degree" in res.stdout
+
+
+def test_table_of_150_variables_fails_fast():
+    # weights() is one solve, and the census refuses its 2^151 coordinate sets
+    # before it allocates them
+    poly = "+".join(f"x{i}^2" for i in range(1, 151))
+    start = time.perf_counter()
+    code, out, err = run(["table", "--poly", poly, "--dmin", "-2", "--dmax", "2", "--format", "json"])
+    assert time.perf_counter() - start < 3
+    assert (code, out) == (3, "")
+    assert err == "error: 150 variables exceed the census cap of 18\n"
 
 
 def test_probe_empty_window_is_input_error():

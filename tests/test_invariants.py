@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from conftest import random_invertible
 from mfhh.engine import BigradedTable, compute_table
 from mfhh.errors import GoldenMismatch, NonterminatingFamily, UnknownFamily, WindowMismatch
 from mfhh.invariants import (
+    FAMILY_NAMES,
     ScaleVerdict,
     SmallResVerdict,
     _negative_overlap,
@@ -292,16 +294,60 @@ def test_indexed_invariants_match_cell_scans(pair):
 
 # the four anchor pairs of the long_window benchmark workload, each window
 # cut to an eighth of its length there
-@pytest.mark.parametrize("first, second", [
+ANCHOR_PAIRS = [
     (("x1^2+x2^2+x3^3+x4^3", (-244, 8)), ("x1^2+x2^2+x3^2*x4+x3*x4^2", (-244, 8))),
     (("x1^2*x2+x2^2*x3+x3^6*x4+x4^3", (-137, 8)), ("x1^3*x2+x2^2*x3+x3^2*x4+x4^2", (-175, 8))),
     (("x1^2+x2^3+x3^5+x4^30", (-142, 8)), ("x1^2+x2^3+x3^4+x4^12", (-142, 8))),
     ((LAUFER1, (-330, 8)), (LAUFER2, (-330, 8))),
-])
+]
+
+
+@pytest.mark.parametrize("first, second", ANCHOR_PAIRS)
 def test_indexed_invariants_match_cell_scans_on_anchor_tables(first, second):
     t1, t2 = (table(text, window) for text, window in (first, second))
     _assert_same_verdicts(t1, t1)
     _assert_same_verdicts(t1, t2)
+
+
+def _cells_by_points(t):
+    """The cells of t with every run expanded point by point."""
+    sd, sq = t.step
+    cells = Counter()
+    for d, q, n, m in t.runs:
+        for i in range(n):
+            cells[(d + i * sd, q + i * sq)] += m
+    return [{"d": d, "q": q, "dim": m} for (d, q), m in sorted(cells.items()) if m]
+
+
+def test_invariants_and_golden_checks_build_no_cells(monkeypatch):
+    made = []
+    init = BigradedTable.__init__
+    monkeypatch.setattr(BigradedTable, "__init__", lambda self, *a, **k: made.append(self) or init(self, *a, **k))
+    verdicts = []
+    for first, second in ANCHOR_PAIRS:
+        t1, t2 = (table(text, window) for text, window in (first, second))
+        verdicts.append((t1, t2, small_res_probe(t1), small_res_probe(t2), scale_compare(t1, t1),
+                         scale_compare(t1, t2), scale_compare(t2, t1)))
+    for family in FAMILY_NAMES:
+        try:
+            golden_check(family, l=2, k=1)
+        except GoldenMismatch:
+            assert family == "can_cA"
+    assert len(made) == 8 + len(FAMILY_NAMES)
+    assert not [t for t in made if "cells" in vars(t)]
+    # repr counts the cells without building them
+    assert all(repr(t).endswith(f" {len(_cells_by_points(t))} cells)") for t in made)
+    assert not [t for t in made if "cells" in vars(t)]
+    # then the cells, read for the first time, and the verdicts against the
+    # references that scan them
+    for t in made:
+        assert t.cell_list() == _cells_by_points(t)
+        assert t.total() == sum(t.cells.values())
+    for t1, t2, probe1, probe2, same, forward, backward in verdicts:
+        s1, s2 = _scanning(t1), _scanning(t2)
+        assert (probe1, probe2) == (_small_res_probe_scan(s1), _small_res_probe_scan(s2))
+        assert same == _scale_compare_fractions(s1, s1)
+        assert (forward, backward) == (_scale_compare_fractions(s1, s2), _scale_compare_fractions(s2, s1))
 
 
 def _record_reads(monkeypatch):
@@ -467,11 +513,27 @@ def test_small_res_probe_keeps_only_the_witnesses_of_a_nonzero_rank():
     n = 10**5
     t = BigradedTable(-n - 3, -1, runs=[(-n, 0, n, 1), (-7, 5, 1, 1)], step=(1, 1))
     assert t.total() == n + 1
-    t.dim(-1)  # the table's own rank profile is built before tracing
     v, peak = _traced_peak(lambda: small_res_probe(t))
     witnesses = ((-n - 3, 0), (-n - 2, 0), (-n - 1, 0), (-7, 2))
     assert v == SmallResVerdict("nonconstant", (-n - 3, -1), None, witnesses)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("text, rank", [("x1^2+x2^2+x3^3+x4^3", 2), ("x1^2+x2^3+x3^5+x4^30", 8)])
+def test_table_probe_and_compare_cost_runs_not_window(text, rank):
+    p, window = parse(text), (-10**6, -1)
+
+    def invariants():
+        t = compute_table(p, window)
+        return t, small_res_probe(t), scale_compare(t, t)
+
+    start = time.perf_counter()
+    (t, probe, verdict), peak = _traced_peak(invariants)
+    assert time.perf_counter() - start < 0.5
+    assert peak < 5 * 2**20
+    assert probe == SmallResVerdict("constant", window, rank)
+    assert verdict == ScaleVerdict("equivalent", window, Fraction(1))
+    assert "cells" not in vars(t)
 
 
 def _run_copy(t, k=1, j=1):
@@ -517,6 +579,11 @@ def test_run_form_invariants_match_cell_references(seed):
     cells1, cells2 = rescale(t1, 1), rescale(t2, 1)
     for x in (t1, t2, base, split2, split3, scaled, scaled_cells, cells1, cells2):
         assert small_res_probe(x) == _small_res_probe_scan(_scanning(x))
+        copy = BigradedTable(x.dmin, x.dmax, x.cells)
+        assert [x.dim(d) for d in range(x.dmin, x.dmax + 1)] == [
+            sum(dim for (dd, _), dim in copy.cells.items() if dd == d) for d in range(x.dmin, x.dmax + 1)
+        ]
+        assert x.total() == copy.total() == sum(copy.cells.values())
         lo = rng.randint(x.dmin, x.dmax)
         hi = rng.randint(lo, x.dmax)
         part = {(d, q): dim for (d, q), dim in x.cells.items() if lo <= d <= hi}

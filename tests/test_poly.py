@@ -2,12 +2,12 @@ import io
 import random
 import time
 import warnings
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_invertible
+from lattice_oracle import cramer_weights
 from mfhh import lattice
 from mfhh.cli import main
 from mfhh.errors import (
@@ -101,31 +101,11 @@ def test_weights_examples():
     assert (w3.d, w3.h, w3.d0) == ((5, 3, 9, 9), 18, -8)
 
 
-def cramer_weights(p):
-    # independent oracle: d_i/h = det(A with column i replaced by ones)/det(A)
-    n = p.nvars
-    a = [list(row) for row in p.matrix]
-    den = lattice.det(a)
-    xs = []
-    for i in range(n):
-        m = [row[:i] + [1] + row[i + 1 :] for row in a]
-        xs.append(Fraction(lattice.det(m), den))
-    h = 1
-    for x in xs:
-        h = h * x.denominator // __import__("math").gcd(h, x.denominator)
-    d = [int(x * h) for x in xs]
-    g = h
-    for di in d:
-        g = __import__("math").gcd(g, di)
-    return tuple(di // g for di in d), h // g
-
-
 @given(st.integers(0, 10**9))
 def test_weights_match_cramer_oracle(seed):
     p = random_invertible(random.Random(seed))
     w = p.weights()
-    d, h = cramer_weights(p)
-    assert (w.d, w.h) == (d, h)
+    assert w == cramer_weights(p)
     # every monomial has weighted degree h
     for row in p.matrix:
         assert sum(e * di for e, di in zip(row, w.d)) == w.h
@@ -247,6 +227,43 @@ def atom_matrices(draw):
     perm = draw(st.permutations(range(base)))
     order = draw(st.permutations(range(base)))
     return tuple(tuple(rows[r].get(perm[j], 0) for j in range(base)) for r in order)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except NoPositiveSolution as exc:
+        return NoPositiveSolution, str(exc)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return tuple(tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) for _ in range(n))
+
+
+@given(st.one_of(atom_matrices(), square_matrices()))
+def test_weights_by_one_solve_match_cramer(rows):
+    # atom sums, which may be singular, and any square matrices: the one
+    # solve and Cramer's rule give the same weight system, or both find
+    # none, with the same message whenever det A != 0
+    p = InvertiblePolynomial(rows)
+    got, want = _outcome(p.weights), _outcome(lambda: cramer_weights(p))
+    if lattice.det(rows):
+        assert got == want
+    else:
+        assert got[0] is want[0] is NoPositiveSolution
+
+
+def test_weights_of_150_variables_take_one_solve():
+    n = 150
+    fermat = "+".join(f"x{i}^2" for i in range(1, n + 1))
+    chain = "+".join(f"x{i}^2*x{i + 1}" for i in range(1, n)) + f"+x{n}^3"
+    loop = "+".join(f"x{i}^2*x{i + 1}" for i in range(1, n)) + f"+x{n}^2*x1"
+    start = time.perf_counter()
+    ws = [parse(text).weights() for text in (fermat, chain, loop)]
+    assert time.perf_counter() - start < 1
+    assert [(w.d, w.h, w.d0) for w in ws] == [((1,) * n, 2, 2 - n), ((1,) * n, 3, 3 - n), ((1,) * n, 3, 3 - n)]
 
 
 @given(atom_matrices())

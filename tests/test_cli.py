@@ -238,8 +238,8 @@ def test_probe_of_a_million_degrees_in_a_child_process():
 
 
 def test_table_of_150_variables_fails_fast():
-    # weights() is one solve, and the census refuses its 2^151 coordinate sets
-    # before it allocates them
+    # no table of 150 variables can be made: the census refuses its 2^151
+    # coordinate sets before it allocates them, with an engine error
     poly = "+".join(f"x{i}^2" for i in range(1, 151))
     start = time.perf_counter()
     code, out, err = run(["table", "--poly", poly, "--dmin", "-2", "--dmax", "2", "--format", "json"])

@@ -116,7 +116,8 @@ class BigradedTable:
     """
 
     def __init__(self, dmin, dmax, cells=None, runs=None, step=(1, 1)):
-        self.dmin, self.dmax, self.step = dmin, dmax, step
+        self.dmin, self.dmax = dmin, dmax
+        self.step = step
         self.runs = runs = [(d, q, 1, dim) for (d, q), dim in cells.items() if dim] if runs is None else runs
         self._points = {}  # degree -> its runs of one cell; None -> the longer runs
         for run in runs:
@@ -158,17 +159,26 @@ class BigradedTable:
 
     def restrict(self, dmin, dmax):
         if not (self.dmin <= dmin and dmax <= self.dmax):
-            raise WindowMismatch(f"window {(dmin, dmax)} is not inside {self.window}")
+            raise WindowMismatch(
+                f"window {(dmin, dmax)} is not inside {self.window}"
+            )
         return BigradedTable(dmin, dmax, runs=clip(self.runs, self.step, dmin, dmax), step=self.step)
 
     def total(self):
         return sum(n * m for _, _, n, m in self.runs)
 
     def cell_list(self):
-        return [{"d": d, "q": q, "dim": self.cells[(d, q)]} for d, q in sorted(self.cells)]
+        return [
+            {"d": d, "q": q, "dim": self.cells[(d, q)]}
+            for d, q in sorted(self.cells)
+        ]
 
     def __eq__(self, other):
-        return isinstance(other, BigradedTable) and self.window == other.window and self.cells == other.cells
+        return (
+            isinstance(other, BigradedTable)
+            and self.window == other.window
+            and self.cells == other.cells
+        )
 
     def __repr__(self):
         cells = sum(k2 - k for _, _, k, k2, _ in stretches(self.runs, *self.step))

@@ -38,8 +38,12 @@ class ScaleVerdict:
 
 def _negative_overlap(t1, t2):
     if t1.dmin > t2.dmax or t2.dmin > t1.dmax:
-        raise WindowMismatch(f"windows {t1.window} and {t2.window} are disjoint")
-    return max(t1.dmin, t2.dmin), min(t1.dmax, t2.dmax, -1)
+        raise WindowMismatch(
+            f"windows {t1.window} and {t2.window} are disjoint"
+        )
+    lo = max(t1.dmin, t2.dmin)
+    hi = min(t1.dmax, t2.dmax, -1)
+    return lo, hi
 
 
 def _last_difference(sides):
@@ -59,6 +63,17 @@ def _last_difference(sides):
     return max((r + (k2 - 1) * S for r, _, _, k2, _ in stretches(pieces, S, Q)), default=None)
 
 
+def _zero_points(runs, step):
+    """Each run's point of weight 0, if it has one, as a run of one point."""
+    sd, sq = step
+    points = []
+    for d, q, n, m in runs:
+        i, rem = divmod(-q, sq)  # a run has at most one point of weight 0
+        if not rem and 0 <= i < n:
+            points.append((d + i * sd, 0, 1, m))
+    return points
+
+
 def scale_compare(t1, t2):
     """Compare negative-degree weight multisets up to one rational rescale.
 
@@ -72,21 +87,28 @@ def scale_compare(t1, t2):
         return ScaleVerdict("inconclusive", (lo, hi))
 
     def distinguished(d):
-        return ScaleVerdict("distinguished", (lo, hi), None, d, (t1.weights(d), t2.weights(d)))
+        return ScaleVerdict(
+            "distinguished", (lo, hi), None, d, (t1.weights(d), t2.weights(d))
+        )
 
-    # ranks and zero-weight dims first: the highest degree where either
-    # differs; a run has at most one point of weight 0
-    z1, z2 = ([(d - q // sq * sd, 0, 1, m) for d, q, n, m in runs if q % sq == 0 and 0 <= -q // sq < n]
-              for runs, (sd, sq) in ((runs1, t1.step), (runs2, t2.step)))
-    fail = max({_last_difference(((runs1, t1.step, 0), (runs2, t2.step, 0))),
-                _last_difference(((z1, (1, 1), 0), (z2, (1, 1), 0)))} - {None}, default=None)
-    if fail is not None:
-        return distinguished(fail)
+    # ranks and zero-weight dims first: the highest degree where either differs
+    z1, z2 = _zero_points(runs1, t1.step), _zero_points(runs2, t2.step)
+    differ = [
+        _last_difference(((runs1, t1.step, 0), (runs2, t2.step, 0))),
+        _last_difference(((z1, (1, 1), 0), (z2, (1, 1), 0))),
+    ]
+    differ = [d for d in differ if d is not None]
+    if differ:
+        return distinguished(max(differ))
     # the highest degree where t1 has a nonzero weight: a run's top point, or
     # the one below it when the top has weight 0
     sd1, sq1 = t1.step
-    star = max((d + i * sd1 for d, q, n, _ in runs1 for i in [n - 1 - (q + (n - 1) * sq1 == 0)] if i >= 0),
-               default=None)
+    tops = []
+    for d, q, n, _ in runs1:
+        i = n - 1 if q + (n - 1) * sq1 else n - 2
+        if i >= 0:
+            tops.append(d + i * sd1)
+    star = max(tops, default=None)
     if star is None:
         # only zero weights anywhere: the tables agree as they stand
         return ScaleVerdict("equivalent", (lo, hi), Fraction(1))

@@ -48,10 +48,8 @@ from math import lcm, prod
 from operator import mul
 
 from . import lattice
-from .errors import DegenerateCharacter, EngineError
+from .errors import DegenerateCharacter
 from .jacobian import component_variables, restrict
-
-CENSUS_MAX_VARS = 18  # its 2^(n+1) masks: 16 variables took 0.9 s and 60 MB, each one more doubles both
 
 
 @dataclass(frozen=True, order=True)
@@ -184,8 +182,6 @@ class SymmetryContext:
         """
         if self._census is None:
             n2 = self.n + 2  # coordinates x_0..x_{n+1}, bit j of a mask is x_j
-            if n2 > CENSUS_MAX_VARS + 1:
-                raise EngineError(f"{n2 - 1} variables exceed the census cap of {CENSUS_MAX_VARS}")
             counts = [0] * (1 << n2)
             p = self.poly
             blocks = component_variables(restrict(p, range(1, p.nvars + 1)))

@@ -237,17 +237,6 @@ def test_probe_of_a_million_degrees_in_a_child_process():
     assert res.returncode == 0 and b"constant rank 2 in every negative degree" in res.stdout
 
 
-def test_table_of_150_variables_fails_fast():
-    # no table of 150 variables can be made: the census refuses its 2^151
-    # coordinate sets before it allocates them, with an engine error
-    poly = "+".join(f"x{i}^2" for i in range(1, 151))
-    start = time.perf_counter()
-    code, out, err = run(["table", "--poly", poly, "--dmin", "-2", "--dmax", "2", "--format", "json"])
-    assert time.perf_counter() - start < 3
-    assert (code, out) == (3, "")
-    assert err == "error: 150 variables exceed the census cap of 18\n"
-
-
 def test_probe_empty_window_is_input_error():
     code, _, err = run(["probe-small-res", "--poly", LAUFER1, "--dmin", "0"])
     assert code == 2 and "empty degree window" in err

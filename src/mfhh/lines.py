@@ -17,17 +17,19 @@ Cost model.  A line's columns (SymmetryContext.line_columns) are linear in
 the exponent vector, so its key, the residues of its congruence columns and
 of its u column modulo L*|du|, which decide whether the line exists and at
 which weights u it has points, is the sum of its factors' keys.  Each
-factor is keyed once per walk.  A restriction indexes the product keys of
-the larger side of its factors and looks each wanted key, less a product
-key of the smaller side, up in that index, so it costs about
-|smaller side| * |wanted keys| + |larger side| rather than its Milnor
-number.  Only a line that is found is decoded: its exponent vector is put
-together from the factors' monomials, line_columns gives its point
-(c0, u0), and t_range finds its points in the window in closed form.
+factor is keyed once per walk.  A restriction splits its factors into two
+sides, indexes the product keys of the larger one once per walk, and joins
+each product key of the smaller side to the entries of that index whose
+weights lie in the window (see solve_restriction), so it costs about
+|smaller side| * log + |larger side| + |lines found| whatever the window's
+length, rather than its Milnor number.  Only a found line is decoded: its
+exponent vector is put together from the factors' monomials, line_columns
+gives its point (c0, u0), and t_range finds its points in the window.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, product
 from operator import mul
 
@@ -154,15 +156,20 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
-    vanishes mod its d_j and the u column U = u*L mod L*|du|.  So the key
-    of a line, plus that of the dual markers, must equal the key of some u
-    whose degree 2*u + offset lies in the window.  With du == 0 every key
-    is wanted and every line is found, so t_range raises.
+    vanishes mod its d_j and the u column U = u*L mod L*|du|.  The larger
+    side's products are indexed by congruence residues and U mod L, each
+    bucket sorted by m = U // L.  A product of the smaller side, whose u
+    column plus the dual markers' is need, meets one bucket, in which m
+    gives weights ceil(need/L) + m mod |du|; the rows want an arc of
+    weights, so it finds one or two ranges of m, or the whole bucket once
+    the window spans |du| weights.  With du == 0 every line whose
+    congruences hold is found, so t_range raises.
     """
     dmin, dmax = window
     n = ctx.n
     L = ctx.line_denominator
-    moduli = ctx.line_moduli + (L * (abs(ctx.family_step[1]) or 1),)
+    M = abs(ctx.family_step[1]) or 1
+    moduli = ctx.line_moduli + (L * M,)
     rows = [
         (fixed, count, kind)
         for fixed, count in group
@@ -179,34 +186,47 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     if infinite and all(comps):
         raise not_isolated(fixed_vars)
     # the dual markers on the unfixed variables
-    duals = ctx.line_columns([0] + [-(v not in fixed_vars) for v in range(1, n + 2)])
-    # the keys the factors must bring: one per residue of u mod |du| among
-    # the window's weights, less the dual markers' key
-    wanted = {}
-    for i, (_, _, kind) in enumerate(rows):
-        lo, hi = _ceil_div(dmin - kind[3], 2), (dmax - kind[3]) // 2
-        for u in range(lo, min(hi, lo + moduli[-1] // L - 1) + 1):
-            key = tuple(-x % q for x, q in zip(duals[:-2] + (duals[-1] - u * L,), moduli))
-            wanted.setdefault(key, []).append(i)
+    *duals, _, duals_u = ctx.line_columns([0] + [-(v not in fixed_vars) for v in range(1, n + 2)])
+    # row i wants u in [lo, hi); the kinds' degree offsets differ by at most
+    # 1, so the rows that want any u want one arc of u mod M
+    spans = [(_ceil_div(dmin - kind[3], 2), (dmax - kind[3]) // 2 + 1) for _, _, kind in rows]
+    start = min((lo for lo, hi in spans if lo < hi), default=None)
+    if start is None:
+        return rows, []
+    width = max(hi for lo, hi in spans if lo < hi) - start
     lines = []
-    for alternative in product(*comps) if wanted else ():
+    for alternative in product(*comps):
         sides = ([], [])  # the larger side, then the smaller
-        costs = [1, len(wanted)]
+        costs = [1, 2]  # a probe costs about two entries of the index
         for f in sorted(chain(*alternative), key=lambda f: -len(f[1])):
             side = costs[1] < costs[0]
             sides[side].insert(0, f)  # ascending: products grow from the smallest
             costs[side] *= len(f[1])
         larger, smaller = sides
-        index = {}
-        for k, exps in _product(larger, moduli):
-            index.setdefault(k, []).append(exps)
+        # the walk's cache keeps every factor alive, so ids name the index
+        name = ("index",) + tuple(map(id, larger))
+        if name not in cache:
+            cache[name] = index = {}
+            for k, exps in _product(larger, moduli):
+                index.setdefault((k[:-1], k[-1] % L), []).append((k[-1] // L, exps))
+            for bucket in index.values():
+                bucket.sort()
         variables = [v for f in smaller + larger for v in f[0]]
         for k, exps in _product(smaller, moduli):
-            for wk, hits in wanted.items():
-                for exps2 in index.get(tuple((a - b) % q for a, b, q in zip(wk, k, moduli)), ()):
-                    rest = [-1] * (n + 1)
-                    for v, e in zip(variables, exps + exps2):
-                        rest[v - 1] = e
-                    *_, c, u = ctx.line_columns([0] + rest)
-                    lines.append((c // L, u // L, tuple(rest), hits))
+            need = duals_u + k[-1]
+            base = _ceil_div(need, L)
+            key = tuple((-a - b) % q for a, b, q in zip(duals, k, moduli))
+            found = cache[name].get((key, -need % L), ())
+            if width < M:
+                # the arc [m0, m0 + width) mod M
+                m0 = (start - base) % M
+                cut = [bisect_left(found, (m,)) for m in (m0, m0 + width, m0 + width - M)]
+                found = found[cut[0]:cut[1]] + found[:cut[2]]
+            for m, exps2 in found:
+                rest = [-1] * (n + 1)
+                for v, e in zip(variables, exps + exps2):
+                    rest[v - 1] = e
+                *_, c, u = ctx.line_columns([0] + rest)
+                hits = [i for i, (lo, hi) in enumerate(spans) if (base + m - lo) % M < hi - lo]
+                lines.append((c // L, u // L, tuple(rest), hits))
     return rows, lines

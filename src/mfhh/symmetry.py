@@ -42,13 +42,14 @@ x_0..x_{n+1}.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
 from . import lattice
-from .errors import DegenerateCharacter
+from .errors import DegenerateCharacter, EngineError
 from .jacobian import component_variables, restrict
 
 
@@ -182,6 +183,8 @@ class SymmetryContext:
         """
         if self._census is None:
             n2 = self.n + 2  # coordinates x_0..x_{n+1}, bit j of a mask is x_j
+            if 1 << n2 > sys.maxsize:
+                raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
             counts = [0] * (1 << n2)
             p = self.poly
             blocks = component_variables(restrict(p, range(1, p.nvars + 1)))

@@ -9,7 +9,9 @@ solvers independently; `quotient` enumerates ker(chi) by the dual route;
 line columns, and `chi_power` reads u off that line.  `census_by_masks`
 takes one Smith form per subset of x_0..x_{n+1}, with no blocks or closure.
 `cramer_weights` takes n + 1 Bareiss determinants where `poly.weights`
-makes one elimination.
+makes one elimination.  `probe_restrictions` solves restrictions by the
+wanted-key probe join that `lines.solve_restriction` replaced with a range
+join: one key per row and residue of u, each probed per smaller-side key.
 Matrices are sequences of rows of Python ints (row convention).
 """
 
@@ -18,11 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from math import gcd, prod
 
 from mfhh import lattice
 from mfhh.errors import NoPositiveSolution
+from mfhh.jacobian import component_variables, not_isolated, restrict
 from mfhh.lattice import invariant_factors, smith
+from mfhh.lines import _ceil_div, _component, _product, kinds
 from mfhh.poly import WeightSystem
 
 
@@ -282,3 +287,71 @@ def cramer_weights(p):
     if h <= 0 or any(di <= 0 for di in d):
         raise NoPositiveSolution(f"weight system {tuple(d)};{h} is not positive")
     return WeightSystem(tuple(d), h, h - sum(d))
+
+
+def probe_restrictions(ctx, classes, window, boxes=False):
+    """lines.restrictions, each restriction solved by probe_restriction."""
+    groups = {}
+    for fixed, count in classes:
+        groups.setdefault(tuple(sorted(fixed - {0})), []).append((fixed, count))
+    cache = {}
+    for fixed_vars, group in groups.items():
+        yield probe_restriction(ctx, fixed_vars, group, window, cache, boxes)
+
+
+def probe_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
+    """(rows, lines) as lines.solve_restriction gives them, by the wanted-key
+    probe join: one wanted key per row and residue of u mod |du| among the
+    window's weights, and each looked up, less a product key of the smaller
+    side, in an index of the larger side's product keys."""
+    dmin, dmax = window
+    n = ctx.n
+    L = ctx.line_denominator
+    moduli = ctx.line_moduli + (L * (abs(ctx.family_step[1]) or 1),)
+    rows = [
+        (fixed, count, kind)
+        for fixed, count in group
+        for kind in kinds(n, len(fixed_vars), 0 in fixed)
+    ]
+    comps, infinite = [], False
+    for variables in component_variables(restrict(ctx.poly, fixed_vars)):
+        if variables not in cache:
+            cache[variables] = _component(ctx, variables, moduli, cache, boxes)
+        if cache[variables] is None:
+            infinite = True  # and so is the ring, unless another one is 0
+        else:
+            comps.append(cache[variables])
+    if infinite and all(comps):
+        raise not_isolated(fixed_vars)
+    # the dual markers on the unfixed variables
+    duals = ctx.line_columns([0] + [-(v not in fixed_vars) for v in range(1, n + 2)])
+    # the keys the factors must bring: one per residue of u mod |du| among
+    # the window's weights, less the dual markers' key
+    wanted = {}
+    for i, (_, _, kind) in enumerate(rows):
+        lo, hi = _ceil_div(dmin - kind[3], 2), (dmax - kind[3]) // 2
+        for u in range(lo, min(hi, lo + moduli[-1] // L - 1) + 1):
+            key = tuple(-x % q for x, q in zip(duals[:-2] + (duals[-1] - u * L,), moduli))
+            wanted.setdefault(key, []).append(i)
+    lines = []
+    for alternative in product(*comps) if wanted else ():
+        sides = ([], [])  # the larger side, then the smaller
+        costs = [1, len(wanted)]
+        for f in sorted(chain(*alternative), key=lambda f: -len(f[1])):
+            side = costs[1] < costs[0]
+            sides[side].insert(0, f)  # ascending: products grow from the smallest
+            costs[side] *= len(f[1])
+        larger, smaller = sides
+        index = {}
+        for k, exps in _product(larger, moduli):
+            index.setdefault(k, []).append(exps)
+        variables = [v for f in smaller + larger for v in f[0]]
+        for k, exps in _product(smaller, moduli):
+            for wk, hits in wanted.items():
+                for exps2 in index.get(tuple((a - b) % q for a, b, q in zip(wk, k, moduli)), ()):
+                    rest = [-1] * (n + 1)
+                    for v, e in zip(variables, exps + exps2):
+                        rest[v - 1] = e
+                    *_, c, u = ctx.line_columns([0] + rest)
+                    lines.append((c // L, u // L, tuple(rest), hits))
+    return rows, lines

@@ -237,6 +237,19 @@ def test_probe_of_a_million_degrees_in_a_child_process():
     assert res.returncode == 0 and b"constant rank 2 in every negative degree" in res.stdout
 
 
+def test_table_of_150_variables_is_an_engine_error_in_a_child_process():
+    # the census's 2^151 masks cannot be listed; no traceback, and fast
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    poly = "+".join(f"x{i}^2" for i in range(1, 151))
+    argv = ["table", "--poly", poly, "--dmin", "-2", "--dmax", "2"]
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert res.returncode == 3 and res.stdout == b"" and b"Traceback" not in res.stderr
+    assert res.stderr == b"error: the census cannot list the 2^151 masks of 151 coordinates\n"
+
+
 def test_probe_empty_window_is_input_error():
     code, _, err = run(["probe-small-res", "--poly", LAUFER1, "--dmin", "0"])
     assert code == 2 and "empty degree window" in err

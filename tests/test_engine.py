@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from basis_oracle import basis_in
 from conftest import random_invertible
-from lattice_oracle import family_line, member
+from lattice_oracle import family_line, member, probe_restrictions
 from mfhh import jacobian, lines
 from mfhh.cli import main
 from mfhh.engine import (
@@ -584,6 +584,65 @@ def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
             assert assert_lines_decoded(parse(text), (-40, 8), boxes) > 0
 
 
+def _solved(solve, ctx, classes, window, boxes):
+    """(rows, multiset of (c0, u0, rest, hits)) per restriction that solve
+    yields, and the class of the MfhhError raised in solving or in reading
+    the lines' points in the window as compute_table does, else None."""
+    solved, error = [], None
+    try:
+        for rows, found in solve(ctx, classes, window, boxes):
+            solved.append((rows, Counter((c0, u0, rest, tuple(hits)) for c0, u0, rest, hits in found)))
+        for rows, found in solved:
+            for c0, u0, _, hits in found:
+                for i in hits:
+                    lines.t_range(c0, u0, ctx.family_step, rows[i][2], window)
+    except MfhhError as exc:
+        error = type(exc)
+    return solved, error
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.integers(-16, 8), st.integers(0, 6),
+       st.booleans())
+def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, wide):
+    # short windows, windows longer than 2*|du| (every residue of u), both
+    # signs of du, and du == 0, where both raise when the points are read
+    rng = random.Random(seed)
+    p = _nonstandard(rng) if nonstandard else random_invertible(rng, max_vars=5, max_det=1500)
+    try:
+        ctx = SymmetryContext(p)
+    except MfhhError:
+        return
+    du = ctx.family_step[1]
+    window = (dmax - length - wide * (2 * abs(du) + 1 + rng.randrange(2 * abs(du) + 1)), dmax)
+    assert_range_join_matches_probe_join(ctx, window, boxes)
+
+
+def assert_range_join_matches_probe_join(ctx, window, boxes):
+    classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
+    got = _solved(lines.restrictions, ctx, classes, window, boxes)
+    assert got == _solved(probe_restrictions, ctx, classes, window, boxes)
+    return got
+
+
+@pytest.mark.parametrize(
+    "text, sign",
+    [("x1^11+x2^13+x3^17", 1), ("x1^3*x2+x2^3*x3+x3^2+x4^2", -1), ("x1^2+x2^2", 0), ("x1^3+x2^3+x3^3", 0)],
+)
+def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
+    ctx = SymmetryContext(parse(text))
+    du = ctx.family_step[1]
+    assert (du > 0) - (du < 0) == sign
+    errors = set()
+    for window in ((-12, 8), (3, 3), (-4 * abs(du) - 7, 5)):
+        for boxes in (False, True):
+            solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
+            assert solved
+            errors.add(error)
+    # with du == 0 a family whose degree lies in the window never leaves it
+    assert (NonterminatingFamily in errors) == (du == 0) and errors <= {None, NonterminatingFamily}
+
+
 def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
     # {x1, x2} alone is never isolated; x3 bare makes its ideal, so the ring, 0
     with warnings.catch_warnings():
@@ -660,6 +719,29 @@ def test_standard_tables_run_no_buchberger(monkeypatch, text):
     monkeypatch.setattr(jacobian, "_groebner", never)
     monkeypatch.setattr(jacobian, "_basis_cached", never)
     assert (compute_table(p, window), hh2_vanishes(p)) == expected
+
+
+def test_range_join_builds_few_products_whatever_the_window(monkeypatch):
+    # the planner charges a smaller-side product a constant, not the
+    # window's wanted keys: the wanted-key probe join built 7,502 entries
+    built = []
+    build = lines._product
+
+    def counted(factors, moduli):
+        out = build(factors, moduli)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(lines, "_product", counted)
+    for text in BOX_TABLE_INPUTS[:4]:  # the large_group benchmark's anchors
+        compute_table(parse(text), (-12, 8))
+    assert sum(built) < 2500
+    counts = []
+    for window in ((-12, 8), (-4000, 8)):
+        built.clear()
+        compute_table(parse(BOX_TABLE_INPUTS[0]), window)
+        counts.append(sum(built))
+    assert counts[0] == counts[1]
 
 
 def _nonstandard(rng):

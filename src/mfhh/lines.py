@@ -132,8 +132,8 @@ def _product(factors, moduli):
 def restrictions(ctx, classes, window, boxes=False):
     """Solve each restriction once, in order of the first of the given
     (fixed set, count) classes that uses it; yields (rows, lines) as
-    solve_restriction.  Component bases and their keys are shared by all
-    restrictions of the walk."""
+    solve_restriction.  Component bases, their keys and the larger sides'
+    indexes are shared by all restrictions of the walk."""
     groups = {}
     for fixed, count in classes:
         groups.setdefault(tuple(sorted(fixed - {0})), []).append((fixed, count))

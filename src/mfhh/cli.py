@@ -198,9 +198,10 @@ def build_parser():
         description="Exact bigraded cohomology dimension tables for invertible polynomials.",
     )
     top.add_argument("--version", action="version", version=__version__)
+    mirror = "The table of w is SH of the Milnor fibre of w^T, its Berglund-Huebsch transpose."
     sub = top.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("table", help="compute a bigraded dimension table")
+    t = sub.add_parser("table", help="compute a bigraded dimension table", description=mirror)
     t.add_argument("--poly", required=True, help="polynomial, e.g. 'x1^3*x2+x2^3*x3+x3^2+x4^2'")
     t.add_argument("--dmin", required=True, type=int)
     t.add_argument("--dmax", required=True, type=int)
@@ -215,7 +216,8 @@ def build_parser():
     c.add_argument("b")
     c.set_defaults(func=cmd_compare)
 
-    pr = sub.add_parser("probe-small-res", help="constant-rank probe on negative degrees")
+    pr = sub.add_parser("probe-small-res", help="constant-rank probe on negative degrees",
+                        description=mirror)
     pr.add_argument("--poly", required=True)
     pr.add_argument("--dmin", required=True, type=int)
     pr.add_argument("--allow-nonstandard", action="store_true")

@@ -208,7 +208,7 @@ def compute_table(p, window, ctx=None):
                 ts = t_range(c0, u0, step, kind, window)
                 # a run starts at its lowest degree; with du == 0 it is one point
                 for t in ts[:1] if du >= 0 else ts[-1:]:
-                    runs.append((2 * (u0 + t * du) + kind[3], c0 + t * dc, len(ts), count))
+                    runs.append((2 * (u0 + t * du) + kind[3], c0 + t * dc, ts.stop - ts.start, count))
     return BigradedTable(*window, runs=runs, step=(2 * abs(du) or 1, dc if du >= 0 else -dc))
 
 

@@ -34,9 +34,13 @@ appended, is the order of the phase sum sigma_B on that subgroup.  Then
 at least S fixes prod h_B elements, and at least S + {x_0} fixes
 prod h_B / lcm(m_B) of them: sum(phi) is the sum of the sigma_B, each
 uniform on the cyclic subgroup of order m_B of Q/Z, so the sum is uniform
-on the subgroup of order lcm(m_B).  That is two small Smith forms per
-closed proper subset of each block in place of one per subset of
-x_0..x_{n+1}.
+on the subgroup of order lcm(m_B).
+
+Cost: one pass down the 2^(n+1) sets S of x_1..x_{n+1}, supersets first.
+A set with a forced x_v copies the counts of S + {x_v}; a closed set
+multiplies its blocks' (h_B, m_B), two small Smith forms per closed proper
+subset of each block.  With the Moebius inversion the census stays
+exponential in n, though only closed sets carry a class.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 from operator import mul
 
@@ -148,32 +153,15 @@ class SymmetryContext:
             self._ker = sorted(self._iter_ker())
         return self._ker
 
-    def _block_counts(self, block):
-        """(mask, h_B, m_B) for each subset of one block's variables, with
-        the subset as a mask over x_0..x_{n+1} (see the module docstring)."""
-        rows = [[row[v - 1] for v in block] for row in self.poly.matrix]
-        rows = [row for row in rows if any(row)]
-        counts, closed = [], {}
-        for s in range(1 << len(block)):
-            c, grown = s, True
-            while grown:  # close s: a lone 1 outside it is forced to be fixed
-                grown = False
-                for row in rows:
-                    outside = [j for j, a in enumerate(row) if a and not c >> j & 1]
-                    if len(outside) == 1 and row[outside[0]] == 1:
-                        c |= 1 << outside[0]
-                        grown = True
-            if c not in closed:
-                free = [j for j in range(len(block)) if not c >> j & 1]
-                h = h1 = 1
-                if free:
-                    m = [[row[j] for j in free] for row in rows]
-                    h = prod(lattice.invariant_factors(m))
-                    h1 = prod(lattice.invariant_factors(m + [[1] * len(free)]))
-                closed[c] = (h, h // h1)
-            mask = sum(1 << v for j, v in enumerate(block) if s >> j & 1)
-            counts.append((mask, *closed[c]))
-        return counts
+    def _free_counts(self, free):
+        """(h_B, m_B) of a block whose unfixed variables are the mask free."""
+        cols = [j - 1 for j in range(1, self.n + 2) if free >> j & 1]
+        if not cols:
+            return 1, 1
+        m = [[row[j] for j in cols] for row in self.poly.matrix]
+        m = [row for row in m if any(row)]  # zero rows add no invariant factor
+        h = prod(lattice.invariant_factors(m))
+        return h, h // prod(lattice.invariant_factors(m + [[1] * len(cols)]))
 
     def fixed_census(self):
         """How many elements of ker(chi) fix each subset of coordinates.
@@ -187,11 +175,21 @@ class SymmetryContext:
                 raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
             counts = [0] * (1 << n2)
             p = self.poly
-            blocks = component_variables(restrict(p, range(1, p.nvars + 1)))
-            for parts in itertools.product(*map(self._block_counts, blocks)):
-                s = sum(mask for mask, _, _ in parts)
-                counts[s] = prod(h for _, h, _ in parts)
-                counts[s | 1] = counts[s] // lcm(*(m for _, _, m in parts))
+            blocks = [sum(1 << v for v in b) for b in component_variables(restrict(p, range(1, n2)))]
+            # each entry 1 of A as masks: (the nonzero entries of its row, itself)
+            ones = [(sum(1 << i for i, b in enumerate(row, 1) if b), 1 << j)
+                    for row in p.matrix for j, a in enumerate(row, 1) if a == 1]
+            free_counts = cache(self._free_counts)
+            # "at least S" counts down the even masks, supersets first; s | 1 adds x_0
+            for s in range(len(counts) - 2, -1, -2):
+                for sup, v in ones:
+                    if sup & ~s == v:  # x_v is forced: S fixes what S + x_v does
+                        counts[s], counts[s | 1] = counts[s | v], counts[s | v | 1]
+                        break
+                else:  # S is closed: one (h_B, m_B) per block
+                    h, m = zip(*[free_counts(block & ~s) for block in blocks])
+                    counts[s] = prod(h)
+                    counts[s | 1] = counts[s] // lcm(*m)
             # Moebius inversion over supersets: at least S -> exactly S
             for j in range(n2):
                 bit = 1 << j

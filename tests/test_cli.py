@@ -237,6 +237,17 @@ def test_probe_of_a_million_degrees_in_a_child_process():
     assert res.returncode == 0 and b"constant rank 2 in every negative degree" in res.stdout
 
 
+@pytest.mark.parametrize("poly, rank", [("x1^2+x2^2+x3^3+x4^3", 2), ("x1^2+x2^3+x3^5+x4^30", 8)])
+def test_probe_of_a_window_longer_than_sys_maxsize_in_a_child_process(poly, rank):
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    argv = ["probe-small-res", "--poly", poly, "--dmin", "-100000000000000000000"]
+    res = subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, timeout=60)
+    assert res.returncode == 0 and res.stderr == b""
+    assert res.stdout.startswith(b"window probed: [-100000000000000000000, -1]\n")
+    assert f"constant rank {rank} in every negative degree".encode() in res.stdout
+
+
 def test_table_of_150_variables_is_an_engine_error_in_a_child_process():
     # the census's 2^151 masks cannot be listed; no traceback, and fast
     src = os.path.dirname(os.path.dirname(mfhh.__file__))

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -534,6 +535,19 @@ def test_table_probe_and_compare_cost_runs_not_window(text, rank):
     assert probe == SmallResVerdict("constant", window, rank)
     assert verdict == ScaleVerdict("equivalent", window, Fraction(1))
     assert "cells" not in vars(t)
+
+
+@pytest.mark.parametrize("text, rank", [("x1^2+x2^2+x3^3+x4^3", 2), ("x1^2+x2^3+x3^5+x4^30", 8)])
+def test_table_of_a_window_longer_than_sys_maxsize(text, rank):
+    # its runs are longer than len() of a range can report
+    p, n = parse(text), 10**20
+    assert n > sys.maxsize
+    t = compute_table(p, (-n, -1))
+    assert [t.dim(d) for d in (-n, -n + 1, -n // 2, -2, -1)] == [rank] * 5
+    assert t.total() == n * rank
+    bottom = compute_table(p, (-n, -n + 40))
+    assert [t.dim(d) for d in range(-n, -n + 41)] == [bottom.dim(d) for d in range(-n, -n + 41)]
+    assert small_res_probe(t) == SmallResVerdict("constant", (-n, -1), rank)
 
 
 def _run_copy(t, k=1, j=1):

@@ -220,18 +220,38 @@ def test_census_matches_mask_census_on_nonstandard_matrices(seed):
             checked += 1
 
 
+CHAIN12 = "+".join([f"x{i}^{2 + i % 2}*x{i + 1}" for i in range(1, 12)] + ["x12^2"])
+LOOP12 = "+".join(f"x{i}^{2 + i % 2}*x{i % 12 + 1}" for i in range(1, 13))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+".join([f"x{i}^{2 + i % 3}*x{i + 1}" for i in range(1, 9)] + ["x9^3"]),
+        "+".join(f"x{i}^{2 + i % 3}*x{i % 9 + 1}" for i in range(1, 10)),
+        "x1^2*x2+x2^3*x3+x3^2+x4^3*x5+x5^2*x6+x6^2*x4+x7^4+x8^2*x9+x9^5",
+    ],
+)
+def test_census_matches_mask_census_on_nine_variables(text):
+    # a 9-chain, a 9-loop, and a chain, a loop, a Fermat atom and a 2-chain
+    p = parse(text)
+    assert SymmetryContext(p).fixed_census() == census_by_masks(p)
+
+
 @pytest.mark.parametrize(
     "text, calls",
     [
         ("x1^7+x2^5+x3^4+x4^6+x5^3+x6^3", 12),
         ("x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x5+x5^3*x6+x6^24", 12),
         ("x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1", 2),
+        (CHAIN12, 24),
+        (LOOP12, 2),
     ],
 )
 def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, calls):
     # one per closed proper subset of each block and one with the row of
-    # ones: a 6-chain has 6 such sets, a Fermat atom 1 and a loop 1; the
-    # census by masks takes 126 here
+    # ones: a k-chain has k such sets, a Fermat atom 1 and a loop 1; the
+    # census by masks takes 126 on six variables
     def walk(self):
         raise AssertionError("ker(chi) was enumerated")
 

@@ -69,14 +69,17 @@ def _emit_pretty(p, doc, table, out):
     if not qs:
         out.write("(table is empty on this window)\n")
         return
-    head = "deg |" + "".join(f"{q:>5}" for q in qs) + " | total"
+    rows = [(d, table.row(d)) for d in sorted({d for d, _ in table.cells}, reverse=True)]
+    rows = [(d, [found.get(q, 0) for q in qs]) for d, found in rows]
+    # each column as wide as its widest label; weights and cells keep a space between them
+    qw = max(5, 1 + max(len(str(v)) for row in [qs] + [row for _, row in rows] for v in row))
+    dw, tw = max(3, *(len(str(d)) for d, _ in rows)), max(5, *(len(str(sum(row))) for _, row in rows))
+    head = f"{'deg':>{dw}} |" + "".join(f"{q:>{qw}}" for q in qs) + f" | {'total':>{tw}}"
     out.write(head + "\n")
     out.write("-" * len(head) + "\n")
-    for d in sorted({d for d, _ in table.cells}, reverse=True):
-        found = table.row(d)
-        row = [found.get(q, 0) for q in qs]
-        cells = "".join(f"{v if v else '.':>5}" for v in row)
-        out.write(f"{d:>3} |{cells} | {sum(row):>5}\n")
+    for d, row in rows:
+        cells = "".join(f"{v if v else '.':>{qw}}" for v in row)
+        out.write(f"{d:>{dw}} |{cells} | {sum(row):>{tw}}\n")
     if doc.get("contributions"):
         out.write("\ncontributions (monomial, type, degree, weight, count):\n")
         for r in doc["contributions"]:

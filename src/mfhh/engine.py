@@ -22,14 +22,14 @@ three kinds read that one line: kind A takes its points with c >= 0 (beta =
 c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
 c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
-Cost model.  The lines of each restriction of w that can reach the window
-are found and solved once, by lines.restrictions, for the class with x0
-and the class without it; the lines module gives their cost.  Tables ask
-for Kreuzer-Krawitz boxes, so a standard polynomial's table takes no
-Groebner basis; listings read the grevlex staircase.  A table keeps each
-found line's points in the window as one run along the family step, so it
-costs O(runs) however long its window, and builds its cells only when they
-are read; listings make a Contribution per point.
+Cost model.  lines.restrictions finds the lines of all the classes that fix
+the same variables outside the one-variable Fermat atoms of w in one join,
+whose cost the lines module gives; beyond it, a class costs one dict entry.
+Tables ask for Kreuzer-Krawitz boxes, so a standard polynomial's table
+takes no Groebner basis; listings read the grevlex staircase.  A table
+keeps each found line's points in the window as one run along the family
+step, so it costs O(runs) however long its window, and builds its cells
+only when they are read; listings make a Contribution per point.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -201,10 +201,9 @@ def compute_table(p, window, ctx=None):
     ctx = _context(p, window, ctx)
     dc, du = step = ctx.family_step
     runs = []
-    for rows, lines in restrictions(ctx, _sorted_census(ctx), window, boxes=True):
+    for _, lines in restrictions(ctx, _sorted_census(ctx), window, boxes=True):
         for c0, u0, _, hits in lines:
-            for i in hits:
-                _, count, kind = rows[i]
+            for _, count, kind in hits:
                 ts = t_range(c0, u0, step, kind, window)
                 # a run starts at its lowest degree; with du == 0 it is one point
                 for t in ts[:1] if du >= 0 else ts[-1:]:
@@ -217,45 +216,43 @@ def hh2_vanishes(p, ctx=None):
     return compute_table(p, (2, 2), ctx=ctx).total() == 0
 
 
-def _class_entries(ctx, restriction, fixed, window):
-    """The contributions of one class of a solved restriction, ranked by the
-    grevlex key of their basis monomials, kind A before B, then t; only hits
-    become objects."""
-    rows, lines = restriction
+def _class_entries(ctx, hits, window):
+    """The contributions of one class from its (line, row) hits, ranked by
+    the grevlex key of their basis monomials, kind A before B, then t; only
+    hits become objects."""
     dc, du = step = ctx.family_step
     out = []
-    for c0, u0, rest, hits in lines:
+    for (c0, u0, rest, _), (_, count, kind) in hits:
         # the fixed variables' exponents, in variable order
         rank = _grevlex_key(tuple(e for e in rest if e >= 0))
-        for i in hits:
-            row_fixed, count, kind = rows[i]
-            if row_fixed != fixed:
-                continue
-            name, _, _, off, shift = kind
-            for t in t_range(c0, u0, step, kind, window):
-                c, u = c0 + t * dc, u0 + t * du
-                beta = None if shift is None else c + shift
-                con = Contribution(
-                    None, GammaMonomial(name, beta, (c,) + rest), u, 2 * u + off, count
-                )
-                out.append((rank, name, t, con))
+        name, _, _, off, shift = kind
+        for t in t_range(c0, u0, step, kind, window):
+            c, u = c0 + t * dc, u0 + t * du
+            beta = None if shift is None else c + shift
+            con = Contribution(
+                None, GammaMonomial(name, beta, (c,) + rest), u, 2 * u + off, count
+            )
+            out.append((rank, name, t, con))
     out.sort(key=lambda h: h[:3])
     return [h[3] for h in out]
 
 
 def _classes(ctx, classes, window):
     """Yield (fixed set, contributions) for the given (fixed set, count)
-    classes in their order.  A restriction is solved at its first class and
-    kept until its other class has had its turn, so every error is raised
-    at the class that raised it when each class was solved on its own."""
+    classes in their order.  A join is solved at its first class, and its
+    hits are kept per class until that class has had its turn, so every
+    error is raised at the class that raised it when each class was solved
+    on its own."""
     solved = restrictions(ctx, classes, window)
     pending = {}
     for fixed, _ in classes:
-        r = pending.pop(fixed, None)
-        if r is None:
-            r = next(solved)
-            pending.update((other, r) for other, _, _ in r[0] if other != fixed)
-        yield fixed, _class_entries(ctx, r, fixed, window)
+        if fixed not in pending:
+            group, lines = next(solved)
+            pending.update((other, []) for other, _ in group)
+            for line in lines:
+                for row in line[3]:
+                    pending[row[0]].append((line, row))
+        yield fixed, _class_entries(ctx, pending.pop(fixed), window)
 
 
 def class_contributions(p, window, ctx=None):
@@ -264,8 +261,8 @@ def class_contributions(p, window, ctx=None):
     Elements with the same fixed set carry identical monomial families, so
     each fixed-variable class of ker(chi) is computed once; its entries have
     gamma None and count the class size.  No element of ker(chi) is listed.
-    A class S and the class S + {x0} share one restriction, whose lines are
-    solved once.  An empty window is an InputError.
+    The classes that differ only in x0 and the Fermat atoms they fix share
+    one join.  An empty window is an InputError.
     """
     ctx = _context(p, window, ctx)
     for _, entries in _classes(ctx, _sorted_census(ctx), window):

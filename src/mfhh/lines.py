@@ -5,26 +5,29 @@ markers on the unfixed variables, the solutions (c, u) of
 (c, p) - u*(1,..,1) in the relation lattice form one line with the
 context-wide step (dc, du); engine reads kinds A, B and C off it.
 
-A class S and the class S + {x0} restrict w to the same fixed variables and
-read the same lines, so each restriction is solved once.  Its Jacobian ring
-is the product of its connected components' rings (see jacobian), so a
-basis is a union of products of factors.  Tables take an atom's
-Kreuzer-Krawitz boxes, whose factors are single variables' exponent ranges;
-listings, whose monomials are grevlex ones, and components that are no atom
-take the grevlex staircase as one factor.
+A restriction's Jacobian ring is the product of its connected components'
+rings (see jacobian), so a basis is a union of products of factors.  Tables
+take an atom's Kreuzer-Krawitz boxes, whose factors are single variables'
+exponent ranges; listings, whose monomials are grevlex ones, and components
+that are no atom take the grevlex staircase as one factor.  A Fermat atom,
+a one-variable block x_v^a of w with a >= 2, is one factor with exponents
+-1..a-2: its dual marker when x_v is unfixed, else its basis.  So classes
+that differ only in x0 and the Fermat atoms they fix share one join, and a
+line reads its fixed set off its exponents.
 
 Cost model.  A line's columns (SymmetryContext.line_columns) are linear in
 the exponent vector, so its key, the residues of its congruence columns and
 of its u column modulo L*|du|, which decide whether the line exists and at
 which weights u it has points, is the sum of its factors' keys.  Each
-factor is keyed once per walk.  A restriction splits its factors into two
-sides, indexes the product keys of the larger one once per walk, and joins
-each product key of the smaller side to the entries of that index whose
-weights lie in the window (see solve_restriction), so it costs about
+factor is keyed once per walk.  A join splits its factors into two sides,
+indexes the product keys of the larger one once per walk, and joins each
+product key of the smaller side to the entries of that index whose weights
+lie in the window (see solve_restriction), so it costs about
 |smaller side| * log + |larger side| + |lines found| whatever the window's
-length, rather than its Milnor number.  Only a found line is decoded: its
-exponent vector is put together from the factors' monomials, line_columns
-gives its point (c0, u0), and t_range finds its points in the window.
+length.  A sum of n Fermat atoms is one join of about sqrt(|det A|)
+products a side, not 2^n.  Only a found line with a class that wants one of
+its weights is decoded: line_columns gives its point (c0, u0), and t_range
+finds its points in the window.
 """
 
 from __future__ import annotations
@@ -129,30 +132,38 @@ def _product(factors, moduli):
     return out
 
 
+def _fermat_atoms(p):
+    """{v: a} for each one-variable block x_v^a of p with a >= 2."""
+    blocks = component_variables(restrict(p, range(1, p.nvars + 1)))
+    return {b[0]: a for b in blocks if len(b) == 1 and (a := restrict(p, b).terms[0][0]) >= 2}
+
+
 def restrictions(ctx, classes, window, boxes=False):
-    """Solve each restriction once, in order of the first of the given
-    (fixed set, count) classes that uses it; yields (rows, lines) as
-    solve_restriction.  Component bases, their keys and the larger sides'
-    indexes are shared by all restrictions of the walk."""
+    """Solve the (fixed set, count) classes by one join per set of fixed
+    variables outside the Fermat atoms, in order of its first class, each
+    yielding (group, lines) as solve_restriction.  Component bases, their
+    keys and the larger sides' indexes are shared by all joins of a walk."""
+    drop = {0, *_fermat_atoms(ctx.poly)}
     groups = {}
     for fixed, count in classes:
-        groups.setdefault(tuple(sorted(fixed - {0})), []).append((fixed, count))
+        groups.setdefault(tuple(sorted(fixed - drop)), []).append((fixed, count))
     cache = {}
     for fixed_vars, group in groups.items():
         yield solve_restriction(ctx, fixed_vars, group, window, cache, boxes)
 
 
 def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
-    """(rows, lines) for the restriction to fixed_vars and its (fixed set,
-    count) classes.
+    """(group, lines) for the group of (fixed set, count) classes whose
+    fixed variables outside the Fermat atoms are fixed_vars.
 
-    rows are (fixed set, count, kind): A and B for the class with x0, C for
-    the one without.  lines are (c0, u0, rest, indices of the rows it can
-    hit) for the lines that can hit the window.  rest holds the exponents of
-    x_1..x_{n+1}: the line's basis monomial on the fixed variables and the
-    dual marker -1 on the others; (c0, u0) is the point that
-    line_columns((0,) + rest) gives over L.  With boxes, components that
-    are atoms take their Kreuzer-Krawitz boxes (see _component).
+    lines are (c0, u0, rest, rows) for the lines that hit the window.  rest
+    holds the exponents of x_1..x_{n+1}: the line's basis monomial on its
+    fixed set S and the dual marker -1 on the others; (c0, u0) is the point
+    that line_columns((0,) + rest) gives over L.  rows are the (fixed set,
+    count, kind) it hits: kinds A and B of the class S + {x0}, C of S.  With
+    boxes, components that are atoms take their Kreuzer-Krawitz boxes (see
+    _component).  An infinite ring raises NotIsolated, named after the
+    first class's restriction.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -160,21 +171,21 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     side's products are indexed by congruence residues and U mod L, each
     bucket sorted by m = U // L.  A product of the smaller side, whose u
     column plus the dual markers' is need, meets one bucket, in which m
-    gives weights ceil(need/L) + m mod |du|; the rows want an arc of
-    weights, so it finds one or two ranges of m, or the whole bucket once
-    the window spans |du| weights.  With du == 0 every line whose
-    congruences hold is found, so t_range raises.
+    gives weights ceil(need/L) + m mod |du|; the kinds want one arc of
+    weights, as wide as the window and their degree offsets, so it finds
+    one or two ranges of m, or the whole bucket once the arc covers |du|
+    weights.  With du == 0 every line whose congruences hold is found, so
+    t_range raises.
     """
     dmin, dmax = window
     n = ctx.n
     L = ctx.line_denominator
     M = abs(ctx.family_step[1]) or 1
     moduli = ctx.line_moduli + (L * M,)
-    rows = [
-        (fixed, count, kind)
-        for fixed, count in group
-        for kind in kinds(n, len(fixed_vars), 0 in fixed)
-    ]
+    if "atoms" not in cache:  # x_v^a as one factor: its dual marker, then its basis
+        powers = _fermat_atoms(ctx.poly).items()
+        cache["atoms"] = {v: _factor(ctx, (v,), [(e,) for e in range(-1, a - 1)], moduli) for v, a in powers}
+    atoms = cache["atoms"]
     comps, infinite = [], False
     for variables in component_variables(restrict(ctx.poly, fixed_vars)):
         if variables not in cache:
@@ -184,21 +195,24 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
         else:
             comps.append(cache[variables])
     if infinite and all(comps):
-        raise not_isolated(fixed_vars)
-    # the dual markers on the unfixed variables
-    *duals, _, duals_u = ctx.line_columns([0] + [-(v not in fixed_vars) for v in range(1, n + 2)])
-    # row i wants u in [lo, hi); the kinds' degree offsets differ by at most
-    # 1, so the rows that want any u want one arc of u mod M
-    spans = [(_ceil_div(dmin - kind[3], 2), (dmax - kind[3]) // 2 + 1) for _, _, kind in rows]
-    start = min((lo for lo, hi in spans if lo < hi), default=None)
-    if start is None:
-        return rows, []
-    width = max(hi for lo, hi in spans if lo < hi) - start
+        raise not_isolated(tuple(sorted(group[0][0] - {0})))
+    # the dual markers on the unfixed variables; a Fermat atom's factor holds its own
+    *duals, _, duals_u = ctx.line_columns([0] + [-(v not in (*fixed_vars, *atoms)) for v in range(1, n + 2)])
+    # a kind of degree offset off wants u in spans[off] = [lo, hi); a class fixes
+    # k0..k0 + |atoms| variables, so off is n - k0 - |atoms| + 1..n - k0 + 2
+    offsets = range(n - len(fixed_vars) - len(atoms) + 1, n - len(fixed_vars) + 3)
+    spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2 + 1) for off in offsets}
+    wanted = [(lo, hi) for lo, hi in spans.values() if lo < hi]
+    if not wanted:
+        return group, []
+    start = min(lo for lo, _ in wanted)
+    width = max(hi for _, hi in wanted) - start
+    counts = dict(group)
     lines = []
     for alternative in product(*comps):
         sides = ([], [])  # the larger side, then the smaller
         costs = [1, 2]  # a probe costs about two entries of the index
-        for f in sorted(chain(*alternative), key=lambda f: -len(f[1])):
+        for f in sorted(chain(*alternative, atoms.values()), key=lambda f: -len(f[1])):
             side = costs[1] < costs[0]
             sides[side].insert(0, f)  # ascending: products grow from the smallest
             costs[side] *= len(f[1])
@@ -226,7 +240,14 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
                 rest = [-1] * (n + 1)
                 for v, e in zip(variables, exps + exps2):
                     rest[v - 1] = e
-                *_, c, u = ctx.line_columns([0] + rest)
-                hits = [i for i, (lo, hi) in enumerate(spans) if (base + m - lo) % M < hi - lo]
-                lines.append((c // L, u // L, tuple(rest), hits))
-    return rows, lines
+                fixed = frozenset(v for v, e in enumerate(rest, 1) if e >= 0)
+                hits = []
+                for cls in (fixed | {0}, fixed):
+                    for kind in kinds(n, len(fixed), 0 in cls) if cls in counts else ():
+                        lo, hi = spans[kind[3]]
+                        if (base + m - lo) % M < hi - lo:
+                            hits.append((cls, counts[cls], kind))
+                if hits:
+                    *_, c, u = ctx.line_columns([0] + rest)
+                    lines.append((c // L, u // L, tuple(rest), hits))
+    return group, lines

@@ -327,6 +327,30 @@ def test_pretty_table_reads_only_degrees_with_cells(monkeypatch):
     assert [int(line.split("|")[0]) for line in out.splitlines()[6:]] == held
 
 
+def test_pretty_columns_are_as_wide_as_their_widest_labels():
+    # six- and seven-character degrees, and weights that filled their columns
+    code, out, _ = run(["table", "--poly", "x1^2+x2^2+x3^3+x4^3", "--dmin", "-100000", "--dmax", "-99998"])
+    assert code == 0
+    assert out.splitlines()[4:] == [
+        "    deg | 74999 75000 75001 | total",
+        "-" * 35,
+        " -99998 |     2     .     . |     2",
+        " -99999 |     .     1     1 |     2",
+        "-100000 |     .     1     1 |     2",
+    ]
+    # labels that fit keep the columns as they were
+    code, out, _ = run(["table", "--poly", LAUFER1, "--dmin", "-2", "--dmax", "1"])
+    assert code == 0
+    assert out.splitlines()[4:] == [
+        "deg |    0    4 | total",
+        "-" * 23,
+        "  1 |    1    . |     1",
+        "  0 |    1    . |     1",
+        " -1 |    .    1 |     1",
+        " -2 |    .    1 |     1",
+    ]
+
+
 def test_pretty_output_of_an_empty_table():
     code, out, _ = run(["table", "--poly", "x1^2+x2^2", "--dmin", "2", "--dmax", "5"])
     assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from basis_oracle import basis_in
 from conftest import random_invertible
 from lattice_oracle import family_line, member, probe_restrictions
-from mfhh import jacobian, lines
+from mfhh import engine, jacobian, lines
 from mfhh.cli import main
 from mfhh.engine import (
     BigradedTable,
@@ -368,28 +368,52 @@ def test_census_and_table_never_list_ker_chi(monkeypatch):
     assert main(argv, out=io.StringIO()) == 0
 
 
+def _counted_solves(monkeypatch):
+    """The (fixed variables, restrictions of its classes) of each join run."""
+    solves = []
+    solve = lines.solve_restriction
+
+    def counted(ctx, fixed_vars, group, *args):
+        solves.append((fixed_vars, {tuple(sorted(fixed - {0})) for fixed, _ in group}))
+        return solve(ctx, fixed_vars, group, *args)
+
+    monkeypatch.setattr(lines, "solve_restriction", counted)
+    return solves
+
+
 @pytest.mark.parametrize(
     "text, shared", [("x1^11+x2^13+x3^17+x4^19", 0), ("x1^2+x2^3+x3^5+x4^600", 7)]
 )
 def test_each_restriction_is_solved_once(monkeypatch, text, shared):
-    # a class S and the class S + {x0} restrict w to the same variables
-    solves = []
-    solve = lines.solve_restriction
-
-    def counted(ctx, fixed_vars, *args):
-        solves.append(fixed_vars)
-        return solve(ctx, fixed_vars, *args)
-
-    monkeypatch.setattr(lines, "solve_restriction", counted)
+    # a class S and the class S + {x0} restrict w to the same variables, and
+    # the classes that differ only in their Fermat atoms share one join
+    solves = _counted_solves(monkeypatch)
     p = parse(text)
     ctx = SymmetryContext(p)
     restrictions = {tuple(sorted(fixed - {0})) for fixed in ctx.fixed_census()}
     assert len(ctx.fixed_census()) - len(restrictions) == shared
+    for run in (compute_table, lambda *a, **k: list(class_contributions(*a, **k))):
+        solves.clear()
+        run(p, (-12, 8), ctx=ctx)
+        assert [fixed_vars for fixed_vars, _ in solves] == [()]
+        assert solves[0][1] == restrictions
+
+
+@pytest.mark.parametrize(
+    "text, joins",
+    [
+        ("+".join(f"x{i}^{2 + i % 3}" for i in range(1, 13)), [()]),  # 4,096 restrictions
+        # a 2-chain's closed sets are {}, {x2} and {x1, x2}
+        ("x1^3*x2+x2^4+x3^5+x4^6", [(), (1, 2), (2,)]),
+    ],
+)
+def test_one_join_per_fixed_set_outside_the_atoms(monkeypatch, text, joins):
+    solves = _counted_solves(monkeypatch)
+    p = parse(text)
+    ctx = SymmetryContext(p)
     compute_table(p, (-12, 8), ctx=ctx)
-    assert sorted(solves) == sorted(restrictions)
-    solves.clear()
-    list(class_contributions(p, (-12, 8), ctx=ctx))
-    assert sorted(solves) == sorted(restrictions)
+    assert sorted(fixed_vars for fixed_vars, _ in solves) == joins
+    assert set().union(*(r for _, r in solves)) == {tuple(sorted(f - {0})) for f in ctx.fixed_census()}
 
 
 # -- reference: the per-monomial walk the engine used before its line kernel --
@@ -558,12 +582,13 @@ def assert_lines_decoded(p, window, boxes=False):
     ctx = SymmetryContext(p)
     classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
     found = 0
-    for rows, restriction_lines in lines.restrictions(ctx, classes, window, boxes):
-        fixed_vars = tuple(sorted(rows[0][0] - {0}))
-        bases = _component_bases(p, fixed_vars, boxes)
+    for _, restriction_lines in lines.restrictions(ctx, classes, window, boxes):
         for c0, u0, rest, hits in restriction_lines:
+            # a line hits only the rows of the classes S and S + {x0} of its fixed set S
             assert len(rest) == p.nvars and hits
+            fixed_vars, = {tuple(sorted(fixed - {0})) for fixed, _, _ in hits}
             assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
+            bases = _component_bases(p, fixed_vars, boxes)
             for variables, basis in bases:
                 assert tuple(rest[v - 1] for v in variables) in basis
             assert member(relations, [b - u0 for b in (c0,) + rest])
@@ -585,20 +610,24 @@ def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
 
 
 def _solved(solve, ctx, classes, window, boxes):
-    """(rows, multiset of (c0, u0, rest, hits)) per restriction that solve
-    yields, and the class of the MfhhError raised in solving or in reading
-    the lines' points in the window as compute_table does, else None."""
-    solved, error = [], None
+    """The multiset of (c0, u0, rest, rows hit) over the lines that solve
+    yields, and the class and message of the MfhhError raised in solving or
+    in reading the lines' points in the window as compute_table does, else
+    None.  An error in solving leaves no lines: which lines come before it
+    depends on how solve groups the classes into joins."""
+    found, error = Counter(), None
     try:
-        for rows, found in solve(ctx, classes, window, boxes):
-            solved.append((rows, Counter((c0, u0, rest, tuple(hits)) for c0, u0, rest, hits in found)))
-        for rows, found in solved:
-            for c0, u0, _, hits in found:
-                for i in hits:
-                    lines.t_range(c0, u0, ctx.family_step, rows[i][2], window)
+        for _, lines_found in solve(ctx, classes, window, boxes):
+            found.update((c0, u0, rest, frozenset(hits)) for c0, u0, rest, hits in lines_found)
     except MfhhError as exc:
-        error = type(exc)
-    return solved, error
+        return Counter(), (type(exc), str(exc))
+    try:
+        for c0, u0, _, hit in found:
+            for _, _, kind in hit:
+                lines.t_range(c0, u0, ctx.family_step, kind, window)
+    except MfhhError as exc:
+        error = (type(exc), str(exc))
+    return found, error
 
 
 @settings(max_examples=150)
@@ -618,10 +647,18 @@ def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, w
     assert_range_join_matches_probe_join(ctx, window, boxes)
 
 
+def _probe_join(ctx, classes, window, boxes=False):
+    """lattice_oracle.probe_restrictions in the shape of lines.restrictions:
+    each restriction's classes, and each line with the rows it hits."""
+    for rows, found in probe_restrictions(ctx, classes, window, boxes):
+        group = list(dict.fromkeys((fixed, count) for fixed, count, _ in rows))
+        yield group, [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in found]
+
+
 def assert_range_join_matches_probe_join(ctx, window, boxes):
     classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
     got = _solved(lines.restrictions, ctx, classes, window, boxes)
-    assert got == _solved(probe_restrictions, ctx, classes, window, boxes)
+    assert got == _solved(_probe_join, ctx, classes, window, boxes)
     return got
 
 
@@ -638,9 +675,26 @@ def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
         for boxes in (False, True):
             solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
             assert solved
-            errors.add(error)
+            errors.add(error and error[0])
     # with du == 0 a family whose degree lies in the window never leaves it
     assert (NonterminatingFamily in errors) == (du == 0) and errors <= {None, NonterminatingFamily}
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**9), st.sampled_from([(-12, 8), (-4000, 8)]))
+def test_tables_and_listings_match_the_probe_join(seed, window):
+    # one join per fixed set outside the Fermat atoms, against one probe
+    # join per restriction; random_invertible mixes atoms, chains and loops
+    p = random_invertible(random.Random(seed), max_vars=8, max_det=3000)
+    ctx = SymmetryContext(p)
+
+    def solve():
+        return compute_table(p, window, ctx=ctx), list(class_contributions(p, window, ctx=ctx))
+
+    got = _outcome(solve)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "restrictions", _probe_join)
+        assert got == _outcome(solve)
 
 
 def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
@@ -654,6 +708,17 @@ def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
     assert len(rows) == 1 and found == []
     with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):
         lines.solve_restriction(SymmetryContext(infinite), (1, 2, 3), group, (-10, 10), {})
+
+
+def test_not_isolated_names_the_first_failing_class_with_its_atoms():
+    # x3^3 is an atom, so one join serves every class that fixes x1 and x2;
+    # the error still names the whole restriction of the first such class
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = parse("x1^2*x2+x3^3+x1^2", allow_nonstandard=True)
+    for call in (compute_table, list_contributions, lambda *a: list(class_contributions(*a))):
+        with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):
+            call(p, (-10, 0))
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,9 @@ compared degree with a nonzero weight such a constant must map the least (if
 positive) or the largest (if negative) weight of the first table onto the
 least of the second, so at most two constants are tried.  It reads runs,
 never cells: one sweep each compares ranks and weight-0 dims, and one per
-constant the rescaled runs, in O(runs log runs) however long the window
-(runs of another slope than the first table's are cut into points).
+constant the rescaled runs, in O(runs log runs) for tables of one step and
+slope.  Others are cut, down to points, so the top of the window is swept
+first: a pair that differs there costs its runs, one that agrees its cells.
 small_res_probe sweeps the rank less its reference, in O(runs log runs +
 witnesses).  golden_check validates whole families against their closed forms.
 """
@@ -46,20 +47,29 @@ def _negative_overlap(t1, t2):
     return lo, hi
 
 
-def _last_difference(sides):
+def _last_difference(sides, hi=None):
     """The highest degree where two (runs, step, factor) sides differ as
     multisets of points with weights times factor, or None.  Runs of the
     first side's slope split to the lcm of the degree steps, others into
-    points, and the pieces are swept along that common step."""
-    (_, (sd1, sq1), f1), (_, (sd2, _), _) = sides
+    points, and the pieces are swept along that common step.  When that
+    cuts runs (the steps or slopes differ) and both sides hold a run of
+    several points (a side of points costs its cells in any sweep), the top
+    max(sd1, sd2) degrees up to hi go first: clipping keeps each degree's
+    multiset, so a difference there is the highest; else the whole sides."""
+    (runs1, (sd1, sq1), f1), (runs2, (sd2, sq2), f2) = sides
+    cut = (sd1, f1 * sq1) != (sd2, f2 * sq2)
+    if hi is not None and cut and all(any(n > 1 for _, _, n, _ in runs) for runs in (runs1, runs2)):
+        top = [(clip(runs, step, hi - max(sd1, sd2) + 1, hi), step, f) for runs, step, f in sides]
+        found = _last_difference(top)
+        if found is not None:
+            return found
     S = lcm(sd1, sd2)
     Q = f1 * sq1 * (S // sd1)
     pieces = []
     for (runs, (sd, sq), f), sign in zip(sides, (1, -1)):
         j = S // sd if f * sq * (S // sd) == Q else None
-        for d, q, n, m in runs:
-            pieces += ((d + i * sd, f * (q + i * sq), -((i - n) // j) if j else 1, sign * m)
-                       for i in range(min(j or n, n)))
+        pieces += [(d + i * sd, f * (q + i * sq), -((i - n) // j) if j else 1, sign * m)
+                   for d, q, n, m in runs for i in range(min(j or n, n))]
     return max((r + (k2 - 1) * S for r, _, _, k2, _ in stretches(pieces, S, Q)), default=None)
 
 
@@ -94,7 +104,7 @@ def scale_compare(t1, t2):
     # ranks and zero-weight dims first: the highest degree where either differs
     z1, z2 = _zero_points(runs1, t1.step), _zero_points(runs2, t2.step)
     differ = [
-        _last_difference(((runs1, t1.step, 0), (runs2, t2.step, 0))),
+        _last_difference(((runs1, t1.step, 0), (runs2, t2.step, 0)), hi),
         _last_difference(((z1, (1, 1), 0), (z2, (1, 1), 0))),
     ]
     differ = [d for d in differ if d is not None]
@@ -124,7 +134,7 @@ def scale_compare(t1, t2):
     for c in candidates:
         # c = a/b with b > 0: c*nz1 = nz2 exactly when a*nz1 = b*nz2; the
         # zero weights may stay in, as their dims already agree
-        fail = _last_difference(((runs1, t1.step, c.numerator), (runs2, t2.step, c.denominator)))
+        fail = _last_difference(((runs1, t1.step, c.numerator), (runs2, t2.step, c.denominator)), hi)
         if fail is None:
             return ScaleVerdict("equivalent", (lo, hi), c)
         fails.append(fail)

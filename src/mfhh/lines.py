@@ -132,10 +132,9 @@ def _product(factors, moduli):
     return out
 
 
-def _fermat_atoms(p):
-    """{v: a} for each one-variable block x_v^a of p with a >= 2."""
-    blocks = component_variables(restrict(p, range(1, p.nvars + 1)))
-    return {b[0]: a for b in blocks if len(b) == 1 and (a := restrict(p, b).terms[0][0]) >= 2}
+def _fermat_atoms(ctx):
+    """{v: a} for each one-variable block x_v^a of w with a >= 2."""
+    return {b[0]: a for b in ctx.blocks if len(b) == 1 and (a := restrict(ctx.poly, b).terms[0][0]) >= 2}
 
 
 def restrictions(ctx, classes, window, boxes=False):
@@ -143,7 +142,7 @@ def restrictions(ctx, classes, window, boxes=False):
     variables outside the Fermat atoms, in order of its first class, each
     yielding (group, lines) as solve_restriction.  Component bases, their
     keys and the larger sides' indexes are shared by all joins of a walk."""
-    drop = {0, *_fermat_atoms(ctx.poly)}
+    drop = {0, *_fermat_atoms(ctx)}
     groups = {}
     for fixed, count in classes:
         groups.setdefault(tuple(sorted(fixed - drop)), []).append((fixed, count))
@@ -183,7 +182,7 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     M = abs(ctx.family_step[1]) or 1
     moduli = ctx.line_moduli + (L * M,)
     if "atoms" not in cache:  # x_v^a as one factor: its dual marker, then its basis
-        powers = _fermat_atoms(ctx.poly).items()
+        powers = _fermat_atoms(ctx).items()
         cache["atoms"] = {v: _factor(ctx, (v,), [(e,) for e in range(-1, a - 1)], moduli) for v, a in powers}
     atoms = cache["atoms"]
     comps, infinite = [], False

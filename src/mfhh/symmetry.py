@@ -49,7 +49,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm, prod
 from operator import mul
 
@@ -129,6 +129,11 @@ class SymmetryContext:
         self._ker = None
         self._census = None
 
+    @cached_property
+    def blocks(self):
+        """The variables of each connected block of A, in order of their first variable."""
+        return component_variables(restrict(self.poly, range(1, self.n + 2)))
+
     # -- ker chi -----------------------------------------------------------
 
     def _iter_ker(self):
@@ -175,7 +180,7 @@ class SymmetryContext:
                 raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
             counts = [0] * (1 << n2)
             p = self.poly
-            blocks = [sum(1 << v for v in b) for b in component_variables(restrict(p, range(1, n2)))]
+            blocks = [sum(1 << v for v in b) for b in self.blocks]
             # each entry 1 of A as masks: (the nonzero entries of its row, itself)
             ones = [(sum(1 << i for i, b in enumerate(row, 1) if b), 1 << j)
                     for row in p.matrix for j, a in enumerate(row, 1) if a == 1]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
-from mfhh.engine import BigradedTable, compute_table
+from mfhh.engine import BigradedTable, compute_table, stretches
 from mfhh.errors import GoldenMismatch, NonterminatingFamily, UnknownFamily, WindowMismatch
 from mfhh.invariants import (
     FAMILY_NAMES,
@@ -612,3 +612,93 @@ def test_run_form_invariants_match_cell_references(seed):
                     scale_compare(u, v)
                 continue
             assert scale_compare(u, v) == want == _scale_compare_all_ratios(_scanning(u), _scanning(v))
+
+
+def _long_run_table(rng):
+    """A run-form table of a random polynomial on a window from dmin in
+    [-400, -21] to dmax in [-20, 8], so that any two of them overlap, or
+    None for a polynomial with d0 = 0."""
+    p = random_invertible(rng, max_vars=4, max_det=300)
+    try:
+        return compute_table(p, (rng.randint(-400, -21), rng.randint(-20, 8)))
+    except NonterminatingFamily:
+        return None
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**9))
+def test_scale_compare_matches_all_ratios_on_long_windows(seed):
+    # two polynomials' steps mostly differ, so the runs are cut and the top
+    # of the shared window is searched first
+    rng = random.Random(seed)
+    t1, t2 = _long_run_table(rng), _long_run_table(rng)
+    if t1 is None or t2 is None:
+        return
+    assert scale_compare(t1, t2) == _scale_compare_all_ratios(t1, t2)
+    assert scale_compare(t2, t1) == _scale_compare_all_ratios(t2, t1)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**9))
+def test_scale_compare_matches_all_ratios_below_the_top_window(seed):
+    # a table against copies that agree at the top of the window, rescaled
+    # by an integer and disturbed in one cell near dmin: the cell-built copy
+    # and a run copy on twice the degree step, whose compare finds nothing
+    # at the top and must sweep the whole window
+    rng = random.Random(seed)
+    t = _long_run_table(rng)
+    if t is None:
+        return
+    c = rng.choice([1, 2, -1, -3])
+    d = t.dmin + rng.randint(0, 2)
+    q = rng.choice([0, *t.row(d)])
+    cells = rescale(t, c).cells
+    cells[(d, q)] = cells.get((d, q), 0) + rng.choice([1, -cells.get((d, q), 0)])
+    runs = _run_copy(t, c, 2)
+    copies = [BigradedTable(t.dmin, t.dmax, cells),
+              BigradedTable(t.dmin, t.dmax, runs=runs.runs + [(d, q, 1, 1)], step=runs.step)]
+    for copy in copies:
+        assert scale_compare(t, copy) == _scale_compare_all_ratios(t, copy)
+        assert scale_compare(copy, t) == _scale_compare_all_ratios(copy, t)
+
+
+def _pieces_swept(monkeypatch):
+    """Wrap the stretches that scale_compare sweeps to log each sweep's size."""
+    sizes = []
+    monkeypatch.setattr("mfhh.invariants.stretches",
+                        lambda pieces, *a: sizes.append(len(pieces)) or stretches(pieces, *a))
+    return sizes
+
+
+# pairs whose degree steps differ, each distinguished near the top of its
+# window: sweeping the whole windows would cut 2,784, 2,400 and 1,944 pieces
+DISTINGUISHED_NEAR_THE_TOP = [
+    (LAUFER2, LAUFER1, (-2640, 8), -5),
+    ("x1^3+x2^3+x3^4+x4^5", "x1^2+x2^2+x3^5+x4^7", (-1630, 8), -1),
+    ("x1^2+x2^3+x3^3+x4^5", "x1^2+x2^3+x3^5+x4^7", (-2230, 8), -1),
+]
+
+
+@pytest.mark.parametrize("first, second, window, witness", DISTINGUISHED_NEAR_THE_TOP)
+def test_scale_compare_distinguished_near_the_top_sweeps_few_pieces(monkeypatch, first, second, window, witness):
+    t1, t2 = table(first, window), table(second, window)
+    sizes = _pieces_swept(monkeypatch)
+    for u, v in ((t1, t2), (t2, t1)):
+        sizes.clear()
+        verdict = scale_compare(u, v)
+        assert (verdict.kind, verdict.witness_degree) == ("distinguished", witness)
+        assert sum(sizes) <= 400
+
+
+def test_scale_compare_sweeps_the_whole_window_when_the_top_agrees(monkeypatch):
+    # a run copy on twice the step, one point off at dmin: the top window
+    # shows no difference, so the whole window is swept and finds dmin
+    t = table(LAUFER1, (-2640, 8))
+    runs = _run_copy(t, 1, 2)
+    copy = BigradedTable(t.dmin, t.dmax, runs=runs.runs + [(t.dmin, 1, 1, 1)], step=runs.step)
+    sizes = _pieces_swept(monkeypatch)
+    verdict = scale_compare(t, copy)
+    assert (verdict.kind, verdict.witness_degree) == ("distinguished", t.dmin)
+    assert verdict == _scale_compare_all_ratios(t, copy)
+    # the ranks: the top window, then the whole one; the zero weights: one
+    assert len(sizes) == 3 and sizes[0] < sizes[1]

@@ -8,7 +8,6 @@ non-constant or golden mismatch; 2 input error; 3 engine error;
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -45,6 +44,8 @@ def _document(p, ctx, table, contributions=None):
 
 
 def _emit_json(doc, out):
+    import json
+
     out.write(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
     out.write("\n")
 
@@ -96,6 +97,8 @@ def _json_int(path, value):
 
 
 def _load_document(path):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

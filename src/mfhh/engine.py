@@ -40,9 +40,9 @@ The table does not depend on the basis, so no other order is offered.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 from .errors import InputError, WindowMismatch
 from .jacobian import _grevlex_key
@@ -51,8 +51,7 @@ from .poly import monomial_text
 from .symmetry import SymmetryContext
 
 
-@dataclass(frozen=True)
-class GammaMonomial:
+class GammaMonomial(NamedTuple):
     kind: str  # 'A' | 'B' | 'C'
     beta: int | None  # x0 exponent for kinds A/B; None for C
     b: tuple  # total exponents (b0, .., b_{n+1}); dual markers count -1
@@ -67,8 +66,7 @@ class GammaMonomial:
         return monomial_text(power + dual + list(enumerate(self.b[1:], start=1)))
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     gamma: object  # GroupElement, or None for a whole fixed class
     monomial: GammaMonomial
     u: int

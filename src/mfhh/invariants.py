@@ -15,9 +15,10 @@ witnesses).  golden_check validates whole families against their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .engine import clip, compute_table, stretches
 from .errors import GoldenMismatch, UnknownFamily, WindowMismatch
@@ -225,14 +226,13 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
-@dataclass
-class GoldenReport:
+class GoldenReport(NamedTuple):
     family: str
     l: int | None
     k: int
     poly_text: str
     window: tuple
-    checks: list = field(default_factory=list)  # (name, expected, got)
+    checks: list  # (name, expected, got)
     conditional: bool = False
 
     @property
@@ -275,17 +275,13 @@ def golden_check(family, l=None, k=1):
     _, hh3_form, rank_form, least_l, conditional = _FAMILIES[family]
     window = (-4 * (k + 1), 8)
     table = compute_table(p, window)
-    report = GoldenReport(family, None if least_l is None else l, k, str(p), window,
-                          conditional=conditional)
-    report.checks.append(("dim HH^3", hh3_form(l, k), table.dim(3)))
-    report.checks.append(("dim HH^2", 0, table.dim(2)))
-    for d in range(4, 9):
-        report.checks.append((f"dim HH^{d}", 0, table.dim(d)))
     rank = rank_form(l, k)
-    for d in range(window[0], 2):
-        report.checks.append((f"dim HH^{d}", rank, table.dim(d)))
+    checks = [("dim HH^3", hh3_form(l, k), table.dim(3)), ("dim HH^2", 0, table.dim(2))]
+    checks += [(f"dim HH^{d}", 0, table.dim(d)) for d in range(4, 9)]
+    checks += [(f"dim HH^{d}", rank, table.dim(d)) for d in range(window[0], 2)]
     # the window always contains degree 2, so the table settles the flag
-    report.checks.append(("HH^2 vanishes", True, table.dim(2) == 0))
+    checks.append(("HH^2 vanishes", True, table.dim(2) == 0))
+    report = GoldenReport(family, None if least_l is None else l, k, str(p), window, checks, conditional)
     if not report.passed:
         raise GoldenMismatch(report)
     return report

@@ -47,11 +47,11 @@ components that are no atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import itemgetter, le, neg
+from typing import NamedTuple
 
 from .errors import InputError, NotIsolated
 from .poly import atom_heads
@@ -135,15 +135,13 @@ def _groebner(gens, key):
     return basis
 
 
-@dataclass(frozen=True)
-class RestrictedPolynomial:
+class RestrictedPolynomial(NamedTuple):
     parent: object  # the InvertiblePolynomial it came from
     fixed: tuple  # sorted 1-based indices of the kept variables
     terms: tuple  # exponent tuples over the fixed variables
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
+class MonomialBasis(NamedTuple):
     variables: tuple  # 1-based indices, aligned with each monomial tuple
     monomials: tuple  # staircase, in ascending grevlex order
 
@@ -152,8 +150,7 @@ class MonomialBasis:
         return len(self.monomials)
 
 
-@dataclass(frozen=True)
-class BoxBasis:
+class BoxBasis(NamedTuple):
     variables: tuple  # 1-based indices, aligned with each box
     boxes: tuple  # disjoint boxes, each one range of exponents per variable
 

@@ -7,7 +7,7 @@ matrix is the set of integer combinations of its rows inside Z^c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def identity_matrix(n):
@@ -41,8 +41,7 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     u: tuple  # rows x rows, unimodular
     d: tuple  # rows x cols, diagonal, d1 | d2 | ...
     v: tuple  # cols x cols, unimodular

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from typing import NamedTuple
 
 from . import lattice
 from .errors import CoefficientError, NoPositiveSolution, NotInvertible, PolySyntaxError, SchemaError
@@ -48,15 +48,13 @@ def monomial_text(pairs):
     return "*".join(factors) or "1"
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple):
     d: tuple  # positive integer weights d_1..d_n
     h: int  # common weighted degree of every monomial
     d0: int  # h - sum(d)
 
 
-@dataclass(frozen=True)
-class InvertiblePolynomial:
+class InvertiblePolynomial(NamedTuple):
     matrix: tuple  # rows = monomials, columns = variables
 
     @property

@@ -47,19 +47,18 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import lattice
 from .errors import DegenerateCharacter, EngineError
 from .jacobian import component_variables, restrict
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """An element of ker(chi): phases of t_1..t_{n+1} as fractions in [0,1).
 
     t_0 is determined (the negated phase sum), and `fixed` holds the indices

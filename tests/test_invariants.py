@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import time
@@ -437,6 +438,27 @@ def test_small_res_probe():
     v3 = small_res_probe(table("x1^2+x2^2+x3^2+x4^3"))
     assert not v3.constant
     assert v3.witnesses  # the deviating degrees are reported
+
+
+def test_verdicts_stay_dataclasses_for_asdict():
+    # the verdicts are the only records left as dataclasses: callers, the
+    # benchmark's output digest among them, read them with dataclasses.asdict
+    t1, t2 = table(LAUFER1), table(LAUFER2)
+    assert dataclasses.asdict(small_res_probe(t1)) == {
+        "kind": "constant", "window": (-12, -1), "rank": 1, "witnesses": (),
+    }
+    assert dataclasses.asdict(small_res_probe(table("x1^2+x2^2+x3^2+x4^3"))) == {
+        "kind": "nonconstant", "window": (-12, -1), "rank": None,
+        "witnesses": ((-10, 1), (-9, 1), (-6, 1), (-5, 1)),
+    }
+    assert dataclasses.asdict(scale_compare(t1, t2)) == {
+        "kind": "distinguished", "window": (-12, -1), "c": None,
+        "witness_degree": -5, "witness_weights": ((8,), (10,)),
+    }
+    assert dataclasses.asdict(scale_compare(t1, t1)) == {
+        "kind": "equivalent", "window": (-12, -1), "c": Fraction(1),
+        "witness_degree": None, "witness_weights": None,
+    }
 
 
 def test_small_res_probe_takes_its_reference_at_the_top_of_the_window():

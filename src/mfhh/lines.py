@@ -18,16 +18,19 @@ line reads its fixed set off its exponents.
 Cost model.  A line's columns (SymmetryContext.line_columns) are linear in
 the exponent vector, so its key, the residues of its congruence columns and
 of its u column modulo L*|du|, which decide whether the line exists and at
-which weights u it has points, is the sum of its factors' keys.  Each
-factor is keyed once per walk.  A join splits its factors into two sides,
-indexes the product keys of the larger one once per walk, and joins each
-product key of the smaller side to the entries of that index whose weights
-lie in the window (see solve_restriction), so it costs about
+which weights u it has points, is the sum of its factors' keys.  A key is
+one int, a field per column, and a sum of two keys is reduced field by
+field with one add, one mask, one shift and one multiply (see
+solve_restriction).  Each factor is keyed once per walk.  A join splits
+its factors into two sides, indexes the product keys of the larger one once
+per walk, and joins each product key of the smaller side to the entries of
+that index whose weights lie in the window, so it costs about
 |smaller side| * log + |larger side| + |lines found| whatever the window's
 length.  A sum of n Fermat atoms is one join of about sqrt(|det A|)
-products a side, not 2^n.  Only a found line with a class that wants one of
-its weights is decoded: line_columns gives its point (c0, u0), and t_range
-finds its points in the window.
+products a side, not 2^n.  A found entry carries its fixed set as a
+bitmask, so only one with a class that wants one of its weights is
+decoded: line_columns gives its point (c0, u0), and t_range finds its
+points in the window.
 """
 
 from __future__ import annotations
@@ -86,20 +89,35 @@ def t_range(c0, u0, step, kind, window):
     return range(lo, hi + 1)
 
 
-def _factor(ctx, variables, monomials, moduli):
-    """(variables, [(key, monomial)]) for monomials over the variables; see
-    solve_restriction."""
-    # the weights of these variables only, one column at a time; the c
-    # column plays no part in a key
-    *congruences, _, u_weights = ([w[v] for v in variables] for w in ctx.line_weights)
-    keys = zip(*(
-        [sum(map(mul, m, w)) % q for m in monomials]
-        for w, q in zip(congruences + [u_weights], moduli)
-    ))
-    return variables, list(zip(keys, monomials))
+def _packing(N, fields):
+    """(N, field width, top bits, N in each field); see solve_restriction."""
+    w = N.bit_length() + 1
+    return N, w, sum(1 << (i * w + w - 1) for i in range(fields)), sum(N << i * w for i in range(fields))
 
 
-def _component(ctx, variables, moduli, cache, boxes):
+def _canonical(s, packing):
+    """The key whose fields are those of s mod N, each field of s below 2N."""
+    N, w, high, each = packing
+    return s - (((s + high - each) & high) >> (w - 1)) * N
+
+
+def _factor(ctx, variables, monomials, packing):
+    """(variables, [(key, monomial, mask)]) for monomials over the variables,
+    mask holding bit v for each x_v of exponent >= 0; see solve_restriction."""
+    N, w = packing[:2]
+    # these variables' weights, a column at a time: u, then each congruence
+    # scaled by N / d_j; the c column plays no part in a key
+    *congruences, _, u_weights = ctx.line_weights
+    keys = masks = [0] * len(monomials)
+    for i, (weights, q) in enumerate(zip([u_weights, *congruences], (N, *ctx.line_moduli))):
+        weights, scale, off = [weights[v] for v in variables], N // q, i * w
+        keys = [k + ((sum(map(mul, m, weights)) * scale % N) << off) for k, m in zip(keys, monomials)]
+    for j, v in enumerate(variables):
+        masks = [f | (m[j] >= 0) << v for f, m in zip(masks, monomials)]
+    return variables, list(zip(keys, monomials, masks))
+
+
+def _component(ctx, variables, packing, cache, boxes):
     """The basis of one component as alternatives whose union it is, each a
     list of factors whose product it is: one factor per variable range of
     each box of a BoxBasis, else one factor holding the staircase.  [] when
@@ -110,43 +128,52 @@ def _component(ctx, variables, moduli, cache, boxes):
     except NotIsolated:
         return None
     if not isinstance(basis, BoxBasis):
-        return [[_factor(ctx, variables, basis.monomials, moduli)]] if basis.monomials else []
+        return [[_factor(ctx, variables, basis.monomials, packing)]] if basis.monomials else []
     for box in basis.boxes:
         for v, exps in zip(variables, box):
             # (variable, range) keys never meet the components' variable tuples
             if (v, exps) not in cache:
-                cache[v, exps] = _factor(ctx, (v,), [(e,) for e in exps], moduli)
+                cache[v, exps] = _factor(ctx, (v,), [(e,) for e in exps], packing)
     return [[cache[v, exps] for v, exps in zip(variables, box)] for box in basis.boxes]
 
 
-def _product(factors, moduli):
-    """(key, exponents) for every product of the factors' monomials, the
-    exponents in the order of the factors' variables."""
-    out = factors[0][1] if factors else [((0,) * len(moduli), ())]
-    for _, entries in factors[1:]:
+def _product(factors, packing):
+    """(key, exponents, mask) for every product of the factors' monomials,
+    the exponents in the order of the factors' variables."""
+    N, w, high, each = packing
+    carry, shift = high - each, w - 1
+    out = factors[0][1] if factors else [(0, (), 0)]
+    for _, entries in factors[1:]:  # _canonical of each sum, inlined
         out = [
-            (tuple((a + b) % q for a, b, q in zip(k, k2, moduli)), e + e2)
-            for k, e in out
-            for k2, e2 in entries
+            ((s := k + k2) - (((s + carry) & high) >> shift) * N, e + e2, f | f2)
+            for k, e, f in out
+            for k2, e2, f2 in entries
         ]
     return out
 
 
-def _fermat_atoms(ctx):
-    """{v: a} for each one-variable block x_v^a of w with a >= 2."""
-    return {b[0]: a for b in ctx.blocks if len(b) == 1 and (a := restrict(ctx.poly, b).terms[0][0]) >= 2}
+def _walk(ctx, cache):
+    """The walk's packing and its Fermat atoms' factors {v: factor}, derived
+    once per walk: x_v^a, a one-variable block of w with a >= 2, as one
+    factor with exponents -1..a-2, its dual marker, then its basis."""
+    if "walk" not in cache:
+        packing = _packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
+        powers = [(b[0], restrict(ctx.poly, b).terms[0][0]) for b in ctx.blocks if len(b) == 1]
+        atoms = {v: _factor(ctx, (v,), [(e,) for e in range(-1, a - 1)], packing) for v, a in powers if a >= 2}
+        cache["walk"] = packing, atoms
+    return cache["walk"]
 
 
 def restrictions(ctx, classes, window, boxes=False):
     """Solve the (fixed set, count) classes by one join per set of fixed
     variables outside the Fermat atoms, in order of its first class, each
-    yielding (group, lines) as solve_restriction.  Component bases, their
-    keys and the larger sides' indexes are shared by all joins of a walk."""
-    drop = {0, *_fermat_atoms(ctx)}
+    yielding (group, lines) as solve_restriction.  Atoms, component bases,
+    their keys and the larger sides' indexes are shared by all joins of a walk."""
+    cache = {}
+    drop = {0, *_walk(ctx, cache)[1]}
     groups = {}
     for fixed, count in classes:
         groups.setdefault(tuple(sorted(fixed - drop)), []).append((fixed, count))
-    cache = {}
     for fixed_vars, group in groups.items():
         yield solve_restriction(ctx, fixed_vars, group, window, cache, boxes)
 
@@ -166,47 +193,58 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
-    vanishes mod its d_j and the u column U = u*L mod L*|du|.  The larger
-    side's products are indexed by congruence residues and U mod L, each
-    bucket sorted by m = U // L.  A product of the smaller side, whose u
-    column plus the dual markers' is need, meets one bucket, in which m
-    gives weights ceil(need/L) + m mod |du|; the kinds want one arc of
-    weights, as wide as the window and their degree offsets, so it finds
-    one or two ranges of m, or the whole bucket once the arc covers |du|
-    weights.  With du == 0 every line whose congruences hold is found, so
-    t_range raises.
+    vanishes mod its d_j and the u column U = u*L mod N = L*|du| (L when
+    du == 0).  Each d_j divides L, so a key is one int of w-bit fields,
+    w = N.bit_length() + 1: U mod N in the lowest, congruence j times N/d_j
+    mod N in field j.  A field of a sum s of two keys is below 2N < 2^w, and
+    adding 2^(w-1) - N to it sets its top bit exactly when it is >= N with
+    no carry into the next field; so s less N times those top bits, shifted
+    to the bottom of their fields, is the key of the sum (_canonical).
+
+    The larger side's products are indexed by their keys with U mod L for
+    U, each bucket sorted by m = U // L.  A product of the smaller side
+    meets the bucket of its wanted key, the negation of its key plus the
+    dual markers', in which m gives weights m - U // L mod |du|, U the
+    wanted key's; the kinds want one arc of weights, as wide as the window
+    and their degree offsets, so it finds one or two ranges of m, or the
+    whole bucket once the arc covers |du| weights.  A found entry's mask of
+    exponents >= 0 is its fixed set S: only the rows of S and S + {x0} that
+    want one of its weights decode it.  With du == 0 every line whose
+    congruences hold is found, so t_range raises.
     """
     dmin, dmax = window
     n = ctx.n
     L = ctx.line_denominator
-    M = abs(ctx.family_step[1]) or 1
-    moduli = ctx.line_moduli + (L * M,)
-    if "atoms" not in cache:  # x_v^a as one factor: its dual marker, then its basis
-        powers = _fermat_atoms(ctx).items()
-        cache["atoms"] = {v: _factor(ctx, (v,), [(e,) for e in range(-1, a - 1)], moduli) for v, a in powers}
-    atoms = cache["atoms"]
+    packing, atoms = _walk(ctx, cache)
+    N, w, _, each = packing
+    M, low = N // L, (1 << w) - 1
     comps, infinite = [], False
     for variables in component_variables(restrict(ctx.poly, fixed_vars)):
         if variables not in cache:
-            cache[variables] = _component(ctx, variables, moduli, cache, boxes)
+            cache[variables] = _component(ctx, variables, packing, cache, boxes)
         if cache[variables] is None:
             infinite = True  # and so is the ring, unless another one is 0
         else:
             comps.append(cache[variables])
     if infinite and all(comps):
         raise not_isolated(tuple(sorted(group[0][0] - {0})))
-    # the dual markers on the unfixed variables; a Fermat atom's factor holds its own
-    *duals, _, duals_u = ctx.line_columns([0] + [-(v not in (*fixed_vars, *atoms)) for v in range(1, n + 2)])
-    # a kind of degree offset off wants u in spans[off] = [lo, hi); a class fixes
-    # k0..k0 + |atoms| variables, so off is n - k0 - |atoms| + 1..n - k0 + 2
+    # the key of the negated dual markers on the unfixed variables; a Fermat atom's factor holds its own
+    negated = [0] + [int(v not in (*fixed_vars, *atoms)) for v in range(1, n + 2)]
+    [(duals, _, _)] = _factor(ctx, range(n + 2), [negated], packing)[1]
+    # a kind of degree offset off wants u in [lo, lo + span) = spans[off]; a class
+    # fixes k0..k0 + |atoms| variables, so off is n - k0 - |atoms| + 1..n - k0 + 2
     offsets = range(n - len(fixed_vars) - len(atoms) + 1, n - len(fixed_vars) + 3)
-    spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2 + 1) for off in offsets}
-    wanted = [(lo, hi) for lo, hi in spans.values() if lo < hi]
+    spans = {off: (lo := _ceil_div(dmin - off, 2), (dmax - off) // 2 + 1 - lo) for off in offsets}
+    wanted = [(lo, span) for lo, span in spans.values() if span > 0]
     if not wanted:
         return group, []
     start = min(lo for lo, _ in wanted)
-    width = max(hi for _, hi in wanted) - start
-    counts = dict(group)
+    width = max(lo + span for lo, span in wanted) - start
+    rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, span, row) for its rows of kinds A, B, then C
+    for fixed, count in sorted(dict(group).items(), key=lambda item: 0 not in item[0]):
+        s = fixed - {0}
+        for kind in kinds(n, len(s), 0 in fixed):
+            rows.setdefault(sum(1 << v for v in s), []).append((*spans[kind[3]], (fixed, count, kind)))
     lines = []
     for alternative in product(*comps):
         sides = ([], [])  # the larger side, then the smaller
@@ -220,33 +258,30 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
         name = ("index",) + tuple(map(id, larger))
         if name not in cache:
             cache[name] = index = {}
-            for k, exps in _product(larger, moduli):
-                index.setdefault((k[:-1], k[-1] % L), []).append((k[-1] // L, exps))
-            for bucket in index.values():
+            for k, exps, mask in _product(larger, packing):
+                u = k & low
+                index.setdefault(k - u + u % L, []).append((u // L, exps, mask))
+            for key, bucket in index.items():
                 bucket.sort()
+                index[key] = [m for m, _, _ in bucket], bucket
+        index = cache[name]
         variables = [v for f in smaller + larger for v in f[0]]
-        for k, exps in _product(smaller, moduli):
-            need = duals_u + k[-1]
-            base = _ceil_div(need, L)
-            key = tuple((-a - b) % q for a, b, q in zip(duals, k, moduli))
-            found = cache[name].get((key, -need % L), ())
+        for k, exps, mask in _product(smaller, packing):
+            key = _canonical(duals + each - k, packing)
+            u = key & low
+            ms, found = index.get(key - u + u % L, ((), ()))
+            base = -(u // L)  # an entry's line has weights base + m mod M
             if width < M:
                 # the arc [m0, m0 + width) mod M
                 m0 = (start - base) % M
-                cut = [bisect_left(found, (m,)) for m in (m0, m0 + width, m0 + width - M)]
+                cut = [bisect_left(ms, m) for m in (m0, m0 + width, m0 + width - M)]
                 found = found[cut[0]:cut[1]] + found[:cut[2]]
-            for m, exps2 in found:
-                rest = [-1] * (n + 1)
-                for v, e in zip(variables, exps + exps2):
-                    rest[v - 1] = e
-                fixed = frozenset(v for v, e in enumerate(rest, 1) if e >= 0)
-                hits = []
-                for cls in (fixed | {0}, fixed):
-                    for kind in kinds(n, len(fixed), 0 in cls) if cls in counts else ():
-                        lo, hi = spans[kind[3]]
-                        if (base + m - lo) % M < hi - lo:
-                            hits.append((cls, counts[cls], kind))
+            for m, exps2, mask2 in found:
+                hits = [row for lo, span, row in rows.get(mask | mask2, ()) if (base + m - lo) % M < span]
                 if hits:
+                    rest = [-1] * (n + 1)
+                    for v, e in zip(variables, exps + exps2):
+                        rest[v - 1] = e
                     *_, c, u = ctx.line_columns([0] + rest)
                     lines.append((c // L, u // L, tuple(rest), hits))
     return group, lines

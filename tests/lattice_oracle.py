@@ -12,6 +12,8 @@ takes one Smith form per subset of x_0..x_{n+1}, with no blocks or closure.
 makes one elimination.  `probe_restrictions` solves restrictions by the
 wanted-key probe join that `lines.solve_restriction` replaced with a range
 join: one key per row and residue of u, each probed per smaller-side key.
+Its keys are tuples of residues, one per line column, added componentwise,
+so it shares no key arithmetic with the packed-int keys of `lines`.
 Matrices are sequences of rows of Python ints (row convention).
 """
 
@@ -22,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, prod
+from operator import mul
 
-from mfhh import lattice
-from mfhh.errors import NoPositiveSolution
-from mfhh.jacobian import component_variables, not_isolated, restrict
+from mfhh import jacobian, lattice
+from mfhh.errors import NoPositiveSolution, NotIsolated
+from mfhh.jacobian import BoxBasis, component_variables, not_isolated, restrict
 from mfhh.lattice import invariant_factors, smith
-from mfhh.lines import _ceil_div, _component, _product, kinds
+from mfhh.lines import _ceil_div, kinds
 from mfhh.poly import WeightSystem
 
 
@@ -287,6 +290,51 @@ def cramer_weights(p):
     if h <= 0 or any(di <= 0 for di in d):
         raise NoPositiveSolution(f"weight system {tuple(d)};{h} is not positive")
     return WeightSystem(tuple(d), h, h - sum(d))
+
+
+def _factor(ctx, variables, monomials, moduli):
+    """(variables, [(key, monomial)]) for monomials over the variables, the
+    key a tuple of the line columns' residues modulo moduli."""
+    # the weights of these variables only, one column at a time; the c
+    # column plays no part in a key
+    *congruences, _, u_weights = ([w[v] for v in variables] for w in ctx.line_weights)
+    keys = zip(*(
+        [sum(map(mul, m, w)) % q for m in monomials]
+        for w, q in zip(congruences + [u_weights], moduli)
+    ))
+    return variables, list(zip(keys, monomials))
+
+
+def _component(ctx, variables, moduli, cache, boxes):
+    """The basis of one component as alternatives whose union it is, each a
+    list of factors whose product it is: one factor per variable range of
+    each box of a BoxBasis, else one factor holding the staircase.  [] when
+    the ring is 0, None when it is infinite."""
+    try:
+        basis = jacobian.monomial_basis(restrict(ctx.poly, variables), boxes)
+    except NotIsolated:
+        return None
+    if not isinstance(basis, BoxBasis):
+        return [[_factor(ctx, variables, basis.monomials, moduli)]] if basis.monomials else []
+    for box in basis.boxes:
+        for v, exps in zip(variables, box):
+            # (variable, range) keys never meet the components' variable tuples
+            if (v, exps) not in cache:
+                cache[v, exps] = _factor(ctx, (v,), [(e,) for e in exps], moduli)
+    return [[cache[v, exps] for v, exps in zip(variables, box)] for box in basis.boxes]
+
+
+def _product(factors, moduli):
+    """(key, exponents) for every product of the factors' monomials, the
+    exponents in the order of the factors' variables."""
+    out = factors[0][1] if factors else [((0,) * len(moduli), ())]
+    for _, entries in factors[1:]:
+        out = [
+            (tuple((a + b) % q for a, b, q in zip(k, k2, moduli)), e + e2)
+            for k, e in out
+            for k2, e2 in entries
+        ]
+    return out
 
 
 def probe_restrictions(ctx, classes, window, boxes=False):

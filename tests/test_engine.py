@@ -697,6 +697,53 @@ def test_tables_and_listings_match_the_probe_join(seed, window):
         assert got == _outcome(solve)
 
 
+def _divisors(N):
+    small = [q for q in range(1, int(N**0.5) + 1) if N % q == 0]
+    return sorted({*small, *(N // q for q in small)})
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 24), st.integers(-1, 1), st.data())
+def test_packed_keys_add_and_negate_as_residue_tuples(bits, offset, data):
+    # N one below, at and one above a power of two; each field's modulus
+    # divides N and its residue r is packed as r * N/q, as solve_restriction
+    # packs the line columns
+    N = max(1, 2**bits + offset)
+    moduli = data.draw(st.lists(st.sampled_from(_divisors(N)), min_size=1, max_size=4))
+    packing = lines._packing(N, len(moduli))
+    _, w, _, each = packing
+    residues = st.tuples(*(st.integers(0, q - 1) for q in moduli))
+    a, b = data.draw(residues), data.draw(residues)
+
+    def pack(rs):
+        return sum((r % q) * (N // q) << i * w for i, (r, q) in enumerate(zip(rs, moduli)))
+
+    factors = [((), [(pack(a), (), 0)]), ((), [(pack(b), (), 0)])]
+    assert lines._product(factors, packing) == [(pack([x + y for x, y in zip(a, b)]), (), 0)]
+    assert lines._canonical(each - pack(a), packing) == pack([-x for x in a])
+    # a probe's wanted key: the negation of a sum
+    assert lines._canonical(pack(a) + each - pack(b), packing) == pack([x - y for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize(
+    "text, moduli, N",
+    [
+        ("x1^2+x2^2+x3^2*x4+x3*x4^2", (2,), 8),
+        ("x1^3*x2+x2^2*x3+x3^2*x4+x4^2", (8,), 8),
+        ("x1^3*x2+x2^3*x3+x3^2+x4^2", (2,), 16),
+    ],
+)
+def test_range_join_matches_probe_join_when_n_is_a_power_of_two(text, moduli, N):
+    # N = L*|du| is a power of two, so a field of a sum of keys reaches the
+    # bit just below the field's top bit
+    ctx = SymmetryContext(parse(text))
+    assert (ctx.line_moduli, ctx.line_denominator * abs(ctx.family_step[1])) == (moduli, N)
+    for window in ((-12, 8), (-2000, 8)):
+        for boxes in (False, True):
+            solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
+            assert solved and error is None
+
+
 def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
     # {x1, x2} alone is never isolated; x3 bare makes its ideal, so the ring, 0
     with warnings.catch_warnings():

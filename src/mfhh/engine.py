@@ -22,9 +22,9 @@ three kinds read that one line: kind A takes its points with c >= 0 (beta =
 c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
 c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
-Cost model.  lines.restrictions finds the lines of all the classes that fix
-the same variables outside the one-variable Fermat atoms of w in one join,
-whose cost the lines module gives; beyond it, a class costs one dict entry.
+Cost model.  The census comes as (mask, count) classes in sorted fixed-set
+order, and lines.restrictions finds the lines of all the classes that fix
+the same variables outside the Fermat atoms of w in one join (see lines).
 Tables ask for Kreuzer-Krawitz boxes, so a standard polynomial's table
 takes no Groebner basis; listings read the grevlex staircase.  A table
 keeps each found line's points in the window as one run along the family
@@ -183,10 +183,6 @@ class BigradedTable:
         return f"BigradedTable({self.dmin}, {self.dmax}, {cells} cells)"
 
 
-def _sorted_census(ctx):
-    return sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
-
-
 def _context(p, window, ctx):
     """ctx, or a new context for p; an empty window is an InputError."""
     if window[0] > window[1]:
@@ -199,7 +195,7 @@ def compute_table(p, window, ctx=None):
     ctx = _context(p, window, ctx)
     dc, du = step = ctx.family_step
     runs = []
-    for _, lines in restrictions(ctx, _sorted_census(ctx), window, boxes=True):
+    for _, lines in restrictions(ctx, ctx.classes, window, boxes=True):
         for c0, u0, _, hits in lines:
             for _, count, kind in hits:
                 ts = t_range(c0, u0, step, kind, window)
@@ -236,11 +232,11 @@ def _class_entries(ctx, hits, window):
 
 
 def _classes(ctx, classes, window):
-    """Yield (fixed set, contributions) for the given (fixed set, count)
-    classes in their order.  A join is solved at its first class, and its
-    hits are kept per class until that class has had its turn, so every
-    error is raised at the class that raised it when each class was solved
-    on its own."""
+    """Yield (mask, contributions) for the given (mask, count) classes in
+    their order.  A join is solved at its first class, and its hits are
+    kept per class until that class has had its turn, so every error is
+    raised at the class that raised it when each class was solved on its
+    own."""
     solved = restrictions(ctx, classes, window)
     pending = {}
     for fixed, _ in classes:
@@ -263,7 +259,7 @@ def class_contributions(p, window, ctx=None):
     one join.  An empty window is an InputError.
     """
     ctx = _context(p, window, ctx)
-    for _, entries in _classes(ctx, _sorted_census(ctx), window):
+    for _, entries in _classes(ctx, ctx.classes, window):
         yield from entries
 
 
@@ -272,12 +268,12 @@ def list_contributions(p, window, ctx=None):
     An empty window is an InputError."""
     ctx = _context(p, window, ctx)
     ker = ctx.ker_chi()
-    classes = [(fixed, 1) for fixed in dict.fromkeys(gamma.fixed for gamma in ker)]
-    by_class = dict(_classes(ctx, classes, window))
+    masks = {fixed: sum(1 << j for j in fixed) for fixed in dict.fromkeys(gamma.fixed for gamma in ker)}
+    by_class = dict(_classes(ctx, [(mask, 1) for mask in masks.values()], window))
     out = [
         Contribution(gamma, con.monomial, con.u, con.degree)
         for gamma in ker
-        for con in by_class[gamma.fixed]
+        for con in by_class[masks[gamma.fixed]]
     ]
     out.sort(
         key=lambda c: (-c.degree, c.monomial.kind, c.monomial.b, c.gamma.phases)

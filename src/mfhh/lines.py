@@ -15,22 +15,19 @@ a one-variable block x_v^a of w with a >= 2, is one factor with exponents
 that differ only in x0 and the Fermat atoms they fix share one join, and a
 line reads its fixed set off its exponents.
 
-Cost model.  A line's columns (SymmetryContext.line_columns) are linear in
-the exponent vector, so its key, the residues of its congruence columns and
-of its u column modulo L*|du|, which decide whether the line exists and at
-which weights u it has points, is the sum of its factors' keys.  A key is
-one int, a field per column, and a sum of two keys is reduced field by
-field with one add, one mask, one shift and one multiply (see
-solve_restriction).  Each factor is keyed once per walk.  A join splits
-its factors into two sides, indexes the product keys of the larger one once
-per walk, and joins each product key of the smaller side to the entries of
-that index whose weights lie in the window, so it costs about
-|smaller side| * log + |larger side| + |lines found| whatever the window's
-length.  A sum of n Fermat atoms is one join of about sqrt(|det A|)
-products a side, not 2^n.  A found entry carries its fixed set as a
-bitmask, so only one with a class that wants one of its weights is
-decoded: line_columns gives its point (c0, u0), and t_range finds its
-points in the window.
+Cost model.  A line's key, the residues of its congruence columns and of
+its u column modulo L*|du| (SymmetryContext.line_columns), is linear in the
+exponents, so it is the sum of its factors' keys: one int, a field per
+column, summed with one add, mask, shift and multiply (solve_restriction).
+A join indexes the product keys of its larger side once per walk and probes
+them with each product of the smaller side for the entries whose weights
+lie in the window, so it costs about |smaller side| * log + |larger side| +
+|lines found| whatever the window's length; a sum of n Fermat atoms is one
+join of about sqrt(|det A|) products a side, not 2^n.  Classes come as
+(mask, count) pairs.  A found entry's mask is its fixed set, whose rows are
+built when an entry first has it, so a table pays per found fixed set, not
+per class, and only an entry that a row wants is decoded, by its c and u
+weights alone; t_range then finds its points in the window.
 """
 
 from __future__ import annotations
@@ -165,27 +162,27 @@ def _walk(ctx, cache):
 
 
 def restrictions(ctx, classes, window, boxes=False):
-    """Solve the (fixed set, count) classes by one join per set of fixed
-    variables outside the Fermat atoms, in order of its first class, each
-    yielding (group, lines) as solve_restriction.  Atoms, component bases,
-    their keys and the larger sides' indexes are shared by all joins of a walk."""
-    cache = {}
-    drop = {0, *_walk(ctx, cache)[1]}
-    groups = {}
-    for fixed, count in classes:
-        groups.setdefault(tuple(sorted(fixed - drop)), []).append((fixed, count))
-    for fixed_vars, group in groups.items():
+    """Solve the (mask, count) classes, bit j of a mask for x_j, by one join
+    per set of fixed variables outside the Fermat atoms, in order of its first
+    class, each yielding (group, lines) as solve_restriction.  Atoms, bases,
+    keys and the larger sides' indexes are shared by all joins of a walk."""
+    cache, groups = {}, {}
+    drop = sum(1 << v for v in _walk(ctx, cache)[1]) | 1
+    for mask, count in classes:
+        groups.setdefault(mask & ~drop, []).append((mask, count))
+    for fixed, group in groups.items():
+        fixed_vars = tuple(v for v in range(1, ctx.n + 2) if fixed >> v & 1)
         yield solve_restriction(ctx, fixed_vars, group, window, cache, boxes)
 
 
 def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
-    """(group, lines) for the group of (fixed set, count) classes whose
-    fixed variables outside the Fermat atoms are fixed_vars.
+    """(group, lines) for the group of (mask, count) classes whose fixed
+    variables outside the Fermat atoms are fixed_vars.
 
     lines are (c0, u0, rest, rows) for the lines that hit the window.  rest
     holds the exponents of x_1..x_{n+1}: the line's basis monomial on its
     fixed set S and the dual marker -1 on the others; (c0, u0) is the point
-    that line_columns((0,) + rest) gives over L.  rows are the (fixed set,
+    that line_columns((0,) + rest) gives over L.  rows are the (mask,
     count, kind) it hits: kinds A and B of the class S + {x0}, C of S.  With
     boxes, components that are atoms take their Kreuzer-Krawitz boxes (see
     _component).  An infinite ring raises NotIsolated, named after the
@@ -208,9 +205,9 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     wanted key's; the kinds want one arc of weights, as wide as the window
     and their degree offsets, so it finds one or two ranges of m, or the
     whole bucket once the arc covers |du| weights.  A found entry's mask of
-    exponents >= 0 is its fixed set S: only the rows of S and S + {x0} that
-    want one of its weights decode it.  With du == 0 every line whose
-    congruences hold is found, so t_range raises.
+    exponents >= 0 is its fixed set S, whose rows of S + {x0} and S are built
+    at its first entry: only those that want one of its weights decode it.
+    With du == 0 every line whose congruences hold is found, so t_range raises.
     """
     dmin, dmax = window
     n = ctx.n
@@ -227,7 +224,7 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
         else:
             comps.append(cache[variables])
     if infinite and all(comps):
-        raise not_isolated(tuple(sorted(group[0][0] - {0})))
+        raise not_isolated(tuple(v for v in range(1, n + 2) if group[0][0] >> v & 1))
     # the key of the negated dual markers on the unfixed variables; a Fermat atom's factor holds its own
     negated = [0] + [int(v not in (*fixed_vars, *atoms)) for v in range(1, n + 2)]
     [(duals, _, _)] = _factor(ctx, range(n + 2), [negated], packing)[1]
@@ -240,11 +237,9 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
         return group, []
     start = min(lo for lo, _ in wanted)
     width = max(lo + span for lo, span in wanted) - start
+    counts = dict(group)
+    c_weights, u_weights = (w[1:] for w in ctx.line_weights[-2:])  # a line decodes its c and u only
     rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, span, row) for its rows of kinds A, B, then C
-    for fixed, count in sorted(dict(group).items(), key=lambda item: 0 not in item[0]):
-        s = fixed - {0}
-        for kind in kinds(n, len(s), 0 in fixed):
-            rows.setdefault(sum(1 << v for v in s), []).append((*spans[kind[3]], (fixed, count, kind)))
     lines = []
     for alternative in product(*comps):
         sides = ([], [])  # the larger side, then the smaller
@@ -277,11 +272,16 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
                 cut = [bisect_left(ms, m) for m in (m0, m0 + width, m0 + width - M)]
                 found = found[cut[0]:cut[1]] + found[:cut[2]]
             for m, exps2, mask2 in found:
-                hits = [row for lo, span, row in rows.get(mask | mask2, ()) if (base + m - lo) % M < span]
+                s = mask | mask2
+                if s not in rows:  # built at the first entry of its fixed set
+                    rows[s] = [(*spans[kind[3]], (fixed, counts[fixed], kind))
+                               for fixed in (s | 1, s) if fixed in counts
+                               for kind in kinds(n, s.bit_count(), fixed & 1)]
+                hits = [row for lo, span, row in rows[s] if (base + m - lo) % M < span]
                 if hits:
                     rest = [-1] * (n + 1)
                     for v, e in zip(variables, exps + exps2):
                         rest[v - 1] = e
-                    *_, c, u = ctx.line_columns([0] + rest)
+                    c, u = sum(map(mul, rest, c_weights)), sum(map(mul, rest, u_weights))
                     lines.append((c // L, u // L, tuple(rest), hits))
     return group, lines

@@ -11,36 +11,23 @@ store as rational phase vectors mod 1 (no roots of unity are ever needed).
 The table only needs how many elements fix each coordinate set, and that
 census has a closed form that never lists an element.  An element is a
 phase vector phi in (Q/Z)^{n+1} with A*phi = 0 mod 1; it fixes x_j (j >= 1)
-when phi_j = 0 and fixes x_0 when sum(phi) = 0 mod 1.  So the elements fixing
-at least the set S are the solutions of M*phi_T = 0 mod 1, where T are the
-coordinates x_1..x_{n+1} outside S, M is A restricted to the columns T, with
-a row of ones appended when 0 is in S.  A is nonsingular, so M has full
-column rank; writing M = U^-1 * D * V^-1 in Smith form, psi = V^-1 * phi_T
-is a bijection of (Q/Z)^T and D*psi = 0 mod 1 has d_j choices for each psi_j.
-The count is therefore the product of M's invariant factors (1 when T is
-empty), and Moebius inversion over supersets turns these "at least S"
-counts into exact ones.
-
-Those Smith forms are taken per block.  Split the variables into the
-connected blocks of A (two are linked when a monomial has both); A is
-block diagonal, so ker(chi) is the product of the blocks' groups G_B and
-only the x_0 condition couples them.  Within a block, a row whose only
-nonzero entry outside S is a 1 forces that phase to 0 as well, so the
-"at least S" counts depend only on the closure of S under that rule: a
-Fermat atom has 2 closed sets, an m-chain m+1 and a loop 2.  For each
-closed set S_B, h_B is the number of elements of G_B fixing at least S_B
-and m_B = h_B / h'_B, with h'_B the same count with the row of ones
-appended, is the order of the phase sum sigma_B on that subgroup.  Then
-at least S fixes prod h_B elements, and at least S + {x_0} fixes
-prod h_B / lcm(m_B) of them: sum(phi) is the sum of the sigma_B, each
-uniform on the cyclic subgroup of order m_B of Q/Z, so the sum is uniform
-on the subgroup of order lcm(m_B).
-
-Cost: one pass down the 2^(n+1) sets S of x_1..x_{n+1}, supersets first.
-A set with a forced x_v copies the counts of S + {x_v}; a closed set
-multiplies its blocks' (h_B, m_B), two small Smith forms per closed proper
-subset of each block.  With the Moebius inversion the census stays
-exponential in n, though only closed sets carry a class.
+when phi_j = 0 and x_0 when sum(phi) = 0 mod 1.  A is block diagonal, so
+ker(chi) is the product of its blocks' groups G_B.  If h_B elements of G_B
+fix at least S_B and m_B is the order of their phase sum (uniform on a
+cyclic subgroup of Q/Z), at least S is fixed by prod h_B elements and at
+least S + {x_0} by prod h_B / lcm(m_B).  A row whose only nonzero entry
+outside S is a 1 forces that phase to 0 too, so Moebius inversion over
+supersets leaves exact counts on the sets closed under that rule only.  A
+chain x_1^a_1 x_2 + .. + x_k^a_k with all a_i >= 2 has its tails closed;
+with x_1..x_r free, phi_1 has order h = a_1..a_r and phi_j is
+(-1)^(j-1) a_1..a_(j-1) phi_1, so m = h / gcd(h, sum of those factors).  A
+loop has none and all closed, h = prod a - (-1)^k.  Other blocks apply the
+rule to every subset, with Smith forms of A on the free columns for h_B and,
+with a row of ones appended, for h_B / m_B.  Folding the blocks' closed
+sets, S keeps the signed products c_L of its h_B by the lcm L of their m_B:
+exact(S + {x_0}) = sum c_L / L and exact(S) = sum c_L - exact(S + {x_0}).
+Cost: about the output, with equal sums multiplied once and no Smith form
+for an atom (a Fermat atom is a chain of one).
 """
 
 from __future__ import annotations
@@ -49,13 +36,26 @@ import itertools
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from . import lattice
 from .errors import DegenerateCharacter, EngineError
 from .jacobian import component_variables, restrict
+from .poly import atom_heads
+
+
+def _times(x, y):
+    """x * y for sums of terms (L, c) held as frozensets: the terms (lcm(L, m), c * c2) per pair."""
+    out = {}
+    for (L, c), (m, c2) in itertools.product(x, y):
+        k = lcm(L, m)
+        out[k] = out.get(k, 0) + c * c2
+    return frozenset((k, c) for k, c in out.items() if c)
+
+
+_ONE = frozenset({(1, 1)})
 
 
 class GroupElement(NamedTuple):
@@ -157,54 +157,78 @@ class SymmetryContext:
             self._ker = sorted(self._iter_ker())
         return self._ker
 
-    def _free_counts(self, free):
-        """(h_B, m_B) of a block whose unfixed variables are the mask free."""
-        cols = [j - 1 for j in range(1, self.n + 2) if free >> j & 1]
-        if not cols:
-            return 1, 1
-        m = [[row[j] for j in cols] for row in self.poly.matrix]
-        m = [row for row in m if any(row)]  # zero rows add no invariant factor
-        h = prod(lattice.invariant_factors(m))
-        return h, h // prod(lattice.invariant_factors(m + [[1] * len(cols)]))
+    def _closed_sets(self):
+        """Per block, [(mask of S_B, terms)] over its closed sets: terms (m, c) sum the h_B(T_B)
+        of the T_B >= S_B with m_B(T_B) = m, signed as by Moebius inversion over supersets."""
+        heads = atom_heads(self.poly.matrix) or ()
+        a, nxt = {t: row[t] for row, (t, _) in zip(self.poly.matrix, heads)}, dict(heads)
+        for v in sorted(a, key=lambda v: v in nxt.values()):  # chains from their start
+            walk = []
+            while v in a:
+                walk.append((v + 1, a.pop(v)))
+                v = nxt[v]
+            if walk and min(e for _, e in walk) < 2:
+                yield self._block_closed_sets(sorted(v for v, _ in walk))
+            elif walk:  # (free x_1..x_r, h, m) per tail; each is covered by the next longer one
+                levels, h, s = [(0, 1, 1)], 1, 0
+                for i, (v2, e) in enumerate(walk):
+                    h, s = h * e, s + (-1) ** i * h
+                    levels.append((levels[-1][0] | 1 << v2, h, h // gcd(h, s)))
+                if v is not None:  # a loop
+                    h -= (-1) ** len(walk)
+                    levels[1:] = [(levels[-1][0], h, h // gcd(h, s))]
+                full = levels[-1][0]  # a tail's terms: its (m, h) less its cover's, merged if m == m2
+                yield [(full, _ONE)] + [(full & ~free, frozenset({m2: -h2, m: h - h2 * (m == m2)}.items()))
+                                        for (free, h, m), (_, h2, m2) in zip(levels[1:], levels)]
+        if not heads:
+            yield from map(self._block_closed_sets, self.blocks)
+
+    def _block_closed_sets(self, block):
+        """_closed_sets of one block: the rule, Smith forms and Moebius inversion on its subsets."""
+        # each entry 1 of A in the block as masks: (the nonzero entries of its row, itself)
+        ones = [(sum(1 << i for i, b in enumerate(row, 1) if b), 1 << j)
+                for row in self.poly.matrix if any(row[v - 1] for v in block)
+                for j, e in enumerate(row, 1) if e == 1]
+        counts = {}
+        for s in sorted(map(sum, itertools.product(*[(0, 1 << v) for v in block])), reverse=True):
+            v = next((v for sup, v in ones if sup & ~s == v), 0)  # x_v is forced
+            if v:
+                counts[s] = counts[s | v]
+                continue
+            cols = [v - 1 for v in block if not s >> v & 1]
+            m = [row for row in ([row[j] for j in cols] for row in self.poly.matrix) if any(row)]
+            h = prod(lattice.invariant_factors(m))
+            counts[s] = {h // prod(lattice.invariant_factors(m + [[1] * len(cols)])): h}
+        for v in block:
+            for s, at in counts.items():
+                if not s >> v & 1:
+                    up = counts[s | 1 << v]
+                    counts[s] = {m: at.get(m, 0) - up.get(m, 0) for m in {*at, *up}}
+        return [(s, t) for s, at in counts.items() if (t := frozenset((m, c) for m, c in at.items() if c))]
+
+    @property
+    def classes(self):
+        """The census as (mask, count) pairs, bit j for x_j, in sorted(fixed) order; see fixed_census."""
+        self.fixed_census()
+        return self._classes
 
     def fixed_census(self):
-        """How many elements of ker(chi) fix each subset of coordinates.
-
-        Closed form (see the module docstring): no element is listed, and
-        subsets fixed by no element are left out.
-        """
+        """{frozenset of coordinates: how many elements of ker(chi) fix exactly it}, in class order."""
         if self._census is None:
-            n2 = self.n + 2  # coordinates x_0..x_{n+1}, bit j of a mask is x_j
+            n2 = self.n + 2  # coordinates x_0..x_{n+1}
             if 1 << n2 > sys.maxsize:
                 raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
-            counts = [0] * (1 << n2)
-            p = self.poly
-            blocks = [sum(1 << v for v in b) for b in self.blocks]
-            # each entry 1 of A as masks: (the nonzero entries of its row, itself)
-            ones = [(sum(1 << i for i, b in enumerate(row, 1) if b), 1 << j)
-                    for row in p.matrix for j, a in enumerate(row, 1) if a == 1]
-            free_counts = cache(self._free_counts)
-            # "at least S" counts down the even masks, supersets first; s | 1 adds x_0
-            for s in range(len(counts) - 2, -1, -2):
-                for sup, v in ones:
-                    if sup & ~s == v:  # x_v is forced: S fixes what S + x_v does
-                        counts[s], counts[s | 1] = counts[s | v], counts[s | v | 1]
-                        break
-                else:  # S is closed: one (h_B, m_B) per block
-                    h, m = zip(*[free_counts(block & ~s) for block in blocks])
-                    counts[s] = prod(h)
-                    counts[s | 1] = counts[s] // lcm(*m)
-            # Moebius inversion over supersets: at least S -> exactly S
-            for j in range(n2):
-                bit = 1 << j
-                for s in range(1 << n2):
-                    if not s & bit:
-                        counts[s] -= counts[s | bit]
-            self._census = {
-                frozenset(j for j in range(n2) if s >> j & 1): c
-                for s, c in enumerate(counts)
-                if c
-            }
+            partial, times = [(0, _ONE)], cache(_times)  # equal sums multiply once per census
+            for sets in self._closed_sets():
+                partial = [(mask | mask2, times(terms, terms2))
+                           for mask, terms in partial for mask2, terms2 in sets]
+            # 1/L of the elements counted with lcm L fix x_0, and each such count is a multiple of L
+            x0 = {terms: sum(c // L for L, c in terms) for terms in {terms for _, terms in partial}}
+            found = [(mask | fix, count) for mask, terms in partial
+                     for fix, count in ((1, x0[terms]), (0, sum(c for _, c in terms) - x0[terms])) if count]
+            # 0 for fixed, 1 for unfixed from x_0 up, less the trailing 1s, sorts as sorted(fixed)
+            self._classes = sorted(found, key=lambda f: f"{f[0] ^ (1 << n2) - 1:0{n2}b}"[::-1].rstrip("1"))
+            self._census = {frozenset(j for j in range(n2) if mask >> j & 1): c for mask, c in self._classes}
         return self._census
 
     # -- characters --------------------------------------------------------

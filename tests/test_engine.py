@@ -368,13 +368,28 @@ def test_census_and_table_never_list_ker_chi(monkeypatch):
     assert main(argv, out=io.StringIO()) == 0
 
 
+def _mask(fixed):
+    """The mask of a set of coordinates, bit j for x_j, as the engine's classes carry it."""
+    return sum(1 << j for j in fixed)
+
+
+def _fixed(mask):
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _mask_classes(ctx):
+    """The census as (mask, count) classes in sorted fixed-set order."""
+    census = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
+    return [(_mask(fixed), count) for fixed, count in census]
+
+
 def _counted_solves(monkeypatch):
     """The (fixed variables, restrictions of its classes) of each join run."""
     solves = []
     solve = lines.solve_restriction
 
     def counted(ctx, fixed_vars, group, *args):
-        solves.append((fixed_vars, {tuple(sorted(fixed - {0})) for fixed, _ in group}))
+        solves.append((fixed_vars, {tuple(sorted(_fixed(mask) - {0})) for mask, _ in group}))
         return solve(ctx, fixed_vars, group, *args)
 
     monkeypatch.setattr(lines, "solve_restriction", counted)
@@ -414,6 +429,33 @@ def test_one_join_per_fixed_set_outside_the_atoms(monkeypatch, text, joins):
     compute_table(p, (-12, 8), ctx=ctx)
     assert sorted(fixed_vars for fixed_vars, _ in solves) == joins
     assert set().union(*(r for _, r in solves)) == {tuple(sorted(f - {0})) for f in ctx.fixed_census()}
+
+
+def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
+    # a class's rows are built when a found entry first has its fixed set;
+    # the 14-variable Fermat sum has 28,904 classes but few found entries
+    solves = _counted_solves(monkeypatch)
+    p = parse("+".join(f"x{i}^{2 + i % 3}" for i in range(1, 15)))
+    ctx = SymmetryContext(p)
+    assert len(ctx.fixed_census()) == 28904
+    calls = []
+    kinds = lines.kinds
+    monkeypatch.setattr(lines, "kinds", lambda *args: calls.append(args) or kinds(*args))
+    found = []
+    solve = lines.solve_restriction
+
+    def solving(*args):
+        group, found_lines = solve(*args)
+        found.extend(found_lines)
+        return group, found_lines
+
+    monkeypatch.setattr(lines, "solve_restriction", solving)
+    compute_table(p, (-12, 8), ctx=ctx)
+    assert [fixed_vars for fixed_vars, _ in solves] == [()]
+    # each found fixed set S builds the rows of S + {x0} and of S; one
+    # found entry of the join hits no row, so it decodes no line
+    masks = {tuple(e >= 0 for e in rest) for _, _, rest, _ in found}
+    assert 0 < len(calls) <= 2 * (len(masks) + 1)
 
 
 # -- reference: the per-monomial walk the engine used before its line kernel --
@@ -580,13 +622,13 @@ def assert_lines_decoded(p, window, boxes=False):
     of lines."""
     relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     ctx = SymmetryContext(p)
-    classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
+    classes = _mask_classes(ctx)
     found = 0
     for _, restriction_lines in lines.restrictions(ctx, classes, window, boxes):
         for c0, u0, rest, hits in restriction_lines:
             # a line hits only the rows of the classes S and S + {x0} of its fixed set S
             assert len(rest) == p.nvars and hits
-            fixed_vars, = {tuple(sorted(fixed - {0})) for fixed, _, _ in hits}
+            fixed_vars, = {tuple(sorted(_fixed(mask) - {0})) for mask, _, _ in hits}
             assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
             bases = _component_bases(p, fixed_vars, boxes)
             for variables, basis in bases:
@@ -649,14 +691,17 @@ def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, w
 
 def _probe_join(ctx, classes, window, boxes=False):
     """lattice_oracle.probe_restrictions in the shape of lines.restrictions:
-    each restriction's classes, and each line with the rows it hits."""
-    for rows, found in probe_restrictions(ctx, classes, window, boxes):
-        group = list(dict.fromkeys((fixed, count) for fixed, count, _ in rows))
+    each restriction's (mask, count) classes, and each line with the rows it
+    hits.  The oracle takes and gives its classes as frozensets."""
+    sets = [(_fixed(mask), count) for mask, count in classes]
+    for rows, found in probe_restrictions(ctx, sets, window, boxes):
+        rows = [(_mask(fixed), count, kind) for fixed, count, kind in rows]
+        group = list(dict.fromkeys((mask, count) for mask, count, _ in rows))
         yield group, [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in found]
 
 
 def assert_range_join_matches_probe_join(ctx, window, boxes):
-    classes = sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
+    classes = _mask_classes(ctx)
     got = _solved(lines.restrictions, ctx, classes, window, boxes)
     assert got == _solved(_probe_join, ctx, classes, window, boxes)
     return got
@@ -750,7 +795,7 @@ def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
         warnings.simplefilter("ignore")
         zero = parse("x1^2*x2^2+x2^3+x3", allow_nonstandard=True)
         infinite = parse("x1^2*x2^2+x2^3+x3^2", allow_nonstandard=True)
-    group = [(frozenset({1, 2, 3}), 1)]
+    group = [(_mask({1, 2, 3}), 1)]
     rows, found = lines.solve_restriction(SymmetryContext(zero), (1, 2, 3), group, (-10, 10), {})
     assert len(rows) == 1 and found == []
     with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):

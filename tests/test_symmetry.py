@@ -270,6 +270,65 @@ def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, ca
     assert sum(census.values()) == abs(ctx.poly.det())
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1*x2+x2^3",
+        "x1*x2+x2^3*x3+x3^2",
+        "x1*x2+x2^3*x1",
+        "x1^2*x2+x2*x3+x3^3*x1+x4^2",
+        # exponent-1 links next to atoms, on eight and ten variables
+        "x1*x2+x2^3*x3+x3^2+x4^3*x5+x5^2*x4+x6^5+x7*x8+x8^4",
+        "x1^2*x2+x2*x3+x3^4+x4*x5+x5^2*x6+x6^3*x4+x7^3+x8^2*x9+x9^3*x10+x10^2",
+    ],
+)
+def test_census_matches_mask_census_with_exponent_one_links(text):
+    # blocks with an exponent 1 take the forcing rule and Smith forms
+    p = parse(text)
+    assert SymmetryContext(p).fixed_census() == census_by_masks(p)
+
+
+@settings(max_examples=15)
+@given(st.integers(0, 10**9))
+def test_census_matches_mask_census_on_mixed_sums_of_up_to_ten_variables(seed):
+    rng = random.Random(seed)
+    p = random_invertible(rng, max_vars=10, max_det=10**12, max_atom=4)
+    assert SymmetryContext(p).fixed_census() == census_by_masks(p)
+
+
+@given(st.integers(0, 10**9), st.booleans())
+def test_engine_classes_come_in_sorted_fixed_set_order(seed, nonstandard):
+    rng = random.Random(seed)
+    ctx = _random_nonsingular(rng) if nonstandard else SymmetryContext(random_invertible(rng, max_vars=8))
+    if ctx is None:
+        return
+    census = ctx.fixed_census()
+    classes = [(frozenset(j for j in range(ctx.n + 2) if mask >> j & 1), count)
+               for mask, count in ctx.classes]
+    assert classes == sorted(census.items(), key=lambda kv: sorted(kv[0]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1^7+x2^5+x3^4+x4^6+x5^3+x6^3",
+        "x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x5+x5^3*x6+x6^24",
+        "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1",
+        "x1^2*x2+x2^3*x3+x3^2+x4^3*x5+x5^2*x6+x6^2*x4+x7^4+x8^2*x9+x9^5",
+        "+".join(f"x{i}^2*x{i % 16 + 1}" for i in range(1, 17)),
+    ],
+)
+def test_census_of_atoms_takes_no_smith_form(monkeypatch, text):
+    # Fermat atoms, chains and loops with every exponent >= 2 read their
+    # closed sets and counts off their shape
+    def counting(m):
+        raise AssertionError("an invariant factor was taken")
+
+    ctx = SymmetryContext(parse(text))
+    monkeypatch.setattr(lattice, "invariant_factors", counting)
+    assert sum(ctx.fixed_census().values()) == abs(ctx.poly.det())
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 10**9), st.data())
 def test_family_line_matches_degree_and_echelon_membership(seed, data):

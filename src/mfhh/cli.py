@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import __version__
 from .engine import BigradedTable, aggregate_contributions, class_contributions, compute_table, hh2_vanishes
@@ -243,17 +244,21 @@ def main(argv=None, out=None, err=None):
     err = err or sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, out)
-    except WindowMismatch as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INCONCLUSIVE
-    except InputError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except MfhhError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_ENGINE
+    with warnings.catch_warnings():
+        # --allow-nonstandard inputs warn at parse: one line on err, whatever the -W filters
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: err.write(f"warning: {message}\n")
+        try:
+            return args.func(args, out)
+        except WindowMismatch as exc:
+            err.write(f"error: {exc}\n")
+            return EXIT_INCONCLUSIVE
+        except InputError as exc:
+            err.write(f"error: {exc}\n")
+            return EXIT_INPUT
+        except MfhhError as exc:
+            err.write(f"error: {exc}\n")
+            return EXIT_ENGINE
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ from operator import itemgetter, le, neg
 from typing import NamedTuple
 
 from .errors import InputError, NotIsolated
-from .poly import atom_heads
+from .poly import atom_heads, atom_walks
 
 
 def _grevlex_key(m):
@@ -269,24 +269,17 @@ def atom_boxes(r):
     heads = atom_heads(r.terms) if len(r.terms) == k else None
     if heads is None:
         return None
-    a, nxt = [0] * k, {}
-    for row, (tail, head) in zip(r.terms, heads):
-        a[tail] = row[tail]
-        if head is not None:
-            nxt[tail] = head
-    if len(nxt) == k:  # a loop, or several when r is not connected
-        return [tuple(map(range, a))]
-    order = [min(set(range(k)) - set(nxt.values()))]  # a chain starts at no head
-    while order[-1] in nxt:
-        order.append(nxt[order[-1]])
-    if len(order) != k:
+    walks = atom_walks(r.terms, heads)
+    if all(loop for _, loop in walks):  # a loop, or several when r is not connected
+        return [tuple(range(a) for _, a in sorted(pair for walk, _ in walks for pair in walk))]
+    if len(walks) > 1:
         return None  # r is not connected
     boxes = []
     for first in range(0, k + 1, 2):
         box = [None] * k
-        for i, v in enumerate(order):
-            pin = a[v] - 1 if i % 2 == 0 else 0
-            box[v] = range(pin, pin + 1) if i < first else range(a[v] - (i == first))
+        for i, (v, a) in enumerate(walks[0][0]):
+            pin = a - 1 if i % 2 == 0 else 0
+            box[v] = range(pin, pin + 1) if i < first else range(a - (i == first))
         if all(box):
             boxes.append(tuple(box))
     return boxes

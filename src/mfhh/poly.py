@@ -133,20 +133,26 @@ def atom_heads(rows):
     return tuple(chosen)
 
 
-def atom_det(rows, heads):
-    """det A up to sign from the atoms of atom_heads: the product of the tails'
-    exponents over a Fermat atom or chain, less (-1)^length over a loop."""
+def atom_walks(rows, heads):
+    """The atoms of an atom_heads matching: per atom its (variable, exponent)
+    pairs along the heads from a chain's start (no row's head; a Fermat atom
+    is a chain of one), and whether the walk comes back to its start, a loop."""
     follow = {tail: (head, row[tail]) for row, (tail, head) in zip(rows, heads)}
-    det = 1
-    while follow:
-        start = v = next(iter(follow))
+    ends = {head for _, head in heads}
+    walks = []
+    for v in [*(v for v in follow if v not in ends), *follow]:  # chains, then loops
         walk = []
         while v in follow:
-            v, a = follow.pop(v)
-            walk.append(a)
-        # a walk that comes back to its start went round a loop
-        det *= prod(walk) - (-1) ** len(walk) * (v == start)
-    return det
+            walk.append((v, follow[v][1]))
+            v = follow.pop(v)[0]
+        if walk:  # a chain ends at head None, a loop back at its start
+            walks.append((walk, v is not None))
+    return walks
+
+
+def atom_det(rows, heads):
+    """det A up to sign: per atom walk, the product of its exponents, less (-1)^length for a loop."""
+    return prod(prod(a for _, a in walk) - (-1) ** len(walk) * loop for walk, loop in atom_walks(rows, heads))
 
 
 def _not_square(n, width):

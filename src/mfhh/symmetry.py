@@ -17,17 +17,18 @@ fix at least S_B and m_B is the order of their phase sum (uniform on a
 cyclic subgroup of Q/Z), at least S is fixed by prod h_B elements and at
 least S + {x_0} by prod h_B / lcm(m_B).  A row whose only nonzero entry
 outside S is a 1 forces that phase to 0 too, so Moebius inversion over
-supersets leaves exact counts on the sets closed under that rule only.  A
-chain x_1^a_1 x_2 + .. + x_k^a_k with all a_i >= 2 has its tails closed;
+supersets leaves exact counts on the sets closed under that rule only.  In
+a chain x_1^a_1 x_2 + .. + x_k^a_k, x_(r+1)..x_k is closed unless a_r = 1;
 with x_1..x_r free, phi_1 has order h = a_1..a_r and phi_j is
-(-1)^(j-1) a_1..a_(j-1) phi_1, so m = h / gcd(h, sum of those factors).  A
-loop has none and all closed, h = prod a - (-1)^k.  Other blocks apply the
-rule to every subset, with Smith forms of A on the free columns for h_B and,
-with a row of ones appended, for h_B / m_B.  Folding the blocks' closed
-sets, S keeps the signed products c_L of its h_B by the lcm L of their m_B:
-exact(S + {x_0}) = sum c_L / L and exact(S) = sum c_L - exact(S + {x_0}).
-Cost: about the output, with equal sums multiplied once and no Smith form
-for an atom (a Fermat atom is a chain of one).
+(-1)^(j-1) a_1..a_(j-1) phi_1, so m = h / gcd(h, sum of those factors),
+and a_r = 1 leaves h and m as at r - 1: the terms of that set cancel.  A
+loop has none and all closed, h = prod a - (-1)^k.  A matrix that is no sum
+of atoms applies the rule to each subset of each block, with Smith forms of
+A on the free columns for h_B and, with a row of ones appended, h_B / m_B.
+Folding the blocks' closed sets, S keeps the signed products c_L of its h_B
+by the lcm L of their m_B: exact(S + {x_0}) = sum c_L / L and exact(S) =
+sum c_L - exact(S + {x_0}).  Cost: about the output, equal sums multiplied
+once, no Smith form for a sum of atoms (a Fermat atom is a chain of one).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 from . import lattice
 from .errors import DegenerateCharacter, EngineError
 from .jacobian import component_variables, restrict
-from .poly import atom_heads
+from .poly import atom_heads, atom_walks
 
 
 def _times(x, y):
@@ -160,28 +161,20 @@ class SymmetryContext:
     def _closed_sets(self):
         """Per block, [(mask of S_B, terms)] over its closed sets: terms (m, c) sum the h_B(T_B)
         of the T_B >= S_B with m_B(T_B) = m, signed as by Moebius inversion over supersets."""
-        heads = atom_heads(self.poly.matrix) or ()
-        a, nxt = {t: row[t] for row, (t, _) in zip(self.poly.matrix, heads)}, dict(heads)
-        for v in sorted(a, key=lambda v: v in nxt.values()):  # chains from their start
-            walk = []
-            while v in a:
-                walk.append((v + 1, a.pop(v)))
-                v = nxt[v]
-            if walk and min(e for _, e in walk) < 2:
-                yield self._block_closed_sets(sorted(v for v, _ in walk))
-            elif walk:  # (free x_1..x_r, h, m) per tail; each is covered by the next longer one
-                levels, h, s = [(0, 1, 1)], 1, 0
-                for i, (v2, e) in enumerate(walk):
-                    h, s = h * e, s + (-1) ** i * h
-                    levels.append((levels[-1][0] | 1 << v2, h, h // gcd(h, s)))
-                if v is not None:  # a loop
-                    h -= (-1) ** len(walk)
-                    levels[1:] = [(levels[-1][0], h, h // gcd(h, s))]
-                full = levels[-1][0]  # a tail's terms: its (m, h) less its cover's, merged if m == m2
-                yield [(full, _ONE)] + [(full & ~free, frozenset({m2: -h2, m: h - h2 * (m == m2)}.items()))
-                                        for (free, h, m), (_, h2, m2) in zip(levels[1:], levels)]
-        if not heads:
+        if (heads := atom_heads(self.poly.matrix)) is None:
             yield from map(self._block_closed_sets, self.blocks)
+            return
+        for walk, loop in atom_walks(self.poly.matrix, heads):
+            levels, h, s = [(0, 1, 1)], 1, 0  # (free x_1..x_r, h, m) per tail, covered by the next
+            for i, (v, e) in enumerate(walk):
+                h, s = h * e, s + (-1) ** i * h
+                levels.append((levels[-1][0] | 1 << v + 1, h, h // gcd(h, s)))
+            if loop:
+                h -= (-1) ** len(walk)
+                levels[1:] = [(levels[-1][0], h, h // gcd(h, s))]
+            full = levels[-1][0]  # a tail's terms: its (m, h) less its cover's, merged if m == m2
+            yield [(full, _ONE)] + [(full & ~free, frozenset({m2: -h2, m: h - h2 * (m == m2)}.items()))
+                                    for (free, h, m), (_, h2, m2) in zip(levels[1:], levels) if h != h2]
 
     def _block_closed_sets(self, block):
         """_closed_sets of one block: the rule, Smith forms and Moebius inversion on its subsets."""

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -112,6 +113,17 @@ def test_table_engine_error_exit_code():
     code, _, err = run(["table", "--poly", "x1^2+x2^2", "--dmin", "0", "--dmax", "0"])
     assert code == 3
     assert "window" in err
+
+
+@pytest.mark.parametrize("command", [["table", "--dmax", "2"], ["probe-small-res"]])
+def test_allow_nonstandard_warns_on_err_with_warnings_as_errors(command):
+    # one fixed line on the err stream, not a source path, and no traceback under -W error
+    argv = command + ["--poly", "x1*x2+x2^2*x3^2+x3^3", "--dmin", "-4", "--allow-nonstandard"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    assert (code, err) == (0, "warning: polynomial is not a sum of Fermat/chain/loop atoms\n")
+    assert out
 
 
 def test_compare_self_and_distinguished(tmp_path):

@@ -12,6 +12,10 @@ fixed seed and stored with the digests, so an engine change cannot move it.
 Record the digests again only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_corpus.py --record
+
+It prints the argv of every case whose exit code, stdout digest or stderr
+digest differs from the file it replaces, so the change can be checked
+against the outputs meant to move.
 """
 
 import hashlib
@@ -190,14 +194,24 @@ def run_case(case, tmp):
 
 
 def record(tmp):
-    entries = []
+    """Run the corpus, write its digests and return (entries, changed): changed
+    holds (fields, argv) for each case whose exit code or digests differ from
+    the file replaced, fields naming them ("new" for a case it lacks)."""
+    before = {}
+    if os.path.exists(DIGESTS):
+        before = {json.dumps([e["argv"], e["docs"]]): e for e in _recorded()}
+    entries, changed = [], []
     for case in build_cases():
         code, out, err = run_case(case, tmp)
         entries.append({**case, "exit": code, "stdout": _digest(out), "stderr": _digest(err)})
+        old = before.get(json.dumps([case["argv"], case["docs"]]))
+        fields = [f for f in ("exit", "stdout", "stderr") if old and old[f] != entries[-1][f]]
+        if fields or not old:
+            changed.append((fields or ["new"], case["argv"]))
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1)
         fh.write("\n")
-    return entries
+    return entries, changed
 
 
 def _recorded():
@@ -226,5 +240,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        entries = record(tmp)
-    print(f"recorded {len(entries)} cases in {DIGESTS}")
+        entries, changed = record(tmp)
+    for fields, argv in changed:
+        print(f"{'+'.join(fields)}: {json.dumps(argv)}")
+    print(f"recorded {len(entries)} cases in {os.path.relpath(DIGESTS)}, {len(changed)} changed")

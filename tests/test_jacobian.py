@@ -253,6 +253,23 @@ def test_kreuzer_krawitz_boxes_match_the_staircase(atom):
         assert _line_keys(ctx, r.fixed, points) == _line_keys(ctx, r.fixed, staircase)
 
 
+@pytest.mark.parametrize(
+    "text, boxes",
+    [
+        ("x1^2*x2+x2^3*x1+x3^2*x4+x4^4*x3", [(range(2), range(3), range(2), range(4))]),
+        ("x1^2+x2^3", None),
+        ("x1^2*x2+x2^3*x1+x3^4", None),
+        ("x1^2*x2+x2^3+x3^2*x4+x4^5", None),
+        ("x1^2*x2+x2^3+x3^2*x4+x4^3*x3", None),
+    ],
+)
+def test_atom_boxes_of_disconnected_restrictions(text, boxes):
+    # two loops make one product box; two Fermat atoms, a loop and a Fermat
+    # atom, two chains, or a chain and a loop get none
+    p = parse(text)
+    assert atom_boxes(restrict(p, range(1, p.nvars + 1))) == boxes
+
+
 LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"
 CHAIN4 = "x1^12*x2+x2^12*x3+x3^7*x4+x4^13"
 

@@ -17,7 +17,7 @@ from mfhh.errors import (
     PolySyntaxError,
     SchemaError,
 )
-from mfhh.poly import InvertiblePolynomial, atom_det, atom_heads, parse, weights
+from mfhh.poly import InvertiblePolynomial, atom_det, atom_heads, atom_walks, parse, weights
 
 
 def test_parse_diagonal():
@@ -271,6 +271,18 @@ def test_atom_det_matches_bareiss(rows):
     heads = atom_heads(rows)
     assert heads is not None
     assert abs(atom_det(rows, heads)) == abs(lattice.det(rows))
+    # the walks partition the variables, each step goes from a tail to its
+    # head, a chain starts at no row's head and ends at head None, and a walk
+    # is a loop exactly when it comes back to its start
+    walks = atom_walks(rows, heads)
+    assert sorted(v for walk, _ in walks for v, _ in walk) == list(range(len(rows)))
+    head, row_of = dict(heads), {tail: row for row, (tail, _) in zip(rows, heads)}
+    for walk, loop in walks:
+        assert all(row_of[v][v] == a for v, a in walk)
+        assert [head[v] for v, _ in walk[:-1]] == [v for v, _ in walk[1:]]
+        assert loop == (head[walk[-1][0]] == walk[0][0])
+        if not loop:
+            assert walk[0][0] not in head.values() and head[walk[-1][0]] is None
 
 
 def test_singular_loop_of_ones_keeps_its_message():

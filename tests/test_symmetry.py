@@ -283,7 +283,7 @@ def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, ca
     ],
 )
 def test_census_matches_mask_census_with_exponent_one_links(text):
-    # blocks with an exponent 1 take the forcing rule and Smith forms
+    # an exponent 1 forces its neighbour, so the tail it ends is no closed set
     p = parse(text)
     assert SymmetryContext(p).fixed_census() == census_by_masks(p)
 
@@ -291,9 +291,10 @@ def test_census_matches_mask_census_with_exponent_one_links(text):
 @settings(max_examples=15)
 @given(st.integers(0, 10**9))
 def test_census_matches_mask_census_on_mixed_sums_of_up_to_ten_variables(seed):
-    rng = random.Random(seed)
-    p = random_invertible(rng, max_vars=10, max_det=10**12, max_atom=4)
-    assert SymmetryContext(p).fixed_census() == census_by_masks(p)
+    # with links of exponent >= 2 only, and with exponent-1 links allowed
+    for ones in (False, True):
+        p = random_invertible(random.Random(seed), max_vars=10, max_det=10**12, max_atom=4, ones=ones)
+        assert SymmetryContext(p).fixed_census() == census_by_masks(p), p.matrix
 
 
 @given(st.integers(0, 10**9), st.booleans())
@@ -316,17 +317,26 @@ def test_engine_classes_come_in_sorted_fixed_set_order(seed, nonstandard):
         "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1",
         "x1^2*x2+x2^3*x3+x3^2+x4^3*x5+x5^2*x6+x6^2*x4+x7^4+x8^2*x9+x9^5",
         "+".join(f"x{i}^2*x{i % 16 + 1}" for i in range(1, 17)),
+        # links of exponent 1
+        "x1*x2+x2^3",
+        "x1*x2+x2^3*x3+x3^2",
+        "x1*x2+x2^3*x1",
+        "x1^2*x2+x2*x3+x3^3*x1+x4^2",
+        "x1*x2+x2^3*x3+x3^2+x4^3*x5+x5^2*x4+x6^5+x7*x8+x8^4",
+        "x1^2*x2+x2*x3+x3^4+x4*x5+x5^2*x6+x6^3*x4+x7^3+x8^2*x9+x9^3*x10+x10^2",
     ],
 )
 def test_census_of_atoms_takes_no_smith_form(monkeypatch, text):
-    # Fermat atoms, chains and loops with every exponent >= 2 read their
-    # closed sets and counts off their shape
+    # Fermat atoms, chains and loops read their closed sets and counts off
+    # their shape, exponent-1 links included; a tail that an exponent 1
+    # leaves unclosed is not listed with terms that cancel
     def counting(m):
         raise AssertionError("an invariant factor was taken")
 
     ctx = SymmetryContext(parse(text))
     monkeypatch.setattr(lattice, "invariant_factors", counting)
     assert sum(ctx.fixed_census().values()) == abs(ctx.poly.det())
+    assert all(c for sets in ctx._closed_sets() for _, terms in sets for _, c in terms)
 
 
 @settings(max_examples=30)

@@ -54,7 +54,7 @@ from operator import itemgetter, le, neg
 from typing import NamedTuple
 
 from .errors import InputError, NotIsolated
-from .poly import atom_heads, atom_walks
+from .poly import CACHE_SIZE, atom_heads, atom_walks
 
 
 def _grevlex_key(m):
@@ -215,12 +215,8 @@ def _components(r):
 
 # Staircases are cached per component, keyed by its terms in local
 # coordinates and its number of variables, so an atom shared by several
-# restrictions or polynomials is solved once.  The bound keeps a
-# long-lived process from growing without limit.
-BASIS_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=BASIS_CACHE_SIZE)
+# restrictions or polynomials is solved once; bounded as the atom walks.
+@lru_cache(maxsize=CACHE_SIZE)
 def _basis_cached(terms, nvars):
     """Staircase of one component in ascending grevlex order; None if it is
     infinite."""

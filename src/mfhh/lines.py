@@ -23,7 +23,10 @@ A join indexes the product keys of its larger side once per walk and probes
 them with each product of the smaller side for the entries whose weights
 lie in the window, so it costs about |smaller side| * log + |larger side| +
 |lines found| whatever the window's length; a sum of n Fermat atoms is one
-join of about sqrt(|det A|) products a side, not 2^n.  Classes come as
+join of about sqrt(|det A|) products a side, not 2^n.  A join reads its
+components off the context's atom walks, as the atoms' parts of its fixed
+set, and its dual key is a sum of per-variable keys made once per walk, so
+w is restricted once per distinct component, for its basis.  Classes come as
 (mask, count) pairs.  A found entry's mask is its fixed set, whose rows are
 built when an entry first has it, so a table pays per found fixed set, not
 per class, and only an entry that a row wants is decoded, by its c and u
@@ -150,14 +153,20 @@ def _product(factors, packing):
 
 
 def _walk(ctx, cache):
-    """The walk's packing and its Fermat atoms' factors {v: factor}, derived
-    once per walk: x_v^a, a one-variable block of w with a >= 2, as one
-    factor with exponents -1..a-2, its dual marker, then its basis."""
+    """The walk's packing, its Fermat atoms' factors {v: factor} and the other
+    variables' keys {v: key of x_v}, derived once per walk: x_v^a, a one-variable
+    block of w with a >= 2 (a the only entry of column v), as one factor with
+    exponents -1..a-2, its dual marker, then its basis."""
     if "walk" not in cache:
-        packing = _packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
-        powers = [(b[0], restrict(ctx.poly, b).terms[0][0]) for b in ctx.blocks if len(b) == 1]
+        N = ctx.line_denominator * (abs(ctx.family_step[1]) or 1)
+        packing = _packing(N, len(ctx.line_moduli) + 1)
+        powers = [(v, max(row[v - 1] for row in ctx.poly.matrix)) for v, *rest in ctx.blocks if not rest]
         atoms = {v: _factor(ctx, (v,), [(e,) for e in range(-1, a - 1)], packing) for v, a in powers if a >= 2}
-        cache["walk"] = packing, atoms
+        *congruences, _, u_weights = ctx.line_weights
+        columns = list(enumerate(zip([u_weights, *congruences], (N, *ctx.line_moduli))))
+        units = {v: sum(ws[v] * (N // q) % N << i * packing[1] for i, (ws, q) in columns)
+                 for v in range(1, ctx.n + 2) if v not in atoms}
+        cache["walk"] = packing, atoms, units
     return cache["walk"]
 
 
@@ -212,11 +221,14 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     dmin, dmax = window
     n = ctx.n
     L = ctx.line_denominator
-    packing, atoms = _walk(ctx, cache)
+    packing, atoms, units = _walk(ctx, cache)
     N, w, _, each = packing
     M, low = N // L, (1 << w) - 1
+    # a closed set meets an atom in a tail, all of it or none, so its part is connected
+    parts = (component_variables(restrict(ctx.poly, fixed_vars)) if ctx.walks is None
+             else sorted(part for block in ctx.blocks if (part := tuple(v for v in block if v in fixed_vars))))
     comps, infinite = [], False
-    for variables in component_variables(restrict(ctx.poly, fixed_vars)):
+    for variables in parts:
         if variables not in cache:
             cache[variables] = _component(ctx, variables, packing, cache, boxes)
         if cache[variables] is None:
@@ -225,9 +237,9 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
             comps.append(cache[variables])
     if infinite and all(comps):
         raise not_isolated(tuple(v for v in range(1, n + 2) if group[0][0] >> v & 1))
-    # the key of the negated dual markers on the unfixed variables; a Fermat atom's factor holds its own
-    negated = [0] + [int(v not in (*fixed_vars, *atoms)) for v in range(1, n + 2)]
-    [(duals, _, _)] = _factor(ctx, range(n + 2), [negated], packing)[1]
+    duals = 0  # the negated dual markers' key on the unfixed variables; a Fermat atom's factor holds its own
+    for v in units.keys() - fixed_vars:
+        duals = _canonical(duals + units[v], packing)
     # a kind of degree offset off wants u in [lo, lo + span) = spans[off]; a class
     # fixes k0..k0 + |atoms| variables, so off is n - k0 - |atoms| + 1..n - k0 + 2
     offsets = range(n - len(fixed_vars) - len(atoms) + 1, n - len(fixed_vars) + 3)

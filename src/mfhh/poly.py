@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -95,11 +96,17 @@ class InvertiblePolynomial(NamedTuple):
         return cls(rows)
 
 
+# matchings and walks are cached per tuple of rows, so a polynomial's atoms are matched once; the
+# bound, shared with the Jacobian staircases, keeps a long-lived process from growing without limit
+CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def atom_heads(rows):
     """Match the monomials to distinct 'tail' variables so that the head
     pointers form disjoint chains and loops: (tail, head) per row, head None
     for a pure power x_tail^a (a >= 2) and else the variable of exponent 1
-    next to x_tail.  None when no such matching exists."""
+    next to x_tail.  None when no such matching exists; rows are tuples."""
     n = len(rows)
     options = []
     for row in rows:
@@ -133,10 +140,11 @@ def atom_heads(rows):
     return tuple(chosen)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def atom_walks(rows, heads):
-    """The atoms of an atom_heads matching: per atom its (variable, exponent)
-    pairs along the heads from a chain's start (no row's head; a Fermat atom
-    is a chain of one), and whether the walk comes back to its start, a loop."""
+    """The atoms of an atom_heads matching: per atom a tuple of its (variable, exponent)
+    pairs along the heads from a chain's start (no row's head; a Fermat atom is a chain
+    of one), and whether the walk comes back to its start, a loop."""
     follow = {tail: (head, row[tail]) for row, (tail, head) in zip(rows, heads)}
     ends = {head for _, head in heads}
     walks = []
@@ -146,8 +154,8 @@ def atom_walks(rows, heads):
             walk.append((v, follow[v][1]))
             v = follow.pop(v)[0]
         if walk:  # a chain ends at head None, a loop back at its start
-            walks.append((walk, v is not None))
-    return walks
+            walks.append((tuple(walk), v is not None))
+    return tuple(walks)
 
 
 def atom_det(rows, heads):

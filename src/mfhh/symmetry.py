@@ -28,7 +28,8 @@ A on the free columns for h_B and, with a row of ones appended, h_B / m_B.
 Folding the blocks' closed sets, S keeps the signed products c_L of its h_B
 by the lcm L of their m_B: exact(S + {x_0}) = sum c_L / L and exact(S) =
 sum c_L - exact(S + {x_0}).  Cost: about the output, equal sums multiplied
-once, no Smith form for a sum of atoms (a Fermat atom is a chain of one).
+once and a block's full set (terms 1) not at all, no Smith form for a sum of
+atoms, whose walks (a Fermat atom is a chain of one) give the blocks too.
 """
 
 from __future__ import annotations
@@ -130,9 +131,17 @@ class SymmetryContext:
         self._census = None
 
     @cached_property
+    def walks(self):
+        """The atoms of A as poly.atom_walks gives them, or None for a matrix with no atom matching."""
+        heads = atom_heads(self.poly.matrix)
+        return None if heads is None else atom_walks(self.poly.matrix, heads)
+
+    @cached_property
     def blocks(self):
         """The variables of each connected block of A, in order of their first variable."""
-        return component_variables(restrict(self.poly, range(1, self.n + 2)))
+        if self.walks is None:
+            return component_variables(restrict(self.poly, range(1, self.n + 2)))
+        return sorted(tuple(sorted(v + 1 for v, _ in walk)) for walk, _ in self.walks)
 
     # -- ker chi -----------------------------------------------------------
 
@@ -161,10 +170,10 @@ class SymmetryContext:
     def _closed_sets(self):
         """Per block, [(mask of S_B, terms)] over its closed sets: terms (m, c) sum the h_B(T_B)
         of the T_B >= S_B with m_B(T_B) = m, signed as by Moebius inversion over supersets."""
-        if (heads := atom_heads(self.poly.matrix)) is None:
+        if self.walks is None:
             yield from map(self._block_closed_sets, self.blocks)
             return
-        for walk, loop in atom_walks(self.poly.matrix, heads):
+        for walk, loop in self.walks:
             levels, h, s = [(0, 1, 1)], 1, 0  # (free x_1..x_r, h, m) per tail, covered by the next
             for i, (v, e) in enumerate(walk):
                 h, s = h * e, s + (-1) ** i * h
@@ -212,8 +221,8 @@ class SymmetryContext:
             if 1 << n2 > sys.maxsize:
                 raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
             partial, times = [(0, _ONE)], cache(_times)  # equal sums multiply once per census
-            for sets in self._closed_sets():
-                partial = [(mask | mask2, times(terms, terms2))
+            for sets in self._closed_sets():  # _ONE, a block's full set, multiplies as 1
+                partial = [(mask | mask2, terms if terms2 is _ONE else times(terms, terms2))
                            for mask, terms in partial for mask2, terms2 in sets]
             # 1/L of the elements counted with lcm L fix x_0, and each such count is a multiple of L
             x0 = {terms: sum(c // L for L, c in terms) for terms in {terms for _, terms in partial}}

@@ -6,8 +6,9 @@ The cases cover Fermat, chain, loop and mixed sums (exponent-1 links, a
 12-variable Fermat sum, sums of 2-chains), windows shorter than |du| weights
 and windows past them, `table` in all three formats with and without
 --monomials, `compare` on documents the corpus writes itself,
-`probe-small-res` and failing inputs.  The case list is generated from a
-fixed seed and stored with the digests, so an engine change cannot move it.
+`probe-small-res`, matrices with no atom matching and failing inputs.  The
+case list is generated from a fixed seed and stored with the digests, so an
+engine change cannot move it.
 
 Record the digests again only when an output is meant to change:
 
@@ -149,6 +150,17 @@ def build_cases():
         add(["probe-small-res", "--poly", text, "--dmin", str(rng.randint(-40, -2))])
     for text in ("x1^2+x2^2+x3^3+x4^3", "x1^2+x2^3+x3^5+x4^30", "x1^2+x2^2+x3^2*x4+x4^3"):
         add(["probe-small-res", "--poly", text, "--dmin", "-60"])
+
+    # matrices with no atom matching whose tables have cells: the census
+    # takes Smith forms on their blocks, and the joins restrict them
+    for i, (text, window) in enumerate((
+        ("x1^3*x2^2+x2^3+x1*x3", (-12, 8)),
+        ("x1*x2^3+x2^3*x3^3+x1*x3", (-12, 8)),
+        ("x1*x3^2+x1^2*x4+x3*x4+x1*x2^3", (-12, 8)),
+        ("x1^3*x2^2+x2^3+x1*x3+x4^3", (-20, 8)),
+        ("x1^2*x2+x2*x3+x1^3+x4^2*x5+x5^3", (-30, 8)),
+    )):
+        add(_table(text, window, FORMATS[i % 3], monomials=i == 2) + ["--allow-nonstandard"])
 
     # failing inputs
     for argv in (

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from basis_oracle import basis_in
 from conftest import random_invertible
 from lattice_oracle import family_line, member, probe_restrictions
-from mfhh import engine, jacobian, lines
+from mfhh import engine, jacobian, lines, poly, symmetry
 from mfhh.cli import main
 from mfhh.engine import (
     BigradedTable,
@@ -726,11 +726,12 @@ def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
 
 
 @settings(max_examples=40)
-@given(st.integers(0, 10**9), st.sampled_from([(-12, 8), (-4000, 8)]))
-def test_tables_and_listings_match_the_probe_join(seed, window):
+@given(st.integers(0, 10**9), st.sampled_from([(-12, 8), (-4000, 8)]), st.booleans())
+def test_tables_and_listings_match_the_probe_join(seed, window, ones):
     # one join per fixed set outside the Fermat atoms, against one probe
-    # join per restriction; random_invertible mixes atoms, chains and loops
-    p = random_invertible(random.Random(seed), max_vars=8, max_det=3000)
+    # join per restriction; random_invertible mixes atoms, chains and loops,
+    # and with ones their links may have exponent 1
+    p = random_invertible(random.Random(seed), max_vars=8, max_det=3000, ones=ones)
     ctx = SymmetryContext(p)
 
     def solve():
@@ -740,6 +741,41 @@ def test_tables_and_listings_match_the_probe_join(seed, window):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "restrictions", _probe_join)
         assert got == _outcome(solve)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**9), st.booleans())
+def test_blocks_and_join_components_read_off_the_atom_walks(seed, ones):
+    # a closed set meets each atom in a tail, all of it or none of it, so a
+    # join's components are the atoms' parts of its fixed set, as the
+    # restriction splits them
+    p = random_invertible(random.Random(seed), max_vars=8, max_det=3000, ones=ones)
+    ctx = SymmetryContext(p)
+    assert ctx.blocks == component_variables(restrict(p, range(1, p.nvars + 1)))
+    atoms = lines._walk(ctx, {})[1]
+    for mask, count in ctx.classes:
+        fixed_vars = tuple(v for v in range(1, p.nvars + 1) if mask >> v & 1 and v not in atoms)
+        parts = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lines, "_component", lambda ctx, variables, *args: parts.append(variables) or [])
+            lines.solve_restriction(ctx, fixed_vars, [(mask, count)], (-12, 8), {})
+        assert parts == component_variables(restrict(p, fixed_vars)), (p.matrix, fixed_vars)
+
+
+def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(monkeypatch):
+    # parsing, the census and the box bases share one atom matching per
+    # tuple of rows, and the context and joins read blocks off its walks
+    def split(r):
+        raise AssertionError(f"the restriction to {r.fixed} was split")
+
+    seen, heads = [], poly.atom_heads
+    for module in (jacobian, lines, symmetry):
+        monkeypatch.setattr(module, "component_variables", split)
+    for module in (poly, jacobian, symmetry):
+        monkeypatch.setattr(module, "atom_heads", lambda rows: seen.append(rows) or heads(rows))
+    heads.cache_clear()
+    compute_table(parse("x1^7*x2+x2^5*x3+x3^5*x4+x4^5*x5+x5^3*x6+x6^3"), (-12, 8))
+    assert heads.cache_info().misses == len(set(seen)) < len(seen)
 
 
 def _divisors(N):

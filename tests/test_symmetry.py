@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,7 @@ from lattice_oracle import census_by_masks, chi_power, family_line, member, quot
 from mfhh import lattice
 from mfhh.errors import DegenerateCharacter
 from mfhh.lattice import det
-from mfhh.poly import InvertiblePolynomial, parse
+from mfhh.poly import InvertiblePolynomial, atom_heads, parse
 from mfhh.symmetry import GroupElement, SymmetryContext
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
@@ -246,11 +247,16 @@ def test_census_matches_mask_census_on_nine_variables(text):
         ("x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1", 2),
         (CHAIN12, 24),
         (LOOP12, 2),
+        # no atom matching: every block, its Fermat atoms too, takes the Smith forms
+        ("x1^3*x2^2+x2^4+x3", 10),
+        ("x1^2*x2^3+x1^3+x3", 10),
+        ("x1^2*x2^2+x2^3+x3+x4^3", 14),
+        ("x1^3*x2^2+x2^3+x1*x3+x4^3", 12),
     ],
 )
 def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, calls):
-    # one per closed proper subset of each block and one with the row of
-    # ones: a k-chain has k such sets, a Fermat atom 1 and a loop 1; the
+    # one per closed subset of each block and one with the row of ones; a
+    # sum of atoms reads its closed sets off their shape and takes none; the
     # census by masks takes 126 on six variables
     def walk(self):
         raise AssertionError("ker(chi) was enumerated")
@@ -263,9 +269,12 @@ def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, ca
         return factors(m)
 
     monkeypatch.setattr(SymmetryContext, "_iter_ker", walk)
-    ctx = SymmetryContext(parse(text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ctx = SymmetryContext(parse(text, allow_nonstandard=True))
     monkeypatch.setattr(lattice, "invariant_factors", counting)
     census = ctx.fixed_census()
+    assert bool(counted) == (atom_heads(ctx.poly.matrix) is None)
     assert len(counted) <= calls
     assert sum(census.values()) == abs(ctx.poly.det())
 

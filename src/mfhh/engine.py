@@ -26,10 +26,12 @@ Cost model.  The census comes as (mask, count) classes in sorted fixed-set
 order, and lines.restrictions finds the lines of all the classes that fix
 the same variables outside the Fermat atoms of w in one join (see lines).
 Tables ask for Kreuzer-Krawitz boxes, so a standard polynomial's table
-takes no Groebner basis; listings read the grevlex staircase.  A table
-keeps each found line's points in the window as one run along the family
-step, so it costs O(runs) however long its window, and builds its cells
-only when they are read; listings make a Contribution per point.
+takes no Groebner basis; listings read the grevlex staircase.  The join
+gives a table the points of each (line, row) hit in the window as one run
+along the family step, read off the line invariant with no decoded line
+when du != 0, so a table costs O(runs) however long its window and
+compute_table only collects them; it builds its cells only when they are
+read.  Listings decode their lines and make a Contribution per point.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -193,15 +195,8 @@ def _context(p, window, ctx):
 def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     ctx = _context(p, window, ctx)
-    dc, du = step = ctx.family_step
-    runs = []
-    for _, lines in restrictions(ctx, ctx.classes, window, boxes=True):
-        for c0, u0, _, hits in lines:
-            for _, count, kind in hits:
-                ts = t_range(c0, u0, step, kind, window)
-                # a run starts at its lowest degree; with du == 0 it is one point
-                for t in ts[:1] if du >= 0 else ts[-1:]:
-                    runs.append((2 * (u0 + t * du) + kind[3], c0 + t * dc, ts.stop - ts.start, count))
+    dc, du = ctx.family_step
+    runs = [run for _, found in restrictions(ctx, ctx.classes, window, boxes=True) for run in found]
     return BigradedTable(*window, runs=runs, step=(2 * abs(du) or 1, dc if du >= 0 else -dc))
 
 

@@ -48,13 +48,12 @@ components that are no atom.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from operator import itemgetter, le, neg
 from typing import NamedTuple
 
 from .errors import InputError, NotIsolated
-from .poly import CACHE_SIZE, atom_heads, atom_walks
+from .poly import atom_heads, atom_walks, bounded_cache
 
 
 def _grevlex_key(m):
@@ -216,7 +215,7 @@ def _components(r):
 # Staircases are cached per component, keyed by its terms in local
 # coordinates and its number of variables, so an atom shared by several
 # restrictions or polynomials is solved once; bounded as the atom walks.
-@lru_cache(maxsize=CACHE_SIZE)
+@bounded_cache
 def _basis_cached(terms, nvars):
     """Staircase of one component in ascending grevlex order; None if it is
     infinite."""

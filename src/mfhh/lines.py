@@ -27,10 +27,13 @@ join of about sqrt(|det A|) products a side, not 2^n.  A join reads its
 components off the context's atom walks, as the atoms' parts of its fixed
 set, and its dual key is a sum of per-variable keys made once per walk, so
 w is restricted once per distinct component, for its basis.  Classes come as
-(mask, count) pairs.  A found entry's mask is its fixed set, whose rows are
-built when an entry first has it, so a table pays per found fixed set, not
-per class, and only an entry that a row wants is decoded, by its c and u
-weights alone; t_range then finds its points in the window.
+(mask, count) pairs.  A found entry's mark holds its fixed set, whose rows
+are built when an entry first has it, so a table pays per found fixed set,
+not per class, and above it the line invariant J, the sum of its factors'.
+With du != 0 a table reads each hit's run off J and the weight residue, so
+it costs O(hits), with no line decoded and no t_range; a listing, or a
+table with du == 0, decodes only an entry that a row wants, by its c and u
+weights alone, and t_range finds its points.
 """
 
 from __future__ import annotations
@@ -42,12 +45,23 @@ from operator import mul
 # monomial_basis is called through its module, so a wrapper installed on
 # jacobian.monomial_basis, such as perfbench's tracer, sees each call
 from . import jacobian
-from .errors import NonterminatingFamily, NotIsolated
+from .errors import EngineError, NonterminatingFamily, NotIsolated
 from .jacobian import BoxBasis, component_variables, not_isolated, restrict
+
+
+FACTOR_LIMIT = 1 << 21  # exponents in one factor: x^99999999's took minutes and gigabytes
 
 
 def _ceil_div(a, b):
     return -((-a) // b)
+
+
+def _limited(ctx, v, exps):
+    """exps, the exponents of a factor of x_v, unless there are more than FACTOR_LIMIT."""
+    if len(exps) > FACTOR_LIMIT:
+        a = max(row[v - 1] for row in ctx.poly.matrix)
+        raise EngineError(f"x{v}^{a} needs a factor of {len(exps)} exponents, more than 2^21")
+    return exps
 
 
 def kinds(n, k, x0_fixed):
@@ -102,19 +116,25 @@ def _canonical(s, packing):
 
 
 def _factor(ctx, variables, monomials, packing):
-    """(variables, [(key, monomial, mask)]) for monomials over the variables,
-    mask holding bit v for each x_v of exponent >= 0; see solve_restriction."""
+    """(variables, [(key, monomial, mark)]) for monomials over the variables,
+    a mark holding bit v for each x_v of exponent >= 0 and, from bit n + 2
+    up, the monomial's part of J (line_invariant); see solve_restriction."""
     N, w = packing[:2]
     # these variables' weights, a column at a time: u, then each congruence
     # scaled by N / d_j; the c column plays no part in a key
     *congruences, _, u_weights = ctx.line_weights
-    keys = masks = [0] * len(monomials)
+    keys = marks = [0] * len(monomials)
     for i, (weights, q) in enumerate(zip([u_weights, *congruences], (N, *ctx.line_moduli))):
-        weights, scale, off = [weights[v] for v in variables], N // q, i * w
-        keys = [k + ((sum(map(mul, m, weights)) * scale % N) << off) for k, m in zip(keys, monomials)]
+        weights, off = [weights[v] * (N // q) for v in variables], i * w
+        if len(variables) == 1:  # a box range or an atom: no dot product
+            wv = weights[0]
+            keys = [k + (m[0] * wv % N << off) for k, m in zip(keys, monomials)]
+        else:
+            keys = [k + (sum(map(mul, m, weights)) % N << off) for k, m in zip(keys, monomials)]
     for j, v in enumerate(variables):
-        masks = [f | (m[j] >= 0) << v for f, m in zip(masks, monomials)]
-    return variables, list(zip(keys, monomials, masks))
+        J = ctx.line_invariant[v] << ctx.n + 2
+        marks = [f + m[j] * J + ((m[j] >= 0) << v) for f, m in zip(marks, monomials)]
+    return variables, list(zip(keys, monomials, marks))
 
 
 def _component(ctx, variables, packing, cache, boxes):
@@ -133,19 +153,20 @@ def _component(ctx, variables, packing, cache, boxes):
         for v, exps in zip(variables, box):
             # (variable, range) keys never meet the components' variable tuples
             if (v, exps) not in cache:
-                cache[v, exps] = _factor(ctx, (v,), [(e,) for e in exps], packing)
+                cache[v, exps] = _factor(ctx, (v,), [(e,) for e in _limited(ctx, v, exps)], packing)
     return [[cache[v, exps] for v, exps in zip(variables, box)] for box in basis.boxes]
 
 
 def _product(factors, packing):
-    """(key, exponents, mask) for every product of the factors' monomials,
-    the exponents in the order of the factors' variables."""
+    """(key, exponents, mark) for every product of the factors' monomials,
+    the exponents in the order of the factors' variables; the factors'
+    variables are disjoint, so their marks add."""
     N, w, high, each = packing
     carry, shift = high - each, w - 1
     out = factors[0][1] if factors else [(0, (), 0)]
     for _, entries in factors[1:]:  # _canonical of each sum, inlined
         out = [
-            ((s := k + k2) - (((s + carry) & high) >> shift) * N, e + e2, f | f2)
+            ((s := k + k2) - (((s + carry) & high) >> shift) * N, e + e2, f + f2)
             for k, e, f in out
             for k2, e2, f2 in entries
         ]
@@ -161,7 +182,8 @@ def _walk(ctx, cache):
         N = ctx.line_denominator * (abs(ctx.family_step[1]) or 1)
         packing = _packing(N, len(ctx.line_moduli) + 1)
         powers = [(v, max(row[v - 1] for row in ctx.poly.matrix)) for v, *rest in ctx.blocks if not rest]
-        atoms = {v: _factor(ctx, (v,), [(e,) for e in range(-1, a - 1)], packing) for v, a in powers if a >= 2}
+        atoms = {v: _factor(ctx, (v,), [(e,) for e in _limited(ctx, v, range(-1, a - 1))], packing)
+                 for v, a in powers if a >= 2}
         *congruences, _, u_weights = ctx.line_weights
         columns = list(enumerate(zip([u_weights, *congruences], (N, *ctx.line_moduli))))
         units = {v: sum(ws[v] * (N // q) % N << i * packing[1] for i, (ws, q) in columns)
@@ -184,9 +206,19 @@ def restrictions(ctx, classes, window, boxes=False):
         yield solve_restriction(ctx, fixed_vars, group, window, cache, boxes)
 
 
+def _decode(ctx, variables, exps):
+    """(c0, u0, rest) for the exponents on the variables, -1 on the others."""
+    rest = [-1] * (ctx.n + 1)
+    for v, e in zip(variables, exps):
+        rest[v - 1] = e
+    c, u = (sum(map(mul, rest, w[1:])) // ctx.line_denominator for w in ctx.line_weights[-2:])
+    return c, u, tuple(rest)
+
+
 def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     """(group, lines) for the group of (mask, count) classes whose fixed
-    variables outside the Fermat atoms are fixed_vars.
+    variables outside the Fermat atoms are fixed_vars, or with boxes (group,
+    runs).
 
     lines are (c0, u0, rest, rows) for the lines that hit the window.  rest
     holds the exponents of x_1..x_{n+1}: the line's basis monomial on its
@@ -194,8 +226,10 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     that line_columns((0,) + rest) gives over L.  rows are the (mask,
     count, kind) it hits: kinds A and B of the class S + {x0}, C of S.  With
     boxes, components that are atoms take their Kreuzer-Krawitz boxes (see
-    _component).  An infinite ring raises NotIsolated, named after the
-    first class's restriction.
+    _component), and each row a line hits gives the run (degree, c, points,
+    count) of its points in the window from the lowest degree, as tables
+    keep them.  An infinite ring raises NotIsolated, named after the first
+    class's restriction.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -213,17 +247,22 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     dual markers', in which m gives weights m - U // L mod |du|, U the
     wanted key's; the kinds want one arc of weights, as wide as the window
     and their degree offsets, so it finds one or two ranges of m, or the
-    whole bucket once the arc covers |du| weights.  A found entry's mask of
-    exponents >= 0 is its fixed set S, whose rows of S + {x0} and S are built
-    at its first entry: only those that want one of its weights decode it.
-    With du == 0 every line whose congruences hold is found, so t_range raises.
+    whole bucket once the arc covers |du| weights.  A found entry's mark
+    holds its fixed set S, whose rows of S + {x0} and S are built at its
+    first entry, and above it J = L*(du*c - dc*u), linear in the exponents
+    and the same at every point of the line (line_invariant).  With du != 0
+    a row's points are the weights u = base + m mod |du| in its [lo, hi]
+    whose c = (J + L*dc*u) / (L*du) its kind allows.  Else the line is
+    decoded; with du == 0 t_range raises for a family that stays inside.
     """
     dmin, dmax = window
     n = ctx.n
     L = ctx.line_denominator
+    dc, du = step = ctx.family_step
     packing, atoms, units = _walk(ctx, cache)
-    N, w, _, each = packing
-    M, low = N // L, (1 << w) - 1
+    N, w, high, each = packing
+    M, low, top = N // L, (1 << w) - 1, n + 2
+    carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
     # a closed set meets an atom in a tail, all of it or none, so its part is connected
     parts = (component_variables(restrict(ctx.poly, fixed_vars)) if ctx.walks is None
              else sorted(part for block in ctx.blocks if (part := tuple(v for v in block if v in fixed_vars))))
@@ -237,22 +276,22 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
             comps.append(cache[variables])
     if infinite and all(comps):
         raise not_isolated(tuple(v for v in range(1, n + 2) if group[0][0] >> v & 1))
-    duals = 0  # the negated dual markers' key on the unfixed variables; a Fermat atom's factor holds its own
+    # the negated dual markers' key and J on the unfixed variables; a Fermat atom's factor holds its own
+    duals, dual_j = 0, 0
     for v in units.keys() - fixed_vars:
-        duals = _canonical(duals + units[v], packing)
-    # a kind of degree offset off wants u in [lo, lo + span) = spans[off]; a class
+        duals, dual_j = _canonical(duals + units[v], packing), dual_j - ctx.line_invariant[v]
+    # a kind of degree offset off wants u in [lo, hi] = spans[off]; a class
     # fixes k0..k0 + |atoms| variables, so off is n - k0 - |atoms| + 1..n - k0 + 2
     offsets = range(n - len(fixed_vars) - len(atoms) + 1, n - len(fixed_vars) + 3)
-    spans = {off: (lo := _ceil_div(dmin - off, 2), (dmax - off) // 2 + 1 - lo) for off in offsets}
-    wanted = [(lo, span) for lo, span in spans.values() if span > 0]
+    spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in offsets}
+    wanted = [(lo, hi) for lo, hi in spans.values() if lo <= hi]
     if not wanted:
         return group, []
     start = min(lo for lo, _ in wanted)
-    width = max(lo + span for lo, span in wanted) - start
+    width = max(hi for _, hi in wanted) + 1 - start
     counts = dict(group)
-    c_weights, u_weights = (w[1:] for w in ctx.line_weights[-2:])  # a line decodes its c and u only
-    rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, span, row) for its rows of kinds A, B, then C
-    lines = []
+    rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, hi, row) for its rows of kinds A, B, then C
+    out = []
     for alternative in product(*comps):
         sides = ([], [])  # the larger side, then the smaller
         costs = [1, 2]  # a probe costs about two entries of the index
@@ -265,35 +304,51 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
         name = ("index",) + tuple(map(id, larger))
         if name not in cache:
             cache[name] = index = {}
-            for k, exps, mask in _product(larger, packing):
+            for k, exps, mark in _product(larger, packing):
                 u = k & low
-                index.setdefault(k - u + u % L, []).append((u // L, exps, mask))
+                index.setdefault(k - u + u % L, []).append((u // L, exps, mark))
             for key, bucket in index.items():
                 bucket.sort()
                 index[key] = [m for m, _, _ in bucket], bucket
         index = cache[name]
         variables = [v for f in smaller + larger for v in f[0]]
-        for k, exps, mask in _product(smaller, packing):
-            key = _canonical(duals + each - k, packing)
+        for k, exps, mark in _product(smaller, packing):
+            key = (key := duals + each - k) - (((key + carry) & high) >> (w - 1)) * N  # _canonical, inlined
             u = key & low
             ms, found = index.get(key - u + u % L, ((), ()))
             base = -(u // L)  # an entry's line has weights base + m mod M
             if width < M:
                 # the arc [m0, m0 + width) mod M
                 m0 = (start - base) % M
-                cut = [bisect_left(ms, m) for m in (m0, m0 + width, m0 + width - M)]
-                found = found[cut[0]:cut[1]] + found[:cut[2]]
-            for m, exps2, mask2 in found:
-                s = mask | mask2
+                a, b, c = bisect_left(ms, m0), bisect_left(ms, m0 + width), bisect_left(ms, m0 + width - M)
+                found = found[a:b] + found[:c]
+            for m, exps2, mark2 in found:
+                mark2 += mark
+                r, s = base + m, mark2 & fixed_bits
                 if s not in rows:  # built at the first entry of its fixed set
                     rows[s] = [(*spans[kind[3]], (fixed, counts[fixed], kind))
                                for fixed in (s | 1, s) if fixed in counts
                                for kind in kinds(n, s.bit_count(), fixed & 1)]
-                hits = [row for lo, span, row in rows[s] if (base + m - lo) % M < span]
+                if boxes and du:
+                    J = (mark2 >> top) + dual_j
+                    for lo, hi, (_, count, (_, cmin, cmax, off, _)) in rows[s]:
+                        # c >= cmin bounds u below when du > 0 and above when
+                        # du < 0; kind C's c = cmin = cmax bounds it on both sides
+                        x = cmin * D - J
+                        if (du > 0 or cmax is not None) and lo * E < x:
+                            lo = -(-x // E)
+                        if (du < 0 or cmax is not None) and hi * E > x:
+                            hi = x // E
+                        u = lo + (r - lo) % M
+                        if u <= hi:  # a run from the lowest degree
+                            out.append((2 * u + off, (J + E * u) // D, (hi - u) // M + 1, count))
+                    continue
+                hits = [row for lo, hi, row in rows[s] if (r - lo) % M <= hi - lo]
                 if hits:
-                    rest = [-1] * (n + 1)
-                    for v, e in zip(variables, exps + exps2):
-                        rest[v - 1] = e
-                    c, u = sum(map(mul, rest, c_weights)), sum(map(mul, rest, u_weights))
-                    lines.append((c // L, u // L, tuple(rest), hits))
-    return group, lines
+                    c0, u0, rest = _decode(ctx, variables, exps + exps2)
+                    if not boxes:
+                        out.append((c0, u0, rest, hits))
+                    else:  # du == 0: a row has at most the point t_range finds
+                        out += [(2 * u0 + kind[3], c0 + t * dc, 1, count) for _, count, kind in hits
+                                for t in t_range(c0, u0, step, kind, window)]
+    return group, out

@@ -127,6 +127,8 @@ class SymmetryContext:
             for k in (-2, -1)
         )
         self.line_weights = congruences + (c_weights, u_weights)
+        # per coordinate, L times du*c - dc*u: the invariant that every point of a line shares
+        self.line_invariant = tuple(du * c - dc * u for c, u in zip(c_weights, u_weights))
         self._ker = None
         self._census = None
 

@@ -273,6 +273,18 @@ def test_table_of_150_variables_is_an_engine_error_in_a_child_process():
     assert res.stderr == b"error: the census cannot list the 2^151 masks of 151 coordinates\n"
 
 
+def test_table_of_a_huge_exponent_is_an_engine_error_in_a_child_process():
+    # x4's factor would hold 10^8 exponents: refused before it is built
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    argv = ["table", "--poly", "x1^2+x2^3+x3^5+x4^99999999", "--dmin", "-2", "--dmax", "2"]
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert res.returncode == 3 and res.stdout == b""
+    assert res.stderr == b"error: x4^99999999 needs a factor of 99999999 exponents, more than 2^21\n"
+
+
 def test_probe_empty_window_is_input_error():
     code, _, err = run(["probe-small-res", "--poly", LAUFER1, "--dmin", "0"])
     assert code == 2 and "empty degree window" in err

@@ -23,7 +23,7 @@ from mfhh.engine import (
     hh2_vanishes,
     list_contributions,
 )
-from mfhh.errors import InputError, MfhhError, NonterminatingFamily, NotIsolated
+from mfhh.errors import EngineError, InputError, MfhhError, NonterminatingFamily, NotIsolated
 from mfhh.jacobian import BoxBasis, component_variables, milnor_number, monomial_basis, restrict
 from mfhh.poly import parse
 from mfhh.symmetry import SymmetryContext
@@ -438,22 +438,28 @@ def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
     p = parse("+".join(f"x{i}^{2 + i % 3}" for i in range(1, 15)))
     ctx = SymmetryContext(p)
     assert len(ctx.fixed_census()) == 28904
+    # every variable is a Fermat atom, so a listing's join is the table's;
+    # its decoded lines name the found fixed sets (the probe join takes
+    # about 10 s here, one join per restriction)
+    found = [line for _, found_lines in lines.restrictions(ctx, ctx.classes, (-12, 8)) for line in found_lines]
+    solves.clear()
     calls = []
     kinds = lines.kinds
     monkeypatch.setattr(lines, "kinds", lambda *args: calls.append(args) or kinds(*args))
-    found = []
+    runs = []
     solve = lines.solve_restriction
 
     def solving(*args):
-        group, found_lines = solve(*args)
-        found.extend(found_lines)
-        return group, found_lines
+        group, found_runs = solve(*args)
+        runs.extend(found_runs)
+        return group, found_runs
 
     monkeypatch.setattr(lines, "solve_restriction", solving)
     compute_table(p, (-12, 8), ctx=ctx)
     assert [fixed_vars for fixed_vars, _ in solves] == [()]
+    assert Counter(runs) == Counter(_line_runs(ctx, found, (-12, 8)))
     # each found fixed set S builds the rows of S + {x0} and of S; one
-    # found entry of the join hits no row, so it decodes no line
+    # found entry of the join hits no row, so it gives no run
     masks = {tuple(e >= 0 for e in rest) for _, _, rest, _ in found}
     assert 0 < len(calls) <= 2 * (len(masks) + 1)
 
@@ -496,6 +502,19 @@ def _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
     else:
         t1, t2 = _ceil_div(hi_num, 2 * du), lo_num // (2 * du)
     return range(max(tlo, t1), t2 + 1 if thi is None else min(thi, t2) + 1)
+
+
+def _line_runs(ctx, found, window):
+    """The runs (degree, c, points, count) of (c0, u0, rest, rows) lines as
+    tables keep them: per row hit, its points in the window by _line_t_range,
+    from the lowest degree."""
+    dc, du = ctx.family_step
+    for c0, u0, _, hits in found:
+        for _, count, (_, cmin, cmax, off, _) in hits:
+            ts = _line_t_range(c0, u0, dc, du, cmin, cmax, off, *window)
+            if ts:
+                t = ts[0] if du >= 0 else ts[-1]
+                yield 2 * (u0 + t * du) + off, c0 + t * dc, len(ts), count
 
 
 def _class_contributions(ctx, fixed, count, window, order):
@@ -618,11 +637,14 @@ def _component_bases(p, fixed_vars, boxes):
 def assert_lines_decoded(p, window, boxes=False):
     """Every line of lines.restrictions is a decoded lattice point: rest is
     a basis monomial of the restriction with dual markers off it, and
-    (c0, rest) - u0*(1,..,1) is in the relation lattice.  Returns the number
-    of lines."""
+    (c0, rest) - u0*(1,..,1) is in the relation lattice.  With boxes the
+    join gives runs, which must be those of the probe join's lines.  Returns
+    the number of lines or runs."""
     relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     ctx = SymmetryContext(p)
     classes = _mask_classes(ctx)
+    if boxes:
+        return sum(assert_range_join_matches_probe_join(ctx, window, boxes)[0].values())
     found = 0
     for _, restriction_lines in lines.restrictions(ctx, classes, window, boxes):
         for c0, u0, rest, hits in restriction_lines:
@@ -653,16 +675,20 @@ def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
 
 def _solved(solve, ctx, classes, window, boxes):
     """The multiset of (c0, u0, rest, rows hit) over the lines that solve
-    yields, and the class and message of the MfhhError raised in solving or
-    in reading the lines' points in the window as compute_table does, else
-    None.  An error in solving leaves no lines: which lines come before it
-    depends on how solve groups the classes into joins."""
+    yields, or with boxes of the runs, and the class and message of the
+    MfhhError raised in solving or in reading the lines' points in the
+    window as listings do, else None.  An error in solving leaves nothing:
+    which lines come before it depends on how solve groups the classes into
+    joins.  Tables read their points in solving."""
     found, error = Counter(), None
     try:
         for _, lines_found in solve(ctx, classes, window, boxes):
-            found.update((c0, u0, rest, frozenset(hits)) for c0, u0, rest, hits in lines_found)
+            found.update(lines_found if boxes else
+                         ((c0, u0, rest, frozenset(hits)) for c0, u0, rest, hits in lines_found))
     except MfhhError as exc:
         return Counter(), (type(exc), str(exc))
+    if boxes:
+        return found, error
     try:
         for c0, u0, _, hit in found:
             for _, _, kind in hit:
@@ -692,12 +718,14 @@ def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, w
 def _probe_join(ctx, classes, window, boxes=False):
     """lattice_oracle.probe_restrictions in the shape of lines.restrictions:
     each restriction's (mask, count) classes, and each line with the rows it
-    hits.  The oracle takes and gives its classes as frozensets."""
+    hits, or with boxes the runs of those lines (_line_runs).  The oracle
+    takes and gives its classes as frozensets."""
     sets = [(_fixed(mask), count) for mask, count in classes]
     for rows, found in probe_restrictions(ctx, sets, window, boxes):
         rows = [(_mask(fixed), count, kind) for fixed, count, kind in rows]
         group = list(dict.fromkeys((mask, count) for mask, count, _ in rows))
-        yield group, [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in found]
+        found = [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in found]
+        yield group, list(_line_runs(ctx, found, window)) if boxes else found
 
 
 def assert_range_join_matches_probe_join(ctx, window, boxes):
@@ -719,7 +747,8 @@ def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
     for window in ((-12, 8), (3, 3), (-4 * abs(du) - 7, 5)):
         for boxes in (False, True):
             solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
-            assert solved
+            # a table reads its points in solving: with du == 0 it may raise or find none
+            assert solved or boxes and du == 0
             errors.add(error and error[0])
     # with du == 0 a family whose degree lies in the window never leaves it
     assert (NonterminatingFamily in errors) == (du == 0) and errors <= {None, NonterminatingFamily}
@@ -935,6 +964,44 @@ def test_range_join_builds_few_products_whatever_the_window(monkeypatch):
         compute_table(parse(BOX_TABLE_INPUTS[0]), window)
         counts.append(sum(built))
     assert counts[0] == counts[1]
+
+
+def test_tables_read_their_runs_off_the_line_invariant(monkeypatch):
+    # with du != 0 a table takes each hit's points from J and the weight
+    # residue: it decodes no line and calls no t_range; a listing does both
+    decoded = []
+    decode = lines._decode
+    monkeypatch.setattr(lines, "_decode", lambda *args: decoded.append(args) or decode(*args))
+    list(class_contributions(parse(LAUFER1), (-12, 8)))
+    assert decoded
+
+    def never(*args):
+        raise AssertionError("a table read a line's points by t_range")
+
+    for module in (lines, engine):
+        monkeypatch.setattr(module, "t_range", never)
+    decoded.clear()
+    # the large_group anchors (du > 0 and du < 0) and a chain with du < 0
+    signs = set()
+    for text in BOX_TABLE_INPUTS[:4] + (LAUFER1,):
+        ctx = SymmetryContext(parse(text))
+        signs.add((ctx.family_step[1] > 0) - (ctx.family_step[1] < 0))
+        assert compute_table(ctx.poly, (-12, 8), ctx=ctx).total() > 0
+    assert signs == {-1, 1} and decoded == []
+
+
+def test_a_factor_of_more_than_2_to_the_21_exponents_is_refused():
+    # a Fermat atom's factor holds -1..a-2, a box range its exponents
+    with pytest.raises(EngineError, match=r"^x4\^99999999 needs a factor of 99999999 exponents, more than 2\^21$"):
+        compute_table(parse("x1^2+x2^3+x3^5+x4^99999999"), (-2, 2))
+    with pytest.raises(EngineError, match=r"^x2\^3000000 needs a factor of 3000000 exponents"):
+        compute_table(parse("x1^2*x2+x2^3000000+x3^2+x4^2"), (-2, 2))
+
+
+def test_a_factor_of_a_million_exponents_still_gives_its_table():
+    table = compute_table(parse("x1^2+x2^3+x3^5+x4^1000000"), (-2, 2))
+    assert table.total() == 32
+    assert table.row(0) == dict.fromkeys((0, 6, 10, 12, 16, 18, 22, 28), 1)
 
 
 def _nonstandard(rng):

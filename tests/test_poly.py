@@ -1,6 +1,8 @@
+import gc
 import io
 import random
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -305,3 +307,23 @@ def test_parse_of_many_variables_takes_no_bareiss():
     p = parse("+".join(f"x{i}^2" for i in range(1, 1201)))
     assert p.nvars == 1200
     assert time.perf_counter() - start < 10
+
+
+def test_caches_keep_no_matrix_of_more_than_64_variables():
+    # a 1200-variable matrix's matching and walks held 11.9 MB after the
+    # polynomial was dropped; a small one is still matched once
+    parse("x1^2+x2^3")
+    text = "+".join(f"x{i}^2" for i in range(1, 1201))
+    tracemalloc.start()
+    try:
+        p = parse(text)
+        del p
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    rows = parse("+".join(f"x{i}^2" for i in range(1, 65))).matrix
+    misses = atom_heads.cache_info().misses
+    atom_heads(rows)
+    assert atom_heads.cache_info().misses == misses

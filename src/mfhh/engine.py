@@ -23,15 +23,14 @@ c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
 c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
 Cost model.  The census comes as (mask, count) classes in sorted fixed-set
-order, and lines.restrictions finds the lines of all the classes that fix
-the same variables outside the Fermat atoms of w in one join (see lines).
-Tables ask for Kreuzer-Krawitz boxes, so a standard polynomial's table
-takes no Groebner basis; listings read the grevlex staircase.  The join
-gives a table the points of each (line, row) hit in the window as one run
-along the family step, read off the line invariant with no decoded line
-when du != 0, so a table costs O(runs) however long its window and
-compute_table only collects them; it builds its cells only when they are
-read.  Listings decode their lines and make a Contribution per point.
+order, and lines.join finds the lines of all of them in one join over the
+blocks of A (see lines).  Tables ask for Kreuzer-Krawitz boxes, so a
+standard polynomial's table takes no Groebner basis; listings read the
+grevlex staircase.  When du != 0 the join gives a table the points of each
+(line, row) hit in the window as one run along the family step, with no
+decoded line, so a table costs O(runs) however long its window; it builds
+its cells only when they are read.  Listings, and tables when du == 0,
+decode their lines and make a Contribution per point.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -48,7 +47,7 @@ from typing import NamedTuple
 
 from .errors import InputError, WindowMismatch
 from .jacobian import _grevlex_key
-from .lines import restrictions, t_range
+from .lines import join, t_range
 from .poly import monomial_text
 from .symmetry import SymmetryContext
 
@@ -196,7 +195,12 @@ def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     ctx = _context(p, window, ctx)
     dc, du = ctx.family_step
-    runs = [run for _, found in restrictions(ctx, ctx.classes, window, boxes=True) for run in found]
+    if not du:  # a line keeps one degree: read its points as the listing does, raising in class order
+        runs = [(c.degree, c.weight, 1, c.count) for c in class_contributions(p, window, ctx)]
+        return BigradedTable(*window, runs=runs)
+    runs, errors = join(ctx, ctx.classes, window, boxes=True)
+    for error in errors.values():
+        raise error
     return BigradedTable(*window, runs=runs, step=(2 * abs(du) or 1, dc if du >= 0 else -dc))
 
 
@@ -228,20 +232,18 @@ def _class_entries(ctx, hits, window):
 
 def _classes(ctx, classes, window):
     """Yield (mask, contributions) for the given (mask, count) classes in
-    their order.  A join is solved at its first class, and its hits are
-    kept per class until that class has had its turn, so every error is
-    raised at the class that raised it when each class was solved on its
+    their order, from one join whose hits are kept per class, so every error
+    is raised at the class that raised it when each class was solved on its
     own."""
-    solved = restrictions(ctx, classes, window)
-    pending = {}
+    found, errors = join(ctx, classes, window)
+    hits = {}
+    for line in found:
+        for row in line[3]:
+            hits.setdefault(row[0], []).append((line, row))
     for fixed, _ in classes:
-        if fixed not in pending:
-            group, lines = next(solved)
-            pending.update((other, []) for other, _ in group)
-            for line in lines:
-                for row in line[3]:
-                    pending[row[0]].append((line, row))
-        yield fixed, _class_entries(ctx, pending.pop(fixed), window)
+        if fixed in errors:
+            raise errors[fixed]
+        yield fixed, _class_entries(ctx, hits.get(fixed, []), window)
 
 
 def class_contributions(p, window, ctx=None):

@@ -163,11 +163,8 @@ def restrict(p, fixed):
     fixed = tuple(sorted(fixed))
     if not all(1 <= v <= p.nvars for v in fixed):
         raise InputError(f"variable index out of range 1..{p.nvars}: {fixed}")
-    keep = set(fixed)
-    terms = []
-    for row in p.matrix:
-        if all(e == 0 or (j + 1) in keep for j, e in enumerate(row)):
-            terms.append(tuple(row[v - 1] for v in fixed))
+    keep, drop = [v - 1 for v in fixed], [j for j in range(p.nvars) if j + 1 not in fixed]
+    terms = (tuple(map(row.__getitem__, keep)) for row in p.matrix if not any(map(row.__getitem__, drop)))
     return RestrictedPolynomial(p, fixed, tuple(terms))
 
 

@@ -5,48 +5,46 @@ markers on the unfixed variables, the solutions (c, u) of
 (c, p) - u*(1,..,1) in the relation lattice form one line with the
 context-wide step (dc, du); engine reads kinds A, B and C off it.
 
-A restriction's Jacobian ring is the product of its connected components'
-rings (see jacobian), so a basis is a union of products of factors.  Tables
-take an atom's Kreuzer-Krawitz boxes, whose factors are single variables'
-exponent ranges; listings, whose monomials are grevlex ones, and components
-that are no atom take the grevlex staircase as one factor.  A Fermat atom,
-a one-variable block x_v^a of w with a >= 2, is one factor with exponents
--1..a-2: its dual marker when x_v is unfixed, else its basis.  So classes
-that differ only in x0 and the Fermat atoms they fix share one join, and a
-line reads its fixed set off its exponents.
+A class's fixed set S meets each block B of A in a closed set S_B
+(SymmetryContext.closed_sets), so these monomials are the products over the
+blocks of their pairs (S_B, basis monomial of w on S_B, -1 on the rest of
+B).  Each block gives its pairs as alternatives, lists of factors (_blocks):
+a Fermat atom x_v^a, a one-variable block with a >= 2, one factor of
+exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box and the
+all-dual entry, and a chain its boxes over all its closed tails (_chain);
+any other block, and each block of a listing, the union over its closed
+sets of their grevlex staircases.  A table or a listing is one join over
+the product of the blocks' alternatives.
 
 Cost model.  A line's key, the residues of its congruence columns and of
 its u column modulo L*|du| (SymmetryContext.line_columns), is linear in the
 exponents, so it is the sum of its factors' keys: one int, a field per
-column, summed with one add, mask, shift and multiply (solve_restriction).
-A join indexes the product keys of its larger side once per walk and probes
-them with each product of the smaller side for the entries whose weights
-lie in the window, so it costs about |smaller side| * log + |larger side| +
-|lines found| whatever the window's length; a sum of n Fermat atoms is one
-join of about sqrt(|det A|) products a side, not 2^n.  A join reads its
-components off the context's atom walks, as the atoms' parts of its fixed
-set, and its dual key is a sum of per-variable keys made once per walk, so
-w is restricted once per distinct component, for its basis.  Classes come as
-(mask, count) pairs.  A found entry's mark holds its fixed set, whose rows
-are built when an entry first has it, so a table pays per found fixed set,
-not per class, and above it the line invariant J, the sum of its factors'.
-With du != 0 a table reads each hit's run off J and the weight residue, so
-it costs O(hits), with no line decoded and no t_range; a listing, or a
-table with du == 0, decodes only an entry that a row wants, by its c and u
-weights alone, and t_range finds its points.
+column, summed with one add, mask, shift and multiply (join).  For each
+product of alternatives the join indexes the product keys of its larger
+side once and probes them with each product of the smaller side for the
+entries whose weights lie in the window: about |smaller side| * log +
+|larger side| + |lines found| whatever the window's length, and for a sum
+of n Fermat atoms about sqrt(|det A|) products a side, not 2^n.  Factors,
+bases and indexes are made once per join.  A found entry's mark holds its
+fixed set, whose rows are built when an entry first has it, so a table pays
+per found fixed set, not per class, and above it the line invariant J.  A
+table (du != 0; engine reads the listing when du == 0) reads each hit's run
+off J and the weight residue, so it costs O(hits), with no line decoded; a
+listing decodes only an entry that a row wants, and t_range finds its
+points.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, product
-from operator import mul
+from operator import itemgetter, mul
 
 # monomial_basis is called through its module, so a wrapper installed on
 # jacobian.monomial_basis, such as perfbench's tracer, sees each call
 from . import jacobian
 from .errors import EngineError, NonterminatingFamily, NotIsolated
-from .jacobian import BoxBasis, component_variables, not_isolated, restrict
+from .jacobian import restrict
 
 
 FACTOR_LIMIT = 1 << 21  # exponents in one factor: x^99999999's took minutes and gigabytes
@@ -104,7 +102,7 @@ def t_range(c0, u0, step, kind, window):
 
 
 def _packing(N, fields):
-    """(N, field width, top bits, N in each field); see solve_restriction."""
+    """(N, field width, top bits, N in each field); see join."""
     w = N.bit_length() + 1
     return N, w, sum(1 << (i * w + w - 1) for i in range(fields)), sum(N << i * w for i in range(fields))
 
@@ -118,7 +116,7 @@ def _canonical(s, packing):
 def _factor(ctx, variables, monomials, packing):
     """(variables, [(key, monomial, mark)]) for monomials over the variables,
     a mark holding bit v for each x_v of exponent >= 0 and, from bit n + 2
-    up, the monomial's part of J (line_invariant); see solve_restriction."""
+    up, the monomial's part of J (line_invariant); see join."""
     N, w = packing[:2]
     # these variables' weights, a column at a time: u, then each congruence
     # scaled by N / d_j; the c column plays no part in a key
@@ -126,7 +124,7 @@ def _factor(ctx, variables, monomials, packing):
     keys = marks = [0] * len(monomials)
     for i, (weights, q) in enumerate(zip([u_weights, *congruences], (N, *ctx.line_moduli))):
         weights, off = [weights[v] * (N // q) for v in variables], i * w
-        if len(variables) == 1:  # a box range or an atom: no dot product
+        if len(variables) == 1:  # one variable's exponents: no dot product
             wv = weights[0]
             keys = [k + (m[0] * wv % N << off) for k, m in zip(keys, monomials)]
         else:
@@ -137,24 +135,78 @@ def _factor(ctx, variables, monomials, packing):
     return variables, list(zip(keys, monomials, marks))
 
 
-def _component(ctx, variables, packing, cache, boxes):
-    """The basis of one component as alternatives whose union it is, each a
-    list of factors whose product it is: one factor per variable range of
-    each box of a BoxBasis, else one factor holding the staircase.  [] when
-    the ring is 0, None when it is infinite."""
-    try:
+def _ranges(ctx, variables, box, packing, cache):
+    """One factor per variable range of a box: a slice of the variable's factor of exponents -1 up."""
+    for v, exps in zip(variables, box):
+        if (v, exps) not in cache:
+            if v not in cache:  # every range lies in -1..a-1, a the largest exponent of x_v
+                a = max(row[v - 1] for row in ctx.poly.matrix)
+                cache[v] = _factor(ctx, (v,), [(e,) for e in (-1, *_limited(ctx, v, range(a)))], packing)[1]
+            cache[v, exps] = (v,), cache[v][exps.start + 1:exps.stop + 1]
+    return [cache[v, exps] for v, exps in zip(variables, box)]
+
+
+def _chain(ctx, walk, closed, packing, cache):
+    """A chain's alternatives over all its closed tails: the boxes of the whole chain and of its tail
+    from its second variable, each with its leading pins as one head factor that also holds them with
+    the first j = 2, 4, .. of them dual, the boxes of the tail j further on."""
+    order = [v + 1 for v, _ in walk]
+    tails = {r for r in range(len(order) + 1) if sum(1 << v for v in order[r:]) in closed}
+    out = []
+    for r0 in (0, 1):
         # positional: perfbench's tracer reads a second argument as the order
-        basis = jacobian.monomial_basis(restrict(ctx.poly, variables), boxes)
-    except NotIsolated:
-        return None
-    if not isinstance(basis, BoxBasis):
-        return [[_factor(ctx, variables, basis.monomials, packing)]] if basis.monomials else []
-    for box in basis.boxes:
-        for v, exps in zip(variables, box):
-            # (variable, range) keys never meet the components' variable tuples
-            if (v, exps) not in cache:
-                cache[v, exps] = _factor(ctx, (v,), [(e,) for e in _limited(ctx, v, exps)], packing)
-    return [[cache[v, exps] for v, exps in zip(variables, box)] for box in basis.boxes]
+        basis = jacobian.monomial_basis(restrict(ctx.poly, order[r0:]), True)
+        pins = [a - 1 if i % 2 == 0 else 0 for i, (_, a) in enumerate(walk[r0:])]
+        for box in basis.boxes:
+            box = list(map(dict(zip(basis.variables, box)).get, order[r0:]))  # in walk order
+            # the pins it leads with; the next range is no pin (see jacobian.atom_boxes)
+            f = next((i for i, (e, pin) in enumerate(zip(box, pins)) if e != range(pin, pin + 1)), len(pins))
+            heads = [(-1,) * (r0 + j) + tuple(pins[j:f]) for j in range(0, f + 1, 2) if r0 + j in tails]
+            if heads:
+                head = [_factor(ctx, order[:r0 + f], heads, packing)] if r0 + f else []
+                out.append(head + _ranges(ctx, order[r0 + f:], box[f:], packing, cache))
+    return out
+
+
+def _staircases(ctx, variables, closed, packing):
+    """One factor, the union over the closed sets of their restrictions' grevlex staircases
+    with -1 on the rest of the block; then the closed sets whose ring is infinite."""
+    monomials, infinite = [], set()
+    for mask in closed:
+        fixed = [v for v in variables if mask >> v & 1]
+        try:
+            basis = jacobian.monomial_basis(restrict(ctx.poly, fixed))
+        except NotIsolated:
+            infinite.add(mask)
+            continue
+        if len(fixed) == len(variables):
+            monomials += basis.monomials
+        else:  # a proper closed set: its exponents, then the dual marker -1 on the others
+            get = itemgetter(*[fixed.index(v) if v in fixed else -1 for v in variables])
+            monomials += [get(m + (-1,)) for m in basis.monomials]
+    return [[_factor(ctx, variables, monomials, packing)]], infinite
+
+
+def _blocks(ctx, packing, cache, boxes):
+    """Per block of A, the mask of its variables, its alternatives (see the
+    module docstring), and its closed sets whose ring is infinite."""
+    walks = ctx.walks or [((), False)] * len(ctx.closed_sets)
+    for (walk, loop), sets in zip(walks, ctx.closed_sets):
+        full, v = sets[0][0], sets[0][0].bit_length() - 1  # a block's full set comes first
+        if full == 1 << v and (a := max(row[v - 1] for row in ctx.poly.matrix)) >= 2:
+            # a Fermat atom: its dual marker, then its basis
+            yield full, [[_factor(ctx, [v], [(e,) for e in _limited(ctx, v, range(-1, a - 1))], packing)]], ()
+            continue
+        closed = {mask for mask, _ in sets}
+        variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
+        if not (boxes and walk):
+            yield full, *_staircases(ctx, variables, closed, packing)
+        elif loop:  # closed sets: all of it, and none of it unless the group of the loop is trivial
+            basis = jacobian.monomial_basis(restrict(ctx.poly, variables), True)
+            duals = [[_factor(ctx, variables, [(-1,) * len(variables)], packing)]] if 0 in closed else []
+            yield full, [_ranges(ctx, variables, box, packing, cache) for box in basis.boxes] + duals, ()
+        else:
+            yield full, _chain(ctx, walk, closed, packing, cache), ()
 
 
 def _product(factors, packing):
@@ -173,39 +225,6 @@ def _product(factors, packing):
     return out
 
 
-def _walk(ctx, cache):
-    """The walk's packing, its Fermat atoms' factors {v: factor} and the other
-    variables' keys {v: key of x_v}, derived once per walk: x_v^a, a one-variable
-    block of w with a >= 2 (a the only entry of column v), as one factor with
-    exponents -1..a-2, its dual marker, then its basis."""
-    if "walk" not in cache:
-        N = ctx.line_denominator * (abs(ctx.family_step[1]) or 1)
-        packing = _packing(N, len(ctx.line_moduli) + 1)
-        powers = [(v, max(row[v - 1] for row in ctx.poly.matrix)) for v, *rest in ctx.blocks if not rest]
-        atoms = {v: _factor(ctx, (v,), [(e,) for e in _limited(ctx, v, range(-1, a - 1))], packing)
-                 for v, a in powers if a >= 2}
-        *congruences, _, u_weights = ctx.line_weights
-        columns = list(enumerate(zip([u_weights, *congruences], (N, *ctx.line_moduli))))
-        units = {v: sum(ws[v] * (N // q) % N << i * packing[1] for i, (ws, q) in columns)
-                 for v in range(1, ctx.n + 2) if v not in atoms}
-        cache["walk"] = packing, atoms, units
-    return cache["walk"]
-
-
-def restrictions(ctx, classes, window, boxes=False):
-    """Solve the (mask, count) classes, bit j of a mask for x_j, by one join
-    per set of fixed variables outside the Fermat atoms, in order of its first
-    class, each yielding (group, lines) as solve_restriction.  Atoms, bases,
-    keys and the larger sides' indexes are shared by all joins of a walk."""
-    cache, groups = {}, {}
-    drop = sum(1 << v for v in _walk(ctx, cache)[1]) | 1
-    for mask, count in classes:
-        groups.setdefault(mask & ~drop, []).append((mask, count))
-    for fixed, group in groups.items():
-        fixed_vars = tuple(v for v in range(1, ctx.n + 2) if fixed >> v & 1)
-        yield solve_restriction(ctx, fixed_vars, group, window, cache, boxes)
-
-
 def _decode(ctx, variables, exps):
     """(c0, u0, rest) for the exponents on the variables, -1 on the others."""
     rest = [-1] * (ctx.n + 1)
@@ -215,21 +234,17 @@ def _decode(ctx, variables, exps):
     return c, u, tuple(rest)
 
 
-def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
-    """(group, lines) for the group of (mask, count) classes whose fixed
-    variables outside the Fermat atoms are fixed_vars, or with boxes (group,
-    runs).
+def join(ctx, classes, window, boxes=False):
+    """(found, errors) for the (mask, count) classes, bit j of a mask for x_j.
 
-    lines are (c0, u0, rest, rows) for the lines that hit the window.  rest
-    holds the exponents of x_1..x_{n+1}: the line's basis monomial on its
-    fixed set S and the dual marker -1 on the others; (c0, u0) is the point
-    that line_columns((0,) + rest) gives over L.  rows are the (mask,
-    count, kind) it hits: kinds A and B of the class S + {x0}, C of S.  With
-    boxes, components that are atoms take their Kreuzer-Krawitz boxes (see
-    _component), and each row a line hits gives the run (degree, c, points,
-    count) of its points in the window from the lowest degree, as tables
-    keep them.  An infinite ring raises NotIsolated, named after the first
-    class's restriction.
+    found holds (c0, u0, rest, rows) per line that hits the window: rest the
+    exponents of x_1..x_{n+1}, a basis monomial on the line's fixed set S and
+    -1 off it; (c0, u0) the point that line_columns((0,) + rest) gives over
+    L; rows the (mask, count, kind) it hits, kinds A and B of S + {x0}, C of
+    S.  With boxes, which need du != 0, found holds instead per row a line
+    hits the run (degree, c, points, count) of its points in the window from
+    the lowest degree, as tables keep them.  errors is {mask: NotIsolated}
+    for the first class whose ring is infinite, else empty.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -243,64 +258,51 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
 
     The larger side's products are indexed by their keys with U mod L for
     U, each bucket sorted by m = U // L.  A product of the smaller side
-    meets the bucket of its wanted key, the negation of its key plus the
-    dual markers', in which m gives weights m - U // L mod |du|, U the
-    wanted key's; the kinds want one arc of weights, as wide as the window
-    and their degree offsets, so it finds one or two ranges of m, or the
-    whole bucket once the arc covers |du| weights.  A found entry's mark
-    holds its fixed set S, whose rows of S + {x0} and S are built at its
-    first entry, and above it J = L*(du*c - dc*u), linear in the exponents
-    and the same at every point of the line (line_invariant).  With du != 0
-    a row's points are the weights u = base + m mod |du| in its [lo, hi]
-    whose c = (J + L*dc*u) / (L*du) its kind allows.  Else the line is
-    decoded; with du == 0 t_range raises for a family that stays inside.
+    meets the bucket of its key's negation, where m gives the weights
+    m - U // L mod |du|, U the negation's; the kinds want one arc of
+    weights: one or two ranges of m, or the whole bucket.  Above its fixed
+    set an entry's mark holds J = L*(du*c - dc*u), the same at every point
+    of the line (line_invariant), so with boxes a row's points are the
+    weights u = base + m mod |du| in its [lo, hi] whose
+    c = (J + L*dc*u) / (L*du) its kind allows.  Else the line is decoded.
     """
     dmin, dmax = window
-    n = ctx.n
-    L = ctx.line_denominator
-    dc, du = step = ctx.family_step
-    packing, atoms, units = _walk(ctx, cache)
+    n, L = ctx.n, ctx.line_denominator
+    dc, du = ctx.family_step
+    packing = _packing(L * (abs(du) or 1), len(ctx.line_moduli) + 1)
     N, w, high, each = packing
     M, low, top = N // L, (1 << w) - 1, n + 2
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
-    # a closed set meets an atom in a tail, all of it or none, so its part is connected
-    parts = (component_variables(restrict(ctx.poly, fixed_vars)) if ctx.walks is None
-             else sorted(part for block in ctx.blocks if (part := tuple(v for v in block if v in fixed_vars))))
-    comps, infinite = [], False
-    for variables in parts:
-        if variables not in cache:
-            cache[variables] = _component(ctx, variables, packing, cache, boxes)
-        if cache[variables] is None:
-            infinite = True  # and so is the ring, unless another one is 0
-        else:
-            comps.append(cache[variables])
-    if infinite and all(comps):
-        raise not_isolated(tuple(v for v in range(1, n + 2) if group[0][0] >> v & 1))
-    # the negated dual markers' key and J on the unfixed variables; a Fermat atom's factor holds its own
-    duals, dual_j = 0, 0
-    for v in units.keys() - fixed_vars:
-        duals, dual_j = _canonical(duals + units[v], packing), dual_j - ctx.line_invariant[v]
+    cache = {}
+    blocks = list(_blocks(ctx, packing, cache, boxes))
+    errors = {}
+    for mask, _ in classes if any(infinite for *_, infinite in blocks) else ():
+        if any(mask & full in infinite for full, _, infinite in blocks):
+            try:  # a ring with an infinite part is infinite unless another part is 0
+                jacobian.monomial_basis(restrict(ctx.poly, [v for v in range(1, n + 2) if mask >> v & 1]))
+            except NotIsolated as exc:
+                errors[mask] = exc
+                break
     # a kind of degree offset off wants u in [lo, hi] = spans[off]; a class
-    # fixes k0..k0 + |atoms| variables, so off is n - k0 - |atoms| + 1..n - k0 + 2
-    offsets = range(n - len(fixed_vars) - len(atoms) + 1, n - len(fixed_vars) + 3)
-    spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in offsets}
+    # fixing k of x_1..x_{n+1} has the offsets n - k + 1 and n - k + 2
+    spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in range(n + 3)}
     wanted = [(lo, hi) for lo, hi in spans.values() if lo <= hi]
     if not wanted:
-        return group, []
+        return [], errors
     start = min(lo for lo, _ in wanted)
     width = max(hi for _, hi in wanted) + 1 - start
-    counts = dict(group)
+    counts = dict(classes)
     rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, hi, row) for its rows of kinds A, B, then C
     out = []
-    for alternative in product(*comps):
+    for alternative in product(*(alternatives for _, alternatives, _ in blocks)):
         sides = ([], [])  # the larger side, then the smaller
         costs = [1, 2]  # a probe costs about two entries of the index
-        for f in sorted(chain(*alternative, atoms.values()), key=lambda f: -len(f[1])):
+        for f in sorted(chain(*alternative), key=lambda f: -len(f[1])):
             side = costs[1] < costs[0]
             sides[side].insert(0, f)  # ascending: products grow from the smallest
             costs[side] *= len(f[1])
         larger, smaller = sides
-        # the walk's cache keeps every factor alive, so ids name the index
+        # the cache keeps every factor alive, so ids name the index
         name = ("index",) + tuple(map(id, larger))
         if name not in cache:
             cache[name] = index = {}
@@ -313,7 +315,7 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
         index = cache[name]
         variables = [v for f in smaller + larger for v in f[0]]
         for k, exps, mark in _product(smaller, packing):
-            key = (key := duals + each - k) - (((key + carry) & high) >> (w - 1)) * N  # _canonical, inlined
+            key = (key := each - k) - (((key + carry) & high) >> (w - 1)) * N  # _canonical, inlined
             u = key & low
             ms, found = index.get(key - u + u % L, ((), ()))
             base = -(u // L)  # an entry's line has weights base + m mod M
@@ -329,8 +331,8 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
                     rows[s] = [(*spans[kind[3]], (fixed, counts[fixed], kind))
                                for fixed in (s | 1, s) if fixed in counts
                                for kind in kinds(n, s.bit_count(), fixed & 1)]
-                if boxes and du:
-                    J = (mark2 >> top) + dual_j
+                if boxes:
+                    J = mark2 >> top
                     for lo, hi, (_, count, (_, cmin, cmax, off, _)) in rows[s]:
                         # c >= cmin bounds u below when du > 0 and above when
                         # du < 0; kind C's c = cmin = cmax bounds it on both sides
@@ -345,10 +347,5 @@ def solve_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
                     continue
                 hits = [row for lo, hi, row in rows[s] if (r - lo) % M <= hi - lo]
                 if hits:
-                    c0, u0, rest = _decode(ctx, variables, exps + exps2)
-                    if not boxes:
-                        out.append((c0, u0, rest, hits))
-                    else:  # du == 0: a row has at most the point t_range finds
-                        out += [(2 * u0 + kind[3], c0 + t * dc, 1, count) for _, count, kind in hits
-                                for t in t_range(c0, u0, step, kind, window)]
-    return group, out
+                    out.append((*_decode(ctx, variables, exps + exps2), hits))
+    return out, errors

@@ -59,6 +59,8 @@ def _times(x, y):
 
 _ONE = frozenset({(1, 1)})
 
+CENSUS_LIMIT = 1 << 20  # fixed sets a census folds: the 2^18 of x1^2+..+x18^2 took 2.7 s and 270 MB
+
 
 class GroupElement(NamedTuple):
     """An element of ker(chi): phases of t_1..t_{n+1} as fractions in [0,1).
@@ -169,12 +171,14 @@ class SymmetryContext:
             self._ker = sorted(self._iter_ker())
         return self._ker
 
-    def _closed_sets(self):
-        """Per block, [(mask of S_B, terms)] over its closed sets: terms (m, c) sum the h_B(T_B)
-        of the T_B >= S_B with m_B(T_B) = m, signed as by Moebius inversion over supersets."""
+    @cached_property
+    def closed_sets(self):
+        """Per block, in the order of walks (else blocks), [(mask of S_B, terms)] over its closed sets,
+        the full one first: terms (m, c) sum the h_B(T_B) of the T_B >= S_B with m_B(T_B) = m, signed
+        as by Moebius inversion over supersets."""
         if self.walks is None:
-            yield from map(self._block_closed_sets, self.blocks)
-            return
+            return [self._block_closed_sets(block) for block in self.blocks]
+        out = []
         for walk, loop in self.walks:
             levels, h, s = [(0, 1, 1)], 1, 0  # (free x_1..x_r, h, m) per tail, covered by the next
             for i, (v, e) in enumerate(walk):
@@ -184,11 +188,12 @@ class SymmetryContext:
                 h -= (-1) ** len(walk)
                 levels[1:] = [(levels[-1][0], h, h // gcd(h, s))]
             full = levels[-1][0]  # a tail's terms: its (m, h) less its cover's, merged if m == m2
-            yield [(full, _ONE)] + [(full & ~free, frozenset({m2: -h2, m: h - h2 * (m == m2)}.items()))
-                                    for (free, h, m), (_, h2, m2) in zip(levels[1:], levels) if h != h2]
+            out.append([(full, _ONE)] + [(full & ~free, frozenset({m2: -h2, m: h - h2 * (m == m2)}.items()))
+                                         for (free, h, m), (_, h2, m2) in zip(levels[1:], levels) if h != h2])
+        return out
 
     def _block_closed_sets(self, block):
-        """_closed_sets of one block: the rule, Smith forms and Moebius inversion on its subsets."""
+        """closed_sets of one block: the rule, Smith forms and Moebius inversion on its subsets."""
         # each entry 1 of A in the block as masks: (the nonzero entries of its row, itself)
         ones = [(sum(1 << i for i, b in enumerate(row, 1) if b), 1 << j)
                 for row in self.poly.matrix if any(row[v - 1] for v in block)
@@ -222,8 +227,10 @@ class SymmetryContext:
             n2 = self.n + 2  # coordinates x_0..x_{n+1}
             if 1 << n2 > sys.maxsize:
                 raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
+            if (size := prod(map(len, self.closed_sets))) > CENSUS_LIMIT:
+                raise EngineError(f"the census would list {size} fixed sets, more than 2^20")
             partial, times = [(0, _ONE)], cache(_times)  # equal sums multiply once per census
-            for sets in self._closed_sets():  # _ONE, a block's full set, multiplies as 1
+            for sets in self.closed_sets:  # _ONE, a block's full set, multiplies as 1
                 partial = [(mask | mask2, terms if terms2 is _ONE else times(terms, terms2))
                            for mask, terms in partial for mask2, terms2 in sets]
             # 1/L of the elements counted with lcm L fix x_0, and each such count is a multiple of L

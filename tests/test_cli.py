@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import mfhh
-from mfhh import lines
+from mfhh import engine
 from mfhh.cli import main
 from mfhh.engine import BigradedTable, compute_table, hh2_vanishes
 from mfhh.poly import parse
@@ -82,21 +82,18 @@ def test_table_input_errors():
 
 @pytest.mark.parametrize("extra", [[], ["--monomials"]])
 def test_table_walks_the_fixed_classes_once(monkeypatch, extra):
-    # the degree-2 flag and the --monomials listing reuse the window's walk
-    solves = []
-    solve = lines.solve_restriction
-
-    def counted(ctx, fixed_vars, *args):
-        solves.append(fixed_vars)
-        return solve(ctx, fixed_vars, *args)
-
-    monkeypatch.setattr(lines, "solve_restriction", counted)
+    # a table is one join, and the degree-2 flag and the --monomials
+    # listing reuse the window's
+    joins = []
+    join = engine.join
+    monkeypatch.setattr(engine, "join", lambda ctx, classes, *args, **kwargs: joins.append(classes) or join(
+        ctx, classes, *args, **kwargs))
     compute_table(parse(LAUFER1), (-12, 4))
-    once = len(solves)
-    solves.clear()
+    assert len(joins) == 1
+    joins.clear()
     code, _, err = run(["table", "--poly", LAUFER1, "--dmin", "-12", "--dmax", "4", *extra])
     assert code == 0, err
-    assert len(solves) == once > 0
+    assert len(joins) == 1
 
 
 @pytest.mark.parametrize("text", [LAUFER1, "x1^5+x2^3", "x2^4+x1^2*x2+x3^2"])
@@ -271,6 +268,20 @@ def test_table_of_150_variables_is_an_engine_error_in_a_child_process():
     assert time.perf_counter() - start < 2
     assert res.returncode == 3 and res.stdout == b"" and b"Traceback" not in res.stderr
     assert res.stderr == b"error: the census cannot list the 2^151 masks of 151 coordinates\n"
+
+
+def test_table_of_61_variables_is_an_engine_error_in_a_child_process():
+    # 2^62 masks fit in an index, but the 2^61 fixed sets of the Fermat
+    # atoms are more than the census lists: refused before the fold starts
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    poly = "+".join(f"x{i}^2" for i in range(1, 62))
+    argv = ["table", "--poly", poly, "--dmin", "0", "--dmax", "0"]
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert res.returncode == 3 and res.stdout == b""
+    assert res.stderr == f"error: the census would list {2**61} fixed sets, more than 2^20\n".encode()
 
 
 def test_table_of_a_huge_exponent_is_an_engine_error_in_a_child_process():

@@ -152,7 +152,8 @@ def build_cases():
         add(["probe-small-res", "--poly", text, "--dmin", "-60"])
 
     # matrices with no atom matching whose tables have cells: the census
-    # takes Smith forms on their blocks, and the joins restrict them
+    # takes Smith forms on their blocks, and the join takes the staircases
+    # of each block's closed sets
     for i, (text, window) in enumerate((
         ("x1^3*x2^2+x2^3+x1*x3", (-12, 8)),
         ("x1*x2^3+x2^3*x3^3+x1*x3", (-12, 8)),

@@ -1,6 +1,7 @@
 import inspect
 import io
 import random
+import re
 import warnings
 from collections import Counter
 from itertools import product
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from basis_oracle import basis_in
 from conftest import random_invertible
-from lattice_oracle import family_line, member, probe_restrictions
+from lattice_oracle import family_line, member, probe_restriction
 from mfhh import engine, jacobian, lines, poly, symmetry
 from mfhh.cli import main
 from mfhh.engine import (
@@ -239,12 +240,12 @@ def test_nonterminating_family():
 
 
 def test_empty_window_is_input_error(monkeypatch):
-    # raised before ker(chi) is listed or any restriction is solved
+    # raised before ker(chi) is listed or the join runs
     def never(*args):
-        raise AssertionError("ker(chi) was enumerated or a restriction solved")
+        raise AssertionError("ker(chi) was enumerated or the join run")
 
     monkeypatch.setattr(SymmetryContext, "_iter_ker", never)
-    monkeypatch.setattr(lines, "solve_restriction", never)
+    monkeypatch.setattr(engine, "join", never)
     p = parse("x1^11+x2^13+x3^17+x4^19")
     for call in (compute_table, list_contributions, lambda *a: list(class_contributions(*a))):
         with pytest.raises(InputError, match="empty degree window"):
@@ -383,17 +384,23 @@ def _mask_classes(ctx):
     return [(_mask(fixed), count) for fixed, count in census]
 
 
-def _counted_solves(monkeypatch):
-    """The (fixed variables, restrictions of its classes) of each join run."""
-    solves = []
-    solve = lines.solve_restriction
+def _counted_joins(monkeypatch):
+    """The classes of each join the engine runs."""
+    joins = []
+    run = engine.join
 
-    def counted(ctx, fixed_vars, group, *args):
-        solves.append((fixed_vars, {tuple(sorted(_fixed(mask) - {0})) for mask, _ in group}))
-        return solve(ctx, fixed_vars, group, *args)
+    def counted(ctx, classes, *args, **kwargs):
+        joins.append(classes)
+        return run(ctx, classes, *args, **kwargs)
 
-    monkeypatch.setattr(lines, "solve_restriction", counted)
-    return solves
+    monkeypatch.setattr(engine, "join", counted)
+    return joins
+
+
+def _sum(atom, k):
+    """The sum of k copies of atom on disjoint variables, atom's x1, x2, .. renamed."""
+    size = max(map(int, re.findall(r"x(\d+)", atom)))
+    return "+".join(re.sub(r"x(\d+)", lambda m: f"x{int(m[1]) + i * size}", atom) for i in range(k))
 
 
 @pytest.mark.parametrize(
@@ -401,63 +408,57 @@ def _counted_solves(monkeypatch):
 )
 def test_each_restriction_is_solved_once(monkeypatch, text, shared):
     # a class S and the class S + {x0} restrict w to the same variables, and
-    # the classes that differ only in their Fermat atoms share one join
-    solves = _counted_solves(monkeypatch)
+    # one join over all the classes solves every restriction
+    joins = _counted_joins(monkeypatch)
     p = parse(text)
     ctx = SymmetryContext(p)
     restrictions = {tuple(sorted(fixed - {0})) for fixed in ctx.fixed_census()}
     assert len(ctx.fixed_census()) - len(restrictions) == shared
     for run in (compute_table, lambda *a, **k: list(class_contributions(*a, **k))):
-        solves.clear()
+        joins.clear()
         run(p, (-12, 8), ctx=ctx)
-        assert [fixed_vars for fixed_vars, _ in solves] == [()]
-        assert solves[0][1] == restrictions
+        assert joins == [ctx.classes]
+        assert {tuple(sorted(_fixed(mask) - {0})) for mask, _ in joins[0]} == restrictions
 
 
 @pytest.mark.parametrize(
-    "text, joins",
+    "text",
     [
-        ("+".join(f"x{i}^{2 + i % 3}" for i in range(1, 13)), [()]),  # 4,096 restrictions
-        # a 2-chain's closed sets are {}, {x2} and {x1, x2}
-        ("x1^3*x2+x2^4+x3^5+x4^6", [(), (1, 2), (2,)]),
+        "x1^3*x2+x2^4+x3^5+x4^6",  # a 2-chain's closed sets are {}, {x2} and {x1, x2}
+        "+".join(f"x{i}^{2 + i % 3}" for i in range(1, 13)),  # 4,096 fixed sets
+        _sum("x1^2*x2+x2^3", 4),  # 81 fixed sets
+        _sum("x1^2*x2+x2^3*x1", 3),
     ],
 )
-def test_one_join_per_fixed_set_outside_the_atoms(monkeypatch, text, joins):
-    solves = _counted_solves(monkeypatch)
+def test_one_join_per_table_and_per_listing(monkeypatch, text):
+    # every block's closed sets are alternatives of one join over all the classes
+    joins = _counted_joins(monkeypatch)
     p = parse(text)
     ctx = SymmetryContext(p)
-    compute_table(p, (-12, 8), ctx=ctx)
-    assert sorted(fixed_vars for fixed_vars, _ in solves) == joins
-    assert set().union(*(r for _, r in solves)) == {tuple(sorted(f - {0})) for f in ctx.fixed_census()}
+    for run in (compute_table, lambda *a, **k: list(class_contributions(*a, **k))):
+        joins.clear()
+        run(p, (-12, 8), ctx=ctx)
+        assert joins == [ctx.classes]
 
 
 def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
     # a class's rows are built when a found entry first has its fixed set;
     # the 14-variable Fermat sum has 28,904 classes but few found entries
-    solves = _counted_solves(monkeypatch)
     p = parse("+".join(f"x{i}^{2 + i % 3}" for i in range(1, 15)))
     ctx = SymmetryContext(p)
     assert len(ctx.fixed_census()) == 28904
-    # every variable is a Fermat atom, so a listing's join is the table's;
-    # its decoded lines name the found fixed sets (the probe join takes
-    # about 10 s here, one join per restriction)
-    found = [line for _, found_lines in lines.restrictions(ctx, ctx.classes, (-12, 8)) for line in found_lines]
-    solves.clear()
+    # every block is a Fermat atom, so a listing's join is the table's; its
+    # decoded lines name the found fixed sets (the probe join takes about
+    # 10 s here, one join per restriction)
+    found, errors = lines.join(ctx, ctx.classes, (-12, 8))
+    assert errors == {}
     calls = []
     kinds = lines.kinds
     monkeypatch.setattr(lines, "kinds", lambda *args: calls.append(args) or kinds(*args))
-    runs = []
-    solve = lines.solve_restriction
-
-    def solving(*args):
-        group, found_runs = solve(*args)
-        runs.extend(found_runs)
-        return group, found_runs
-
-    monkeypatch.setattr(lines, "solve_restriction", solving)
-    compute_table(p, (-12, 8), ctx=ctx)
-    assert [fixed_vars for fixed_vars, _ in solves] == [()]
-    assert Counter(runs) == Counter(_line_runs(ctx, found, (-12, 8)))
+    joins = _counted_joins(monkeypatch)
+    table = compute_table(p, (-12, 8), ctx=ctx)
+    assert len(joins) == 1
+    assert Counter(table.runs) == Counter(_line_runs(ctx, found, (-12, 8)))
     # each found fixed set S builds the rows of S + {x0} and of S; one
     # found entry of the join hits no row, so it gives no run
     masks = {tuple(e >= 0 for e in rest) for _, _, rest, _ in found}
@@ -635,7 +636,7 @@ def _component_bases(p, fixed_vars, boxes):
 
 
 def assert_lines_decoded(p, window, boxes=False):
-    """Every line of lines.restrictions is a decoded lattice point: rest is
+    """Every line of lines.join is a decoded lattice point: rest is
     a basis monomial of the restriction with dual markers off it, and
     (c0, rest) - u0*(1,..,1) is in the relation lattice.  With boxes the
     join gives runs, which must be those of the probe join's lines.  Returns
@@ -643,21 +644,19 @@ def assert_lines_decoded(p, window, boxes=False):
     relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     ctx = SymmetryContext(p)
     classes = _mask_classes(ctx)
-    if boxes:
+    if boxes and ctx.family_step[1]:  # a table with du == 0 reads the listing's lines
         return sum(assert_range_join_matches_probe_join(ctx, window, boxes)[0].values())
-    found = 0
-    for _, restriction_lines in lines.restrictions(ctx, classes, window, boxes):
-        for c0, u0, rest, hits in restriction_lines:
-            # a line hits only the rows of the classes S and S + {x0} of its fixed set S
-            assert len(rest) == p.nvars and hits
-            fixed_vars, = {tuple(sorted(_fixed(mask) - {0})) for mask, _, _ in hits}
-            assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
-            bases = _component_bases(p, fixed_vars, boxes)
-            for variables, basis in bases:
-                assert tuple(rest[v - 1] for v in variables) in basis
-            assert member(relations, [b - u0 for b in (c0,) + rest])
-            found += 1
-    return found
+    found, errors = lines.join(ctx, classes, window)
+    assert errors == {}
+    for c0, u0, rest, hits in found:
+        # a line hits only the rows of the classes S and S + {x0} of its fixed set S
+        assert len(rest) == p.nvars and hits
+        fixed_vars, = {tuple(sorted(_fixed(mask) - {0})) for mask, _, _ in hits}
+        assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
+        for variables, basis in _component_bases(p, fixed_vars, False):
+            assert tuple(rest[v - 1] for v in variables) in basis
+        assert member(relations, [b - u0 for b in (c0,) + rest])
+    return len(found)
 
 
 @settings(max_examples=40)
@@ -675,27 +674,21 @@ def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
 
 def _solved(solve, ctx, classes, window, boxes):
     """The multiset of (c0, u0, rest, rows hit) over the lines that solve
-    yields, or with boxes of the runs, and the class and message of the
-    MfhhError raised in solving or in reading the lines' points in the
-    window as listings do, else None.  An error in solving leaves nothing:
-    which lines come before it depends on how solve groups the classes into
-    joins.  Tables read their points in solving."""
-    found, error = Counter(), None
-    try:
-        for _, lines_found in solve(ctx, classes, window, boxes):
-            found.update(lines_found if boxes else
-                         ((c0, u0, rest, frozenset(hits)) for c0, u0, rest, hits in lines_found))
-    except MfhhError as exc:
-        return Counter(), (type(exc), str(exc))
-    if boxes:
-        return found, error
-    try:
-        for c0, u0, _, hit in found:
-            for _, _, kind in hit:
+    finds, or with boxes of the runs, and the class and message of the first
+    error in class order, else None: the NotIsolated that solve reports, or
+    the error met in reading a class's points in the window as listings do.
+    Tables read their points in solving."""
+    found, errors = solve(ctx, classes, window, boxes)
+    found = Counter(found if boxes else ((c0, u0, rest, frozenset(hits)) for c0, u0, rest, hits in found))
+    errors = dict(errors)
+    for c0, u0, _, hits in () if boxes else found:
+        for mask, _, kind in hits:
+            try:
                 lines.t_range(c0, u0, ctx.family_step, kind, window)
-    except MfhhError as exc:
-        error = (type(exc), str(exc))
-    return found, error
+            except MfhhError as exc:
+                errors.setdefault(mask, exc)
+    first = next((errors[mask] for mask, _ in classes if mask in errors), None)
+    return found, first and (type(first), str(first))
 
 
 @settings(max_examples=150)
@@ -712,25 +705,35 @@ def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, w
         return
     du = ctx.family_step[1]
     window = (dmax - length - wide * (2 * abs(du) + 1 + rng.randrange(2 * abs(du) + 1)), dmax)
-    assert_range_join_matches_probe_join(ctx, window, boxes)
+    # a table with du == 0 reads the listing's points
+    assert_range_join_matches_probe_join(ctx, window, boxes and du != 0)
 
 
 def _probe_join(ctx, classes, window, boxes=False):
-    """lattice_oracle.probe_restrictions in the shape of lines.restrictions:
-    each restriction's (mask, count) classes, and each line with the rows it
-    hits, or with boxes the runs of those lines (_line_runs).  The oracle
-    takes and gives its classes as frozensets."""
-    sets = [(_fixed(mask), count) for mask, count in classes]
-    for rows, found in probe_restrictions(ctx, sets, window, boxes):
+    """lattice_oracle.probe_restriction in the shape of lines.join, one
+    probe join per restriction: each line with the rows it hits, or with
+    boxes the runs of those lines (_line_runs), and {mask: NotIsolated} for
+    the first class of the first restriction whose ring is infinite.  The
+    oracle takes and gives its classes as frozensets."""
+    groups, found, errors, cache = {}, [], {}, {}
+    for mask, count in classes:
+        groups.setdefault(mask & ~1, []).append((_fixed(mask), count))
+    for fixed, group in groups.items():
+        try:
+            fixed_vars = tuple(sorted(_fixed(fixed)))
+            rows, lines_found = probe_restriction(ctx, fixed_vars, group, window, cache, boxes)
+        except NotIsolated as exc:
+            errors.setdefault(_mask(group[0][0]), exc)
+            continue
         rows = [(_mask(fixed), count, kind) for fixed, count, kind in rows]
-        group = list(dict.fromkeys((mask, count) for mask, count, _ in rows))
-        found = [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in found]
-        yield group, list(_line_runs(ctx, found, window)) if boxes else found
+        lines_found = [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in lines_found]
+        found += _line_runs(ctx, lines_found, window) if boxes else lines_found
+    return found, errors
 
 
 def assert_range_join_matches_probe_join(ctx, window, boxes):
     classes = _mask_classes(ctx)
-    got = _solved(lines.restrictions, ctx, classes, window, boxes)
+    got = _solved(lines.join, ctx, classes, window, boxes)
     assert got == _solved(_probe_join, ctx, classes, window, boxes)
     return got
 
@@ -745,22 +748,50 @@ def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
     assert (du > 0) - (du < 0) == sign
     errors = set()
     for window in ((-12, 8), (3, 3), (-4 * abs(du) - 7, 5)):
-        for boxes in (False, True):
+        for boxes in (False, True)[:1 + (du != 0)]:  # a table with du == 0 reads the listing's points
             solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
-            # a table reads its points in solving: with du == 0 it may raise or find none
-            assert solved or boxes and du == 0
+            assert solved
             errors.add(error and error[0])
     # with du == 0 a family whose degree lies in the window never leaves it
     assert (NonterminatingFamily in errors) == (du == 0) and errors <= {None, NonterminatingFamily}
 
 
+def _chains_and_loops(rng):
+    """A sum of 2 to 4 chains or loops of 2 or 3 variables, at most 8 in
+    all, on shuffled variables; every exponent but a chain's last may be 1."""
+    while True:
+        atoms, nvars = [], 0
+        while len(atoms) < 4 and nvars + (size := rng.randint(2, 3)) <= 8:
+            loop = rng.random() < 0.5
+            exps = [rng.randint(1, 4) for _ in range(size - 1)] + [rng.randint(2 - loop, 4)]
+            atoms.append((range(nvars, nvars + size), exps, loop))
+            nvars += size
+        name = rng.sample(range(1, nvars + 1), nvars)
+        # x_v^a times the next variable of its chain or loop, if any
+        links = [(v, a, v + 1 if v + 1 in vs else vs[0] if loop else None) for vs, exps, loop in atoms
+                 for v, a in zip(vs, exps)]
+        terms = [f"x{name[v]}^{a}" + ("" if w is None else f"*x{name[w]}") for v, a, w in links]
+        try:
+            p = parse("+".join(terms))
+        except MfhhError:  # a singular loop
+            continue
+        if abs(p.det()) <= 5000:
+            return p
+
+
 @settings(max_examples=40)
-@given(st.integers(0, 10**9), st.sampled_from([(-12, 8), (-4000, 8)]), st.booleans())
-def test_tables_and_listings_match_the_probe_join(seed, window, ones):
-    # one join per fixed set outside the Fermat atoms, against one probe
-    # join per restriction; random_invertible mixes atoms, chains and loops,
-    # and with ones their links may have exponent 1
-    p = random_invertible(random.Random(seed), max_vars=8, max_det=3000, ones=ones)
+@given(st.integers(0, 10**9), st.sampled_from([(-12, 8), (-4000, 8)]),
+       st.sampled_from(["atoms", "ones", "blocks"]))
+def test_tables_and_listings_match_the_probe_join(seed, window, draw):
+    # one join over the blocks' alternatives, against one probe join per
+    # restriction; random_invertible mixes atoms, chains and loops, with
+    # ones their links may have exponent 1, and blocks sums 2 to 4 chains
+    # and loops with such links
+    rng = random.Random(seed)
+    if draw == "blocks":
+        p = _chains_and_loops(rng)
+    else:
+        p = random_invertible(rng, max_vars=8, max_det=3000, ones=draw == "ones")
     ctx = SymmetryContext(p)
 
     def solve():
@@ -768,27 +799,43 @@ def test_tables_and_listings_match_the_probe_join(seed, window, ones):
 
     got = _outcome(solve)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "restrictions", _probe_join)
+        patch.setattr(engine, "join", _probe_join)
         assert got == _outcome(solve)
 
 
 @settings(max_examples=40)
-@given(st.integers(0, 10**9), st.booleans())
-def test_blocks_and_join_components_read_off_the_atom_walks(seed, ones):
-    # a closed set meets each atom in a tail, all of it or none of it, so a
-    # join's components are the atoms' parts of its fixed set, as the
-    # restriction splits them
-    p = random_invertible(random.Random(seed), max_vars=8, max_det=3000, ones=ones)
+@given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.booleans())
+def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, boxes):
+    # the blocks are the components of w, and a block's alternatives, read
+    # off its atom walk and at most two box bases, multiply out to its pairs
+    # (closed S_B, basis monomial of w on S_B with -1 on the rest of the
+    # block), each once, with S_B as mark
+    rng = random.Random(seed)
+    p = _chains_and_loops(rng) if many else random_invertible(rng, max_vars=8, max_det=3000, ones=ones)
     ctx = SymmetryContext(p)
     assert ctx.blocks == component_variables(restrict(p, range(1, p.nvars + 1)))
-    atoms = lines._walk(ctx, {})[1]
-    for mask, count in ctx.classes:
-        fixed_vars = tuple(v for v in range(1, p.nvars + 1) if mask >> v & 1 and v not in atoms)
-        parts = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lines, "_component", lambda ctx, variables, *args: parts.append(variables) or [])
-            lines.solve_restriction(ctx, fixed_vars, [(mask, count)], (-12, 8), {})
-        assert parts == component_variables(restrict(p, fixed_vars)), (p.matrix, fixed_vars)
+    packing = lines._packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
+    closed = {max(mask for mask, _ in sets): sets for sets in ctx.closed_sets}
+    for full, alternatives, infinite in lines._blocks(ctx, packing, {}, boxes):
+        assert not infinite
+        variables = [v for v in range(1, p.nvars + 1) if full >> v & 1]
+        got = Counter()
+        for factors in alternatives:
+            order = [v for f in factors for v in f[0]]
+            for _, exps, mark in lines._product(factors, packing):
+                monomial = dict(zip(order, exps))
+                assert mark & (1 << p.nvars + 1) - 1 == sum(1 << v for v, e in monomial.items() if e >= 0)
+                got[tuple(monomial[v] for v in variables)] += 1
+        expected = Counter()
+        for mask, _ in closed[full]:
+            fixed = [v for v in variables if mask >> v & 1]
+            basis = monomial_basis(restrict(p, fixed), boxes)
+            if isinstance(basis, BoxBasis):
+                points = [m for box in basis.boxes for m in product(*box)]
+            else:
+                points = basis.monomials
+            expected.update(tuple(dict(zip(fixed, m)).get(v, -1) for v in variables) for m in points)
+        assert got == expected, (p.matrix, variables)
 
 
 def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(monkeypatch):
@@ -798,7 +845,7 @@ def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(mon
         raise AssertionError(f"the restriction to {r.fixed} was split")
 
     seen, heads = [], poly.atom_heads
-    for module in (jacobian, lines, symmetry):
+    for module in (jacobian, symmetry):
         monkeypatch.setattr(module, "component_variables", split)
     for module in (poly, jacobian, symmetry):
         monkeypatch.setattr(module, "atom_heads", lambda rows: seen.append(rows) or heads(rows))
@@ -860,11 +907,12 @@ def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
         warnings.simplefilter("ignore")
         zero = parse("x1^2*x2^2+x2^3+x3", allow_nonstandard=True)
         infinite = parse("x1^2*x2^2+x2^3+x3^2", allow_nonstandard=True)
-    group = [(_mask({1, 2, 3}), 1)]
-    rows, found = lines.solve_restriction(SymmetryContext(zero), (1, 2, 3), group, (-10, 10), {})
-    assert len(rows) == 1 and found == []
+    classes = [(_mask({1, 2, 3}), 1)]
+    assert lines.join(SymmetryContext(zero), classes, (-10, 10)) == ([], {})
+    found, errors = lines.join(SymmetryContext(infinite), classes, (-10, 10))
+    assert found == [] and list(errors) == [_mask({1, 2, 3})]
     with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):
-        lines.solve_restriction(SymmetryContext(infinite), (1, 2, 3), group, (-10, 10), {})
+        raise errors[_mask({1, 2, 3})]
 
 
 def test_not_isolated_names_the_first_failing_class_with_its_atoms():

@@ -345,7 +345,7 @@ def test_census_of_atoms_takes_no_smith_form(monkeypatch, text):
     ctx = SymmetryContext(parse(text))
     monkeypatch.setattr(lattice, "invariant_factors", counting)
     assert sum(ctx.fixed_census().values()) == abs(ctx.poly.det())
-    assert all(c for sets in ctx._closed_sets() for _, terms in sets for _, c in terms)
+    assert all(c for sets in ctx.closed_sets for _, terms in sets for _, c in terms)
 
 
 @settings(max_examples=30)

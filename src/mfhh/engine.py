@@ -26,15 +26,14 @@ Cost model.  The census comes as (mask, count) classes in sorted fixed-set
 order, and lines.join finds the lines of all of them in one join over the
 blocks of A (see lines).  Tables ask for Kreuzer-Krawitz boxes, so a
 standard polynomial's table takes no Groebner basis; listings read the
-grevlex staircase.  When du != 0 the join gives a table the points of each
-(line, row) hit in the window as one run along the family step, with no
-decoded line, so a table costs O(runs) however long its window; it builds
-its cells only when they are read.  Listings, and tables when du == 0,
-decode their lines and make a Contribution per point.
+grevlex staircase.  The join gives the points of each (line, row) hit in
+the window as one run along the family step, with no decoded line, so a
+table costs O(runs) however long its window; it builds its cells only when
+they are read.  A listing makes a Contribution per point of its runs.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
-A before B, t), which is the order of a walk over the grevlex monomial basis.
+A before B, c), which is the order of a walk over the grevlex monomial basis.
 The table does not depend on the basis, so no other order is offered.
 """
 
@@ -47,7 +46,7 @@ from typing import NamedTuple
 
 from .errors import InputError, WindowMismatch
 from .jacobian import _grevlex_key
-from .lines import join, t_range
+from .lines import join
 from .poly import monomial_text
 from .symmetry import SymmetryContext
 
@@ -195,12 +194,10 @@ def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     ctx = _context(p, window, ctx)
     dc, du = ctx.family_step
-    if not du:  # a line keeps one degree: read its points as the listing does, raising in class order
-        runs = [(c.degree, c.weight, 1, c.count) for c in class_contributions(p, window, ctx)]
-        return BigradedTable(*window, runs=runs)
     runs, errors = join(ctx, ctx.classes, window, boxes=True)
-    for error in errors.values():
-        raise error
+    if errors:  # the first in class order, as if each class were solved alone
+        raise next(errors[mask] for mask, _ in ctx.classes if mask in errors)
+    runs = [run[:4] for run in runs]
     return BigradedTable(*window, runs=runs, step=(2 * abs(du) or 1, dc if du >= 0 else -dc))
 
 
@@ -209,41 +206,40 @@ def hh2_vanishes(p, ctx=None):
     return compute_table(p, (2, 2), ctx=ctx).total() == 0
 
 
-def _class_entries(ctx, hits, window):
-    """The contributions of one class from its (line, row) hits, ranked by
-    the grevlex key of their basis monomials, kind A before B, then t; only
-    hits become objects."""
-    dc, du = step = ctx.family_step
+def _class_entries(ctx, runs):
+    """The contributions of one class from its runs, ranked by the grevlex
+    key of their basis monomials, kind A before B, then c; only hits become
+    objects."""
+    dc, du = ctx.family_step
+    sc, su = (dc if du >= 0 else -dc), abs(du)  # a run's step in c and u
     out = []
-    for (c0, u0, rest, _), (_, count, kind) in hits:
-        # the fixed variables' exponents, in variable order
+    for d, c0, points, count, (_, _, kind), variables, exps, exps2 in runs:
+        # a run's variables are all of x_1..x_{n+1}, in the join's order
+        rest = tuple(map(dict(zip(variables, exps + exps2)).get, range(1, ctx.n + 2)))
         rank = _grevlex_key(tuple(e for e in rest if e >= 0))
         name, _, _, off, shift = kind
-        for t in t_range(c0, u0, step, kind, window):
-            c, u = c0 + t * dc, u0 + t * du
+        for i in range(points):
+            c, u = c0 + i * sc, (d - off) // 2 + i * su
             beta = None if shift is None else c + shift
-            con = Contribution(
-                None, GammaMonomial(name, beta, (c,) + rest), u, 2 * u + off, count
-            )
-            out.append((rank, name, t, con))
+            con = Contribution(None, GammaMonomial(name, beta, (c,) + rest), u, 2 * u + off, count)
+            out.append((rank, name, c, con))
     out.sort(key=lambda h: h[:3])
     return [h[3] for h in out]
 
 
 def _classes(ctx, classes, window):
     """Yield (mask, contributions) for the given (mask, count) classes in
-    their order, from one join whose hits are kept per class, so every error
+    their order, from one join whose runs are kept per class, so every error
     is raised at the class that raised it when each class was solved on its
     own."""
     found, errors = join(ctx, classes, window)
-    hits = {}
-    for line in found:
-        for row in line[3]:
-            hits.setdefault(row[0], []).append((line, row))
+    runs = {}
+    for run in found:
+        runs.setdefault(run[4][0], []).append(run)
     for fixed, _ in classes:
         if fixed in errors:
             raise errors[fixed]
-        yield fixed, _class_entries(ctx, hits.get(fixed, []), window)
+        yield fixed, _class_entries(ctx, runs.get(fixed, []))
 
 
 def class_contributions(p, window, ctx=None):

@@ -17,21 +17,21 @@ sets of their grevlex staircases.  A table or a listing is one join over
 the product of the blocks' alternatives.
 
 Cost model.  A line's key, the residues of its congruence columns and of
-its u column modulo L*|du| (SymmetryContext.line_columns), is linear in the
-exponents, so it is the sum of its factors' keys: one int, a field per
-column, summed with one add, mask, shift and multiply (join).  For each
-product of alternatives the join indexes the product keys of its larger
-side once and probes them with each product of the smaller side for the
-entries whose weights lie in the window: about |smaller side| * log +
-|larger side| + |lines found| whatever the window's length, and for a sum
-of n Fermat atoms about sqrt(|det A|) products a side, not 2^n.  Factors,
+its u column modulo L*|du| (c column modulo L*dc when du == 0;
+SymmetryContext.line_columns), is linear in the exponents, so it is the
+sum of its factors' keys: one int, a field per column, summed with one
+add, mask, shift and multiply (join).  For each product of alternatives
+the join indexes the product keys of its larger side once and probes them
+with each product of the smaller side for the entries whose weights lie
+in the window: about |smaller side| * log + |larger side| + |lines found|
+whatever the window's length, and for a sum of n Fermat atoms about
+sqrt(|det A|) products a side, not 2^n.  Factors,
 bases and indexes are made once per join.  A found entry's mark holds its
 fixed set, whose rows are built when an entry first has it, so a table pays
-per found fixed set, not per class, and above it the line invariant J.  A
-table (du != 0; engine reads the listing when du == 0) reads each hit's run
-off J and the weight residue, so it costs O(hits), with no line decoded; a
-listing decodes only an entry that a row wants, and t_range finds its
-points.
+per found fixed set, not per class, and above it the line invariant J.
+Each hit's run is read off J and the entry's residue, so tables and
+listings alike cost O(hits), with no line decoded; a listing builds its
+monomials from the runs' exponents alone.
 """
 
 from __future__ import annotations
@@ -70,37 +70,6 @@ def kinds(n, k, x0_fixed):
     return (("C", -1, -1, n - k + 2, None),)
 
 
-def t_range(c0, u0, step, kind, window):
-    """All t whose point (c0 + t*dc, u0 + t*du) of the line is a hit of the
-    kind: c inside the kind's bounds and degree 2*u + offset in the window.
-
-    Closed form: jump to the first point with c >= the lowest c, then step
-    2*du in degree.  With du == 0 the degree never moves, so an unbounded
-    kind inside the window raises NonterminatingFamily: the family would
-    contribute infinitely often, which only happens when d0 = 0.
-    """
-    _, cmin, cmax, off, _ = kind
-    dc, du = step
-    dmin, dmax = window
-    t = _ceil_div(cmin - c0, dc)
-    d = 2 * (u0 + t * du) + off
-    if du > 0:
-        lo, hi = t + max(0, _ceil_div(dmin - d, 2 * du)), t + (dmax - d) // (2 * du)
-    elif du < 0:
-        lo, hi = t + max(0, _ceil_div(d - dmax, -2 * du)), t + (d - dmin) // (-2 * du)
-    elif not dmin <= d <= dmax:
-        return range(0)
-    elif cmax is None:
-        raise NonterminatingFamily(
-            "a monomial family never leaves the degree window (d0 = 0)"
-        )
-    else:
-        lo, hi = t, t
-    if cmax is not None:
-        hi = min(hi, (cmax - c0) // dc)
-    return range(lo, hi + 1)
-
-
 def _packing(N, fields):
     """(N, field width, top bits, N in each field); see join."""
     w = N.bit_length() + 1
@@ -118,11 +87,13 @@ def _factor(ctx, variables, monomials, packing):
     a mark holding bit v for each x_v of exponent >= 0 and, from bit n + 2
     up, the monomial's part of J (line_invariant); see join."""
     N, w = packing[:2]
-    # these variables' weights, a column at a time: u, then each congruence
-    # scaled by N / d_j; the c column plays no part in a key
-    *congruences, _, u_weights = ctx.line_weights
+    # these variables' weights, a column at a time: u (c when du == 0, as
+    # then every point of a line has one weight), then each congruence
+    # scaled by N / d_j
+    *congruences, c_weights, u_weights = ctx.line_weights
+    moving = u_weights if ctx.family_step[1] else c_weights
     keys = marks = [0] * len(monomials)
-    for i, (weights, q) in enumerate(zip([u_weights, *congruences], (N, *ctx.line_moduli))):
+    for i, (weights, q) in enumerate(zip([moving, *congruences], (N, *ctx.line_moduli))):
         weights, off = [weights[v] * (N // q) for v in variables], i * w
         if len(variables) == 1:  # one variable's exponents: no dot product
             wv = weights[0]
@@ -225,36 +196,30 @@ def _product(factors, packing):
     return out
 
 
-def _decode(ctx, variables, exps):
-    """(c0, u0, rest) for the exponents on the variables, -1 on the others."""
-    rest = [-1] * (ctx.n + 1)
-    for v, e in zip(variables, exps):
-        rest[v - 1] = e
-    c, u = (sum(map(mul, rest, w[1:])) // ctx.line_denominator for w in ctx.line_weights[-2:])
-    return c, u, tuple(rest)
-
-
 def join(ctx, classes, window, boxes=False):
     """(found, errors) for the (mask, count) classes, bit j of a mask for x_j.
 
-    found holds (c0, u0, rest, rows) per line that hits the window: rest the
-    exponents of x_1..x_{n+1}, a basis monomial on the line's fixed set S and
-    -1 off it; (c0, u0) the point that line_columns((0,) + rest) gives over
-    L; rows the (mask, count, kind) it hits, kinds A and B of S + {x0}, C of
-    S.  With boxes, which need du != 0, found holds instead per row a line
-    hits the run (degree, c, points, count) of its points in the window from
-    the lowest degree, as tables keep them.  errors is {mask: NotIsolated}
-    for the first class whose ring is infinite, else empty.
+    found holds a run (degree, c, points, count, row, variables, exps,
+    exps2) per row that a found line hits: its points in the window from
+    the lowest degree, 2*|du| apart in degree; row is (mask, count, kind),
+    kinds A and B of S + {x0} and C of S, S the line's fixed set; exps +
+    exps2, on the variables, are a basis monomial on S and -1 off it.
+    boxes only chooses the basis: Kreuzer-Krawitz boxes for tables, grevlex
+    staircases for listings.  errors holds the NotIsolated of the first
+    class whose ring is infinite and, when du == 0, a NonterminatingFamily
+    per class with a family of kind A or B in the window.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
-    vanishes mod its d_j and the u column U = u*L mod N = L*|du| (L when
-    du == 0).  Each d_j divides L, so a key is one int of w-bit fields,
-    w = N.bit_length() + 1: U mod N in the lowest, congruence j times N/d_j
-    mod N in field j.  A field of a sum s of two keys is below 2N < 2^w, and
-    adding 2^(w-1) - N to it sets its top bit exactly when it is >= N with
-    no carry into the next field; so s less N times those top bits, shifted
-    to the bottom of their fields, is the key of the sum (_canonical).
+    vanishes mod its d_j and the u column U = u*L mod N = L*|du|.  When
+    du == 0, every point of a line has one weight, and the c column takes
+    the u column's place, with N = L*dc.  Each d_j divides L, so a key is
+    one int of w-bit fields, w = N.bit_length() + 1: U mod N in the lowest,
+    congruence j times N/d_j mod N in field j.  A field of a sum s of two
+    keys is below 2N < 2^w, and adding 2^(w-1) - N to it sets its top bit
+    exactly when it is >= N with no carry into the next field; so s less N
+    times those top bits, shifted to the bottom of their fields, is the key
+    of the sum (_canonical).
 
     The larger side's products are indexed by their keys with U mod L for
     U, each bucket sorted by m = U // L.  A product of the smaller side
@@ -262,14 +227,15 @@ def join(ctx, classes, window, boxes=False):
     m - U // L mod |du|, U the negation's; the kinds want one arc of
     weights: one or two ranges of m, or the whole bucket.  Above its fixed
     set an entry's mark holds J = L*(du*c - dc*u), the same at every point
-    of the line (line_invariant), so with boxes a row's points are the
-    weights u = base + m mod |du| in its [lo, hi] whose
-    c = (J + L*dc*u) / (L*du) its kind allows.  Else the line is decoded.
+    of the line (line_invariant), so a row's points are the weights
+    u = base + m mod |du| in its [lo, hi] whose c = (J + L*dc*u) / (L*du)
+    its kind allows.  When du == 0 the line's one weight is -J / (L*dc) and
+    base + m is c mod dc: kind C has its point when that is -1's residue.
     """
     dmin, dmax = window
     n, L = ctx.n, ctx.line_denominator
     dc, du = ctx.family_step
-    packing = _packing(L * (abs(du) or 1), len(ctx.line_moduli) + 1)
+    packing = _packing(L * (abs(du) or dc), len(ctx.line_moduli) + 1)
     N, w, high, each = packing
     M, low, top = N // L, (1 << w) - 1, n + 2
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
@@ -292,7 +258,7 @@ def join(ctx, classes, window, boxes=False):
     start = min(lo for lo, _ in wanted)
     width = max(hi for _, hi in wanted) + 1 - start
     counts = dict(classes)
-    rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, hi, row) for its rows of kinds A, B, then C
+    rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, hi, cmin, cmax, off, count, row) per row: A, B, C
     out = []
     for alternative in product(*(alternatives for _, alternatives, _ in blocks)):
         sides = ([], [])  # the larger side, then the smaller
@@ -319,7 +285,7 @@ def join(ctx, classes, window, boxes=False):
             u = key & low
             ms, found = index.get(key - u + u % L, ((), ()))
             base = -(u // L)  # an entry's line has weights base + m mod M
-            if width < M:
+            if du and width < M:  # with du == 0, m is a residue of c, which the window leaves free
                 # the arc [m0, m0 + width) mod M
                 m0 = (start - base) % M
                 a, b, c = bisect_left(ms, m0), bisect_left(ms, m0 + width), bisect_left(ms, m0 + width - M)
@@ -328,24 +294,28 @@ def join(ctx, classes, window, boxes=False):
                 mark2 += mark
                 r, s = base + m, mark2 & fixed_bits
                 if s not in rows:  # built at the first entry of its fixed set
-                    rows[s] = [(*spans[kind[3]], (fixed, counts[fixed], kind))
+                    rows[s] = [(*spans[kind[3]], *kind[1:4], counts[fixed], (fixed, counts[fixed], kind))
                                for fixed in (s | 1, s) if fixed in counts
                                for kind in kinds(n, s.bit_count(), fixed & 1)]
-                if boxes:
-                    J = mark2 >> top
-                    for lo, hi, (_, count, (_, cmin, cmax, off, _)) in rows[s]:
-                        # c >= cmin bounds u below when du > 0 and above when
-                        # du < 0; kind C's c = cmin = cmax bounds it on both sides
-                        x = cmin * D - J
-                        if (du > 0 or cmax is not None) and lo * E < x:
-                            lo = -(-x // E)
-                        if (du < 0 or cmax is not None) and hi * E > x:
-                            hi = x // E
-                        u = lo + (r - lo) % M
-                        if u <= hi:  # a run from the lowest degree
-                            out.append((2 * u + off, (J + E * u) // D, (hi - u) // M + 1, count))
-                    continue
-                hits = [row for lo, hi, row in rows[s] if (r - lo) % M <= hi - lo]
-                if hits:
-                    out.append((*_decode(ctx, variables, exps + exps2), hits))
+                J = mark2 >> top
+                for lo, hi, cmin, cmax, off, count, row in rows[s]:
+                    x = cmin * D - J
+                    if not du:  # every point has the weight x / E, and c = r mod dc
+                        if lo * E <= x <= hi * E:
+                            if cmax is None:  # kinds A and B: c runs up for ever
+                                errors.setdefault(row[0], NonterminatingFamily(
+                                    "a monomial family never leaves the degree window (d0 = 0)"))
+                            elif (r - cmin) % M == 0:
+                                out.append((2 * (x // E) + off, cmin, 1, count, row, variables, exps, exps2))
+                        continue
+                    # c >= cmin bounds u below when du > 0 and above when
+                    # du < 0; kind C's c = cmin = cmax bounds it on both sides
+                    if (du > 0 or cmax is not None) and lo * E < x:
+                        lo = -(-x // E)
+                    if (du < 0 or cmax is not None) and hi * E > x:
+                        hi = x // E
+                    u = lo + (r - lo) % M
+                    if u <= hi:  # a run from the lowest degree
+                        out.append((2 * u + off, (J + E * u) // D, (hi - u) // M + 1, count, row,
+                                    variables, exps, exps2))
     return out, errors

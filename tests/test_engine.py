@@ -448,8 +448,8 @@ def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
     ctx = SymmetryContext(p)
     assert len(ctx.fixed_census()) == 28904
     # every block is a Fermat atom, so a listing's join is the table's; its
-    # decoded lines name the found fixed sets (the probe join takes about
-    # 10 s here, one join per restriction)
+    # runs name the found fixed sets (the probe join takes about 10 s here,
+    # one join per restriction)
     found, errors = lines.join(ctx, ctx.classes, (-12, 8))
     assert errors == {}
     calls = []
@@ -458,10 +458,10 @@ def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
     joins = _counted_joins(monkeypatch)
     table = compute_table(p, (-12, 8), ctx=ctx)
     assert len(joins) == 1
-    assert Counter(table.runs) == Counter(_line_runs(ctx, found, (-12, 8)))
+    assert Counter(table.runs) == Counter(run[:4] for run in found)
     # each found fixed set S builds the rows of S + {x0} and of S; one
     # found entry of the join hits no row, so it gives no run
-    masks = {tuple(e >= 0 for e in rest) for _, _, rest, _ in found}
+    masks = {mask & ~1 for _, _, _, _, (mask, _, _), *_ in found}
     assert 0 < len(calls) <= 2 * (len(masks) + 1)
 
 
@@ -505,17 +505,35 @@ def _line_t_range(c0, u0, dc, du, cmin, cmax, off, dmin, dmax):
     return range(max(tlo, t1), t2 + 1 if thi is None else min(thi, t2) + 1)
 
 
-def _line_runs(ctx, found, window):
-    """The runs (degree, c, points, count) of (c0, u0, rest, rows) lines as
-    tables keep them: per row hit, its points in the window by _line_t_range,
-    from the lowest degree."""
+def _line_runs(ctx, found, window, errors):
+    """The runs of (c0, u0, rest, rows) lines in the shape of lines.join:
+    per row hit, (degree, c, points, count) of its points in the window by
+    _line_t_range from the lowest degree, the row, and the line's exponents
+    on x_1..x_{n+1}.  A row whose family never leaves the window gives no
+    run and records NonterminatingFamily for its class in errors."""
     dc, du = ctx.family_step
-    for c0, u0, _, hits in found:
-        for _, count, (_, cmin, cmax, off, _) in hits:
-            ts = _line_t_range(c0, u0, dc, du, cmin, cmax, off, *window)
+    variables = tuple(range(1, ctx.n + 2))
+    out = []
+    for c0, u0, rest, hits in found:
+        for row in hits:
+            _, count, (_, cmin, cmax, off, _) = row
+            try:
+                ts = _line_t_range(c0, u0, dc, du, cmin, cmax, off, *window)
+            except NonterminatingFamily as exc:
+                errors.setdefault(row[0], exc)
+                continue
             if ts:
                 t = ts[0] if du >= 0 else ts[-1]
-                yield 2 * (u0 + t * du) + off, c0 + t * dc, len(ts), count
+                out.append((2 * (u0 + t * du) + off, c0 + t * dc, len(ts), count, row, variables, rest, ()))
+    return out
+
+
+def _rest(ctx, variables, exps, exps2):
+    """The exponents of x_1..x_{n+1} of a run's monomial, -1 off its variables."""
+    rest = [-1] * (ctx.n + 1)
+    for v, e in zip(variables, exps + exps2):
+        rest[v - 1] = e
+    return tuple(rest)
 
 
 def _class_contributions(ctx, fixed, count, window, order):
@@ -636,26 +654,23 @@ def _component_bases(p, fixed_vars, boxes):
 
 
 def assert_lines_decoded(p, window, boxes=False):
-    """Every line of lines.join is a decoded lattice point: rest is
-    a basis monomial of the restriction with dual markers off it, and
-    (c0, rest) - u0*(1,..,1) is in the relation lattice.  With boxes the
-    join gives runs, which must be those of the probe join's lines.  Returns
-    the number of lines or runs."""
+    """Every run of lines.join starts at a decoded lattice point: its
+    monomial is a basis monomial of the restriction with dual markers off
+    it, and its first point (c, rest) - u*(1,..,1) is in the relation
+    lattice.  The runs must be those of the probe join's lines.  Returns
+    the number of runs."""
     relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     ctx = SymmetryContext(p)
-    classes = _mask_classes(ctx)
-    if boxes and ctx.family_step[1]:  # a table with du == 0 reads the listing's lines
-        return sum(assert_range_join_matches_probe_join(ctx, window, boxes)[0].values())
-    found, errors = lines.join(ctx, classes, window)
-    assert errors == {}
-    for c0, u0, rest, hits in found:
-        # a line hits only the rows of the classes S and S + {x0} of its fixed set S
-        assert len(rest) == p.nvars and hits
-        fixed_vars, = {tuple(sorted(_fixed(mask) - {0})) for mask, _, _ in hits}
+    found, _ = lines.join(ctx, _mask_classes(ctx), window, boxes)
+    for d, c, points, _, (mask, _, (_, cmin, _, off, _)), *monomial in found:
+        rest = _rest(ctx, *monomial)
+        assert window[0] <= d <= window[1] and c >= cmin and points > 0
+        fixed_vars = tuple(sorted(_fixed(mask) - {0}))
         assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
-        for variables, basis in _component_bases(p, fixed_vars, False):
+        for variables, basis in _component_bases(p, fixed_vars, boxes):
             assert tuple(rest[v - 1] for v in variables) in basis
-        assert member(relations, [b - u0 for b in (c0,) + rest])
+        assert member(relations, [b - (d - off) // 2 for b in (c,) + rest])
+    assert_range_join_matches_probe_join(ctx, window, boxes)
     return len(found)
 
 
@@ -673,20 +688,13 @@ def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
 
 
 def _solved(solve, ctx, classes, window, boxes):
-    """The multiset of (c0, u0, rest, rows hit) over the lines that solve
-    finds, or with boxes of the runs, and the class and message of the first
-    error in class order, else None: the NotIsolated that solve reports, or
-    the error met in reading a class's points in the window as listings do.
-    Tables read their points in solving."""
+    """The multiset of the runs that solve finds, and the class and message
+    of the first error in class order, else None.  A listing's run keeps
+    its monomial's exponents on x_1..x_{n+1}; a table's keeps none, as a
+    table reads none and its basis off the atoms, a staircase, may differ
+    from the oracle's boxes of a restriction that is one atom."""
     found, errors = solve(ctx, classes, window, boxes)
-    found = Counter(found if boxes else ((c0, u0, rest, frozenset(hits)) for c0, u0, rest, hits in found))
-    errors = dict(errors)
-    for c0, u0, _, hits in () if boxes else found:
-        for mask, _, kind in hits:
-            try:
-                lines.t_range(c0, u0, ctx.family_step, kind, window)
-            except MfhhError as exc:
-                errors.setdefault(mask, exc)
+    found = Counter(run[:5] if boxes else (*run[:5], _rest(ctx, *run[5:])) for run in found)
     first = next((errors[mask] for mask, _ in classes if mask in errors), None)
     return found, first and (type(first), str(first))
 
@@ -696,7 +704,8 @@ def _solved(solve, ctx, classes, window, boxes):
        st.booleans())
 def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, wide):
     # short windows, windows longer than 2*|du| (every residue of u), both
-    # signs of du, and du == 0, where both raise when the points are read
+    # signs of du, and du == 0, where both raise for a family that never
+    # leaves the window
     rng = random.Random(seed)
     p = _nonstandard(rng) if nonstandard else random_invertible(rng, max_vars=5, max_det=1500)
     try:
@@ -705,16 +714,15 @@ def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, w
         return
     du = ctx.family_step[1]
     window = (dmax - length - wide * (2 * abs(du) + 1 + rng.randrange(2 * abs(du) + 1)), dmax)
-    # a table with du == 0 reads the listing's points
-    assert_range_join_matches_probe_join(ctx, window, boxes and du != 0)
+    assert_range_join_matches_probe_join(ctx, window, boxes)
 
 
 def _probe_join(ctx, classes, window, boxes=False):
     """lattice_oracle.probe_restriction in the shape of lines.join, one
-    probe join per restriction: each line with the rows it hits, or with
-    boxes the runs of those lines (_line_runs), and {mask: NotIsolated} for
-    the first class of the first restriction whose ring is infinite.  The
-    oracle takes and gives its classes as frozensets."""
+    probe join per restriction: the runs of its lines (_line_runs), and
+    {mask: error} for the first class of the first restriction whose ring
+    is infinite and for each class with a family that never leaves the
+    window.  The oracle takes and gives its classes as frozensets."""
     groups, found, errors, cache = {}, [], {}, {}
     for mask, count in classes:
         groups.setdefault(mask & ~1, []).append((_fixed(mask), count))
@@ -727,7 +735,7 @@ def _probe_join(ctx, classes, window, boxes=False):
             continue
         rows = [(_mask(fixed), count, kind) for fixed, count, kind in rows]
         lines_found = [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in lines_found]
-        found += _line_runs(ctx, lines_found, window) if boxes else lines_found
+        found += _line_runs(ctx, lines_found, window, errors)
     return found, errors
 
 
@@ -740,7 +748,8 @@ def assert_range_join_matches_probe_join(ctx, window, boxes):
 
 @pytest.mark.parametrize(
     "text, sign",
-    [("x1^11+x2^13+x3^17", 1), ("x1^3*x2+x2^3*x3+x3^2+x4^2", -1), ("x1^2+x2^2", 0), ("x1^3+x2^3+x3^3", 0)],
+    [("x1^11+x2^13+x3^17", 1), ("x1^3*x2+x2^3*x3+x3^2+x4^2", -1), ("x1^2+x2^2", 0), ("x1^3+x2^3+x3^3", 0),
+     ("x1^2+x2^4+x3^4", 0)],  # its kind C lines meet the window off c = -1 (mod dc)
 )
 def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
     ctx = SymmetryContext(parse(text))
@@ -748,9 +757,10 @@ def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
     assert (du > 0) - (du < 0) == sign
     errors = set()
     for window in ((-12, 8), (3, 3), (-4 * abs(du) - 7, 5)):
-        for boxes in (False, True)[:1 + (du != 0)]:  # a table with du == 0 reads the listing's points
+        for boxes in (False, True):
             solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
-            assert solved
+            # with du == 0 a window may hold no point but those of the stuck families
+            assert solved or du == 0
             errors.add(error and error[0])
     # with du == 0 a family whose degree lies in the window never leaves it
     assert (NonterminatingFamily in errors) == (du == 0) and errors <= {None, NonterminatingFamily}
@@ -964,6 +974,36 @@ def test_kernel_matches_reference_when_d0_is_zero(text):
         compute_table(p, (-6, 4))
 
 
+@pytest.mark.parametrize("text", ["x1^3+x2^3+x3^3", "x1^2+x2^4+x3^4", "x1^6+x2^3+x3^2"])
+def test_d0_zero_tables_take_one_join_and_no_listing(monkeypatch, text):
+    # with du == 0 every line keeps its degree, and these families stick in
+    # degrees 0..3: a window that misses them gives its table, one that holds
+    # them raises at the first class in class order that has one, and kind
+    # C's lines that miss c = -1 give no point
+    p = parse(text)
+    ctx = SymmetryContext(p)
+    assert ctx.family_step[1] == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("a table read the listing")
+
+    monkeypatch.setattr(engine, "class_contributions", never)
+    joins = _counted_joins(monkeypatch)
+    seen = set()
+    for window in ((-12, -2), (4, 12), (-3, -1), (-12, 8), (0, 0), (3, 3), (-7, 5)):
+        joins.clear()
+        got = _outcome(lambda: compute_table(p, window, ctx=ctx))
+        assert got == _outcome(lambda: reference_table(p, window, "lex"))
+        assert len(joins) == 1
+        seen.add(got[0])
+        if got[0] == "raised":
+            first = next(fixed for fixed, count in sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
+                         if _outcome(lambda: _class_contributions(ctx, fixed, count, window, "lex"))[0] == "raised")
+            _, errors = lines.join(ctx, ctx.classes, window, boxes=True)
+            assert next(mask for mask, _ in ctx.classes if mask in errors) == _mask(first)
+    assert seen == {"value", "raised"}
+
+
 # perfbench's large_group anchors, then a 6-variable loop and a 4-variable
 # chain with Milnor numbers 7056 and 12091
 BOX_TABLE_INPUTS = (
@@ -1012,30 +1052,6 @@ def test_range_join_builds_few_products_whatever_the_window(monkeypatch):
         compute_table(parse(BOX_TABLE_INPUTS[0]), window)
         counts.append(sum(built))
     assert counts[0] == counts[1]
-
-
-def test_tables_read_their_runs_off_the_line_invariant(monkeypatch):
-    # with du != 0 a table takes each hit's points from J and the weight
-    # residue: it decodes no line and calls no t_range; a listing does both
-    decoded = []
-    decode = lines._decode
-    monkeypatch.setattr(lines, "_decode", lambda *args: decoded.append(args) or decode(*args))
-    list(class_contributions(parse(LAUFER1), (-12, 8)))
-    assert decoded
-
-    def never(*args):
-        raise AssertionError("a table read a line's points by t_range")
-
-    for module in (lines, engine):
-        monkeypatch.setattr(module, "t_range", never)
-    decoded.clear()
-    # the large_group anchors (du > 0 and du < 0) and a chain with du < 0
-    signs = set()
-    for text in BOX_TABLE_INPUTS[:4] + (LAUFER1,):
-        ctx = SymmetryContext(parse(text))
-        signs.add((ctx.family_step[1] > 0) - (ctx.family_step[1] < 0))
-        assert compute_table(ctx.poly, (-12, 8), ctx=ctx).total() > 0
-    assert signs == {-1, 1} and decoded == []
 
 
 def test_a_factor_of_more_than_2_to_the_21_exponents_is_refused():

@@ -498,6 +498,25 @@ def test_golden_can_family_hh3_off_by_one():
         assert bad == [("dim HH^3", (k * l + 1) * (l - 1), (k * l + 1) * (l - 1) + 1)]
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_golden_reports_read_every_degree_from_one_sweep(monkeypatch, family):
+    # the report equals one read with table.dim per degree, and golden_check
+    # calls no dim: one call per degree clipped every run, quadratic in k
+    calls = []
+    dim = BigradedTable.dim
+    monkeypatch.setattr(BigradedTable, "dim", lambda self, d: calls.append(d) or dim(self, d))
+    l = {"bp_cA": 1, "can_cA": 2}.get(family)
+    for k in (1, 2, 5):
+        try:
+            report = golden_check(family, l=l, k=k)
+        except GoldenMismatch as exc:
+            report = exc.report
+        table = compute_table(golden_family_poly(family, l, k), report.window)
+        got = [dim(table, int(name.split("^")[1])) for name, _, _ in report.checks[:-1]]
+        assert [g for _, _, g in report.checks] == got + [got[1] == 0]
+    assert calls == []
+
+
 def test_golden_unknown_family():
     with pytest.raises(UnknownFamily):
         golden_check("nosuch", k=1)

@@ -51,13 +51,13 @@ def _emit_json(doc, out):
     out.write("\n")
 
 
-def _emit_csv(table, out):
+def _emit_csv(doc, out):
     out.write("degree,weight,dim\n")
-    for cell in table.cell_list():
+    for cell in doc["cells"]:
         out.write(f"{cell['d']},{cell['q']},{cell['dim']}\n")
 
 
-def _emit_pretty(p, doc, table, out):
+def _emit_pretty(p, doc, out):
     out.write(f"polynomial : {p}\n")
     out.write(f"transpose  : {p.transpose()}\n")
     w = doc["weights"]
@@ -66,13 +66,15 @@ def _emit_pretty(p, doc, table, out):
         f"   |ker chi|={doc['ker_chi_order']}"
         f"   HH^2 vanishes: {doc['hh2_vanishes']}\n"
     )
-    out.write(f"window     : [{table.dmin}, {table.dmax}]\n")
-    qs = sorted({q for (_, q) in table.cells})
+    out.write(f"window     : [{doc['window'][0]}, {doc['window'][1]}]\n")
+    qs = sorted({cell["q"] for cell in doc["cells"]})
     if not qs:
         out.write("(table is empty on this window)\n")
         return
-    rows = [(d, table.row(d)) for d in sorted({d for d, _ in table.cells}, reverse=True)]
-    rows = [(d, [found.get(q, 0) for q in qs]) for d, found in rows]
+    found = {}  # per degree, from the highest, its {weight: dim}
+    for cell in reversed(doc["cells"]):
+        found.setdefault(cell["d"], {})[cell["q"]] = cell["dim"]
+    rows = [(d, [row.get(q, 0) for q in qs]) for d, row in found.items()]
     # each column as wide as its widest label; weights and cells keep a space between them
     qw = max(5, 1 + max(len(str(v)) for row in [qs] + [row for _, row in rows] for v in row))
     dw, tw = max(3, *(len(str(d)) for d, _ in rows)), max(5, *(len(str(sum(row))) for _, row in rows))
@@ -149,9 +151,9 @@ def cmd_table(args, out):
     if args.format == "json":
         _emit_json(doc, out)
     elif args.format == "csv":
-        _emit_csv(table, out)
+        _emit_csv(doc, out)
     else:
-        _emit_pretty(p, doc, table, out)
+        _emit_pretty(p, doc, out)
     return EXIT_OK
 
 

@@ -116,10 +116,7 @@ class BigradedTable:
     def __init__(self, dmin, dmax, cells=None, runs=None, step=(1, 1)):
         self.dmin, self.dmax = dmin, dmax
         self.step = step
-        self.runs = runs = [(d, q, 1, dim) for (d, q), dim in cells.items() if dim] if runs is None else runs
-        self._points = {}  # degree -> its runs of one cell; None -> the longer runs
-        for run in runs:
-            self._points.setdefault(run[0] if run[2] == 1 else None, []).append(run)
+        self.runs = [(d, q, 1, dim) for (d, q), dim in cells.items() if dim] if runs is None else runs
 
     @cached_property
     def cells(self):
@@ -137,19 +134,15 @@ class BigradedTable:
     def complete(self, d):
         return self.dmin <= d <= self.dmax
 
-    def _at(self, d):
-        """The runs through degree d, clipped to their point there."""
-        return clip(self._points.get(d, []) + self._points.get(None, []), self.step, d, d)
-
     def row(self, d):
         """The cells of degree d as a new {weight: dim} dict."""
         out = Counter()
-        for _, q, _, m in self._at(d):
+        for _, q, _, m in clip(self.runs, self.step, d, d):
             out[q] += m
         return dict(out)
 
     def dim(self, d):
-        return sum(m for *_, m in self._at(d))
+        return sum(m for *_, m in clip(self.runs, self.step, d, d))
 
     def weights(self, d):
         """Weight multiset in degree d, sorted, with multiplicity."""

@@ -10,23 +10,26 @@ A class's fixed set S meets each block B of A in a closed set S_B
 blocks of their pairs (S_B, basis monomial of w on S_B, -1 on the rest of
 B).  Each block gives its pairs as alternatives, lists of factors (_blocks):
 a Fermat atom x_v^a, a one-variable block with a >= 2, one factor of
-exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box and the
-all-dual entry, and a chain its boxes over all its closed tails (_chain);
-any other block, and each block of a listing, the union over its closed
-sets of their grevlex staircases.  A table or a listing is one join over
-the product of the blocks' alternatives.
+exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box, read off its
+atom walk, and the all-dual entry, and a chain its boxes over all its
+closed tails (_chain); any other block, and each block of a listing, the
+union over its closed sets of their grevlex staircases.  A factor of one
+variable is a slice of that variable's factor of exponents -1..a-1
+(_ranges).  A table or a listing is one join over the product of the
+blocks' alternatives.
 
 Cost model.  A line's key, the residues of its congruence columns and of
 its u column modulo L*|du| (c column modulo L*dc when du == 0;
 SymmetryContext.line_columns), is linear in the exponents, so it is the
 sum of its factors' keys: one int, a field per column, summed with one
 add, mask, shift and multiply (join).  For each product of alternatives
-the join indexes the product keys of its larger side once and probes them
+the join indexes the product keys of its larger side and probes them
 with each product of the smaller side for the entries whose weights lie
 in the window: about |smaller side| * log + |larger side| + |lines found|
 whatever the window's length, and for a sum of n Fermat atoms about
-sqrt(|det A|) products a side, not 2^n.  Factors,
-bases and indexes are made once per join.  A found entry's mark holds its
+sqrt(|det A|) products a side, not 2^n.  Factors and bases are made once
+per join, an index once per product of alternatives, and dropped after
+it: few products share a larger side.  A found entry's mark holds its
 fixed set, whose rows are built when an entry first has it, so a table pays
 per found fixed set, not per class, and above it the line invariant J.
 Each hit's run is read off J and the entry's residue, so tables and
@@ -52,14 +55,6 @@ FACTOR_LIMIT = 1 << 21  # exponents in one factor: x^99999999's took minutes and
 
 def _ceil_div(a, b):
     return -((-a) // b)
-
-
-def _limited(ctx, v, exps):
-    """exps, the exponents of a factor of x_v, unless there are more than FACTOR_LIMIT."""
-    if len(exps) > FACTOR_LIMIT:
-        a = max(row[v - 1] for row in ctx.poly.matrix)
-        raise EngineError(f"x{v}^{a} needs a factor of {len(exps)} exponents, more than 2^21")
-    return exps
 
 
 def kinds(n, k, x0_fixed):
@@ -107,14 +102,17 @@ def _factor(ctx, variables, monomials, packing):
 
 
 def _ranges(ctx, variables, box, packing, cache):
-    """One factor per variable range of a box: a slice of the variable's factor of exponents -1 up."""
+    """One factor per variable range of a box: a slice of the variable's factor of exponents
+    -1..a-1, a the largest exponent of x_v, which cache keeps per variable for the join."""
+    out = []
     for v, exps in zip(variables, box):
-        if (v, exps) not in cache:
-            if v not in cache:  # every range lies in -1..a-1, a the largest exponent of x_v
-                a = max(row[v - 1] for row in ctx.poly.matrix)
-                cache[v] = _factor(ctx, (v,), [(e,) for e in (-1, *_limited(ctx, v, range(a)))], packing)[1]
-            cache[v, exps] = (v,), cache[v][exps.start + 1:exps.stop + 1]
-    return [cache[v, exps] for v, exps in zip(variables, box)]
+        if v not in cache:
+            a = max(row[v - 1] for row in ctx.poly.matrix)
+            if a > FACTOR_LIMIT:
+                raise EngineError(f"x{v}^{a} needs a factor of {a} exponents, more than 2^21")
+            cache[v] = _factor(ctx, (v,), [(e,) for e in range(-1, a)], packing)[1]
+        out.append(((v,), cache[v][exps.start + 1:exps.stop + 1]))
+    return out
 
 
 def _chain(ctx, walk, closed, packing, cache):
@@ -160,22 +158,24 @@ def _staircases(ctx, variables, closed, packing):
 
 def _blocks(ctx, packing, cache, boxes):
     """Per block of A, the mask of its variables, its alternatives (see the
-    module docstring), and its closed sets whose ring is infinite."""
+    module docstring), and its closed sets whose ring is infinite.  Only a
+    chain's boxes and the staircases call monomial_basis; cache holds the
+    one-variable factors (_ranges)."""
     walks = ctx.walks or [((), False)] * len(ctx.closed_sets)
     for (walk, loop), sets in zip(walks, ctx.closed_sets):
         full, v = sets[0][0], sets[0][0].bit_length() - 1  # a block's full set comes first
         if full == 1 << v and (a := max(row[v - 1] for row in ctx.poly.matrix)) >= 2:
             # a Fermat atom: its dual marker, then its basis
-            yield full, [[_factor(ctx, [v], [(e,) for e in _limited(ctx, v, range(-1, a - 1))], packing)]], ()
+            yield full, [_ranges(ctx, (v,), (range(-1, a - 1),), packing, cache)], ()
             continue
         closed = {mask for mask, _ in sets}
         variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
         if not (boxes and walk):
             yield full, *_staircases(ctx, variables, closed, packing)
         elif loop:  # closed sets: all of it, and none of it unless the group of the loop is trivial
-            basis = jacobian.monomial_basis(restrict(ctx.poly, variables), True)
+            box = [range(a) for _, a in sorted(walk)]  # its one box, in the order of variables
             duals = [[_factor(ctx, variables, [(-1,) * len(variables)], packing)]] if 0 in closed else []
-            yield full, [_ranges(ctx, variables, box, packing, cache) for box in basis.boxes] + duals, ()
+            yield full, [_ranges(ctx, variables, box, packing, cache)] + duals, ()
         else:
             yield full, _chain(ctx, walk, closed, packing, cache), ()
 
@@ -239,8 +239,7 @@ def join(ctx, classes, window, boxes=False):
     N, w, high, each = packing
     M, low, top = N // L, (1 << w) - 1, n + 2
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
-    cache = {}
-    blocks = list(_blocks(ctx, packing, cache, boxes))
+    blocks = list(_blocks(ctx, packing, {}, boxes))
     errors = {}
     for mask, _ in classes if any(infinite for *_, infinite in blocks) else ():
         if any(mask & full in infinite for full, _, infinite in blocks):
@@ -253,8 +252,6 @@ def join(ctx, classes, window, boxes=False):
     # fixing k of x_1..x_{n+1} has the offsets n - k + 1 and n - k + 2
     spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in range(n + 3)}
     wanted = [(lo, hi) for lo, hi in spans.values() if lo <= hi]
-    if not wanted:
-        return [], errors
     start = min(lo for lo, _ in wanted)
     width = max(hi for _, hi in wanted) + 1 - start
     counts = dict(classes)
@@ -268,17 +265,13 @@ def join(ctx, classes, window, boxes=False):
             sides[side].insert(0, f)  # ascending: products grow from the smallest
             costs[side] *= len(f[1])
         larger, smaller = sides
-        # the cache keeps every factor alive, so ids name the index
-        name = ("index",) + tuple(map(id, larger))
-        if name not in cache:
-            cache[name] = index = {}
-            for k, exps, mark in _product(larger, packing):
-                u = k & low
-                index.setdefault(k - u + u % L, []).append((u // L, exps, mark))
-            for key, bucket in index.items():
-                bucket.sort()
-                index[key] = [m for m, _, _ in bucket], bucket
-        index = cache[name]
+        index = {}
+        for k, exps, mark in _product(larger, packing):
+            u = k & low
+            index.setdefault(k - u + u % L, []).append((u // L, exps, mark))
+        for key, bucket in index.items():
+            bucket.sort()
+            index[key] = [m for m, _, _ in bucket], bucket
         variables = [v for f in smaller + larger for v in f[0]]
         for k, exps, mark in _product(smaller, packing):
             key = (key := each - k) - (((key + carry) & high) >> (w - 1)) * N  # _canonical, inlined

@@ -1055,11 +1055,16 @@ def test_range_join_builds_few_products_whatever_the_window(monkeypatch):
 
 
 def test_a_factor_of_more_than_2_to_the_21_exponents_is_refused():
-    # a Fermat atom's factor holds -1..a-2, a box range its exponents
+    # every factor of one variable is a slice of its factor of -1..a-1: a
+    # Fermat atom's, in tables and listings alike, a chain's and a loop's
     with pytest.raises(EngineError, match=r"^x4\^99999999 needs a factor of 99999999 exponents, more than 2\^21$"):
         compute_table(parse("x1^2+x2^3+x3^5+x4^99999999"), (-2, 2))
-    with pytest.raises(EngineError, match=r"^x2\^3000000 needs a factor of 3000000 exponents"):
+    with pytest.raises(EngineError, match=r"^x4\^99999999 needs a factor of 99999999 exponents, more than 2\^21$"):
+        list(class_contributions(parse("x1^2+x2^3+x3^5+x4^99999999"), (-2, 2)))
+    with pytest.raises(EngineError, match=r"^x2\^3000000 needs a factor of 3000000 exponents, more than 2\^21$"):
         compute_table(parse("x1^2*x2+x2^3000000+x3^2+x4^2"), (-2, 2))
+    with pytest.raises(EngineError, match=r"^x1\^3000000 needs a factor of 3000000 exponents, more than 2\^21$"):
+        compute_table(parse("x1^3000000*x2+x2^2*x1"), (-2, 2))
 
 
 def test_a_factor_of_a_million_exponents_still_gives_its_table():

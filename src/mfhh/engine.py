@@ -22,14 +22,15 @@ three kinds read that one line: kind A takes its points with c >= 0 (beta =
 c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
 c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
-Cost model.  The census comes as (mask, count) classes in sorted fixed-set
-order, and lines.join finds the lines of all of them in one join over the
-blocks of A (see lines).  Tables ask for Kreuzer-Krawitz boxes, so a
-standard polynomial's table takes no Groebner basis; listings read the
-grevlex staircase.  The join gives the points of each (line, row) hit in
-the window as one run along the family step, with no decoded line, so a
-table costs O(runs) however long its window; it builds its cells only when
-they are read.  A listing makes a Contribution per point of its runs.
+Cost model.  A listing takes the census as (mask, count) classes in sorted
+fixed-set order, a table none (lines.join counts the fixed sets it finds),
+and one join over the blocks of A finds their lines (see lines).  Tables ask
+for Kreuzer-Krawitz boxes, so a standard polynomial's table takes no
+Groebner basis; listings read the grevlex staircase.  The join gives the
+points of each (line, row) hit in the window as one run along the family
+step, with no decoded line, so a table costs O(runs) however long its
+window; it builds its cells only when they are read.  A listing makes a
+Contribution per point of its runs.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -187,9 +188,9 @@ def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     ctx = _context(p, window, ctx)
     dc, du = ctx.family_step
-    runs, errors = join(ctx, ctx.classes, window, boxes=True)
+    runs, errors = join(ctx, None, window, boxes=True)
     if errors:  # the first in class order, as if each class were solved alone
-        raise next(errors[mask] for mask, _ in ctx.classes if mask in errors)
+        raise errors[min(errors, key=ctx.class_key)]
     runs = [run[:4] for run in runs]
     return BigradedTable(*window, runs=runs, step=(2 * abs(du) or 1, dc if du >= 0 else -dc))
 

@@ -29,9 +29,10 @@ in the window: about |smaller side| * log + |larger side| + |lines found|
 whatever the window's length, and for a sum of n Fermat atoms about
 sqrt(|det A|) products a side, not 2^n.  Factors and bases are made once
 per join, an index once per product of alternatives, and dropped after
-it: few products share a larger side.  A found entry's mark holds its
-fixed set, whose rows are built when an entry first has it, so a table pays
-per found fixed set, not per class, and above it the line invariant J.
+it: few products share a larger side, and none larger than FACTOR_LIMIT is
+built.  A found entry's mark holds its fixed set, whose rows are built when
+an entry first has it (a table counts it then: SymmetryContext.fixed_counts,
+no census), and above it the line invariant J.
 Each hit's run is read off J and the entry's residue, so tables and
 listings alike cost O(hits), with no line decoded; a listing builds its
 monomials from the runs' exponents alone.
@@ -50,7 +51,7 @@ from .errors import EngineError, NonterminatingFamily, NotIsolated
 from .jacobian import restrict
 
 
-FACTOR_LIMIT = 1 << 21  # exponents in one factor: x^99999999's took minutes and gigabytes
+FACTOR_LIMIT = 1 << 21  # entries of a factor or a join side: x^99999999's factor took minutes and gigabytes
 
 
 def _ceil_div(a, b):
@@ -197,7 +198,8 @@ def _product(factors, packing):
 
 
 def join(ctx, classes, window, boxes=False):
-    """(found, errors) for the (mask, count) classes, bit j of a mask for x_j.
+    """(found, errors) for the (mask, count) classes, bit j of a mask for x_j;
+    None counts each fixed set found (ctx.fixed_counts).
 
     found holds a run (degree, c, points, count, row, variables, exps,
     exps2) per row that a found line hits: its points in the window from
@@ -205,9 +207,9 @@ def join(ctx, classes, window, boxes=False):
     kinds A and B of S + {x0} and C of S, S the line's fixed set; exps +
     exps2, on the variables, are a basis monomial on S and -1 off it.
     boxes only chooses the basis: Kreuzer-Krawitz boxes for tables, grevlex
-    staircases for listings.  errors holds the NotIsolated of the first
-    class whose ring is infinite and, when du == 0, a NonterminatingFamily
-    per class with a family of kind A or B in the window.
+    staircases for listings.  errors holds the NotIsolated of the first class
+    (of the census for None) whose ring is infinite and, when du == 0, a
+    NonterminatingFamily per class with a family of kind A or B in the window.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -241,7 +243,8 @@ def join(ctx, classes, window, boxes=False):
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
     blocks = list(_blocks(ctx, packing, {}, boxes))
     errors = {}
-    for mask, _ in classes if any(infinite for *_, infinite in blocks) else ():
+    # only a block with no atom matching has infinite closed sets; a table then takes the census
+    for mask, _ in (classes or ctx.classes) if any(infinite for *_, infinite in blocks) else ():
         if any(mask & full in infinite for full, _, infinite in blocks):
             try:  # a ring with an infinite part is infinite unless another part is 0
                 jacobian.monomial_basis(restrict(ctx.poly, [v for v in range(1, n + 2) if mask >> v & 1]))
@@ -254,7 +257,8 @@ def join(ctx, classes, window, boxes=False):
     wanted = [(lo, hi) for lo, hi in spans.values() if lo <= hi]
     start = min(lo for lo, _ in wanted)
     width = max(hi for _, hi in wanted) + 1 - start
-    counts = dict(classes)
+    counts = dict(classes or ())
+    sizes = ctx.fixed_counts if classes is None else lambda s: (counts.get(s | 1, 0), counts.get(s, 0))
     rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, hi, cmin, cmax, off, count, row) per row: A, B, C
     out = []
     for alternative in product(*(alternatives for _, alternatives, _ in blocks)):
@@ -264,6 +268,8 @@ def join(ctx, classes, window, boxes=False):
             side = costs[1] < costs[0]
             sides[side].insert(0, f)  # ascending: products grow from the smallest
             costs[side] *= len(f[1])
+        if costs[0] > FACTOR_LIMIT:
+            raise EngineError(f"a side of the join would hold {costs[0]} products, more than 2^21")
         larger, smaller = sides
         index = {}
         for k, exps, mark in _product(larger, packing):
@@ -287,8 +293,8 @@ def join(ctx, classes, window, boxes=False):
                 mark2 += mark
                 r, s = base + m, mark2 & fixed_bits
                 if s not in rows:  # built at the first entry of its fixed set
-                    rows[s] = [(*spans[kind[3]], *kind[1:4], counts[fixed], (fixed, counts[fixed], kind))
-                               for fixed in (s | 1, s) if fixed in counts
+                    rows[s] = [(*spans[kind[3]], *kind[1:4], size, (fixed, size, kind))
+                               for fixed, size in zip((s | 1, s), sizes(s)) if size
                                for kind in kinds(n, s.bit_count(), fixed & 1)]
                 J = mark2 >> top
                 for lo, hi, cmin, cmax, off, count, row in rows[s]:

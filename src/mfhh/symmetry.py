@@ -8,6 +8,11 @@ r_i = (-1, a_i1 - 1, ..., a_i,n+1 - 1).  The kernel of the total character
 chi = (1,..,1) is a finite abelian group of order |det A|, whose elements we
 store as rational phase vectors mod 1 (no roots of unity are ever needed).
 
+b + c*e0 - u*1 is in R exactly when y*A + s*1 = (b_1, .., b_{n+1}) for an
+integer y, s = b0 + c and u = sum(y) + s: one Smith form of [A; 1] gives
+every family line, and its kernel has s != 0 unless A is singular, the one
+case of DegenerateCharacter.
+
 The table only needs how many elements fix each coordinate set, and that
 census has a closed form that never lists an element.  An element is a
 phase vector phi in (Q/Z)^{n+1} with A*phi = 0 mod 1; it fixes x_j (j >= 1)
@@ -30,6 +35,7 @@ by the lcm L of their m_B: exact(S + {x_0}) = sum c_L / L and exact(S) =
 sum c_L - exact(S + {x_0}).  Cost: about the output, equal sums multiplied
 once and a block's full set (terms 1) not at all, no Smith form for a sum of
 atoms, whose walks (a Fermat atom is a chain of one) give the blocks too.
+A table takes no census: fixed_counts counts each fixed set its join finds.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import lattice
@@ -57,9 +63,16 @@ def _times(x, y):
     return frozenset((k, c) for k, c in out.items() if c)
 
 
+def _split(terms):
+    """(elements fixing exactly S + {x_0}, exactly S) from S's terms (L, c), equal L merged:
+    1/L of the c elements counted with lcm L fix x_0, and c is a multiple of L."""
+    x0 = sum(c // L for L, c in terms)
+    return x0, sum(c for _, c in terms) - x0
+
+
 _ONE = frozenset({(1, 1)})
 
-CENSUS_LIMIT = 1 << 20  # fixed sets a census folds: the 2^18 of x1^2+..+x18^2 took 2.7 s and 270 MB
+CENSUS_LIMIT = 1 << 20  # fixed sets a census (listings, not tables) folds: x1^2+..+x18^2's 2^18 take 0.9 s
 
 
 class GroupElement(NamedTuple):
@@ -88,51 +101,45 @@ class SymmetryContext:
         self.poly = p
         n1 = p.nvars  # the number of x_1..x_{n+1} variables
         self.n = n1 - 1
-        self.one = tuple([1] * (n1 + 1))
-        self.relation_rows = tuple(
-            tuple([-1] + [a - 1 for a in row]) for row in p.matrix
-        )
-        # the solution line of  b + c*e0 - u*1  in R, shared by all b:
-        # unknowns (x_1..x_{n+1}, c, u) against rows (R, -e0, 1)
-        e0 = tuple([1] + [0] * n1)
-        sd = lattice.smith(list(self.relation_rows) + [tuple(-x for x in e0), self.one])
+        # unknowns (y, s) against [A; 1]; see the module docstring
+        sd = lattice.smith(list(p.matrix) + [(1,) * n1])
         diag = sd.diagonal
-        hom = [sd.u[i] for i in range(n1 + 2) if i >= len(diag) or diag[i] == 0]
-        # R has rank n+1 (A is nonsingular), so R plus the all-ones row is
-        # independent exactly when the kernel is one line with c != 0
-        if len(hom) != 1 or hom[0][-2] == 0:
+        hom = [sd.u[i] for i in range(n1 + 1) if i >= len(diag) or diag[i] == 0]
+        if len(hom) != 1 or hom[0][-1] == 0:  # only for a singular A: else one line, s != 0
             raise DegenerateCharacter(
                 "the total character has finite order modulo the relations"
             )
-        dc, du = hom[0][-2], hom[0][-1]
+        dc, du = hom[0][-1], sum(hom[0])
         if dc < 0:
             dc, du = -dc, -du
         self.family_step = (dc, du)
-        # Every d_j is now nonzero.  x*M = b has a solution iff each
-        # z_j = (b.V_j)/d_j is an integer, and then (c0, u0) = sum_j z_j *
-        # U[j][-2:].  Over the common denominator L = lcm(d) that sum is one
+        # Every d_j is now nonzero.  (y, s)*[A; 1] = b' has a solution iff
+        # each z_j = (b'.V_j)/d_j is an integer, and then (y, s) = sum_j z_j *
+        # U[j].  Over the common denominator L = lcm(d) that sum is one
         # integer dot product per coordinate, exact once the congruences hold.
         # All of it is linear in b: line_columns lists its dot products with
         # line_weights, one per congruence modulus in line_moduli, then the c
-        # and u weights; the columns of a sum of vectors are the sums of
-        # their columns.
+        # weights (s's, -L on b0) and u weights (s's plus sum(y)'s, 0 on b0);
+        # the columns of a sum of vectors are the sums of their columns.
         L = self.line_denominator = lcm(*diag)
         self.line_moduli = tuple(dj for dj in diag if dj > 1)
         congruences = tuple(
-            tuple(row[j] for row in sd.v) for j, dj in enumerate(diag) if dj > 1
+            (0, *(row[j] for row in sd.v)) for j, dj in enumerate(diag) if dj > 1
         )
-        c_weights, u_weights = (
-            tuple(
-                sum(row[j] * (L // dj) * sd.u[j][k] for j, dj in enumerate(diag))
-                for row in sd.v
-            )
-            for k in (-2, -1)
+        s_weights, u_weights = (
+            tuple(sum(row[j] * (L // dj) * k(sd.u[j]) for j, dj in enumerate(diag)) for row in sd.v)
+            for k in (itemgetter(-1), sum)
         )
+        c_weights, u_weights = (-L, *s_weights), (0, *u_weights)
         self.line_weights = congruences + (c_weights, u_weights)
         # per coordinate, L times du*c - dc*u: the invariant that every point of a line shares
         self.line_invariant = tuple(du * c - dc * u for c, u in zip(c_weights, u_weights))
         self._ker = None
         self._census = None
+
+    @cached_property
+    def relation_rows(self):  # the generators r_i of R
+        return tuple((-1, *(a - 1 for a in row)) for row in self.poly.matrix)
 
     @cached_property
     def walks(self):
@@ -215,31 +222,47 @@ class SymmetryContext:
                     counts[s] = {m: at.get(m, 0) - up.get(m, 0) for m in {*at, *up}}
         return [(s, t) for s, at in counts.items() if (t := frozenset((m, c) for m, c in at.items() if c))]
 
-    @property
+    @cached_property
+    def _parts(self):  # per block, its full set and {closed set: terms}
+        return [(sets[0][0], dict(sets)) for sets in self.closed_sets]
+
+    def fixed_counts(self, mask):
+        """(elements fixing exactly S + {x_0}, exactly S) for a mask S of x_1..x_{n+1}: the
+        census identity on the terms of S's part in each block, 0 if a part is not closed."""
+        terms = _ONE
+        for full, sets in self._parts:
+            if (part := sets.get(mask & full)) is None:
+                return 0, 0
+            if part is not _ONE:  # a block's full set multiplies as 1
+                terms = part if terms is _ONE else _times(terms, part)
+        return _split(terms)
+
+    def class_key(self, mask):
+        """Sorts masks as sorted(fixed): 0 for fixed, 1 for unfixed from x_0 up, less the trailing 1s."""
+        return f"{mask ^ (1 << self.n + 2) - 1:0{self.n + 2}b}"[::-1].rstrip("1")
+
+    @cached_property
     def classes(self):
-        """The census as (mask, count) pairs, bit j for x_j, in sorted(fixed) order; see fixed_census."""
-        self.fixed_census()
-        return self._classes
+        """The census as (mask, count) pairs, bit j for x_j, in sorted(fixed) order."""
+        n2 = self.n + 2  # coordinates x_0..x_{n+1}
+        if 1 << n2 > sys.maxsize:
+            raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
+        if (size := prod(map(len, self.closed_sets))) > CENSUS_LIMIT:
+            raise EngineError(f"the census would list {size} fixed sets, more than 2^20")
+        partial, times = [(0, _ONE)], cache(_times)  # equal sums multiply once per census
+        for sets in self.closed_sets:  # _ONE, a block's full set, multiplies as 1
+            partial = [(mask | mask2, terms if terms2 is _ONE else times(terms, terms2))
+                       for mask, terms in partial for mask2, terms2 in sets]
+        split = {terms: _split(terms) for terms in {terms for _, terms in partial}}
+        found = [(mask | fix, count) for mask, terms in partial
+                 for fix, count in zip((1, 0), split[terms]) if count]
+        return sorted(found, key=lambda f: self.class_key(f[0]))
 
     def fixed_census(self):
         """{frozenset of coordinates: how many elements of ker(chi) fix exactly it}, in class order."""
         if self._census is None:
-            n2 = self.n + 2  # coordinates x_0..x_{n+1}
-            if 1 << n2 > sys.maxsize:
-                raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
-            if (size := prod(map(len, self.closed_sets))) > CENSUS_LIMIT:
-                raise EngineError(f"the census would list {size} fixed sets, more than 2^20")
-            partial, times = [(0, _ONE)], cache(_times)  # equal sums multiply once per census
-            for sets in self.closed_sets:  # _ONE, a block's full set, multiplies as 1
-                partial = [(mask | mask2, terms if terms2 is _ONE else times(terms, terms2))
-                           for mask, terms in partial for mask2, terms2 in sets]
-            # 1/L of the elements counted with lcm L fix x_0, and each such count is a multiple of L
-            x0 = {terms: sum(c // L for L, c in terms) for terms in {terms for _, terms in partial}}
-            found = [(mask | fix, count) for mask, terms in partial
-                     for fix, count in ((1, x0[terms]), (0, sum(c for _, c in terms) - x0[terms])) if count]
-            # 0 for fixed, 1 for unfixed from x_0 up, less the trailing 1s, sorts as sorted(fixed)
-            self._classes = sorted(found, key=lambda f: f"{f[0] ^ (1 << n2) - 1:0{n2}b}"[::-1].rstrip("1"))
-            self._census = {frozenset(j for j in range(n2) if mask >> j & 1): c for mask, c in self._classes}
+            self._census = {frozenset(j for j in range(self.n + 2) if mask >> j & 1): c
+                            for mask, c in self.classes}
         return self._census
 
     # -- characters --------------------------------------------------------

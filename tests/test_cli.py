@@ -257,31 +257,55 @@ def test_probe_of_a_window_longer_than_sys_maxsize_in_a_child_process(poly, rank
     assert f"constant rank {rank} in every negative degree".encode() in res.stdout
 
 
-def test_table_of_150_variables_is_an_engine_error_in_a_child_process():
-    # the census's 2^151 masks cannot be listed; no traceback, and fast
+def _wide(argv):
+    """(seconds, result) of one mfhh.cli child process."""
     src = os.path.dirname(os.path.dirname(mfhh.__file__))
-    poly = "+".join(f"x{i}^2" for i in range(1, 151))
-    argv = ["table", "--poly", poly, "--dmin", "-2", "--dmax", "2"]
     start = time.perf_counter()
     res = subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, timeout=60)
-    assert time.perf_counter() - start < 2
+    return time.perf_counter() - start, res
+
+
+def test_table_of_150_variables_is_an_engine_error_in_a_child_process():
+    # a table takes no census; its join's larger side, the product of 76
+    # atoms' factors of 2 exponents, is refused before any product is built
+    poly = "+".join(f"x{i}^2" for i in range(1, 151))
+    seconds, res = _wide(["table", "--poly", poly, "--dmin", "-2", "--dmax", "2"])
+    assert seconds < 2
     assert res.returncode == 3 and res.stdout == b"" and b"Traceback" not in res.stderr
-    assert res.stderr == b"error: the census cannot list the 2^151 masks of 151 coordinates\n"
+    assert res.stderr == f"error: a side of the join would hold {2**76} products, more than 2^21\n".encode()
 
 
 def test_table_of_61_variables_is_an_engine_error_in_a_child_process():
-    # 2^62 masks fit in an index, but the 2^61 fixed sets of the Fermat
-    # atoms are more than the census lists: refused before the fold starts
-    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    # the 2^61 fixed sets of the Fermat atoms are no longer listed for a
+    # table, but its join's larger side would hold 2^31 products
     poly = "+".join(f"x{i}^2" for i in range(1, 62))
-    argv = ["table", "--poly", poly, "--dmin", "0", "--dmax", "0"]
-    start = time.perf_counter()
-    res = subprocess.run([sys.executable, "-m", "mfhh.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, timeout=60)
-    assert time.perf_counter() - start < 2
-    assert res.returncode == 3 and res.stdout == b""
+    seconds, res = _wide(["table", "--poly", poly, "--dmin", "0", "--dmax", "0"])
+    assert seconds < 2
+    assert res.returncode == 3 and res.stdout == b"" and b"Traceback" not in res.stderr
+    assert res.stderr == f"error: a side of the join would hold {2**31} products, more than 2^21\n".encode()
+
+
+def test_listing_of_61_variables_is_refused_by_the_census_in_a_child_process():
+    # a listing is per class, so --monomials still takes the census, and
+    # 2^62 masks fit in an index, but 2^61 fixed sets are more than it lists
+    poly = "+".join(f"x{i}^2" for i in range(1, 62))
+    seconds, res = _wide(["table", "--poly", poly, "--dmin", "0", "--dmax", "0", "--monomials"])
+    assert seconds < 2
+    assert res.returncode == 3 and res.stdout == b"" and b"Traceback" not in res.stderr
     assert res.stderr == f"error: the census would list {2**61} fixed sets, more than 2^20\n".encode()
+
+
+def test_table_of_24_squares_in_a_child_process():
+    # 2^24 fixed sets are more than a census lists, but the table counts
+    # only the fixed sets its join finds, 2^12 products a side
+    poly = "+".join(f"x{i}^2" for i in range(1, 25))
+    seconds, res = _wide(["table", "--poly", poly, "--dmin", "-2", "--dmax", "2", "--format", "json"])
+    assert seconds < 2
+    assert res.returncode == 0 and res.stderr == b""
+    doc = json.loads(res.stdout)
+    assert doc["ker_chi_order"] == 2**24
+    assert doc["cells"] == [{"d": 0, "dim": 1, "q": 0}, {"d": 1, "dim": 1, "q": 0}]
 
 
 def test_table_of_a_huge_exponent_is_an_engine_error_in_a_child_process():

@@ -397,6 +397,15 @@ def _counted_joins(monkeypatch):
     return joins
 
 
+def _forbid_census(patch):
+    """Make SymmetryContext.classes and fixed_census raise: a table counts only the fixed sets it finds."""
+    def never(*args):
+        raise AssertionError("a table read the census")
+
+    patch.setattr(SymmetryContext, "classes", property(never))
+    patch.setattr(SymmetryContext, "fixed_census", never)
+
+
 def _sum(atom, k):
     """The sum of k copies of atom on disjoint variables, atom's x1, x2, .. renamed."""
     size = max(map(int, re.findall(r"x(\d+)", atom)))
@@ -408,17 +417,21 @@ def _sum(atom, k):
 )
 def test_each_restriction_is_solved_once(monkeypatch, text, shared):
     # a class S and the class S + {x0} restrict w to the same variables, and
-    # one join over all the classes solves every restriction
+    # one join solves every restriction: a listing's over all the classes, a
+    # table's with no classes, counting the fixed sets it finds
     joins = _counted_joins(monkeypatch)
     p = parse(text)
     ctx = SymmetryContext(p)
     restrictions = {tuple(sorted(fixed - {0})) for fixed in ctx.fixed_census()}
     assert len(ctx.fixed_census()) - len(restrictions) == shared
-    for run in (compute_table, lambda *a, **k: list(class_contributions(*a, **k))):
-        joins.clear()
-        run(p, (-12, 8), ctx=ctx)
-        assert joins == [ctx.classes]
-        assert {tuple(sorted(_fixed(mask) - {0})) for mask, _ in joins[0]} == restrictions
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_census(patch)
+        compute_table(p, (-12, 8), ctx=ctx)
+    assert joins == [None]
+    joins.clear()
+    list(class_contributions(p, (-12, 8), ctx=ctx))
+    assert joins == [ctx.classes]
+    assert {tuple(sorted(_fixed(mask) - {0})) for mask, _ in joins[0]} == restrictions
 
 
 @pytest.mark.parametrize(
@@ -431,14 +444,18 @@ def test_each_restriction_is_solved_once(monkeypatch, text, shared):
     ],
 )
 def test_one_join_per_table_and_per_listing(monkeypatch, text):
-    # every block's closed sets are alternatives of one join over all the classes
+    # every block's closed sets are alternatives of one join: a table's with
+    # no classes and no census, a listing's over all the classes
     joins = _counted_joins(monkeypatch)
     p = parse(text)
     ctx = SymmetryContext(p)
-    for run in (compute_table, lambda *a, **k: list(class_contributions(*a, **k))):
-        joins.clear()
-        run(p, (-12, 8), ctx=ctx)
-        assert joins == [ctx.classes]
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_census(patch)
+        compute_table(p, (-12, 8), ctx=ctx)
+    assert joins == [None]
+    joins.clear()
+    list(class_contributions(p, (-12, 8), ctx=ctx))
+    assert joins == [ctx.classes]
 
 
 def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
@@ -463,6 +480,37 @@ def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
     # found entry of the join hits no row, so it gives no run
     masks = {mask & ~1 for _, _, _, _, (mask, _, _), *_ in found}
     assert 0 < len(calls) <= 2 * (len(masks) + 1)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**9), st.sampled_from(["atoms", "ones", "blocks", "nonstandard"]))
+def test_fixed_counts_are_the_census(seed, draw):
+    # a table counts each fixed set it finds from the terms of its blocks'
+    # closed sets: the census's count for every class, and 0 for every other mask
+    rng = random.Random(seed)
+    if draw == "blocks":
+        p = _chains_and_loops(rng)
+    elif draw == "nonstandard":
+        p = _nonstandard(rng)
+    else:
+        p = random_invertible(rng, max_vars=8, max_det=3000, ones=draw == "ones")
+    ctx = SymmetryContext(p)
+    census = dict(ctx.classes)
+    for mask in range(0, 1 << ctx.n + 2, 2):  # the fixed sets of x_1..x_{n+1}
+        assert ctx.fixed_counts(mask) == (census.get(mask | 1, 0), census.get(mask, 0))
+
+
+def test_table_of_18_squares_has_the_runs_of_the_census_join():
+    # 2^18 fixed sets fit under CENSUS_LIMIT, so the census route still runs
+    # beside the table's, which counts only the fixed sets its join finds
+    p = parse("+".join(f"x{i}^2" for i in range(1, 19)))
+    ctx = SymmetryContext(p)
+    found, errors = lines.join(ctx, ctx.classes, (-12, 8), boxes=True)
+    assert errors == {} and found
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_census(patch)
+        table = compute_table(p, (-12, 8))
+    assert Counter(table.runs) == Counter(run[:4] for run in found)
 
 
 # -- reference: the per-monomial walk the engine used before its line kernel --
@@ -722,9 +770,10 @@ def _probe_join(ctx, classes, window, boxes=False):
     probe join per restriction: the runs of its lines (_line_runs), and
     {mask: error} for the first class of the first restriction whose ring
     is infinite and for each class with a family that never leaves the
-    window.  The oracle takes and gives its classes as frozensets."""
+    window.  The oracle takes and gives its classes as frozensets, and
+    takes the census when handed no classes, as a table's join is."""
     groups, found, errors, cache = {}, [], {}, {}
-    for mask, count in classes:
+    for mask, count in ctx.classes if classes is None else classes:
         groups.setdefault(mask & ~1, []).append((_fixed(mask), count))
     for fixed, group in groups.items():
         try:
@@ -979,7 +1028,7 @@ def test_d0_zero_tables_take_one_join_and_no_listing(monkeypatch, text):
     # with du == 0 every line keeps its degree, and these families stick in
     # degrees 0..3: a window that misses them gives its table, one that holds
     # them raises at the first class in class order that has one, and kind
-    # C's lines that miss c = -1 give no point
+    # C's lines that miss c = -1 give no point; no table reads the census
     p = parse(text)
     ctx = SymmetryContext(p)
     assert ctx.family_step[1] == 0
@@ -992,7 +1041,9 @@ def test_d0_zero_tables_take_one_join_and_no_listing(monkeypatch, text):
     seen = set()
     for window in ((-12, -2), (4, 12), (-3, -1), (-12, 8), (0, 0), (3, 3), (-7, 5)):
         joins.clear()
-        got = _outcome(lambda: compute_table(p, window, ctx=ctx))
+        with pytest.MonkeyPatch.context() as patch:
+            _forbid_census(patch)
+            got = _outcome(lambda: compute_table(p, window, ctx=ctx))
         assert got == _outcome(lambda: reference_table(p, window, "lex"))
         assert len(joins) == 1
         seen.add(got[0])
@@ -1065,6 +1116,18 @@ def test_a_factor_of_more_than_2_to_the_21_exponents_is_refused():
         compute_table(parse("x1^2*x2+x2^3000000+x3^2+x4^2"), (-2, 2))
     with pytest.raises(EngineError, match=r"^x1\^3000000 needs a factor of 3000000 exponents, more than 2\^21$"):
         compute_table(parse("x1^3000000*x2+x2^2*x1"), (-2, 2))
+
+
+def test_a_join_side_of_more_than_2_to_the_21_products_is_refused_before_any_is_built(monkeypatch):
+    # 42 factors of 2 exponents split 22 and 20: 2^22 products on the larger
+    # side, more than FACTOR_LIMIT, where 41 give 2^21; no product is built
+    def never(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(lines, "_product", never)
+    p = parse("+".join(f"x{i}^2" for i in range(1, 43)))
+    with pytest.raises(EngineError, match=r"^a side of the join would hold 4194304 products, more than 2\^21$"):
+        compute_table(p, (0, 0))
 
 
 def test_a_factor_of_a_million_exponents_still_gives_its_table():

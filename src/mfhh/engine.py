@@ -22,15 +22,14 @@ three kinds read that one line: kind A takes its points with c >= 0 (beta =
 c), kind B those with c >= -1 (beta = c + 1), and kind C its single point
 c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
-Cost model.  A listing takes the census as (mask, count) classes in sorted
-fixed-set order, a table none (lines.join counts the fixed sets it finds),
-and one join over the blocks of A finds their lines (see lines).  Tables ask
-for Kreuzer-Krawitz boxes, so a standard polynomial's table takes no
-Groebner basis; listings read the grevlex staircase.  The join gives the
-points of each (line, row) hit in the window as one run along the family
-step, with no decoded line, so a table costs O(runs) however long its
-window; it builds its cells only when they are read.  A listing makes a
-Contribution per point of its runs.
+Cost model.  A table or a listing takes no census: one join over the blocks
+of A finds their lines and counts the fixed sets it finds (see lines), and a
+listing groups its runs by class.  Tables ask for Kreuzer-Krawitz boxes, so
+a standard polynomial's table takes no Groebner basis; listings read the
+grevlex staircase.  The join gives the points of each (line, row) hit in
+the window as one run along the family step, with no decoded line, so a
+table costs O(runs) however long its window; it builds its cells only when
+they are read.  A listing makes a Contribution per point of its runs.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -188,7 +187,7 @@ def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     ctx = _context(p, window, ctx)
     dc, du = ctx.family_step
-    runs, errors = join(ctx, None, window, boxes=True)
+    runs, errors = join(ctx, window, boxes=True)
     if errors:  # the first in class order, as if each class were solved alone
         raise errors[min(errors, key=ctx.class_key)]
     runs = [run[:4] for run in runs]
@@ -221,19 +220,16 @@ def _class_entries(ctx, runs):
     return [h[3] for h in out]
 
 
-def _classes(ctx, classes, window):
-    """Yield (mask, contributions) for the given (mask, count) classes in
-    their order, from one join whose runs are kept per class, so every error
-    is raised at the class that raised it when each class was solved on its
-    own."""
-    found, errors = join(ctx, classes, window)
+def _classes(ctx, window, order):
+    """The runs of one join grouped by class mask, after raising the join's
+    first error by the key order, as if each class were solved on its own."""
+    found, errors = join(ctx, window)
+    if errors:
+        raise errors[min(errors, key=order)]
     runs = {}
     for run in found:
         runs.setdefault(run[4][0], []).append(run)
-    for fixed, _ in classes:
-        if fixed in errors:
-            raise errors[fixed]
-        yield fixed, _class_entries(ctx, runs.get(fixed, []))
+    return runs
 
 
 def class_contributions(p, window, ctx=None):
@@ -246,8 +242,9 @@ def class_contributions(p, window, ctx=None):
     one join.  An empty window is an InputError.
     """
     ctx = _context(p, window, ctx)
-    for _, entries in _classes(ctx, ctx.classes, window):
-        yield from entries
+    runs = _classes(ctx, window, ctx.class_key)
+    for mask in sorted(runs, key=ctx.class_key):
+        yield from _class_entries(ctx, runs[mask])
 
 
 def list_contributions(p, window, ctx=None):
@@ -256,11 +253,12 @@ def list_contributions(p, window, ctx=None):
     ctx = _context(p, window, ctx)
     ker = ctx.ker_chi()
     masks = {fixed: sum(1 << j for j in fixed) for fixed in dict.fromkeys(gamma.fixed for gamma in ker)}
-    by_class = dict(_classes(ctx, [(mask, 1) for mask in masks.values()], window))
+    runs = _classes(ctx, window, list(masks.values()).index)  # errors in ker order
+    by_class = {mask: _class_entries(ctx, found) for mask, found in runs.items()}
     out = [
         Contribution(gamma, con.monomial, con.u, con.degree)
         for gamma in ker
-        for con in by_class[masks[gamma.fixed]]
+        for con in by_class.get(masks[gamma.fixed], ())
     ]
     out.sort(
         key=lambda c: (-c.degree, c.monomial.kind, c.monomial.b, c.gamma.phases)

@@ -13,10 +13,11 @@ a Fermat atom x_v^a, a one-variable block with a >= 2, one factor of
 exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box, read off its
 atom walk, and the all-dual entry, and a chain its boxes over all its
 closed tails (_chain); any other block, and each block of a listing, the
-union over its closed sets of their grevlex staircases.  A factor of one
-variable is a slice of that variable's factor of exponents -1..a-1
-(_ranges).  A table or a listing is one join over the product of the
-blocks' alternatives.
+union over its closed sets of their grevlex staircases (_staircases), one
+refused before Buchberger runs when its atom's boxes hold more than
+FACTOR_LIMIT monomials.  A factor of one variable is a slice of that
+variable's factor of exponents -1..a-1 (_ranges).  A table or a listing is
+one join over the product of the blocks' alternatives.
 
 Cost model.  A line's key, the residues of its congruence columns and of
 its u column modulo L*|du| (c column modulo L*dc when du == 0;
@@ -31,8 +32,8 @@ sqrt(|det A|) products a side, not 2^n.  Factors and bases are made once
 per join, an index once per product of alternatives, and dropped after
 it: few products share a larger side, and none larger than FACTOR_LIMIT is
 built.  A found entry's mark holds its fixed set, whose rows are built when
-an entry first has it (a table counts it then: SymmetryContext.fixed_counts,
-no census), and above it the line invariant J.
+an entry first has it (and counted then: SymmetryContext.fixed_counts, no
+census), and above it the line invariant J.
 Each hit's run is read off J and the entry's residue, so tables and
 listings alike cost O(hits), with no line decoded; a listing builds its
 monomials from the runs' exponents alone.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, product
+from math import prod
 from operator import itemgetter, mul
 
 # monomial_basis is called through its module, so a wrapper installed on
@@ -51,7 +53,7 @@ from .errors import EngineError, NonterminatingFamily, NotIsolated
 from .jacobian import restrict
 
 
-FACTOR_LIMIT = 1 << 21  # entries of a factor or a join side: x^99999999's factor took minutes and gigabytes
+FACTOR_LIMIT = 1 << 21  # entries of a factor, a staircase or a join side: x^99999999's factor took minutes
 
 
 def _ceil_div(a, b):
@@ -140,12 +142,16 @@ def _chain(ctx, walk, closed, packing, cache):
 
 def _staircases(ctx, variables, closed, packing):
     """One factor, the union over the closed sets of their restrictions' grevlex staircases
-    with -1 on the rest of the block; then the closed sets whose ring is infinite."""
+    with -1 on the rest of the block, an atom's size read off its boxes before Buchberger
+    runs; then the closed sets whose ring is infinite."""
     monomials, infinite = [], set()
     for mask in closed:
         fixed = [v for v in variables if mask >> v & 1]
+        r = restrict(ctx.poly, fixed)
+        if (mu := sum(prod(map(len, box)) for box in jacobian.atom_boxes(r) or ())) > FACTOR_LIMIT:
+            raise EngineError(f"the Jacobian ring on {tuple(fixed)} has dimension {mu}, more than 2^21")
         try:
-            basis = jacobian.monomial_basis(restrict(ctx.poly, fixed))
+            basis = jacobian.monomial_basis(r)
         except NotIsolated:
             infinite.add(mask)
             continue
@@ -197,9 +203,9 @@ def _product(factors, packing):
     return out
 
 
-def join(ctx, classes, window, boxes=False):
-    """(found, errors) for the (mask, count) classes, bit j of a mask for x_j;
-    None counts each fixed set found (ctx.fixed_counts).
+def join(ctx, window, boxes=False):
+    """(found, errors) for the classes of the fixed sets the join finds,
+    each counted by ctx.fixed_counts, bit j of a mask for x_j.
 
     found holds a run (degree, c, points, count, row, variables, exps,
     exps2) per row that a found line hits: its points in the window from
@@ -207,9 +213,11 @@ def join(ctx, classes, window, boxes=False):
     kinds A and B of S + {x0} and C of S, S the line's fixed set; exps +
     exps2, on the variables, are a basis monomial on S and -1 off it.
     boxes only chooses the basis: Kreuzer-Krawitz boxes for tables, grevlex
-    staircases for listings.  errors holds the NotIsolated of the first class
-    (of the census for None) whose ring is infinite and, when du == 0, a
-    NonterminatingFamily per class with a family of kind A or B in the window.
+    staircases for listings.  errors holds a NotIsolated per class whose
+    ring is infinite (only a block with no atom matching has one; the census
+    then lists the classes) and, when du == 0, a NonterminatingFamily per
+    class with a family of kind A or B in the window; each caller raises the
+    first in its own class order.
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -243,22 +251,19 @@ def join(ctx, classes, window, boxes=False):
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
     blocks = list(_blocks(ctx, packing, {}, boxes))
     errors = {}
-    # only a block with no atom matching has infinite closed sets; a table then takes the census
-    for mask, _ in (classes or ctx.classes) if any(infinite for *_, infinite in blocks) else ():
+    # only a block with no atom matching has infinite closed sets: each class that has one is tried
+    for mask, _ in ctx.classes if any(infinite for *_, infinite in blocks) else ():
         if any(mask & full in infinite for full, _, infinite in blocks):
             try:  # a ring with an infinite part is infinite unless another part is 0
                 jacobian.monomial_basis(restrict(ctx.poly, [v for v in range(1, n + 2) if mask >> v & 1]))
             except NotIsolated as exc:
                 errors[mask] = exc
-                break
     # a kind of degree offset off wants u in [lo, hi] = spans[off]; a class
     # fixing k of x_1..x_{n+1} has the offsets n - k + 1 and n - k + 2
     spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in range(n + 3)}
     wanted = [(lo, hi) for lo, hi in spans.values() if lo <= hi]
     start = min(lo for lo, _ in wanted)
     width = max(hi for _, hi in wanted) + 1 - start
-    counts = dict(classes or ())
-    sizes = ctx.fixed_counts if classes is None else lambda s: (counts.get(s | 1, 0), counts.get(s, 0))
     rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, hi, cmin, cmax, off, count, row) per row: A, B, C
     out = []
     for alternative in product(*(alternatives for _, alternatives, _ in blocks)):
@@ -294,7 +299,7 @@ def join(ctx, classes, window, boxes=False):
                 r, s = base + m, mark2 & fixed_bits
                 if s not in rows:  # built at the first entry of its fixed set
                     rows[s] = [(*spans[kind[3]], *kind[1:4], size, (fixed, size, kind))
-                               for fixed, size in zip((s | 1, s), sizes(s)) if size
+                               for fixed, size in zip((s | 1, s), ctx.fixed_counts(s)) if size
                                for kind in kinds(n, s.bit_count(), fixed & 1)]
                 J = mark2 >> top
                 for lo, hi, cmin, cmax, off, count, row in rows[s]:

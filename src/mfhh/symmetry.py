@@ -35,13 +35,12 @@ by the lcm L of their m_B: exact(S + {x_0}) = sum c_L / L and exact(S) =
 sum c_L - exact(S + {x_0}).  Cost: about the output, equal sums multiplied
 once and a block's full set (terms 1) not at all, no Smith form for a sum of
 atoms, whose walks (a Fermat atom is a chain of one) give the blocks too.
-A table takes no census: fixed_counts counts each fixed set its join finds.
+A join takes no census: fixed_counts counts each fixed set it finds.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm, prod
@@ -72,7 +71,7 @@ def _split(terms):
 
 _ONE = frozenset({(1, 1)})
 
-CENSUS_LIMIT = 1 << 20  # fixed sets a census (listings, not tables) folds: x1^2+..+x18^2's 2^18 take 0.9 s
+CENSUS_LIMIT = 1 << 20  # fixed sets the census folds; a join reads it only to name an infinite class
 
 
 class GroupElement(NamedTuple):
@@ -244,9 +243,6 @@ class SymmetryContext:
     @cached_property
     def classes(self):
         """The census as (mask, count) pairs, bit j for x_j, in sorted(fixed) order."""
-        n2 = self.n + 2  # coordinates x_0..x_{n+1}
-        if 1 << n2 > sys.maxsize:
-            raise EngineError(f"the census cannot list the 2^{n2} masks of {n2} coordinates")
         if (size := prod(map(len, self.closed_sets))) > CENSUS_LIMIT:
             raise EngineError(f"the census would list {size} fixed sets, more than 2^20")
         partial, times = [(0, _ONE)], cache(_times)  # equal sums multiply once per census

@@ -86,8 +86,7 @@ def test_table_walks_the_fixed_classes_once(monkeypatch, extra):
     # listing reuse the window's
     joins = []
     join = engine.join
-    monkeypatch.setattr(engine, "join", lambda ctx, classes, *args, **kwargs: joins.append(classes) or join(
-        ctx, classes, *args, **kwargs))
+    monkeypatch.setattr(engine, "join", lambda *args, **kwargs: joins.append(args) or join(*args, **kwargs))
     compute_table(parse(LAUFER1), (-12, 4))
     assert len(joins) == 1
     joins.clear()
@@ -286,14 +285,25 @@ def test_table_of_61_variables_is_an_engine_error_in_a_child_process():
     assert res.stderr == f"error: a side of the join would hold {2**31} products, more than 2^21\n".encode()
 
 
-def test_listing_of_61_variables_is_refused_by_the_census_in_a_child_process():
-    # a listing is per class, so --monomials still takes the census, and
-    # 2^62 masks fit in an index, but 2^61 fixed sets are more than it lists
+def test_listing_of_61_variables_is_refused_by_the_join_in_a_child_process():
+    # a listing takes no census either: its join is the table's, and is
+    # refused before any of its 2^31 products a side is built
     poly = "+".join(f"x{i}^2" for i in range(1, 62))
     seconds, res = _wide(["table", "--poly", poly, "--dmin", "0", "--dmax", "0", "--monomials"])
     assert seconds < 2
     assert res.returncode == 3 and res.stdout == b"" and b"Traceback" not in res.stderr
-    assert res.stderr == f"error: the census would list {2**61} fixed sets, more than 2^20\n".encode()
+    assert res.stderr == f"error: a side of the join would hold {2**31} products, more than 2^21\n".encode()
+
+
+def test_listing_of_a_22_variable_loop_is_refused_before_its_staircase_in_a_child_process():
+    # a listing reads the loop's grevlex staircase, 2^22 monomials: its
+    # dimension is read off the loop's box and refused before Buchberger runs
+    poly = "+".join(f"x{i}^2*x{i % 22 + 1}" for i in range(1, 23))
+    seconds, res = _wide(["table", "--poly", poly, "--dmin", "-4", "--dmax", "4", "--monomials"])
+    assert seconds < 2
+    assert res.returncode == 3 and res.stdout == b"" and b"Traceback" not in res.stderr
+    message = f"error: the Jacobian ring on {tuple(range(1, 23))} has dimension {2**22}, more than 2^21\n"
+    assert res.stderr == message.encode()
 
 
 def test_table_of_24_squares_in_a_child_process():

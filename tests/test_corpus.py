@@ -123,6 +123,8 @@ def build_cases():
     add(_table(fermat12, (-4, 2), "pretty"))
     add(_table(chains2(4), (-12, 8), "csv"))
     add(_table(chains2(2), (-12, 8), "pretty", monomials=True))
+    # 2^24 fixed sets, more than a census lists: a listing counts only those its join finds
+    add(_table("+".join(f"x{i}^2" for i in range(1, 25)), (-2, 2), monomials=True))
 
     # random sums: a window shorter than |du| weights and one past them
     for i, (text, du) in enumerate(_polys(rng, 50, 5, 1500)):
@@ -181,6 +183,8 @@ def build_cases():
         _table("x1^2*x2^2+x2^3+x1^3", (-10, 10)) + ["--allow-nonstandard"],
         ["probe-small-res", "--poly", "x1^2+x2^3", "--dmin", "0"],
         ["probe-small-res", "--poly", "x1^2*x2+x3^3+x1^2", "--dmin", "-6", "--allow-nonstandard"],
+        # a listing of a 22-variable loop: 2^22 staircase monomials, refused before Buchberger
+        _table("+".join(f"x{i}^2*x{i % 22 + 1}" for i in range(1, 23)), (-4, 4), monomials=True),
     ):
         add(argv)
     return cases

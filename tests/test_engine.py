@@ -385,22 +385,23 @@ def _mask_classes(ctx):
 
 
 def _counted_joins(monkeypatch):
-    """The classes of each join the engine runs."""
+    """The boxes flag of each join the engine runs: True for a table, False for a listing."""
     joins = []
     run = engine.join
 
-    def counted(ctx, classes, *args, **kwargs):
-        joins.append(classes)
-        return run(ctx, classes, *args, **kwargs)
+    def counted(ctx, window, boxes=False):
+        joins.append(boxes)
+        return run(ctx, window, boxes)
 
     monkeypatch.setattr(engine, "join", counted)
     return joins
 
 
 def _forbid_census(patch):
-    """Make SymmetryContext.classes and fixed_census raise: a table counts only the fixed sets it finds."""
+    """Make SymmetryContext.classes and fixed_census raise: a table or a listing counts only the
+    fixed sets its join finds."""
     def never(*args):
-        raise AssertionError("a table read the census")
+        raise AssertionError("the census was read")
 
     patch.setattr(SymmetryContext, "classes", property(never))
     patch.setattr(SymmetryContext, "fixed_census", never)
@@ -417,8 +418,8 @@ def _sum(atom, k):
 )
 def test_each_restriction_is_solved_once(monkeypatch, text, shared):
     # a class S and the class S + {x0} restrict w to the same variables, and
-    # one join solves every restriction: a listing's over all the classes, a
-    # table's with no classes, counting the fixed sets it finds
+    # one join solves every restriction, a table's and a listing's alike,
+    # counting the fixed sets it finds
     joins = _counted_joins(monkeypatch)
     p = parse(text)
     ctx = SymmetryContext(p)
@@ -427,11 +428,10 @@ def test_each_restriction_is_solved_once(monkeypatch, text, shared):
     with pytest.MonkeyPatch.context() as patch:
         _forbid_census(patch)
         compute_table(p, (-12, 8), ctx=ctx)
-    assert joins == [None]
-    joins.clear()
-    list(class_contributions(p, (-12, 8), ctx=ctx))
-    assert joins == [ctx.classes]
-    assert {tuple(sorted(_fixed(mask) - {0})) for mask, _ in joins[0]} == restrictions
+        assert joins == [True]
+        joins.clear()
+        list(class_contributions(p, (-12, 8), ctx=ctx))
+    assert joins == [False]
 
 
 @pytest.mark.parametrize(
@@ -444,18 +444,18 @@ def test_each_restriction_is_solved_once(monkeypatch, text, shared):
     ],
 )
 def test_one_join_per_table_and_per_listing(monkeypatch, text):
-    # every block's closed sets are alternatives of one join: a table's with
-    # no classes and no census, a listing's over all the classes
+    # every block's closed sets are alternatives of one join, a table's and
+    # a listing's alike, with no census
     joins = _counted_joins(monkeypatch)
     p = parse(text)
     ctx = SymmetryContext(p)
     with pytest.MonkeyPatch.context() as patch:
         _forbid_census(patch)
         compute_table(p, (-12, 8), ctx=ctx)
-    assert joins == [None]
-    joins.clear()
-    list(class_contributions(p, (-12, 8), ctx=ctx))
-    assert joins == [ctx.classes]
+        assert joins == [True]
+        joins.clear()
+        list(class_contributions(p, (-12, 8), ctx=ctx))
+    assert joins == [False]
 
 
 def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
@@ -467,7 +467,7 @@ def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
     # every block is a Fermat atom, so a listing's join is the table's; its
     # runs name the found fixed sets (the probe join takes about 10 s here,
     # one join per restriction)
-    found, errors = lines.join(ctx, ctx.classes, (-12, 8))
+    found, errors = lines.join(ctx, (-12, 8))
     assert errors == {}
     calls = []
     kinds = lines.kinds
@@ -505,12 +505,28 @@ def test_table_of_18_squares_has_the_runs_of_the_census_join():
     # beside the table's, which counts only the fixed sets its join finds
     p = parse("+".join(f"x{i}^2" for i in range(1, 19)))
     ctx = SymmetryContext(p)
-    found, errors = lines.join(ctx, ctx.classes, (-12, 8), boxes=True)
+    found, errors = lines.join(ctx, (-12, 8), boxes=True)
     assert errors == {} and found
     with pytest.MonkeyPatch.context() as patch:
         _forbid_census(patch)
         table = compute_table(p, (-12, 8))
     assert Counter(table.runs) == Counter(run[:4] for run in found)
+
+
+
+@pytest.mark.parametrize("n, window", [(18, (-12, 8)), (24, (-2, 2))])
+def test_wide_listings_take_no_census_and_match_the_table(n, window):
+    # 2^18 and 2^24 fixed sets: a listing, like a table, counts only the
+    # fixed sets its join finds, and its counts add up to the table's cells
+    p = parse("+".join(f"x{i}^2" for i in range(1, n + 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_census(patch)
+        rows = aggregate_contributions(class_contributions(p, window))
+        table = compute_table(p, window)
+    cells = Counter()
+    for row in rows:
+        cells[row["d"], row["q"]] += row["count"]
+    assert table.cells and dict(cells) == table.cells
 
 
 # -- reference: the per-monomial walk the engine used before its line kernel --
@@ -709,7 +725,7 @@ def assert_lines_decoded(p, window, boxes=False):
     the number of runs."""
     relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     ctx = SymmetryContext(p)
-    found, _ = lines.join(ctx, _mask_classes(ctx), window, boxes)
+    found, _ = lines.join(ctx, window, boxes)
     for d, c, points, _, (mask, _, (_, cmin, _, off, _)), *monomial in found:
         rest = _rest(ctx, *monomial)
         assert window[0] <= d <= window[1] and c >= cmin and points > 0
@@ -790,7 +806,7 @@ def _probe_join(ctx, classes, window, boxes=False):
 
 def assert_range_join_matches_probe_join(ctx, window, boxes):
     classes = _mask_classes(ctx)
-    got = _solved(lines.join, ctx, classes, window, boxes)
+    got = _solved(lambda ctx, _, *args: lines.join(ctx, *args), ctx, classes, window, boxes)
     assert got == _solved(_probe_join, ctx, classes, window, boxes)
     return got
 
@@ -858,7 +874,7 @@ def test_tables_and_listings_match_the_probe_join(seed, window, draw):
 
     got = _outcome(solve)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "join", _probe_join)
+        patch.setattr(engine, "join", lambda ctx, window, boxes=False: _probe_join(ctx, None, window, boxes))
         assert got == _outcome(solve)
 
 
@@ -966,12 +982,14 @@ def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
         warnings.simplefilter("ignore")
         zero = parse("x1^2*x2^2+x2^3+x3", allow_nonstandard=True)
         infinite = parse("x1^2*x2^2+x2^3+x3^2", allow_nonstandard=True)
-    classes = [(_mask({1, 2, 3}), 1)]
-    assert lines.join(SymmetryContext(zero), classes, (-10, 10)) == ([], {})
-    found, errors = lines.join(SymmetryContext(infinite), classes, (-10, 10))
-    assert found == [] and list(errors) == [_mask({1, 2, 3})]
+    full = _mask({0, 1, 2, 3})  # the full set's class, among all the classes
+    for p in (zero, infinite):
+        ctx = SymmetryContext(p)
+        found, errors = lines.join(ctx, (-10, 10))
+        assert full in dict(ctx.classes) and all(run[4][0] != full for run in found)
+        assert (full in errors) == (p is infinite)
     with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):
-        raise errors[_mask({1, 2, 3})]
+        raise errors[full]
 
 
 def test_not_isolated_names_the_first_failing_class_with_its_atoms():
@@ -1050,7 +1068,7 @@ def test_d0_zero_tables_take_one_join_and_no_listing(monkeypatch, text):
         if got[0] == "raised":
             first = next(fixed for fixed, count in sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
                          if _outcome(lambda: _class_contributions(ctx, fixed, count, window, "lex"))[0] == "raised")
-            _, errors = lines.join(ctx, ctx.classes, window, boxes=True)
+            _, errors = lines.join(ctx, window, boxes=True)
             assert next(mask for mask, _ in ctx.classes if mask in errors) == _mask(first)
     assert seen == {"value", "raised"}
 

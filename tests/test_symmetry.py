@@ -348,6 +348,14 @@ def test_census_of_atoms_takes_no_smith_form(monkeypatch, text):
     assert all(c for sets in ctx.closed_sets for _, terms in sets for _, c in terms)
 
 
+def test_census_of_a_62_variable_loop_folds_its_closed_sets_not_its_masks():
+    # x_0..x_62 have 2^63 masks, but the loop's closed sets are only its
+    # full and empty sets, so the census has 3 classes
+    census = SymmetryContext(parse("+".join(f"x{i}^2*x{i % 62 + 1}" for i in range(1, 63)))).fixed_census()
+    assert len(census) == 3 and sum(census.values()) == 2**62 - 1
+
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 10**9), st.data())
 def test_family_line_matches_degree_and_echelon_membership(seed, data):

@@ -253,7 +253,7 @@ def list_contributions(p, window, ctx=None):
     ctx = _context(p, window, ctx)
     ker = ctx.ker_chi()
     masks = {fixed: sum(1 << j for j in fixed) for fixed in dict.fromkeys(gamma.fixed for gamma in ker)}
-    runs = _classes(ctx, window, list(masks.values()).index)  # errors in ker order
+    runs = _classes(ctx, window, {mask: i for i, mask in enumerate(masks.values())}.__getitem__)  # ker order
     by_class = {mask: _class_entries(ctx, found) for mask, found in runs.items()}
     out = [
         Contribution(gamma, con.monomial, con.u, con.degree)

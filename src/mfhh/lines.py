@@ -15,9 +15,10 @@ atom walk, and the all-dual entry, and a chain its boxes over all its
 closed tails (_chain); any other block, and each block of a listing, the
 union over its closed sets of their grevlex staircases (_staircases), one
 refused before Buchberger runs when its atom's boxes hold more than
-FACTOR_LIMIT monomials.  A factor of one variable is a slice of that
-variable's factor of exponents -1..a-1 (_ranges).  A table or a listing is
-one join over the product of the blocks' alternatives.
+FACTOR_LIMIT monomials.  Each component of S's restriction lies in one
+block, so S's ring is infinite exactly when some S_B's is and none is 0.
+A factor of one variable is a slice of that variable's factor of exponents
+-1..a-1 (_ranges).  A table or a listing is one join over the alternatives.
 
 Cost model.  A line's key, the residues of its congruence columns and of
 its u column modulo L*|du| (c column modulo L*dc when du == 0;
@@ -140,51 +141,50 @@ def _chain(ctx, walk, closed, packing, cache):
     return out
 
 
-def _staircases(ctx, variables, closed, packing):
+def _staircases(ctx, variables, closed, packing, rings):
     """One factor, the union over the closed sets of their restrictions' grevlex staircases
     with -1 on the rest of the block, an atom's size read off its boxes before Buchberger
-    runs; then the closed sets whose ring is infinite."""
-    monomials, infinite = [], set()
+    runs; rings gets each closed set's ring dimension, None if it is infinite."""
+    monomials = []
     for mask in closed:
         fixed = [v for v in variables if mask >> v & 1]
         r = restrict(ctx.poly, fixed)
         if (mu := sum(prod(map(len, box)) for box in jacobian.atom_boxes(r) or ())) > FACTOR_LIMIT:
             raise EngineError(f"the Jacobian ring on {tuple(fixed)} has dimension {mu}, more than 2^21")
         try:
-            basis = jacobian.monomial_basis(r)
+            rings[mask] = (basis := jacobian.monomial_basis(r)).dimension
         except NotIsolated:
-            infinite.add(mask)
+            rings[mask] = None
             continue
         if len(fixed) == len(variables):
             monomials += basis.monomials
         else:  # a proper closed set: its exponents, then the dual marker -1 on the others
             get = itemgetter(*[fixed.index(v) if v in fixed else -1 for v in variables])
             monomials += [get(m + (-1,)) for m in basis.monomials]
-    return [[_factor(ctx, variables, monomials, packing)]], infinite
+    return [[_factor(ctx, variables, monomials, packing)]]
 
 
-def _blocks(ctx, packing, cache, boxes):
-    """Per block of A, the mask of its variables, its alternatives (see the
-    module docstring), and its closed sets whose ring is infinite.  Only a
-    chain's boxes and the staircases call monomial_basis; cache holds the
-    one-variable factors (_ranges)."""
+def _blocks(ctx, packing, cache, rings, boxes):
+    """Per block of A, the mask of its variables and its alternatives (see the module docstring).
+    Only a chain's boxes and the staircases call monomial_basis; cache holds the one-variable
+    factors (_ranges), and rings the ring dimension of each staircase's closed set (_staircases)."""
     walks = ctx.walks or [((), False)] * len(ctx.closed_sets)
     for (walk, loop), sets in zip(walks, ctx.closed_sets):
         full, v = sets[0][0], sets[0][0].bit_length() - 1  # a block's full set comes first
         if full == 1 << v and (a := max(row[v - 1] for row in ctx.poly.matrix)) >= 2:
             # a Fermat atom: its dual marker, then its basis
-            yield full, [_ranges(ctx, (v,), (range(-1, a - 1),), packing, cache)], ()
+            yield full, [_ranges(ctx, (v,), (range(-1, a - 1),), packing, cache)]
             continue
         closed = {mask for mask, _ in sets}
         variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
         if not (boxes and walk):
-            yield full, *_staircases(ctx, variables, closed, packing)
+            yield full, _staircases(ctx, variables, closed, packing, rings)
         elif loop:  # closed sets: all of it, and none of it unless the group of the loop is trivial
             box = [range(a) for _, a in sorted(walk)]  # its one box, in the order of variables
             duals = [[_factor(ctx, variables, [(-1,) * len(variables)], packing)]] if 0 in closed else []
-            yield full, [_ranges(ctx, variables, box, packing, cache)] + duals, ()
+            yield full, [_ranges(ctx, variables, box, packing, cache)] + duals
         else:
-            yield full, _chain(ctx, walk, closed, packing, cache), ()
+            yield full, _chain(ctx, walk, closed, packing, cache)
 
 
 def _product(factors, packing):
@@ -213,9 +213,10 @@ def join(ctx, window, boxes=False):
     kinds A and B of S + {x0} and C of S, S the line's fixed set; exps +
     exps2, on the variables, are a basis monomial on S and -1 off it.
     boxes only chooses the basis: Kreuzer-Krawitz boxes for tables, grevlex
-    staircases for listings.  errors holds a NotIsolated per class whose
-    ring is infinite (only a block with no atom matching has one; the census
-    then lists the classes) and, when du == 0, a NonterminatingFamily per
+    staircases for listings.  errors holds a NotIsolated per class with a
+    block part whose ring is infinite and none whose ring is 0 (only a
+    block with no atom matching has such a part, and only then does the
+    census list the classes) and, when du == 0, a NonterminatingFamily per
     class with a family of kind A or B in the window; each caller raises the
     first in its own class order.
 
@@ -249,15 +250,14 @@ def join(ctx, window, boxes=False):
     N, w, high, each = packing
     M, low, top = N // L, (1 << w) - 1, n + 2
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
-    blocks = list(_blocks(ctx, packing, {}, boxes))
-    errors = {}
-    # only a block with no atom matching has infinite closed sets: each class that has one is tried
-    for mask, _ in ctx.classes if any(infinite for *_, infinite in blocks) else ():
-        if any(mask & full in infinite for full, _, infinite in blocks):
-            try:  # a ring with an infinite part is infinite unless another part is 0
-                jacobian.monomial_basis(restrict(ctx.poly, [v for v in range(1, n + 2) if mask >> v & 1]))
-            except NotIsolated as exc:
-                errors[mask] = exc
+    rings, errors = {}, {}
+    blocks = list(_blocks(ctx, packing, {}, rings, boxes))
+    # a class's ring is infinite when a block part's is and none is 0, as in jacobian._staircases
+    fulls = [full for full, _ in blocks if any(not dim and mask & full for mask, dim in rings.items())]
+    for mask, _ in ctx.classes if None in rings.values() else ():
+        parts = [rings[mask & full] for full in fulls]
+        if None in parts and 0 not in parts:
+            errors[mask] = jacobian.not_isolated(tuple(v for v in range(1, n + 2) if mask >> v & 1))
     # a kind of degree offset off wants u in [lo, hi] = spans[off]; a class
     # fixing k of x_1..x_{n+1} has the offsets n - k + 1 and n - k + 2
     spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in range(n + 3)}
@@ -266,7 +266,7 @@ def join(ctx, window, boxes=False):
     width = max(hi for _, hi in wanted) + 1 - start
     rows = {}  # per mask of fixed x_1..x_{n+1}, (lo, hi, cmin, cmax, off, count, row) per row: A, B, C
     out = []
-    for alternative in product(*(alternatives for _, alternatives, _ in blocks)):
+    for alternative in product(*(alternatives for _, alternatives in blocks)):
         sides = ([], [])  # the larger side, then the smaller
         costs = [1, 2]  # a probe costs about two entries of the index
         for f in sorted(chain(*alternative), key=lambda f: -len(f[1])):
@@ -306,9 +306,9 @@ def join(ctx, window, boxes=False):
                     x = cmin * D - J
                     if not du:  # every point has the weight x / E, and c = r mod dc
                         if lo * E <= x <= hi * E:
-                            if cmax is None:  # kinds A and B: c runs up for ever
-                                errors.setdefault(row[0], NonterminatingFamily(
-                                    "a monomial family never leaves the degree window (d0 = 0)"))
+                            if cmax is None:  # kinds A and B: c runs up for ever; one error per class
+                                errors[row[0]] = errors.get(row[0]) or NonterminatingFamily(
+                                    "a monomial family never leaves the degree window (d0 = 0)")
                             elif (r - cmin) % M == 0:
                                 out.append((2 * (x // E) + off, cmin, 1, count, row, variables, exps, exps2))
                         continue

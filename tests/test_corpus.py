@@ -181,6 +181,8 @@ def build_cases():
         _table("x1^2*x2^2+x2^3+x3", (-10, 10), "csv") + ["--allow-nonstandard"],
         _table("x1^2*x2^2+x2^3+x3^2", (-10, 10), "pretty", monomials=True) + ["--allow-nonstandard"],
         _table("x1^2*x2^2+x2^3+x1^3", (-10, 10)) + ["--allow-nonstandard"],
+        # every class fixing x1 and x2 is refused from that block's rings alone
+        _table("x1^2*x2^2+x2^3+" + "+".join(f"x{i}^2" for i in range(3, 11)), (-10, 10)) + ["--allow-nonstandard"],
         ["probe-small-res", "--poly", "x1^2+x2^3", "--dmin", "0"],
         ["probe-small-res", "--poly", "x1^2*x2+x3^3+x1^2", "--dmin", "-6", "--allow-nonstandard"],
         # a listing of a 22-variable loop: 2^22 staircase monomials, refused before Buchberger

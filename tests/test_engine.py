@@ -891,8 +891,9 @@ def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, bo
     assert ctx.blocks == component_variables(restrict(p, range(1, p.nvars + 1)))
     packing = lines._packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
     closed = {max(mask for mask, _ in sets): sets for sets in ctx.closed_sets}
-    for full, alternatives, infinite in lines._blocks(ctx, packing, {}, boxes):
-        assert not infinite
+    rings = {}
+    for full, alternatives in lines._blocks(ctx, packing, {}, rings, boxes):
+        assert None not in rings.values()
         variables = [v for v in range(1, p.nvars + 1) if full >> v & 1]
         got = Counter()
         for factors in alternatives:
@@ -990,6 +991,21 @@ def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
         assert (full in errors) == (p is infinite)
     with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):
         raise errors[full]
+
+
+def test_not_isolated_reads_the_rings_its_blocks_solved(monkeypatch):
+    # {x1, x2} is never isolated, and every class fixing both is refused; the
+    # join names the first from the rings of {x1, x2}'s closed sets, with no
+    # Groebner basis of a class restriction such as (1, 2, 3, ..)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = parse("x1^2*x2^2+x2^3+" + "+".join(f"x{i}^2" for i in range(3, 9)), allow_nonstandard=True)
+    seen, basis = [], jacobian.monomial_basis
+    monkeypatch.setattr(jacobian, "monomial_basis", lambda r, *args: seen.append(r.fixed) or basis(r, *args))
+    for solve in (compute_table, lambda p, window: list(class_contributions(p, window))):
+        with pytest.raises(NotIsolated, match=r"restriction to \(1, 2\) is infinite"):
+            solve(p, (-10, 10))
+    assert seen and all(set(fixed) <= {1, 2} for fixed in seen), seen
 
 
 def test_not_isolated_names_the_first_failing_class_with_its_atoms():

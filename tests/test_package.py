@@ -39,3 +39,19 @@ def test_cli_import_leaves_out_json_and_dataclass_records():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["False", "['ScaleVerdict', 'SmallResVerdict']"]
+
+
+def test_readme_python_api_example_gives_its_commented_values():
+    # each line of the example with a trailing comment shows the repr of its value
+    readme = (SRC.parents[1] / "README.md").read_text()
+    code = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope, checked = {}, []
+    for line in code.splitlines():
+        expr, _, comment = line.partition("#")
+        if not comment:
+            exec(line, scope)
+            continue
+        value = eval(expr, scope)
+        assert comment.strip().startswith(repr(value)), (line, value)
+        checked.append(value)
+    assert checked == [11, (6,), {6: 1}, 1]

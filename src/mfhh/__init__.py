@@ -27,15 +27,6 @@ from .errors import (
     UnknownFamily,
     WindowMismatch,
 )
-from .invariants import (
-    FAMILY_NAMES,
-    ScaleVerdict,
-    SmallResVerdict,
-    golden_check,
-    golden_family_poly,
-    scale_compare,
-    small_res_probe,
-)
 from .jacobian import MonomialBasis, RestrictedPolynomial, milnor_number, monomial_basis, restrict
 from .poly import InvertiblePolynomial, WeightSystem, parse, weights
 from .symmetry import GroupElement, SymmetryContext
@@ -67,3 +58,15 @@ __all__ = [
     "weights",
     "FAMILY_NAMES",
 ]
+
+
+def __getattr__(name):
+    # invariants, and dataclasses with it, loads on first use, so a `table` run
+    # compiles no verdicts; the value lands in the module dict, as an import's does
+    if name not in ("FAMILY_NAMES", "ScaleVerdict", "SmallResVerdict", "golden_check",
+                    "golden_family_poly", "scale_compare", "small_res_probe"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import invariants
+
+    globals()[name] = value = getattr(invariants, name)
+    return value

@@ -442,3 +442,86 @@ def test_module_entry_point(tmp_path):
     res = run_module(["compare", str(bad), str(bad)])
     assert res.returncode == 2 and res.stdout == b""
     assert res.stderr == f"error: {bad}: not a v1 table document\n".encode()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            [],
+            "usage: mfhh [-h] [--version] {table,compare,probe-small-res,golden} ...\n"
+            "\n"
+            "Exact bigraded cohomology dimension tables for invertible polynomials.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {table,compare,probe-small-res,golden}\n"
+            "    table               compute a bigraded dimension table\n"
+            "    compare             scale-equivalence comparison of two table documents\n"
+            "    probe-small-res     constant-rank probe on negative degrees\n"
+            "    golden              check a built-in family against its closed forms\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --version             show program's version number and exit\n"
+        ),
+        (
+            ["table"],
+            "usage: mfhh table [-h] --poly POLY --dmin DMIN --dmax DMAX\n"
+            "                  [--format {pretty,json,csv}] [--monomials]\n"
+            "                  [--allow-nonstandard]\n"
+            "\n"
+            "The table of w is SH of the Milnor fibre of w^T, its Berglund-Huebsch\n"
+            "transpose.\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --poly POLY           polynomial, e.g. 'x1^3*x2+x2^3*x3+x3^2+x4^2'\n"
+            "  --dmin DMIN\n"
+            "  --dmax DMAX\n"
+            "  --format {pretty,json,csv}\n"
+            "  --monomials           include the contribution listing\n"
+            "  --allow-nonstandard   accept non Fermat/chain/loop inputs (warning only)\n"
+        ),
+        (
+            ["compare"],
+            "usage: mfhh compare [-h] a b\n"
+            "\n"
+            "positional arguments:\n"
+            "  a\n"
+            "  b\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+        ),
+        (
+            ["probe-small-res"],
+            "usage: mfhh probe-small-res [-h] --poly POLY --dmin DMIN [--allow-nonstandard]\n"
+            "\n"
+            "The table of w is SH of the Milnor fibre of w^T, its Berglund-Huebsch\n"
+            "transpose.\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --poly POLY\n"
+            "  --dmin DMIN\n"
+            "  --allow-nonstandard\n"
+        ),
+        (
+            ["golden"],
+            "usage: mfhh golden [-h] --family FAMILY [--l L] [--k K]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --family FAMILY  one of: bp_cA, bp_cD4, bp_cE6, bp_cE8, can_cA, laufer\n"
+            "  --l L\n"
+            "  --k K\n"
+        ),
+    ],
+)
+def test_help_text_is_pinned(argv, text, monkeypatch, capsys):
+    # argparse wraps help to the terminal width, so fix it
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text

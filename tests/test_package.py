@@ -25,20 +25,35 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_cli_import_leaves_out_json_and_dataclass_records():
-    # json loads only where a document is read or written, and the only
+    # json loads only where a document is read or written, and invariants, with
+    # dataclasses and inspect, at the first access to one of its names; the only
     # dataclasses left are the two verdicts, which callers may digest with
     # dataclasses.asdict; -S keeps site .pth imports out of the count
     code = (
         "import sys\n"
         "import mfhh.cli\n"
-        "print('json' in sys.modules)\n"
-        "import dataclasses, inspect, mfhh\n"
+        "print([m for m in ('json', 'mfhh.invariants', 'dataclasses', 'inspect') if m in sys.modules])\n"
+        "import mfhh\n"
+        "assert 'scale_compare' not in vars(mfhh)\n"
+        "f = mfhh.scale_compare\n"
+        "import mfhh.invariants\n"
+        "assert vars(mfhh)['scale_compare'] is f is mfhh.invariants.scale_compare\n"
+        "assert mfhh.cli.FAMILY_NAMES == mfhh.invariants.FAMILY_NAMES\n"
+        "scope = {}\n"
+        "exec('from mfhh import *', scope)\n"
+        "assert all(scope[name] is getattr(mfhh, name) for name in mfhh.__all__)\n"
+        "try:\n"
+        "    mfhh.no_such_name\n"
+        "    raise SystemExit('mfhh.no_such_name resolved')\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "import dataclasses, inspect\n"
         "exported = (getattr(mfhh, name) for name in mfhh.__all__)\n"
         "print(sorted(c.__name__ for c in exported if inspect.isclass(c) and dataclasses.is_dataclass(c)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["False", "['ScaleVerdict', 'SmallResVerdict']"]
+    assert out.stdout.splitlines() == ["[]", "['ScaleVerdict', 'SmallResVerdict']"]
 
 
 def test_readme_python_api_example_gives_its_commented_values():

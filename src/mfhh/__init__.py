@@ -7,6 +7,7 @@ from .engine import (
     Contribution,
     GammaMonomial,
     aggregate_contributions,
+    class_contributions,
     compute_table,
     hh2_vanishes,
     list_contributions,
@@ -44,6 +45,7 @@ __all__ = [
     "SymmetryContext",
     "WeightSystem",
     "aggregate_contributions",
+    "class_contributions",
     "compute_table",
     "golden_check",
     "golden_family_poly",

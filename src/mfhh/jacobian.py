@@ -19,8 +19,7 @@ monomials, so it reduces to zero by Buchberger's first criterion.  A
 monomial is therefore standard exactly when its part in each class is, and
 the staircase is the product of the per-class staircases; the ring is 0 if
 one class's is (1 is in its ideal), else finite-dimensional exactly when
-every class's ring is.  Staircases are computed and cached per class, so an
-atom shared by several restrictions or polynomials is solved once.
+every class's ring is.
 
 Growing a staircase.  Every monomial m != 0 has one parent m - e_first,
 where first is its lowest variable with a nonzero exponent, so the parents
@@ -53,7 +52,7 @@ from operator import itemgetter, le, neg
 from typing import NamedTuple
 
 from .errors import InputError, NotIsolated
-from .poly import atom_heads, atom_walks, bounded_cache
+from .poly import atom_heads, atom_walks
 
 
 def _grevlex_key(m):
@@ -186,7 +185,7 @@ def _components(r):
 
     Yields (positions, terms) per class in order of its first variable:
     positions index r.fixed, and the class's terms are written over those
-    positions only, sorted so that equal atoms give equal cache keys.
+    positions only.
     """
     root = list(range(len(r.fixed)))
 
@@ -205,15 +204,10 @@ def _components(r):
     for t in r.terms:
         terms.setdefault(find(next(k for k, e in enumerate(t) if e)), []).append(t)
     for c, pos in positions.items():
-        local = sorted(tuple(t[v] for v in pos) for t in terms.get(c, ()))
-        yield tuple(pos), tuple(local)
+        yield tuple(pos), tuple(tuple(t[v] for v in pos) for t in terms.get(c, ()))
 
 
-# Staircases are cached per component, keyed by its terms in local
-# coordinates and its number of variables, so an atom shared by several
-# restrictions or polynomials is solved once; bounded as the atom walks.
-@bounded_cache
-def _basis_cached(terms, nvars):
+def _staircase(terms, nvars):
     """Staircase of one component in ascending grevlex order; None if it is
     infinite."""
     gens = _groebner(_jacobian_generators(terms, nvars), _grevlex_key)
@@ -248,7 +242,8 @@ def _basis_cached(terms, nvars):
 def atom_boxes(r):
     """The Kreuzer-Krawitz basis of a connected restriction that is one
     Fermat, chain or loop atom, as disjoint boxes: tuples of one range of
-    exponents per variable of r.fixed.  None for any other restriction.
+    exponents per variable of r.fixed.  A union of loops gets the one product
+    box of its exponents; any other restriction gets None.
 
     A loop x1^a1*x2 + .. + xn^an*x1 has the box prod [0, a_i).  A chain
     x1^a1*x2 + .. + xn^an (a Fermat atom when n = 1) has the box
@@ -293,7 +288,7 @@ def component_variables(r):
 
 def _staircases(r):
     """(positions, staircase) per component of r, or one empty one if a ring is 0."""
-    found = [(pos, _basis_cached(terms, len(pos))) for pos, terms in _components(r)]
+    found = [(pos, _staircase(terms, len(pos))) for pos, terms in _components(r)]
     if () in (s for _, s in found):
         return [((), ())]
     if None in (s for _, s in found):

@@ -62,24 +62,23 @@ def _find_pivot(a, t, r, c):
     return None if best is None else (best[1], best[2])
 
 
-def _diagonalised(m, transforms):
-    """(w, r, c): the r-by-c M brought to Smith form in the top-left block
-    of w, by row operations on whole rows < r and column operations on
-    columns < c of every row of w.
+def smith(m):
+    """U * M * V = D with nonnegative diagonal and divisibility chain.
 
-    With transforms, w has r + c rows: row i < r is row i of M with row i
-    of U on its right, starting as [M | I_r], and row r + j is row j of V,
-    starting as I_c, so one set of operations makes D, U and V.  Without,
-    w is M alone.  The pivot rule (min |entry|, then lowest row-major index)
-    makes the result deterministic for a given input.
+    U, D and V are sliced out of one working matrix w of r + c rows, M
+    being r-by-c: row i < r is row i of M with row i of U on its right,
+    starting as [M | I_r], and row r + j is row j of V, starting as I_c.
+    Row operations on whole rows < r and column operations on columns < c
+    of every row of w then make D, U and V at once.  The pivot rule
+    (min |entry|, then lowest row-major index) makes the result
+    deterministic for a given input.
     """
     w = [list(map(int, row)) for row in m]
     r = len(w)
     c = len(w[0]) if r else 0
     if any(len(row) != c for row in w):
         raise ValueError("smith needs rows of equal length")
-    if transforms:
-        w = [row + unit for row, unit in zip(w, identity_matrix(r))] + identity_matrix(c)
+    w = [row + unit for row, unit in zip(w, identity_matrix(r))] + identity_matrix(c)
 
     def swap_cols(i, j):
         if i != j:
@@ -136,21 +135,8 @@ def _diagonalised(m, transforms):
             add_row(bad, t, 1)  # pull the offending row in and keep reducing
             piv = (t, t)
         t += 1
-    return w, r, c
-
-
-def smith(m):
-    """U * M * V = D with nonnegative diagonal and divisibility chain; U, D
-    and V are sliced out of one working matrix (see _diagonalised)."""
-    w, r, c = _diagonalised(m, True)
     return SmithDecomposition(
         tuple(tuple(row[c:]) for row in w[:r]),
         tuple(tuple(row[:c]) for row in w[:r]),
         tuple(tuple(row) for row in w[r:]),
     )
-
-
-def invariant_factors(m):
-    """smith(m).diagonal, from the same operations on M alone: no U, no V."""
-    w, r, c = _diagonalised(m, False)
-    return tuple(w[i][i] for i in range(min(r, c)))

@@ -75,12 +75,6 @@ def _packing(N, fields):
     return N, w, sum(1 << (i * w + w - 1) for i in range(fields)), sum(N << i * w for i in range(fields))
 
 
-def _canonical(s, packing):
-    """The key whose fields are those of s mod N, each field of s below 2N."""
-    N, w, high, each = packing
-    return s - (((s + high - each) & high) >> (w - 1)) * N
-
-
 def _factor(ctx, variables, monomials, packing):
     """(variables, [(key, monomial, mark)]) for monomials over the variables,
     a mark holding bit v for each x_v of exponent >= 0 and, from bit n + 2
@@ -194,7 +188,7 @@ def _product(factors, packing):
     N, w, high, each = packing
     carry, shift = high - each, w - 1
     out = factors[0][1] if factors else [(0, (), 0)]
-    for _, entries in factors[1:]:  # _canonical of each sum, inlined
+    for _, entries in factors[1:]:  # each sum's fields reduced mod N, as in join
         out = [
             ((s := k + k2) - (((s + carry) & high) >> shift) * N, e + e2, f + f2)
             for k, e, f in out
@@ -230,7 +224,7 @@ def join(ctx, window, boxes=False):
     keys is below 2N < 2^w, and adding 2^(w-1) - N to it sets its top bit
     exactly when it is >= N with no carry into the next field; so s less N
     times those top bits, shifted to the bottom of their fields, is the key
-    of the sum (_canonical).
+    of the sum, each field reduced mod N.
 
     The larger side's products are indexed by their keys with U mod L for
     U, each bucket sorted by m = U // L.  A product of the smaller side
@@ -285,7 +279,7 @@ def join(ctx, window, boxes=False):
             index[key] = [m for m, _, _ in bucket], bucket
         variables = [v for f in smaller + larger for v in f[0]]
         for k, exps, mark in _product(smaller, packing):
-            key = (key := each - k) - (((key + carry) & high) >> (w - 1)) * N  # _canonical, inlined
+            key = (key := each - k) - (((key + carry) & high) >> (w - 1)) * N  # fields of -k mod N
             u = key & low
             ms, found = index.get(key - u + u % L, ((), ()))
             base = -(u // L)  # an entry's line has weights base + m mod M

@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 import warnings
 from fractions import Fraction
-from functools import lru_cache, wraps
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -96,33 +95,11 @@ class InvertiblePolynomial(NamedTuple):
         return cls(rows)
 
 
-# matchings and walks are cached per tuple of rows, so a polynomial's atoms are matched once; the
-# bound, shared with the Jacobian staircases, keeps a long-lived process from growing without limit,
-# and rows of more than CACHE_ROWS monomials, whose matching costs about as much as parsing them,
-# are not kept at all: each would hold megabytes alive
-CACHE_SIZE = 1024
-CACHE_ROWS = 64
-
-
-def bounded_cache(f):
-    """f behind an lru_cache of CACHE_SIZE entries that keeps no call whose
-    first argument has more than CACHE_ROWS rows."""
-    cached = lru_cache(maxsize=CACHE_SIZE)(f)
-
-    @wraps(f)
-    def call(rows, *args):
-        return (f if len(rows) > CACHE_ROWS else cached)(rows, *args)
-
-    call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
-    return call
-
-
-@bounded_cache
 def atom_heads(rows):
     """Match the monomials to distinct 'tail' variables so that the head
     pointers form disjoint chains and loops: (tail, head) per row, head None
     for a pure power x_tail^a (a >= 2) and else the variable of exponent 1
-    next to x_tail.  None when no such matching exists; rows are tuples."""
+    next to x_tail.  None when no such matching exists."""
     n = len(rows)
     options = []
     for row in rows:
@@ -156,7 +133,6 @@ def atom_heads(rows):
     return tuple(chosen)
 
 
-@bounded_cache
 def atom_walks(rows, heads):
     """The atoms of an atom_heads matching: per atom a tuple of its (variable, exponent)
     pairs along the heads from a chain's start (no row's head; a Fermat atom is a chain

@@ -137,10 +137,6 @@ class SymmetryContext:
         self._census = None
 
     @cached_property
-    def relation_rows(self):  # the generators r_i of R
-        return tuple((-1, *(a - 1 for a in row)) for row in self.poly.matrix)
-
-    @cached_property
     def walks(self):
         """The atoms of A as poly.atom_walks gives them, or None for a matrix with no atom matching."""
         heads = atom_heads(self.poly.matrix)
@@ -149,9 +145,7 @@ class SymmetryContext:
     @cached_property
     def blocks(self):
         """The variables of each connected block of A, in order of their first variable."""
-        if self.walks is None:
-            return component_variables(restrict(self.poly, range(1, self.n + 2)))
-        return sorted(tuple(sorted(v + 1 for v, _ in walk)) for walk, _ in self.walks)
+        return component_variables(restrict(self.poly, range(1, self.n + 2)))
 
     # -- ker chi -----------------------------------------------------------
 
@@ -212,8 +206,8 @@ class SymmetryContext:
                 continue
             cols = [v - 1 for v in block if not s >> v & 1]
             m = [row for row in ([row[j] for j in cols] for row in self.poly.matrix) if any(row)]
-            h = prod(lattice.invariant_factors(m))
-            counts[s] = {h // prod(lattice.invariant_factors(m + [[1] * len(cols)])): h}
+            h = prod(lattice.smith(m).diagonal)
+            counts[s] = {h // prod(lattice.smith(m + [[1] * len(cols)]).diagonal): h}
         for v in block:
             for s, at in counts.items():
                 if not s >> v & 1:

@@ -29,7 +29,7 @@ from operator import mul
 from mfhh import jacobian, lattice
 from mfhh.errors import NoPositiveSolution, NotIsolated
 from mfhh.jacobian import BoxBasis, component_variables, not_isolated, restrict
-from mfhh.lattice import invariant_factors, smith
+from mfhh.lattice import smith
 from mfhh.lines import _ceil_div, kinds
 from mfhh.poly import WeightSystem
 
@@ -258,7 +258,7 @@ def census_by_masks(p):
         m = [[row[j - 1] for j in free] for row in p.matrix]
         if s & 1:
             m.append([1] * len(free))
-        counts[s] = prod(invariant_factors(m))
+        counts[s] = prod(smith(m).diagonal)
     # Moebius inversion over supersets: at least S -> exactly S
     for j in range(n2):
         bit = 1 << j

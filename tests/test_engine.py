@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from basis_oracle import basis_in
 from conftest import random_invertible
 from lattice_oracle import family_line, member, probe_restriction
-from mfhh import engine, jacobian, lines, poly, symmetry
+from mfhh import engine, jacobian, lines, symmetry
 from mfhh.cli import main
 from mfhh.engine import (
     BigradedTable,
@@ -881,14 +881,12 @@ def test_tables_and_listings_match_the_probe_join(seed, window, draw):
 @settings(max_examples=40)
 @given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.booleans())
 def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, boxes):
-    # the blocks are the components of w, and a block's alternatives, read
-    # off its atom walk and at most two box bases, multiply out to its pairs
-    # (closed S_B, basis monomial of w on S_B with -1 on the rest of the
-    # block), each once, with S_B as mark
+    # a block's alternatives, read off its atom walk and at most two box
+    # bases, multiply out to its pairs (closed S_B, basis monomial of w on
+    # S_B with -1 on the rest of the block), each once, with S_B as mark
     rng = random.Random(seed)
     p = _chains_and_loops(rng) if many else random_invertible(rng, max_vars=8, max_det=3000, ones=ones)
     ctx = SymmetryContext(p)
-    assert ctx.blocks == component_variables(restrict(p, range(1, p.nvars + 1)))
     packing = lines._packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
     closed = {max(mask for mask, _ in sets): sets for sets in ctx.closed_sets}
     rings = {}
@@ -915,19 +913,14 @@ def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, bo
 
 
 def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(monkeypatch):
-    # parsing, the census and the box bases share one atom matching per
-    # tuple of rows, and the context and joins read blocks off its walks
+    # the context and joins read blocks off the atom walks, so a table of
+    # atoms splits no restriction into components
     def split(r):
         raise AssertionError(f"the restriction to {r.fixed} was split")
 
-    seen, heads = [], poly.atom_heads
     for module in (jacobian, symmetry):
         monkeypatch.setattr(module, "component_variables", split)
-    for module in (poly, jacobian, symmetry):
-        monkeypatch.setattr(module, "atom_heads", lambda rows: seen.append(rows) or heads(rows))
-    heads.cache_clear()
     compute_table(parse("x1^7*x2+x2^5*x3+x3^5*x4+x4^5*x5+x5^3*x6+x6^3"), (-12, 8))
-    assert heads.cache_info().misses == len(set(seen)) < len(seen)
 
 
 def _divisors(N):
@@ -951,11 +944,14 @@ def test_packed_keys_add_and_negate_as_residue_tuples(bits, offset, data):
     def pack(rs):
         return sum((r % q) * (N // q) << i * w for i, (r, q) in enumerate(zip(rs, moduli)))
 
+    def reduced(s):  # s with each field, below 2N, reduced mod N, as _product and join reduce a sum
+        return lines._product([((), [(s, (), 0)]), ((), [(0, (), 0)])], packing)[0][0]
+
     factors = [((), [(pack(a), (), 0)]), ((), [(pack(b), (), 0)])]
     assert lines._product(factors, packing) == [(pack([x + y for x, y in zip(a, b)]), (), 0)]
-    assert lines._canonical(each - pack(a), packing) == pack([-x for x in a])
+    assert reduced(each - pack(a)) == pack([-x for x in a])
     # a probe's wanted key: the negation of a sum
-    assert lines._canonical(pack(a) + each - pack(b), packing) == pack([x - y for x, y in zip(a, b)])
+    assert reduced(pack(a) + each - pack(b)) == pack([x - y for x, y in zip(a, b)])
 
 
 @pytest.mark.parametrize(
@@ -1112,7 +1108,7 @@ def test_standard_tables_run_no_buchberger(monkeypatch, text):
         raise AssertionError("a Jacobian staircase was grown")
 
     monkeypatch.setattr(jacobian, "_groebner", never)
-    monkeypatch.setattr(jacobian, "_basis_cached", never)
+    monkeypatch.setattr(jacobian, "_staircase", never)
     assert (compute_table(p, window), hh2_vanishes(p)) == expected
 
 

@@ -10,10 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
 from mfhh import jacobian
-from mfhh.engine import class_contributions
 from mfhh.errors import NotIsolated
 from mfhh.jacobian import (
-    _basis_cached,
     _divides,
     _grevlex_key,
     atom_boxes,
@@ -129,15 +127,14 @@ def test_brieskorn_pham_milnor_product(seed):
     }
 
 
-def test_connected_basis_is_the_grown_staircase():
+def test_connected_basis_is_the_grown_staircase(monkeypatch):
     # one component: the walk's tuple is the basis, with no product or sort
     r = restrict(laufer(1), {1, 2, 3})
     [(pos, terms)] = jacobian._components(r)
-    assert monomial_basis(r).monomials is _basis_cached(terms, len(pos))
-
-
-def test_basis_cache_is_bounded():
-    assert isinstance(_basis_cached.cache_info().maxsize, int)
+    grown = jacobian._staircase(terms, len(pos))
+    sentinel = tuple(reversed(grown))  # not in grevlex order, so a sort would show
+    monkeypatch.setattr(jacobian, "_staircase", lambda terms, nvars: sentinel)
+    assert monomial_basis(r).monomials is sentinel
 
 
 def _random_nonstandard(rng):
@@ -285,7 +282,6 @@ def test_basis_work_follows_milnor_number(monkeypatch, text, mu):
         return _divides(a, b)
 
     monkeypatch.setattr(jacobian, "_divides", counted)
-    _basis_cached.cache_clear()
     p = parse(text)
     basis = monomial_basis(restrict(p, range(1, p.nvars + 1)))
     assert basis.dimension == mu
@@ -338,28 +334,8 @@ def test_milnor_number_of_atoms_runs_no_buchberger(monkeypatch, text, mu):
         raise AssertionError("a Jacobian staircase was grown")
 
     monkeypatch.setattr(jacobian, "_groebner", never)
-    monkeypatch.setattr(jacobian, "_basis_cached", never)
+    monkeypatch.setattr(jacobian, "_staircase", never)
     assert milnor_number(parse(text)) == mu
-
-
-def _listing_and_hits(p):
-    # tables of standard polynomials read box bases; listings read the cache
-    before = _basis_cached.cache_info().hits
-    listing = list(class_contributions(p, (-12, 8)))
-    return listing, _basis_cached.cache_info().hits - before
-
-
-def test_basis_cache_key_is_parent_free():
-    q = parse("x1^2*x2+x2^3+x3^3*x4+x4^11")
-    _basis_cached.cache_clear()
-    cold, cold_hits = _listing_and_hits(q)
-    _basis_cached.cache_clear()
-    _listing_and_hits(parse("x1^2*x2+x2^3+x3^3*x4+x4^7"))
-    warm, warm_hits = _listing_and_hits(q)
-    # the chain x1^2*x2 + x2^3 and its restrictions were solved for the first
-    # polynomial; one-variable Fermat blocks never reach the staircase cache
-    assert warm_hits > cold_hits
-    assert warm == cold
 
 
 @pytest.fixture(scope="module")

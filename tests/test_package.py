@@ -34,6 +34,8 @@ def test_cli_import_leaves_out_json_and_dataclass_records():
         "import mfhh.cli\n"
         "print([m for m in ('json', 'mfhh.invariants', 'dataclasses', 'inspect') if m in sys.modules])\n"
         "import mfhh\n"
+        "from mfhh import class_contributions\n"
+        "assert class_contributions is mfhh.engine.class_contributions\n"
         "assert 'scale_compare' not in vars(mfhh)\n"
         "f = mfhh.scale_compare\n"
         "import mfhh.invariants\n"

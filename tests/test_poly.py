@@ -12,6 +12,7 @@ from conftest import random_invertible
 from lattice_oracle import cramer_weights
 from mfhh import lattice
 from mfhh.cli import main
+from mfhh.engine import class_contributions
 from mfhh.errors import (
     CoefficientError,
     NoPositiveSolution,
@@ -309,21 +310,30 @@ def test_parse_of_many_variables_takes_no_bareiss():
     assert time.perf_counter() - start < 10
 
 
-def test_caches_keep_no_matrix_of_more_than_64_variables():
-    # a 1200-variable matrix's matching and walks held 11.9 MB after the
-    # polynomial was dropped; a small one is still matched once
-    parse("x1^2+x2^3")
-    text = "+".join(f"x{i}^2" for i in range(1, 1201))
+def _listing(text):
+    return list(class_contributions(parse(text), (-2, 2)))
+
+
+@pytest.mark.parametrize(
+    "work, small, large",
+    [
+        (parse, "x1^2+x2^3", "+".join(f"x{i}^2" for i in range(1, 1201))),
+        (_listing, "x1^3*x2+x2^4", "+".join(f"x{i}^3*x{i + 1}" for i in range(1, 7)) + "+x7^4"),
+    ],
+    ids=["parse", "listing"],
+)
+def test_a_dropped_polynomial_leaves_nothing_held(work, small, large):
+    # mfhh keeps nothing between calls: the matching and walks of a
+    # 1200-variable parse held 11.9 MB, and the staircases of a 7-chain's
+    # listing 0.32 MB, after the polynomial was dropped; the small input
+    # loads whatever a first call loads once per process
+    work(small)
     tracemalloc.start()
     try:
-        p = parse(text)
-        del p
+        done = work(large)
+        del done
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 1 << 20
-    rows = parse("+".join(f"x{i}^2" for i in range(1, 65))).matrix
-    misses = atom_heads.cache_info().misses
-    atom_heads(rows)
-    assert atom_heads.cache_info().misses == misses
+    assert held < 64 << 10

@@ -37,11 +37,11 @@ lm[v] == c[v].  Indexing the leads by (v, lm[v]) tests only those, and the
 walk visits at most nvars * mu candidates instead of the bounding box of
 the pure-power leads.
 
-Bases for tables.  A table does not depend on the basis, so tables ask
-monomial_basis for boxes: each component of a standard polynomial is an
-atom and gets its Kreuzer-Krawitz boxes with no Groebner basis, and so
-does each atom of milnor_number.  The staircase serves listings and
-components that are no atom.
+Bases for tables.  A table does not depend on the basis, so tables pass
+monomial_basis a restriction's atom, as SymmetryContext.walks gives it, and
+get its Kreuzer-Krawitz boxes in walk order with no Groebner basis and no
+matching; milnor_number matches each component once (atom_of) to do the
+same.  The staircase serves listings and components that are no atom.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from operator import itemgetter, le, neg
 from typing import NamedTuple
 
 from .errors import InputError, NotIsolated
-from .poly import atom_heads, atom_walks
+from .poly import atom_walks
 
 
 def _grevlex_key(m):
@@ -149,7 +149,7 @@ class MonomialBasis(NamedTuple):
 
 
 class BoxBasis(NamedTuple):
-    variables: tuple  # 1-based indices, aligned with each box
+    variables: tuple  # 1-based indices in walk order, aligned with each box
     boxes: tuple  # disjoint boxes, each one range of exponents per variable
 
     @property
@@ -159,7 +159,7 @@ class BoxBasis(NamedTuple):
 
 def restrict(p, fixed):
     """Drop every monomial of p that involves a variable outside `fixed`."""
-    fixed = tuple(sorted(fixed))
+    fixed = tuple(sorted(set(fixed)))
     if not all(1 <= v <= p.nvars for v in fixed):
         raise InputError(f"variable index out of range 1..{p.nvars}: {fixed}")
     keep, drop = [v - 1 for v in fixed], [j for j in range(p.nvars) if j + 1 not in fixed]
@@ -239,11 +239,10 @@ def _staircase(terms, nvars):
     return tuple(m for m, _ in grown)
 
 
-def atom_boxes(r):
-    """The Kreuzer-Krawitz basis of a connected restriction that is one
-    Fermat, chain or loop atom, as disjoint boxes: tuples of one range of
-    exponents per variable of r.fixed.  A union of loops gets the one product
-    box of its exponents; any other restriction gets None.
+def atom_boxes(atom):
+    """The Kreuzer-Krawitz basis of one Fermat, chain or loop atom (walk, loop),
+    as poly.atom_walks gives it, as disjoint boxes: tuples of one range of
+    exponents per variable of the walk, in walk order.
 
     A loop x1^a1*x2 + .. + xn^an*x1 has the box prod [0, a_i).  A chain
     x1^a1*x2 + .. + xn^an (a Fermat atom when n = 1) has the box
@@ -252,24 +251,21 @@ def atom_boxes(r):
     itself.  So it keeps the alpha that first leave P at an odd position i,
     with alpha_i < a_i - 1 there, plus P for even n: one box per odd i.
     """
-    k = len(r.fixed)
-    heads = atom_heads(r.terms) if len(r.terms) == k else None
-    if heads is None:
-        return None
-    walks = atom_walks(r.terms, heads)
-    if all(loop for _, loop in walks):  # a loop, or several when r is not connected
-        return [tuple(range(a) for _, a in sorted(pair for walk, _ in walks for pair in walk))]
-    if len(walks) > 1:
-        return None  # r is not connected
-    boxes = []
-    for first in range(0, k + 1, 2):
-        box = [None] * k
-        for i, (v, a) in enumerate(walks[0][0]):
-            pin = a - 1 if i % 2 == 0 else 0
-            box[v] = range(pin, pin + 1) if i < first else range(a - (i == first))
-        if all(box):
-            boxes.append(tuple(box))
-    return boxes
+    walk, loop = atom
+    if loop:
+        return [tuple(range(a) for _, a in walk)]
+    pins = [range(a - 1, a) if i % 2 == 0 else range(1) for i, (_, a) in enumerate(walk)]
+    boxes = (pins[:f] + [range(a - (i == f)) for i, (_, a) in enumerate(walk[f:], f)]
+             for f in range(0, len(walk) + 1, 2))
+    return [tuple(box) for box in boxes if all(box)]
+
+
+def atom_of(r):
+    """The one atom of a restriction, as SymmetryContext.walks gives it (columns of r.parent),
+    or None when r's rows are no single Fermat, chain or loop atom."""
+    walks = atom_walks(r.terms) if len(r.terms) == len(r.fixed) else None
+    if walks and len(walks) == 1:
+        return tuple((r.fixed[v] - 1, a) for v, a in walks[0][0]), walks[0][1]
 
 
 def not_isolated(fixed):
@@ -296,14 +292,17 @@ def _staircases(r):
     return found
 
 
-def monomial_basis(r, boxes=False):
+def monomial_basis(r, atom=None):
     """Standard monomials of the Jacobian ideal of the restriction, in
-    ascending grevlex order.  With boxes, a restriction that is one Fermat,
-    chain or loop atom gets its Kreuzer-Krawitz basis as a BoxBasis
-    instead (see atom_boxes)."""
-    found = atom_boxes(r) if boxes else None
-    if found is not None:
-        return BoxBasis(r.fixed, tuple(found))
+    ascending grevlex order.  Given r's atom, (walk, loop) over columns of
+    r.parent, its Kreuzer-Krawitz basis as a BoxBasis over the walk's
+    variables instead (see atom_boxes); an InputError if the atom's
+    variables are not r.fixed."""
+    if atom is not None:
+        variables = tuple(v + 1 for v, _ in atom[0])
+        if tuple(sorted(variables)) != r.fixed:
+            raise InputError(f"an atom on {variables} is no basis of the restriction to {r.fixed}")
+        return BoxBasis(variables, tuple(atom_boxes(atom)))
     staircases = list(_staircases(r))
     if len(staircases) == 1:
         return MonomialBasis(r.fixed, staircases[0][1])
@@ -330,7 +329,7 @@ def milnor_number(p):
     dims = []
     for variables in component_variables(r):
         try:
-            dims.append(monomial_basis(restrict(p, variables), True).dimension)
+            dims.append(monomial_basis(c := restrict(p, variables), atom_of(c)).dimension)
         except NotIsolated:
             dims.append(None)
     if 0 in dims:

@@ -10,13 +10,14 @@ A class's fixed set S meets each block B of A in a closed set S_B
 blocks of their pairs (S_B, basis monomial of w on S_B, -1 on the rest of
 B).  Each block gives its pairs as alternatives, lists of factors (_blocks):
 a Fermat atom x_v^a, a one-variable block with a >= 2, one factor of
-exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box, read off its
-atom walk, and the all-dual entry, and a chain its boxes over all its
-closed tails (_chain); any other block, and each block of a listing, the
-union over its closed sets of their grevlex staircases (_staircases), one
-refused before Buchberger runs when its atom's boxes hold more than
-FACTOR_LIMIT monomials.  Each component of S's restriction lies in one
-block, so S's ring is infinite exactly when some S_B's is and none is 0.
+exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box and the
+all-dual entry, and a chain its boxes over all its closed tails (_chain),
+read off its walk in SymmetryContext.walks; any other block, and each block
+of a listing, the union over its closed sets of their grevlex staircases
+(_staircases), one refused before Buchberger runs when its atoms' boxes
+hold more than FACTOR_LIMIT monomials (_cap_boxes).  Each component of S's
+restriction lies in one block, so S's ring is infinite exactly when some
+S_B's is and none is 0.
 A factor of one variable is a slice of that variable's factor of exponents
 -1..a-1 (_ranges).  A table or a listing is one join over the alternatives.
 
@@ -52,6 +53,7 @@ from operator import itemgetter, mul
 from . import jacobian
 from .errors import EngineError, NonterminatingFamily, NotIsolated
 from .jacobian import restrict
+from .poly import atom_walks
 
 
 FACTOR_LIMIT = 1 << 21  # entries of a factor, a staircase or a join side: x^99999999's factor took minutes
@@ -122,28 +124,38 @@ def _chain(ctx, walk, closed, packing, cache):
     out = []
     for r0 in (0, 1):
         # positional: perfbench's tracer reads a second argument as the order
-        basis = jacobian.monomial_basis(restrict(ctx.poly, order[r0:]), True)
-        pins = [a - 1 if i % 2 == 0 else 0 for i, (_, a) in enumerate(walk[r0:])]
-        for box in basis.boxes:
-            box = list(map(dict(zip(basis.variables, box)).get, order[r0:]))  # in walk order
-            # the pins it leads with; the next range is no pin (see jacobian.atom_boxes)
-            f = next((i for i, (e, pin) in enumerate(zip(box, pins)) if e != range(pin, pin + 1)), len(pins))
-            heads = [(-1,) * (r0 + j) + tuple(pins[j:f]) for j in range(0, f + 1, 2) if r0 + j in tails]
+        basis = jacobian.monomial_basis(restrict(ctx.poly, order[r0:]), (walk[r0:], False))
+        for box in basis.boxes:  # in walk order
+            # the f pins it leads with: its range at even f first misses a_f - 1 (see jacobian.atom_boxes)
+            f = next((i for i in range(0, len(box), 2) if walk[r0 + i][1] - 1 not in box[i]), len(box))
+            pins = tuple(e.start for e in box[:f])
+            heads = [(-1,) * (r0 + j) + pins[j:] for j in range(0, f + 1, 2) if r0 + j in tails]
             if heads:
                 head = [_factor(ctx, order[:r0 + f], heads, packing)] if r0 + f else []
                 out.append(head + _ranges(ctx, order[r0 + f:], box[f:], packing, cache))
     return out
 
 
-def _staircases(ctx, variables, closed, packing, rings):
-    """One factor, the union over the closed sets of their restrictions' grevlex staircases
-    with -1 on the rest of the block, an atom's size read off its boxes before Buchberger
-    runs; rings gets each closed set's ring dimension, None if it is infinite."""
+def _cap_boxes(atoms):
+    """The boxes the listing cap sizes a closed set by, from its atoms (walk, loop): a union of
+    loops' one product box, else one atom's boxes; None for no atom matching or any other union."""
+    if atoms is not None and all(loop for _, loop in atoms):
+        return [tuple(range(a) for walk, _ in atoms for _, a in walk)]
+    return jacobian.atom_boxes(atoms[0]) if atoms and len(atoms) == 1 else None
+
+
+def _staircases(ctx, walk, loop, variables, closed, packing, rings):
+    """One factor, the union over the closed sets of their restrictions' grevlex staircases with -1
+    on the rest of the block, each sized before Buchberger runs by its atoms: a tail of the block's
+    (walk, loop), else its own (_cap_boxes); rings gets each one's ring dimension, None if infinite."""
     monomials = []
     for mask in closed:
         fixed = [v for v in variables if mask >> v & 1]
         r = restrict(ctx.poly, fixed)
-        if (mu := sum(prod(map(len, box)) for box in jacobian.atom_boxes(r) or ())) > FACTOR_LIMIT:
+        # a chain's closed sets are its tails, a loop's all of it or none (one monomial)
+        atoms = ([(walk[len(walk) - len(fixed):], loop)] if walk
+                 else atom_walks(r.terms) if len(r.terms) == len(fixed) else None)
+        if (mu := sum(prod(map(len, box)) for box in _cap_boxes(atoms) or ())) > FACTOR_LIMIT:
             raise EngineError(f"the Jacobian ring on {tuple(fixed)} has dimension {mu}, more than 2^21")
         try:
             rings[mask] = (basis := jacobian.monomial_basis(r)).dimension
@@ -163,20 +175,19 @@ def _blocks(ctx, packing, cache, rings, boxes):
     Only a chain's boxes and the staircases call monomial_basis; cache holds the one-variable
     factors (_ranges), and rings the ring dimension of each staircase's closed set (_staircases)."""
     walks = ctx.walks or [((), False)] * len(ctx.closed_sets)
-    for (walk, loop), sets in zip(walks, ctx.closed_sets):
-        full, v = sets[0][0], sets[0][0].bit_length() - 1  # a block's full set comes first
+    for (walk, loop), (full, closed) in zip(walks, ctx.closed_sets):
+        v = full.bit_length() - 1
         if full == 1 << v and (a := max(row[v - 1] for row in ctx.poly.matrix)) >= 2:
             # a Fermat atom: its dual marker, then its basis
             yield full, [_ranges(ctx, (v,), (range(-1, a - 1),), packing, cache)]
             continue
-        closed = {mask for mask, _ in sets}
         variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
         if not (boxes and walk):
-            yield full, _staircases(ctx, variables, closed, packing, rings)
+            yield full, _staircases(ctx, walk, loop, variables, closed, packing, rings)
         elif loop:  # closed sets: all of it, and none of it unless the group of the loop is trivial
-            box = [range(a) for _, a in sorted(walk)]  # its one box, in the order of variables
+            box, = jacobian.atom_boxes((walk, True))
             duals = [[_factor(ctx, variables, [(-1,) * len(variables)], packing)]] if 0 in closed else []
-            yield full, [_ranges(ctx, variables, box, packing, cache)] + duals
+            yield full, [_ranges(ctx, [v + 1 for v, _ in walk], box, packing, cache)] + duals
         else:
             yield full, _chain(ctx, walk, closed, packing, cache)
 

@@ -95,11 +95,11 @@ class InvertiblePolynomial(NamedTuple):
         return cls(rows)
 
 
-def atom_heads(rows):
-    """Match the monomials to distinct 'tail' variables so that the head
-    pointers form disjoint chains and loops: (tail, head) per row, head None
-    for a pure power x_tail^a (a >= 2) and else the variable of exponent 1
-    next to x_tail.  None when no such matching exists."""
+def atom_walks(rows):
+    """The atoms of A, or None when no matching of rows to distinct 'tail' variables makes the heads
+    disjoint chains and loops (a row's head: None for a pure power x_tail^a, a >= 2, else the variable
+    of exponent 1 next to x_tail).  Per atom its (variable, exponent) pairs along the heads from a
+    chain's start (no row's head; a Fermat atom is a chain of one), and whether it is a loop."""
     n = len(rows)
     options = []
     for row in rows:
@@ -130,17 +130,9 @@ def atom_heads(rows):
         tails.add(pick[0])
         heads |= {pick[1]} - {None}  # any number of rows end a chain
         trials.append(iter(options[len(chosen)]))
-    return tuple(chosen)
-
-
-def atom_walks(rows, heads):
-    """The atoms of an atom_heads matching: per atom a tuple of its (variable, exponent)
-    pairs along the heads from a chain's start (no row's head; a Fermat atom is a chain
-    of one), and whether the walk comes back to its start, a loop."""
-    follow = {tail: (head, row[tail]) for row, (tail, head) in zip(rows, heads)}
-    ends = {head for _, head in heads}
+    follow = {tail: (head, row[tail]) for row, (tail, head) in zip(rows, chosen)}
     walks = []
-    for v in [*(v for v in follow if v not in ends), *follow]:  # chains, then loops
+    for v in [*(v for v in follow if v not in heads), *follow]:  # chains, then loops
         walk = []
         while v in follow:
             walk.append((v, follow[v][1]))
@@ -150,9 +142,9 @@ def atom_walks(rows, heads):
     return tuple(walks)
 
 
-def atom_det(rows, heads):
+def atom_det(walks):
     """det A up to sign: per atom walk, the product of its exponents, less (-1)^length for a loop."""
-    return prod(prod(a for _, a in walk) - (-1) ** len(walk) * loop for walk, loop in atom_walks(rows, heads))
+    return prod(prod(a for _, a in walk) - (-1) ** len(walk) * loop for walk, loop in walks)
 
 
 def _not_square(n, width):
@@ -186,10 +178,10 @@ def _validate(rows, allow_nonstandard=False):
         if all(r[j] == 0 for r in rows):
             raise NotInvertible(f"variable x{j + 1} does not occur")
     # only a matrix that is no sum of atoms needs Bareiss
-    heads = atom_heads(rows)
-    if (lattice.det(rows) if heads is None else atom_det(rows, heads)) == 0:
+    walks = atom_walks(rows)
+    if (lattice.det(rows) if walks is None else atom_det(walks)) == 0:
         raise NotInvertible("exponent matrix is singular")
-    if heads is None:
+    if walks is None:
         msg = "polynomial is not a sum of Fermat/chain/loop atoms"
         if allow_nonstandard:
             warnings.warn(msg)

@@ -50,7 +50,7 @@ from typing import NamedTuple
 from . import lattice
 from .errors import DegenerateCharacter, EngineError
 from .jacobian import component_variables, restrict
-from .poly import atom_heads, atom_walks
+from .poly import atom_walks
 
 
 def _times(x, y):
@@ -133,19 +133,10 @@ class SymmetryContext:
         self.line_weights = congruences + (c_weights, u_weights)
         # per coordinate, L times du*c - dc*u: the invariant that every point of a line shares
         self.line_invariant = tuple(du * c - dc * u for c, u in zip(c_weights, u_weights))
+        # the atoms of A, the one matching that the context's users read, or None for a matrix with none
+        self.walks = atom_walks(p.matrix)
         self._ker = None
         self._census = None
-
-    @cached_property
-    def walks(self):
-        """The atoms of A as poly.atom_walks gives them, or None for a matrix with no atom matching."""
-        heads = atom_heads(self.poly.matrix)
-        return None if heads is None else atom_walks(self.poly.matrix, heads)
-
-    @cached_property
-    def blocks(self):
-        """The variables of each connected block of A, in order of their first variable."""
-        return component_variables(restrict(self.poly, range(1, self.n + 2)))
 
     # -- ker chi -----------------------------------------------------------
 
@@ -173,11 +164,12 @@ class SymmetryContext:
 
     @cached_property
     def closed_sets(self):
-        """Per block, in the order of walks (else blocks), [(mask of S_B, terms)] over its closed sets,
-        the full one first: terms (m, c) sum the h_B(T_B) of the T_B >= S_B with m_B(T_B) = m, signed
-        as by Moebius inversion over supersets."""
-        if self.walks is None:
-            return [self._block_closed_sets(block) for block in self.blocks]
+        """Per block, in the order of walks (else of first variables), (its full mask, {mask of S_B:
+        terms} over its closed sets, the full one first): terms (m, c) sum the h_B(T_B) of the
+        T_B >= S_B with m_B(T_B) = m, signed as by Moebius inversion over supersets."""
+        if self.walks is None:  # the blocks are the components of A
+            blocks = component_variables(restrict(self.poly, range(1, self.n + 2)))
+            return [(sum(1 << v for v in block), self._block_closed_sets(block)) for block in blocks]
         out = []
         for walk, loop in self.walks:
             levels, h, s = [(0, 1, 1)], 1, 0  # (free x_1..x_r, h, m) per tail, covered by the next
@@ -188,12 +180,13 @@ class SymmetryContext:
                 h -= (-1) ** len(walk)
                 levels[1:] = [(levels[-1][0], h, h // gcd(h, s))]
             full = levels[-1][0]  # a tail's terms: its (m, h) less its cover's, merged if m == m2
-            out.append([(full, _ONE)] + [(full & ~free, frozenset({m2: -h2, m: h - h2 * (m == m2)}.items()))
-                                         for (free, h, m), (_, h2, m2) in zip(levels[1:], levels) if h != h2])
+            tails = {full & ~free: frozenset({m2: -h2, m: h - h2 * (m == m2)}.items())
+                     for (free, h, m), (_, h2, m2) in zip(levels[1:], levels) if h != h2}
+            out.append((full, {full: _ONE} | tails))
         return out
 
     def _block_closed_sets(self, block):
-        """closed_sets of one block: the rule, Smith forms and Moebius inversion on its subsets."""
+        """closed_sets' {mask: terms} of one block: the rule, Smith forms and Moebius inversion."""
         # each entry 1 of A in the block as masks: (the nonzero entries of its row, itself)
         ones = [(sum(1 << i for i, b in enumerate(row, 1) if b), 1 << j)
                 for row in self.poly.matrix if any(row[v - 1] for v in block)
@@ -213,17 +206,13 @@ class SymmetryContext:
                 if not s >> v & 1:
                     up = counts[s | 1 << v]
                     counts[s] = {m: at.get(m, 0) - up.get(m, 0) for m in {*at, *up}}
-        return [(s, t) for s, at in counts.items() if (t := frozenset((m, c) for m, c in at.items() if c))]
-
-    @cached_property
-    def _parts(self):  # per block, its full set and {closed set: terms}
-        return [(sets[0][0], dict(sets)) for sets in self.closed_sets]
+        return {s: t for s, at in counts.items() if (t := frozenset((m, c) for m, c in at.items() if c))}
 
     def fixed_counts(self, mask):
         """(elements fixing exactly S + {x_0}, exactly S) for a mask S of x_1..x_{n+1}: the
         census identity on the terms of S's part in each block, 0 if a part is not closed."""
         terms = _ONE
-        for full, sets in self._parts:
+        for full, sets in self.closed_sets:
             if (part := sets.get(mask & full)) is None:
                 return 0, 0
             if part is not _ONE:  # a block's full set multiplies as 1
@@ -237,12 +226,12 @@ class SymmetryContext:
     @cached_property
     def classes(self):
         """The census as (mask, count) pairs, bit j for x_j, in sorted(fixed) order."""
-        if (size := prod(map(len, self.closed_sets))) > CENSUS_LIMIT:
+        if (size := prod(len(sets) for _, sets in self.closed_sets)) > CENSUS_LIMIT:
             raise EngineError(f"the census would list {size} fixed sets, more than 2^20")
         partial, times = [(0, _ONE)], cache(_times)  # equal sums multiply once per census
-        for sets in self.closed_sets:  # _ONE, a block's full set, multiplies as 1
+        for _, sets in self.closed_sets:  # _ONE, a block's full set, multiplies as 1
             partial = [(mask | mask2, terms if terms2 is _ONE else times(terms, terms2))
-                       for mask, terms in partial for mask2, terms2 in sets]
+                       for mask, terms in partial for mask2, terms2 in sets.items()]
         split = {terms: _split(terms) for terms in {terms for _, terms in partial}}
         found = [(mask | fix, count) for mask, terms in partial
                  for fix, count in zip((1, 0), split[terms]) if count]

@@ -28,7 +28,7 @@ from operator import mul
 
 from mfhh import jacobian, lattice
 from mfhh.errors import NoPositiveSolution, NotIsolated
-from mfhh.jacobian import BoxBasis, component_variables, not_isolated, restrict
+from mfhh.jacobian import BoxBasis, atom_of, component_variables, not_isolated, restrict
 from mfhh.lattice import smith
 from mfhh.lines import _ceil_div, kinds
 from mfhh.poly import WeightSystem
@@ -310,18 +310,19 @@ def _component(ctx, variables, moduli, cache, boxes):
     list of factors whose product it is: one factor per variable range of
     each box of a BoxBasis, else one factor holding the staircase.  [] when
     the ring is 0, None when it is infinite."""
+    r = restrict(ctx.poly, variables)
     try:
-        basis = jacobian.monomial_basis(restrict(ctx.poly, variables), boxes)
+        basis = jacobian.monomial_basis(r, atom_of(r) if boxes else None)
     except NotIsolated:
         return None
     if not isinstance(basis, BoxBasis):
         return [[_factor(ctx, variables, basis.monomials, moduli)]] if basis.monomials else []
     for box in basis.boxes:
-        for v, exps in zip(variables, box):
+        for v, exps in zip(basis.variables, box):
             # (variable, range) keys never meet the components' variable tuples
             if (v, exps) not in cache:
                 cache[v, exps] = _factor(ctx, (v,), [(e,) for e in exps], moduli)
-    return [[cache[v, exps] for v, exps in zip(variables, box)] for box in basis.boxes]
+    return [[cache[v, exps] for v, exps in zip(basis.variables, box)] for box in basis.boxes]
 
 
 def _product(factors, moduli):

@@ -12,6 +12,7 @@ import mfhh
 from mfhh import engine
 from mfhh.cli import main
 from mfhh.engine import BigradedTable, compute_table, hh2_vanishes
+from mfhh.errors import WindowMismatch
 from mfhh.poly import parse
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
@@ -199,31 +200,54 @@ GOOD_CELLS = [{"d": -2, "q": 4, "dim": 1}]
 
 
 @pytest.mark.parametrize(
-    "window, cells",
+    "window, cells, message",
     [
-        ([2, -2], []),
-        ([-4.0, 0], GOOD_CELLS),
-        ([-4, 0], [{"d": -2, "q": 3.7, "dim": 1}]),
-        ([-4, 0], [{"d": "-2", "q": 4, "dim": 1}]),
-        ([-4, 0], [{"d": -2, "q": 4, "dim": True}]),
-        ([-4, 0], [{"d": -2, "q": 4, "dim": 0}]),
-        ([-4, 0], [{"d": -2, "q": 4, "dim": -1}]),
-        ([-4, 0], GOOD_CELLS + GOOD_CELLS),
-        ([-4, 0], [{"d": 3, "q": 4, "dim": 1}]),
+        ([2, -2], [], "empty window [2, -2]"),
+        ([-4.0, 0], GOOD_CELLS, "-4.0 is not an integer"),
+        ([-4, 0], [{"d": -2, "q": 3.7, "dim": 1}], "3.7 is not an integer"),
+        ([-4, 0], [{"d": "-2", "q": 4, "dim": 1}], "'-2' is not an integer"),
+        ([-4, 0], [{"d": -2, "q": 4, "dim": True}], "True is not an integer"),
+        ([-4, 0], [{"d": -2, "q": 4, "dim": 0}], "cell (-2, 4) has dim 0 <= 0"),
+        ([-4, 0], [{"d": -2, "q": 4, "dim": -1}], "cell (-2, 4) has dim -1 <= 0"),
+        ([-4, 0], GOOD_CELLS + GOOD_CELLS, "duplicate cell (-2, 4)"),
+        ([-4, 0], [{"d": 3, "q": 4, "dim": 1}], "cell (3, 4) lies outside the window"),
     ],
     ids=[
         "dmin-above-dmax", "float-window", "float-weight", "string-degree",
         "bool-dim", "zero-dim", "negative-dim", "duplicate-cell", "cell-outside-window",
     ],
 )
-def test_compare_rejects_malformed_document(tmp_path, window, cells):
+def test_compare_rejects_malformed_document(tmp_path, window, cells, message):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"schema": "v1", "window": [-4, 0], "cells": GOOD_CELLS}))
     assert run(["compare", str(good), str(good)])[0] == 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "v1", "window": window, "cells": cells}))
-    code, _, err = run(["compare", str(good), str(bad)])
-    assert code == 2 and str(bad) in err
+    assert run(["compare", str(good), str(bad)]) == (2, "", f"error: {bad}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"schema": "v1", "window": [-4, 0]}, "missing key 'cells'"),
+        ({"schema": "v1", "window": [-4, 0], "cells": [{"d": -2, "dim": 1}]}, "malformed window or cells"),
+        ({"schema": "v1", "window": [-4, 0, 2], "cells": GOOD_CELLS}, "malformed window or cells"),
+        ({"schema": "v1", "window": -4, "cells": GOOD_CELLS}, "malformed window or cells"),
+    ],
+    ids=["no-cells", "cell-without-weight", "three-bounds", "window-not-a-list"],
+)
+def test_compare_rejects_document_of_the_wrong_shape(tmp_path, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["compare", str(bad), str(bad)]) == (2, "", f"error: {bad}: {message}\n")
+
+
+def test_table_restrict_outside_its_window_is_a_window_mismatch():
+    table = compute_table(parse(LAUFER1), (-4, 2))
+    assert table.restrict(-4, 2) == table
+    for dmin, dmax in ((-5, 2), (-4, 3)):
+        with pytest.raises(WindowMismatch, match=rf"^window \({dmin}, {dmax}\) is not inside \(-4, 2\)$"):
+            table.restrict(dmin, dmax)
 
 
 def test_probe_small_res():

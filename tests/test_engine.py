@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from basis_oracle import basis_in
 from conftest import random_invertible
 from lattice_oracle import family_line, member, probe_restriction
-from mfhh import engine, jacobian, lines, symmetry
+from mfhh import engine, jacobian, lines, poly, symmetry
 from mfhh.cli import main
 from mfhh.engine import (
     BigradedTable,
@@ -25,7 +25,7 @@ from mfhh.engine import (
     list_contributions,
 )
 from mfhh.errors import EngineError, InputError, MfhhError, NonterminatingFamily, NotIsolated
-from mfhh.jacobian import BoxBasis, component_variables, milnor_number, monomial_basis, restrict
+from mfhh.jacobian import BoxBasis, atom_of, component_variables, milnor_number, monomial_basis, restrict
 from mfhh.poly import parse
 from mfhh.symmetry import SymmetryContext
 
@@ -705,13 +705,15 @@ def test_kernel_matches_reference(seed, window, order):
 
 def _component_bases(p, fixed_vars, boxes):
     """(variables, set of basis monomials) per component of the restriction:
-    the points of its boxes when monomial_basis gives a BoxBasis, else its
-    staircase.  The restriction's basis is the product of these."""
+    with boxes, the points of an atom's boxes, else its staircase.  The
+    restriction's basis is the product of these."""
     found = []
     for variables in component_variables(restrict(p, fixed_vars)):
-        basis = monomial_basis(restrict(p, variables), boxes)
-        if isinstance(basis, BoxBasis):
-            found.append((variables, {m for box in basis.boxes for m in product(*box)}))
+        r = restrict(p, variables)
+        basis = monomial_basis(r, atom_of(r) if boxes else None)
+        if isinstance(basis, BoxBasis):  # its points over the walk's variables, mapped to r.fixed
+            found.append((variables, {tuple(map(dict(zip(basis.variables, m)).get, variables))
+                                      for box in basis.boxes for m in product(*box)}))
         else:
             found.append((variables, set(basis.monomials)))
     return found
@@ -888,7 +890,7 @@ def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, bo
     p = _chains_and_loops(rng) if many else random_invertible(rng, max_vars=8, max_det=3000, ones=ones)
     ctx = SymmetryContext(p)
     packing = lines._packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
-    closed = {max(mask for mask, _ in sets): sets for sets in ctx.closed_sets}
+    closed = dict(ctx.closed_sets)
     rings = {}
     for full, alternatives in lines._blocks(ctx, packing, {}, rings, boxes):
         assert None not in rings.values()
@@ -901,14 +903,14 @@ def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, bo
                 assert mark & (1 << p.nvars + 1) - 1 == sum(1 << v for v, e in monomial.items() if e >= 0)
                 got[tuple(monomial[v] for v in variables)] += 1
         expected = Counter()
-        for mask, _ in closed[full]:
-            fixed = [v for v in variables if mask >> v & 1]
-            basis = monomial_basis(restrict(p, fixed), boxes)
+        for mask in closed[full]:
+            r = restrict(p, [v for v in variables if mask >> v & 1])
+            basis = monomial_basis(r, atom_of(r) if boxes else None)
             if isinstance(basis, BoxBasis):
                 points = [m for box in basis.boxes for m in product(*box)]
             else:
                 points = basis.monomials
-            expected.update(tuple(dict(zip(fixed, m)).get(v, -1) for v in variables) for m in points)
+            expected.update(tuple(dict(zip(basis.variables, m)).get(v, -1) for v in variables) for m in points)
         assert got == expected, (p.matrix, variables)
 
 
@@ -921,6 +923,36 @@ def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(mon
     for module in (jacobian, symmetry):
         monkeypatch.setattr(module, "component_variables", split)
     compute_table(parse("x1^7*x2+x2^5*x3+x3^5*x4+x4^5*x5+x5^3*x6+x6^3"), (-12, 8))
+
+
+@pytest.mark.parametrize(
+    "text", ["x1^7*x2+x2^5*x3+x3^5*x4+x4^5*x5+x5^3*x6+x6^3", "x1^2*x2+x2^3*x3+x3^4*x1", LAUFER1]
+)
+def test_tables_and_listings_match_no_atom_once_the_context_is_built(monkeypatch, text):
+    # the context's walks are the one source of atom structure: a chain's
+    # boxes, a loop's box and the listing cap's sizes are read off them
+    p = parse(text)
+    ctx = SymmetryContext(p)
+    matched, walks = [], poly.atom_walks
+    for module in (poly, jacobian, lines, symmetry):
+        monkeypatch.setattr(module, "atom_walks", lambda rows: matched.append(rows) or walks(rows))
+    table = compute_table(p, (-12, 8), ctx=ctx)
+    listing = list(class_contributions(p, (-2, 2), ctx=ctx))
+    assert matched == []
+    assert table.total() and listing
+
+
+def test_listing_of_a_chain_is_refused_off_its_walk_before_buchberger(monkeypatch):
+    # the walk x3 -> x1 -> x4 -> x2 gives the chain's ring 2,255,605 > 2^21
+    # monomials; the listing reads that off the walk, with no Groebner basis
+    def refused(gens, key):
+        raise AssertionError("Buchberger ran")
+
+    monkeypatch.setattr(jacobian, "_groebner", refused)
+    p = parse("x3^39*x1+x1^39*x4+x4^39*x2+x2^39")
+    message = r"^the Jacobian ring on \(1, 2, 3, 4\) has dimension 2255605, more than 2\^21$"
+    with pytest.raises(EngineError, match=message):
+        list(class_contributions(p, (-2, 2)))
 
 
 def _divisors(N):

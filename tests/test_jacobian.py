@@ -9,19 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
-from mfhh import jacobian
-from mfhh.errors import NotIsolated
+from mfhh import jacobian, lines
+from mfhh.errors import InputError, NotIsolated
 from mfhh.jacobian import (
     _divides,
     _grevlex_key,
-    atom_boxes,
+    atom_of,
     component_variables,
     milnor_number,
     monomial_basis,
     restrict,
 )
 from mfhh.lattice import det
-from mfhh.poly import InvertiblePolynomial, atom_heads, parse
+from mfhh.poly import InvertiblePolynomial, atom_walks, parse
 from mfhh.symmetry import SymmetryContext
 
 LAUFER = "x1^3*x2+x2^{}*x3+x3^2+x4^2"
@@ -43,6 +43,29 @@ def test_restrict_drops_unfixed():
     assert set(r.terms) == {(3, 1), (0, 2)}  # x2^3*x3 and x3^2 survive
     assert restrict(laufer(1), range(1, 5)).terms == laufer(1).matrix
     assert restrict(laufer(1), ()).terms == ()
+
+
+def test_restrict_takes_fixed_as_a_set():
+    # a repeated index fixes its variable once: the ring on {x1} of
+    # x1^2 + x2^3 has dimension 1, not an infinite one on (1, 1)
+    p = parse("x1^2+x2^3")
+    r = restrict(p, (1, 1))
+    assert r == restrict(p, (1,))
+    assert monomial_basis(r).dimension == 1
+    with pytest.raises(InputError, match=r"^variable index out of range 1\.\.2: \(0,\)$"):
+        restrict(p, (0,))
+
+
+def test_monomial_basis_of_an_atom_on_other_variables_is_an_input_error():
+    # an atom's walk is over columns of r.parent: ((0, 7),) is x1^7 and
+    # ((1, 3),) is x2^3, so neither is a basis of the other restriction
+    p = parse("x1^7+x2^3")
+    assert monomial_basis(restrict(p, (1,)), (((0, 7),), False)).boxes == ((range(6),),)
+    message = r"^an atom on \(1,\) is no basis of the restriction to \(2,\)$"
+    with pytest.raises(InputError, match=message):
+        monomial_basis(restrict(p, (2,)), (((0, 7),), False))
+    with pytest.raises(InputError, match=r"restriction to \(1, 2\)$"):
+        monomial_basis(restrict(p, (1, 2)), (((1, 3),), False))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -231,23 +254,25 @@ def test_kreuzer_krawitz_boxes_match_the_staircase(atom):
     kind, exps = atom
     p = _atom(kind, exps)
     n = p.nvars
-    if atom_heads(p.matrix) is None:
+    walks = atom_walks(p.matrix)
+    if walks is None:
         # a bare linear term (x1, or a chain ending in xn) is no atom
-        assert atom_boxes(restrict(p, range(1, n + 1))) is None
+        assert atom_of(restrict(p, range(1, n + 1))) is None
         return
     if p.det() == 0:
         return  # a loop of ones in an even number of variables is singular
     ctx = SymmetryContext(p)
+    (walk, loop), = walks
     # a chain's tails are chains again; a loop has no isolated restriction
-    for first in range(1, n + 1 if kind == "chain" else 2):
-        r = restrict(p, range(first, n + 1))
-        boxes = atom_boxes(r)
-        assert all(len(box) == len(r.fixed) for box in boxes)
-        points = [m for box in boxes for m in product(*box)]
+    for first in range(n if kind == "chain" else 1):
+        r = restrict(p, range(first + 1, n + 1))
+        basis = monomial_basis(r, (walk[first:], loop))  # boxes in walk order
+        assert all(len(box) == len(r.fixed) for box in basis.boxes)
+        points = [m for box in basis.boxes for m in product(*box)]
         assert len(set(points)) == len(points)  # the boxes are disjoint
         staircase = monomial_basis(r).monomials
         assert len(points) == len(staircase)
-        assert _line_keys(ctx, r.fixed, points) == _line_keys(ctx, r.fixed, staircase)
+        assert _line_keys(ctx, basis.variables, points) == _line_keys(ctx, r.fixed, staircase)
 
 
 @pytest.mark.parametrize(
@@ -261,10 +286,15 @@ def test_kreuzer_krawitz_boxes_match_the_staircase(atom):
     ],
 )
 def test_atom_boxes_of_disconnected_restrictions(text, boxes):
-    # two loops make one product box; two Fermat atoms, a loop and a Fermat
-    # atom, two chains, or a chain and a loop get none
+    # the listing cap sizes a closed set of a block with no atom matching by
+    # the set's own atoms: two loops make one product box; two Fermat atoms,
+    # a loop and a Fermat atom, two chains, or a chain and a loop get none
     p = parse(text)
-    assert atom_boxes(restrict(p, range(1, p.nvars + 1))) == boxes
+    assert lines._cap_boxes(atom_walks(p.matrix)) == boxes
+    # one atom gets its own boxes, and a set with no atom matching none
+    for walk in atom_walks(p.matrix):
+        assert lines._cap_boxes([walk]) == jacobian.atom_boxes(walk)
+    assert lines._cap_boxes(None) is None
 
 
 LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"
@@ -290,19 +320,22 @@ def test_basis_work_follows_milnor_number(monkeypatch, text, mu):
 
 def test_milnor_number_multiplies_component_sizes(monkeypatch):
     # no product basis is built, un-interleaved or sorted to be counted:
-    # each basis milnor_number asks for is one component's
-    solved = []
+    # each basis milnor_number asks for is one component's, and an atom's
+    # comes with its atom, so it takes no Groebner basis
+    solved, atoms = [], []
     basis = jacobian.monomial_basis
 
-    def one_component(r, boxes=False):
+    def one_component(r, atom=None):
         assert len(component_variables(r)) == 1, f"a product basis on {r.fixed}"
         solved.append(r.fixed)
-        return basis(r, boxes)
+        atoms.append(atom)
+        return basis(r, atom)
 
     monkeypatch.setattr(jacobian, "monomial_basis", one_component)
     assert milnor_number(parse("x1^16+x2^16+x3^16+x4^16")) == 15**4
     assert milnor_number(parse(LOOP6)) == 7056
     assert milnor_number(parse(CHAIN4)) == 12091
+    assert None not in atoms and len(atoms) == 6
     # an infinite component raises, but only once every component is solved,
     # since a later one with the unit ideal would make the ring 0
     with warnings.catch_warnings():
@@ -314,6 +347,7 @@ def test_milnor_number_multiplies_component_sizes(monkeypatch):
         milnor_number(p)
     assert str(exc.value) == "Jacobian ring of the restriction to (1, 2, 3) is infinite-dimensional"
     assert solved == [(1, 2), (3,)]
+    assert atoms[-2:] == [None, (((2, 2),), False)]
     assert milnor_number(unit) == 0
 
 

@@ -20,7 +20,7 @@ from mfhh.errors import (
     PolySyntaxError,
     SchemaError,
 )
-from mfhh.poly import InvertiblePolynomial, atom_det, atom_heads, atom_walks, parse, weights
+from mfhh.poly import InvertiblePolynomial, atom_det, atom_walks, parse, weights
 
 
 def test_parse_diagonal():
@@ -271,21 +271,19 @@ def test_weights_of_150_variables_take_one_solve():
 
 @given(atom_matrices())
 def test_atom_det_matches_bareiss(rows):
-    heads = atom_heads(rows)
-    assert heads is not None
-    assert abs(atom_det(rows, heads)) == abs(lattice.det(rows))
-    # the walks partition the variables, each step goes from a tail to its
-    # head, a chain starts at no row's head and ends at head None, and a walk
-    # is a loop exactly when it comes back to its start
-    walks = atom_walks(rows, heads)
-    assert sorted(v for walk, _ in walks for v, _ in walk) == list(range(len(rows)))
-    head, row_of = dict(heads), {tail: row for row, (tail, _) in zip(rows, heads)}
+    walks = atom_walks(rows)
+    assert walks is not None
+    assert abs(atom_det(walks)) == abs(lattice.det(rows))
+    # the walks partition the variables, and their steps are the rows of A:
+    # a step (v, a) is x_v^a times the next variable of its walk, a loop's
+    # last step times its first, and a chain's last step is x_v^a alone
+    n = len(rows)
+    assert sorted(v for walk, _ in walks for v, _ in walk) == list(range(n))
+    steps = []
     for walk, loop in walks:
-        assert all(row_of[v][v] == a for v, a in walk)
-        assert [head[v] for v, _ in walk[:-1]] == [v for v, _ in walk[1:]]
-        assert loop == (head[walk[-1][0]] == walk[0][0])
-        if not loop:
-            assert walk[0][0] not in head.values() and head[walk[-1][0]] is None
+        nexts = [v for v, _ in walk[1:]] + [walk[0][0] if loop else None]
+        steps += [tuple(a * (j == v) + (j == w) for j in range(n)) for (v, a), w in zip(walk, nexts)]
+    assert sorted(steps) == sorted(rows)
 
 
 def test_singular_loop_of_ones_keeps_its_message():
@@ -294,13 +292,13 @@ def test_singular_loop_of_ones_keeps_its_message():
     assert parse("x1*x2+x2*x3+x3*x1").det() == 2
 
 
-def test_atom_heads_does_not_recurse_per_row():
+def test_atom_walks_does_not_recurse_per_row():
     n = 1100
     fermat = tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
     chain = tuple(tuple(2 if i == j else int(j == i + 1) for j in range(n)) for i in range(n))
-    assert atom_heads(fermat) == tuple((i, None) for i in range(n))
-    assert atom_heads(chain) == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, None),)
-    assert atom_det(chain, atom_heads(chain)) == 2**n
+    assert atom_walks(fermat) == tuple((((i, 2),), False) for i in range(n))
+    assert atom_walks(chain) == ((tuple((i, 2) for i in range(n)), False),)
+    assert atom_det(atom_walks(chain)) == 2**n
 
 
 def test_parse_of_many_variables_takes_no_bareiss():

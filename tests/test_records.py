@@ -51,7 +51,7 @@ RECORDS = [
     ),
     (
         BoxBasis,
-        lambda: monomial_basis(restrict(parse("x1^2*x2+x2^3"), (1, 2)), boxes=True),
+        lambda: monomial_basis(restrict(parse("x1^2*x2+x2^3"), (1, 2)), (((0, 2), (1, 3)), False)),
         "BoxBasis(variables=(1, 2), boxes=((range(0, 1), range(0, 3)), (range(1, 2), range(0, 1))))",
     ),
     (GroupElement, lambda: SymmetryContext(parse("x1^2+x2^3")).ker_chi()[0], G0),
@@ -85,7 +85,7 @@ def test_record_properties():
     assert parse("x1^5+x2^3").nvars == 2
     assert smith([[2, 1], [0, 3]]).diagonal == (1, 6)
     r = restrict(parse("x1^2*x2+x2^3"), (1, 2))
-    assert monomial_basis(r).dimension == monomial_basis(r, boxes=True).dimension == 4
+    assert monomial_basis(r).dimension == monomial_basis(r, (((0, 2), (1, 3)), False)).dimension == 4
     c = list_contributions(parse("x1^2+x2^3"), (-3, 2))[0]
     assert c.weight == c.monomial.weight == 4 and c.monomial.pattern() == "x0^4*x2"
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -15,9 +16,9 @@ import mfhh
 from conftest import random_invertible
 from lattice_oracle import census_by_masks, chi_power, family_line, member, quotient
 from mfhh import lattice
-from mfhh.errors import DegenerateCharacter
+from mfhh.errors import DegenerateCharacter, EngineError
 from mfhh.lattice import det
-from mfhh.poly import InvertiblePolynomial, atom_heads, parse
+from mfhh.poly import InvertiblePolynomial, atom_walks, parse
 from mfhh.symmetry import GroupElement, SymmetryContext
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
@@ -266,7 +267,7 @@ def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, ca
         ctx = SymmetryContext(parse(text, allow_nonstandard=True))
     monkeypatch.setattr(lattice, "smith", counting)
     census = ctx.fixed_census()
-    assert bool(counted) == (atom_heads(ctx.poly.matrix) is None)
+    assert bool(counted) == (atom_walks(ctx.poly.matrix) is None)
     assert len(counted) <= calls
     assert sum(census.values()) == abs(ctx.poly.det())
 
@@ -337,7 +338,17 @@ def test_census_of_atoms_takes_no_smith_form(monkeypatch, text):
     ctx = SymmetryContext(parse(text))
     monkeypatch.setattr(lattice, "smith", counting)
     assert sum(ctx.fixed_census().values()) == abs(ctx.poly.det())
-    assert all(c for sets in ctx.closed_sets for _, terms in sets for _, c in terms)
+    assert all(c for _, sets in ctx.closed_sets for terms in sets.values() for _, c in terms)
+
+
+def test_census_past_its_limit_is_refused_before_it_folds():
+    # 21 Fermat atoms have 2^21 fixed sets: counted from the closed sets'
+    # numbers and refused before one product is folded
+    ctx = SymmetryContext(parse("+".join(f"x{i}^2" for i in range(1, 22))))
+    start = time.perf_counter()
+    with pytest.raises(EngineError, match=r"^the census would list 2097152 fixed sets, more than 2\^20$"):
+        ctx.classes
+    assert time.perf_counter() - start < 0.5
 
 
 def test_census_of_a_62_variable_loop_folds_its_closed_sets_not_its_masks():

@@ -165,7 +165,7 @@ def cmd_compare(args, out):
     t2 = _load_document(args.b)
     verdict = scale_compare(t1, t2)
     out.write(f"window compared: [{verdict.window[0]}, {verdict.window[1]}]\n")
-    if verdict.kind == "equivalent":
+    if verdict.equivalent:
         out.write(f"equivalent up to scale c = {verdict.c}\n")
         return EXIT_OK
     if verdict.kind == "distinguished":

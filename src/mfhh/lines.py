@@ -14,8 +14,8 @@ exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box and the
 all-dual entry, and a chain its boxes over all its closed tails (_chain),
 read off its walk in SymmetryContext.walks; any other block, and each block
 of a listing, the union over its closed sets of their grevlex staircases
-(_staircases), one refused before Buchberger runs when its atoms' boxes
-hold more than FACTOR_LIMIT monomials (_cap_boxes).  Each component of S's
+(_staircases), one refused before Buchberger runs when its atoms' box counts
+multiply to more than FACTOR_LIMIT monomials.  Each component of S's
 restriction lies in one block, so S's ring is infinite exactly when some
 S_B's is and none is 0.
 A factor of one variable is a slice of that variable's factor of exponents
@@ -136,18 +136,11 @@ def _chain(ctx, walk, closed, packing, cache):
     return out
 
 
-def _cap_boxes(atoms):
-    """The boxes the listing cap sizes a closed set by, from its atoms (walk, loop): a union of
-    loops' one product box, else one atom's boxes; None for no atom matching or any other union."""
-    if atoms is not None and all(loop for _, loop in atoms):
-        return [tuple(range(a) for walk, _ in atoms for _, a in walk)]
-    return jacobian.atom_boxes(atoms[0]) if atoms and len(atoms) == 1 else None
-
-
 def _staircases(ctx, walk, loop, variables, closed, packing, rings):
     """One factor, the union over the closed sets of their restrictions' grevlex staircases with -1
     on the rest of the block, each sized before Buchberger runs by its atoms: a tail of the block's
-    (walk, loop), else its own (_cap_boxes); rings gets each one's ring dimension, None if infinite."""
+    (walk, loop), else its own, its restriction's components, whose box counts multiply; rings gets
+    each one's ring dimension, None if infinite."""
     monomials = []
     for mask in closed:
         fixed = [v for v in variables if mask >> v & 1]
@@ -155,7 +148,8 @@ def _staircases(ctx, walk, loop, variables, closed, packing, rings):
         # a chain's closed sets are its tails, a loop's all of it or none (one monomial)
         atoms = ([(walk[len(walk) - len(fixed):], loop)] if walk
                  else atom_walks(r.terms) if len(r.terms) == len(fixed) else None)
-        if (mu := sum(prod(map(len, box)) for box in _cap_boxes(atoms) or ())) > FACTOR_LIMIT:
+        if atoms and (mu := prod(sum(prod(map(len, box)) for box in jacobian.atom_boxes(atom))
+                                 for atom in atoms)) > FACTOR_LIMIT:
             raise EngineError(f"the Jacobian ring on {tuple(fixed)} has dimension {mu}, more than 2^21")
         try:
             rings[mask] = (basis := jacobian.monomial_basis(r)).dimension

@@ -5,8 +5,8 @@ For w with exponent matrix A, the extension Gamma of the torus acting on
 prod_j t_j^{a_ij} = t_0 t_1 ... t_{n+1}.  Characters of Gamma are integer
 exponent vectors in Z^{n+2} modulo the relation lattice R spanned by
 r_i = (-1, a_i1 - 1, ..., a_i,n+1 - 1).  The kernel of the total character
-chi = (1,..,1) is a finite abelian group of order |det A|, whose elements we
-store as rational phase vectors mod 1 (no roots of unity are ever needed).
+chi = (1,..,1) is a finite abelian group of order |det A|, whose elements are
+phase vectors mod 1: integer numerators over lcm(d), d the Smith diagonal of A.
 
 b + c*e0 - u*1 is in R exactly when y*A + s*1 = (b_1, .., b_{n+1}) for an
 integer y, s = b0 + c and u = sum(y) + s: one Smith form of [A; 1] gives
@@ -141,25 +141,25 @@ class SymmetryContext:
     # -- ker chi -----------------------------------------------------------
 
     def _iter_ker(self):
+        """(N, the elements' phase numerators over N = lcm(d)): V * diag(N / d_j) * c mod N for
+        each c in prod Z/d_j, d the Smith diagonal of A, built a column of V at a time."""
         sd = lattice.smith(self.poly.matrix)
-        diag = sd.diagonal
-        n1 = self.poly.nvars
-        cols = [
-            tuple(Fraction(sd.v[i][j], diag[j]) for i in range(n1))
-            for j in range(n1)
-        ]
-        for cs in itertools.product(*[range(d) for d in diag]):
-            phases = [Fraction(0)] * n1
-            for cj, col in zip(cs, cols):
-                if cj:
-                    for i in range(n1):
-                        phases[i] += cj * col[i]
-            yield GroupElement.from_phases(phases)
+        N = lcm(*sd.diagonal)
+        nums = [(0,) * self.poly.nvars]
+        for j, dj in enumerate(sd.diagonal):
+            col = [row[j] * (N // dj) for row in sd.v]
+            nums = [tuple((x + c * y) % N for x, y in zip(e, col)) for e in nums for c in range(dj)]
+        return N, nums
 
     def ker_chi(self):
-        """All solutions of A * phases = 0 mod 1, sorted lexicographically."""
+        """All solutions of A * phases = 0 mod 1, sorted lexicographically as their numerators
+        over N: x_j is fixed when its numerator is 0, x_0 when their sum is 0 mod N."""
         if self._ker is None:
-            self._ker = sorted(self._iter_ker())
+            N, nums = self._iter_ker()
+            phase = [Fraction(x, N) for x in range(N)]  # N divides |ker(chi)|
+            self._ker = [GroupElement(tuple(map(phase.__getitem__, e)),
+                                      frozenset(j for j, x in enumerate((sum(e), *e)) if x % N == 0))
+                         for e in sorted(nums)]
         return self._ker
 
     @cached_property

@@ -354,6 +354,19 @@ def test_table_of_a_huge_exponent_is_an_engine_error_in_a_child_process():
     assert res.stderr == b"error: x4^99999999 needs a factor of 99999999 exponents, more than 2^21\n"
 
 
+def test_table_of_a_huge_disconnected_restriction_is_an_engine_error_in_a_child_process():
+    # the block has no atom matching; its closed set x2..x4 restricts to a
+    # chain and a Fermat atom, whose ring is sized by the product of their
+    # box counts, 1561 * 1999, before Buchberger runs
+    argv = ["table", "--poly", "x1^2*x2^2*x4^2+x2^40*x3+x3^40+x4^2000", "--allow-nonstandard",
+            "--dmin", "-2", "--dmax", "2"]
+    seconds, res = _wide(argv)
+    assert seconds < 2
+    assert res.returncode == 3 and res.stdout == b""
+    assert res.stderr == (b"warning: polynomial is not a sum of Fermat/chain/loop atoms\n"
+                          b"error: the Jacobian ring on (2, 3, 4) has dimension 3120439, more than 2^21\n")
+
+
 def test_probe_empty_window_is_input_error():
     code, _, err = run(["probe-small-res", "--poly", LAUFER1, "--dmin", "0"])
     assert code == 2 and "empty degree window" in err

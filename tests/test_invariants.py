@@ -44,7 +44,7 @@ def rescale(t, c):
 def test_scale_compare_self():
     t = table(LAUFER1)
     v = scale_compare(t, t)
-    assert v.kind == "equivalent" and v.c == 1
+    assert v.kind == "equivalent" and v.equivalent and v.c == 1
 
 
 @pytest.mark.parametrize("c", [2, 3, Fraction(3, 2), -2])
@@ -60,7 +60,7 @@ def test_scale_compare_distinguishes_alpha12_lambda():
     a12 = table("x1^2+x2^2+x3^2+x4^4", (-8, -1))
     for lauf in (LAUFER1, LAUFER2):
         v = scale_compare(a12, table(lauf, (-8, -1)))
-        assert v.kind == "distinguished"
+        assert v.kind == "distinguished" and not v.equivalent
         w = scale_compare(table(lauf, (-8, -1)), a12)
         assert w.kind == "distinguished"
         assert w.witness_degree == v.witness_degree

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from collections import Counter
 from itertools import product
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
 from mfhh import jacobian, lines
-from mfhh.errors import InputError, NotIsolated
+from mfhh.errors import EngineError, InputError, NotIsolated
 from mfhh.jacobian import (
     _divides,
     _grevlex_key,
@@ -276,25 +277,45 @@ def test_kreuzer_krawitz_boxes_match_the_staircase(atom):
 
 
 @pytest.mark.parametrize(
-    "text, boxes",
+    "text",
     [
-        ("x1^2*x2+x2^3*x1+x3^2*x4+x4^4*x3", [(range(2), range(3), range(2), range(4))]),
-        ("x1^2+x2^3", None),
-        ("x1^2*x2+x2^3*x1+x3^4", None),
-        ("x1^2*x2+x2^3+x3^2*x4+x4^5", None),
-        ("x1^2*x2+x2^3+x3^2*x4+x4^3*x3", None),
+        "x1^2*x2+x2^3*x1+x3^2*x4+x4^4*x3",  # two loops: 6 * 8
+        "x1^2+x2^3",  # two Fermat atoms: 1 * 2
+        "x1^2*x2+x2^3*x1+x3^4",  # a loop and a Fermat atom: 6 * 3
+        "x1^2*x2+x2^3+x3^2*x4+x4^5",  # two chains: 4 * 6
+        "x1^2*x2+x2^3+x3^2*x4+x4^3*x3",  # a chain and a loop: 4 * 6
     ],
 )
-def test_atom_boxes_of_disconnected_restrictions(text, boxes):
+def test_atom_boxes_of_disconnected_restrictions(monkeypatch, text):
     # the listing cap sizes a closed set of a block with no atom matching by
-    # the set's own atoms: two loops make one product box; two Fermat atoms,
-    # a loop and a Fermat atom, two chains, or a chain and a loop get none
+    # the set's own atoms, its components: its ring's dimension is the
+    # product of their box counts, whatever their kinds
     p = parse(text)
-    assert lines._cap_boxes(atom_walks(p.matrix)) == boxes
-    # one atom gets its own boxes, and a set with no atom matching none
-    for walk in atom_walks(p.matrix):
-        assert lines._cap_boxes([walk]) == jacobian.atom_boxes(walk)
-    assert lines._cap_boxes(None) is None
+    r = restrict(p, range(1, p.nvars + 1))
+    mu = monomial_basis(r).dimension
+    counts = [sum(prod(map(len, box)) for box in jacobian.atom_boxes(atom)) for atom in atom_walks(p.matrix)]
+    assert prod(counts) == mu
+    ctx = SymmetryContext(p)
+    packing = lines._packing(ctx.line_denominator * (abs(ctx.family_step[1]) or ctx.family_step[0]),
+                             len(ctx.line_moduli) + 1)
+    full = sum(1 << v for v in r.fixed)
+
+    def staircases():  # the whole matrix as one closed set of a block with no walk
+        rings = {}
+        lines._staircases(ctx, (), False, r.fixed, [full], packing, rings)
+        return rings
+
+    monkeypatch.setattr(lines, "FACTOR_LIMIT", mu)
+    assert staircases() == {full: mu}
+
+    def never(*args):
+        raise AssertionError("Buchberger ran")
+
+    # a ring one monomial over the cap is refused before any basis is made
+    monkeypatch.setattr(lines, "FACTOR_LIMIT", mu - 1)
+    monkeypatch.setattr(jacobian, "monomial_basis", never)
+    with pytest.raises(EngineError, match=rf"on {re.escape(str(r.fixed))} has dimension {mu}, more than 2\^21$"):
+        staircases()
 
 
 LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from lattice_oracle import mat_mul, member, quotient, solve, vec_mat
@@ -55,6 +56,13 @@ sparse_matrices = st.integers(0, 5).flatmap(
         )
     )
 )
+
+
+def test_det_and_smith_reject_ragged_matrices():
+    with pytest.raises(ValueError, match="^det needs a square matrix$"):
+        lattice.det([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^smith needs rows of equal length$"):
+        lattice.smith([[1, 2], [3]])
 
 
 def test_smith_identity():

@@ -172,7 +172,8 @@ def test_ker_order_and_quotient_cross_check(seed):
     # dual route: the quotient of Z^n by the column span of A
     transpose_rows = [list(col) for col in zip(*p.matrix)]
     quot = quotient(transpose_rows)
-    assert set(quot.elements()) == {g.phases for g in ker}
+    # element for element, in order and with fixed sets, from phases mod 1
+    assert ker == sorted(GroupElement.from_phases(e) for e in quot.elements())
     census = ctx.fixed_census()
     assert sum(census.values()) == len(ker)
     # the closed-form census counts the fixed sets of the dual route's elements

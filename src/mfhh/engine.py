@@ -24,12 +24,18 @@ c = -1, since (-1, p) + c'*e0 = (0, p) + (c' - 1)*e0.
 
 Cost model.  A table or a listing takes no census: one join over the blocks
 of A finds their lines and counts the fixed sets it finds (see lines), and a
-listing groups its runs by class.  Tables ask for Kreuzer-Krawitz boxes, so
-a standard polynomial's table takes no Groebner basis; listings read the
-grevlex staircase.  The join gives the points of each (line, row) hit in
-the window as one run along the family step, with no decoded line, so a
-table costs O(runs) however long its window; it builds its cells only when
-they are read.  A listing makes a Contribution per point of its runs.
+listing groups its runs by class.  The join reads the Kreuzer-Krawitz boxes
+of the atoms, so a standard polynomial's table takes no Groebner basis.  The
+join gives the points of each (line, row) hit in the window as one run along
+the family step, with no decoded line, so a table costs O(runs) however long
+its window; it builds its cells only when they are read.  A listing makes a
+Contribution per point of its runs.
+
+Listing names.  A listing names grevlex standard monomials, so each hit's
+box monomial on an atom's part of more than one variable becomes its grevlex
+normal form there (jacobian.normal_form), one to one onto the staircase.
+The ideal's binomials join exponents that differ by sums of A_i - A_k, and
+(0, A_i - A_k) is a relation, so the renamed hit keeps its family line.
 
 Listing order.  class_contributions yields the classes in sorted fixed-set
 order and sorts each class's hits by (grevlex key of the basis monomial, kind
@@ -45,8 +51,8 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import InputError, WindowMismatch
-from .jacobian import _grevlex_key
-from .lines import join
+from .jacobian import _grevlex_key, normal_form, restrict
+from .lines import first_error, join
 from .poly import monomial_text
 from .symmetry import SymmetryContext
 
@@ -187,9 +193,9 @@ def compute_table(p, window, ctx=None):
     """The bigraded dimension table of p over a finite degree window."""
     ctx = _context(p, window, ctx)
     dc, du = ctx.family_step
-    runs, errors = join(ctx, window, boxes=True)
+    runs, errors = join(ctx, window)
     if errors:  # the first in class order, as if each class were solved alone
-        raise errors[min(errors, key=ctx.class_key)]
+        raise first_error(ctx, errors, ctx.class_key)
     runs = [run[:4] for run in runs]
     return BigradedTable(*window, runs=runs, step=(2 * abs(du) or 1, dc if du >= 0 else -dc))
 
@@ -206,9 +212,7 @@ def _class_entries(ctx, runs):
     dc, du = ctx.family_step
     sc, su = (dc if du >= 0 else -dc), abs(du)  # a run's step in c and u
     out = []
-    for d, c0, points, count, (_, _, kind), variables, exps, exps2 in runs:
-        # a run's variables are all of x_1..x_{n+1}, in the join's order
-        rest = tuple(map(dict(zip(variables, exps + exps2)).get, range(1, ctx.n + 2)))
+    for d, c0, points, count, (_, _, kind), rest in runs:
         rank = _grevlex_key(tuple(e for e in rest if e >= 0))
         name, _, _, off, shift = kind
         for i in range(points):
@@ -222,13 +226,25 @@ def _class_entries(ctx, runs):
 
 def _classes(ctx, window, order):
     """The runs of one join grouped by class mask, after raising the join's
-    first error by the key order, as if each class were solved on its own."""
+    first error by the key order, as if each class were solved on its own.
+    A run ends in its monomial on x_1..x_{n+1}, named as the module docstring
+    says; names and bases keep each name and Groebner basis for this call."""
     found, errors = join(ctx, window)
     if errors:
-        raise errors[min(errors, key=order)]
-    runs = {}
-    for run in found:
-        runs.setdefault(run[4][0], []).append(run)
+        raise first_error(ctx, errors, order)
+    runs, names, bases = {}, {}, {}
+    for *run, variables, exps, exps2 in found:
+        # a run's variables are all of x_1..x_{n+1}, in the join's order
+        rest = tuple(map(dict(zip(variables, exps + exps2)).get, range(1, ctx.n + 2)))
+        if rest not in names:
+            named = list(rest)
+            for walk, _ in ctx.walks or ():
+                if len(fixed := sorted(v for v, _ in walk if rest[v] >= 0)) > 1:
+                    r = restrict(ctx.poly, [v + 1 for v in fixed])
+                    for v, e in zip(fixed, normal_form(r, tuple(rest[v] for v in fixed), bases)):
+                        named[v] = e
+            names[rest] = tuple(named)
+        runs.setdefault(run[4][0], []).append((*run, names[rest]))
     return runs
 
 

@@ -37,11 +37,12 @@ lm[v] == c[v].  Indexing the leads by (v, lm[v]) tests only those, and the
 walk visits at most nvars * mu candidates instead of the bounding box of
 the pure-power leads.
 
-Bases for tables.  A table does not depend on the basis, so tables pass
+Bases of atoms.  A table does not depend on the basis, so the join passes
 monomial_basis a restriction's atom, as SymmetryContext.walks gives it, and
-get its Kreuzer-Krawitz boxes in walk order with no Groebner basis and no
+gets its Kreuzer-Krawitz boxes in walk order with no Groebner basis and no
 matching; milnor_number matches each component once (atom_of) to do the
-same.  The staircase serves listings and components that are no atom.
+same.  A listing renames their points (normal_form) and grows no
+staircase; the staircase serves components that are no atom.
 """
 
 from __future__ import annotations
@@ -317,6 +318,17 @@ def monomial_basis(r, atom=None):
         monomials = [place(m) for m in monomials]
     monomials.sort(key=_grevlex_key)
     return MonomialBasis(r.fixed, tuple(monomials))
+
+
+def normal_form(r, m, bases):
+    """The standard monomial of the grevlex normal form of the monomial m over r.fixed, r an atom's
+    restriction.  Each variable of an atom lies in at most two terms, so its Jacobian ideal is
+    binomial and the normal form is a nonzero scalar times one monomial (Eisenbud-Sturmfels,
+    Binomial ideals, 1996, Prop. 1.1).  bases holds the caller's Groebner bases by r.fixed."""
+    if r.fixed not in bases:
+        bases[r.fixed] = _groebner(_jacobian_generators(r.terms, len(r.fixed)), _grevlex_key)
+    (standard, _), = _reduce({m: Fraction(1)}, bases[r.fixed], _grevlex_key).items()
+    return standard
 
 
 def milnor_number(p):

@@ -10,12 +10,12 @@ A class's fixed set S meets each block B of A in a closed set S_B
 blocks of their pairs (S_B, basis monomial of w on S_B, -1 on the rest of
 B).  Each block gives its pairs as alternatives, lists of factors (_blocks):
 a Fermat atom x_v^a, a one-variable block with a >= 2, one factor of
-exponents -1..a-2; in a table, a loop its Kreuzer-Krawitz box and the
-all-dual entry, and a chain its boxes over all its closed tails (_chain),
-read off its walk in SymmetryContext.walks; any other block, and each block
-of a listing, the union over its closed sets of their grevlex staircases
-(_staircases), one refused before Buchberger runs when its atoms' box counts
-multiply to more than FACTOR_LIMIT monomials.  Each component of S's
+exponents -1..a-2; a loop its Kreuzer-Krawitz box and the all-dual entry,
+and a chain its boxes over all its closed tails (_chain), read off its walk
+in SymmetryContext.walks; each block of a matrix with no atom matching, the
+union over its closed sets of their grevlex staircases (_staircases), one
+refused before Buchberger runs when its atoms' box counts multiply to more
+than FACTOR_LIMIT monomials.  Each component of S's
 restriction lies in one block, so S's ring is infinite exactly when some
 S_B's is and none is 0.
 A factor of one variable is a slice of that variable's factor of exponents
@@ -38,7 +38,7 @@ an entry first has it (and counted then: SymmetryContext.fixed_counts, no
 census), and above it the line invariant J.
 Each hit's run is read off J and the entry's residue, so tables and
 listings alike cost O(hits), with no line decoded; a listing builds its
-monomials from the runs' exponents alone.
+monomials from the runs' exponents alone, renaming box monomials (engine).
 """
 
 from __future__ import annotations
@@ -136,18 +136,15 @@ def _chain(ctx, walk, closed, packing, cache):
     return out
 
 
-def _staircases(ctx, walk, loop, variables, closed, packing, rings):
+def _staircases(ctx, variables, closed, packing, rings):
     """One factor, the union over the closed sets of their restrictions' grevlex staircases with -1
-    on the rest of the block, each sized before Buchberger runs by its atoms: a tail of the block's
-    (walk, loop), else its own, its restriction's components, whose box counts multiply; rings gets
-    each one's ring dimension, None if infinite."""
+    on the rest of the block, each sized before Buchberger runs by its atoms, its restriction's
+    components, whose box counts multiply; rings gets each one's ring dimension, None if infinite."""
     monomials = []
     for mask in closed:
         fixed = [v for v in variables if mask >> v & 1]
         r = restrict(ctx.poly, fixed)
-        # a chain's closed sets are its tails, a loop's all of it or none (one monomial)
-        atoms = ([(walk[len(walk) - len(fixed):], loop)] if walk
-                 else atom_walks(r.terms) if len(r.terms) == len(fixed) else None)
+        atoms = atom_walks(r.terms) if len(r.terms) == len(fixed) else None
         if atoms and (mu := prod(sum(prod(map(len, box)) for box in jacobian.atom_boxes(atom))
                                  for atom in atoms)) > FACTOR_LIMIT:
             raise EngineError(f"the Jacobian ring on {tuple(fixed)} has dimension {mu}, more than 2^21")
@@ -164,7 +161,7 @@ def _staircases(ctx, walk, loop, variables, closed, packing, rings):
     return [[_factor(ctx, variables, monomials, packing)]]
 
 
-def _blocks(ctx, packing, cache, rings, boxes):
+def _blocks(ctx, packing, cache, rings):
     """Per block of A, the mask of its variables and its alternatives (see the module docstring).
     Only a chain's boxes and the staircases call monomial_basis; cache holds the one-variable
     factors (_ranges), and rings the ring dimension of each staircase's closed set (_staircases)."""
@@ -176,8 +173,8 @@ def _blocks(ctx, packing, cache, rings, boxes):
             yield full, [_ranges(ctx, (v,), (range(-1, a - 1),), packing, cache)]
             continue
         variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
-        if not (boxes and walk):
-            yield full, _staircases(ctx, walk, loop, variables, closed, packing, rings)
+        if not walk:  # a matrix with no atom matching
+            yield full, _staircases(ctx, variables, closed, packing, rings)
         elif loop:  # closed sets: all of it, and none of it unless the group of the loop is trivial
             box, = jacobian.atom_boxes((walk, True))
             duals = [[_factor(ctx, variables, [(-1,) * len(variables)], packing)]] if 0 in closed else []
@@ -202,7 +199,7 @@ def _product(factors, packing):
     return out
 
 
-def join(ctx, window, boxes=False):
+def join(ctx, window):
     """(found, errors) for the classes of the fixed sets the join finds,
     each counted by ctx.fixed_counts, bit j of a mask for x_j.
 
@@ -210,14 +207,14 @@ def join(ctx, window, boxes=False):
     exps2) per row that a found line hits: its points in the window from
     the lowest degree, 2*|du| apart in degree; row is (mask, count, kind),
     kinds A and B of S + {x0} and C of S, S the line's fixed set; exps +
-    exps2, on the variables, are a basis monomial on S and -1 off it.
-    boxes only chooses the basis: Kreuzer-Krawitz boxes for tables, grevlex
-    staircases for listings.  errors holds a NotIsolated per class with a
-    block part whose ring is infinite and none whose ring is 0 (only a
-    block with no atom matching has such a part, and only then does the
-    census list the classes) and, when du == 0, a NonterminatingFamily per
-    class with a family of kind A or B in the window; each caller raises the
-    first in its own class order.
+    exps2, on the variables, are a basis monomial on S and -1 off it: a
+    Kreuzer-Krawitz box monomial on an atom's part of S, a grevlex standard
+    monomial on a part of a block with no atom matching.  errors maps to
+    NotIsolated each class with a block part whose ring is infinite and none
+    whose ring is 0 (only a block with no atom matching has such a part, and
+    only then does the census list the classes) and, when du == 0, to
+    NonterminatingFamily each class with a family of kind A or B in the
+    window; each caller raises the first in its own class order (first_error).
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -250,13 +247,13 @@ def join(ctx, window, boxes=False):
     M, low, top = N // L, (1 << w) - 1, n + 2
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
     rings, errors = {}, {}
-    blocks = list(_blocks(ctx, packing, {}, rings, boxes))
+    blocks = list(_blocks(ctx, packing, {}, rings))
     # a class's ring is infinite when a block part's is and none is 0, as in jacobian._staircases
     fulls = [full for full, _ in blocks if any(not dim and mask & full for mask, dim in rings.items())]
     for mask, _ in ctx.classes if None in rings.values() else ():
         parts = [rings[mask & full] for full in fulls]
         if None in parts and 0 not in parts:
-            errors[mask] = jacobian.not_isolated(tuple(v for v in range(1, n + 2) if mask >> v & 1))
+            errors[mask] = NotIsolated
     # a kind of degree offset off wants u in [lo, hi] = spans[off]; a class
     # fixing k of x_1..x_{n+1} has the offsets n - k + 1 and n - k + 2
     spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in range(n + 3)}
@@ -305,9 +302,8 @@ def join(ctx, window, boxes=False):
                     x = cmin * D - J
                     if not du:  # every point has the weight x / E, and c = r mod dc
                         if lo * E <= x <= hi * E:
-                            if cmax is None:  # kinds A and B: c runs up for ever; one error per class
-                                errors[row[0]] = errors.get(row[0]) or NonterminatingFamily(
-                                    "a monomial family never leaves the degree window (d0 = 0)")
+                            if cmax is None:  # kinds A and B: c runs up for ever
+                                errors.setdefault(row[0], NonterminatingFamily)
                             elif (r - cmin) % M == 0:
                                 out.append((2 * (x // E) + off, cmin, 1, count, row, variables, exps, exps2))
                         continue
@@ -322,3 +318,11 @@ def join(ctx, window, boxes=False):
                         out.append((2 * u + off, (J + E * u) // D, (hi - u) // M + 1, count, row,
                                     variables, exps, exps2))
     return out, errors
+
+
+def first_error(ctx, errors, order):
+    """The error of the first class by order among the failing classes of join's errors."""
+    mask = min(errors, key=order)
+    if errors[mask] is NotIsolated:
+        return jacobian.not_isolated(tuple(v for v in range(1, ctx.n + 2) if mask >> v & 1))
+    return NonterminatingFamily("a monomial family never leaves the degree window (d0 = 0)")

@@ -185,7 +185,7 @@ def build_cases():
         _table("x1^2*x2^2+x2^3+" + "+".join(f"x{i}^2" for i in range(3, 11)), (-10, 10)) + ["--allow-nonstandard"],
         ["probe-small-res", "--poly", "x1^2+x2^3", "--dmin", "0"],
         ["probe-small-res", "--poly", "x1^2*x2+x3^3+x1^2", "--dmin", "-6", "--allow-nonstandard"],
-        # a listing of a 22-variable loop: 2^22 staircase monomials, refused before Buchberger
+        # a listing of a 22-variable loop of ring dimension 2^22: the table's join, its hits renamed
         _table("+".join(f"x{i}^2*x{i % 22 + 1}" for i in range(1, 23)), (-4, 4), monomials=True),
     ):
         add(argv)

@@ -385,13 +385,13 @@ def _mask_classes(ctx):
 
 
 def _counted_joins(monkeypatch):
-    """The boxes flag of each join the engine runs: True for a table, False for a listing."""
+    """The window of each join the engine runs."""
     joins = []
     run = engine.join
 
-    def counted(ctx, window, boxes=False):
-        joins.append(boxes)
-        return run(ctx, window, boxes)
+    def counted(ctx, window):
+        joins.append(window)
+        return run(ctx, window)
 
     monkeypatch.setattr(engine, "join", counted)
     return joins
@@ -428,10 +428,10 @@ def test_each_restriction_is_solved_once(monkeypatch, text, shared):
     with pytest.MonkeyPatch.context() as patch:
         _forbid_census(patch)
         compute_table(p, (-12, 8), ctx=ctx)
-        assert joins == [True]
+        assert joins == [(-12, 8)]
         joins.clear()
         list(class_contributions(p, (-12, 8), ctx=ctx))
-    assert joins == [False]
+    assert joins == [(-12, 8)]
 
 
 @pytest.mark.parametrize(
@@ -452,10 +452,10 @@ def test_one_join_per_table_and_per_listing(monkeypatch, text):
     with pytest.MonkeyPatch.context() as patch:
         _forbid_census(patch)
         compute_table(p, (-12, 8), ctx=ctx)
-        assert joins == [True]
+        assert joins == [(-12, 8)]
         joins.clear()
         list(class_contributions(p, (-12, 8), ctx=ctx))
-    assert joins == [False]
+    assert joins == [(-12, 8)]
 
 
 def test_wide_table_builds_rows_per_found_fixed_set_not_per_class(monkeypatch):
@@ -505,7 +505,7 @@ def test_table_of_18_squares_has_the_runs_of_the_census_join():
     # beside the table's, which counts only the fixed sets its join finds
     p = parse("+".join(f"x{i}^2" for i in range(1, 19)))
     ctx = SymmetryContext(p)
-    found, errors = lines.join(ctx, (-12, 8), boxes=True)
+    found, errors = lines.join(ctx, (-12, 8))
     assert errors == {} and found
     with pytest.MonkeyPatch.context() as patch:
         _forbid_census(patch)
@@ -583,8 +583,8 @@ def _line_runs(ctx, found, window, errors):
             _, count, (_, cmin, cmax, off, _) = row
             try:
                 ts = _line_t_range(c0, u0, dc, du, cmin, cmax, off, *window)
-            except NonterminatingFamily as exc:
-                errors.setdefault(row[0], exc)
+            except NonterminatingFamily:
+                errors.setdefault(row[0], NonterminatingFamily)
                 continue
             if ts:
                 t = ts[0] if du >= 0 else ts[-1]
@@ -706,7 +706,8 @@ def test_kernel_matches_reference(seed, window, order):
 def _component_bases(p, fixed_vars, boxes):
     """(variables, set of basis monomials) per component of the restriction:
     with boxes, the points of an atom's boxes, else its staircase.  The
-    restriction's basis is the product of these."""
+    restriction's basis is the product of these; the join's reads boxes
+    exactly when A is a sum of atoms."""
     found = []
     for variables in component_variables(restrict(p, fixed_vars)):
         r = restrict(p, variables)
@@ -719,7 +720,7 @@ def _component_bases(p, fixed_vars, boxes):
     return found
 
 
-def assert_lines_decoded(p, window, boxes=False):
+def assert_lines_decoded(p, window):
     """Every run of lines.join starts at a decoded lattice point: its
     monomial is a basis monomial of the restriction with dual markers off
     it, and its first point (c, rest) - u*(1,..,1) is in the relation
@@ -727,48 +728,48 @@ def assert_lines_decoded(p, window, boxes=False):
     the number of runs."""
     relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     ctx = SymmetryContext(p)
-    found, _ = lines.join(ctx, window, boxes)
+    found, _ = lines.join(ctx, window)
     for d, c, points, _, (mask, _, (_, cmin, _, off, _)), *monomial in found:
         rest = _rest(ctx, *monomial)
         assert window[0] <= d <= window[1] and c >= cmin and points > 0
         fixed_vars = tuple(sorted(_fixed(mask) - {0}))
         assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
-        for variables, basis in _component_bases(p, fixed_vars, boxes):
+        for variables, basis in _component_bases(p, fixed_vars, ctx.walks is not None):
             assert tuple(rest[v - 1] for v in variables) in basis
         assert member(relations, [b - (d - off) // 2 for b in (c,) + rest])
-    assert_range_join_matches_probe_join(ctx, window, boxes)
+    assert_range_join_matches_probe_join(ctx, window)
     return len(found)
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 10**9), windows, st.booleans())
-def test_kernel_lines_are_decoded_lattice_points(seed, window, boxes):
-    p = random_invertible(random.Random(seed), max_vars=5, max_det=3000)
-    assert_lines_decoded(p, window, boxes)
+def test_kernel_lines_are_decoded_lattice_points(seed, window, nonstandard):
+    # a matrix with no atom matching joins staircases, a sum of atoms boxes
+    rng = random.Random(seed)
+    p = _nonstandard(rng) if nonstandard else random_invertible(rng, max_vars=5, max_det=3000)
+    assert_lines_decoded(p, window)
 
 
 def test_kernel_lines_are_decoded_lattice_points_on_fixed_inputs():
     for text in (LAUFER1, "x1^3*x2+x2^4*x3+x3^2*x1+x4^3", "x1^2*x2+x2^3*x3+x3^4+x4^5+x5^2"):
-        for boxes in (False, True):
-            assert assert_lines_decoded(parse(text), (-40, 8), boxes) > 0
+        assert assert_lines_decoded(parse(text), (-40, 8)) > 0
 
 
-def _solved(solve, ctx, classes, window, boxes):
-    """The multiset of the runs that solve finds, and the class and message
-    of the first error in class order, else None.  A listing's run keeps
-    its monomial's exponents on x_1..x_{n+1}; a table's keeps none, as a
-    table reads none and its basis off the atoms, a staircase, may differ
-    from the oracle's boxes of a restriction that is one atom."""
-    found, errors = solve(ctx, classes, window, boxes)
-    found = Counter(run[:5] if boxes else (*run[:5], _rest(ctx, *run[5:])) for run in found)
-    first = next((errors[mask] for mask, _ in classes if mask in errors), None)
-    return found, first and (type(first), str(first))
+def _solved(solve, ctx, classes, window):
+    """The multiset of the runs that solve finds, each with its monomial's
+    exponents on x_1..x_{n+1}, and the class and message of the first error
+    in class order, else None."""
+    found, errors = solve(ctx, classes, window)
+    found = Counter((*run[:5], _rest(ctx, *run[5:])) for run in found)
+    if not errors:
+        return found, None
+    first = lines.first_error(ctx, errors, [mask for mask, _ in classes].index)
+    return found, (type(first), str(first))
 
 
 @settings(max_examples=150)
-@given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.integers(-16, 8), st.integers(0, 6),
-       st.booleans())
-def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, wide):
+@given(st.integers(0, 10**9), st.booleans(), st.integers(-16, 8), st.integers(0, 6), st.booleans())
+def test_range_join_matches_probe_join(seed, nonstandard, dmax, length, wide):
     # short windows, windows longer than 2*|du| (every residue of u), both
     # signs of du, and du == 0, where both raise for a family that never
     # leaves the window
@@ -780,25 +781,26 @@ def test_range_join_matches_probe_join(seed, nonstandard, boxes, dmax, length, w
         return
     du = ctx.family_step[1]
     window = (dmax - length - wide * (2 * abs(du) + 1 + rng.randrange(2 * abs(du) + 1)), dmax)
-    assert_range_join_matches_probe_join(ctx, window, boxes)
+    assert_range_join_matches_probe_join(ctx, window)
 
 
-def _probe_join(ctx, classes, window, boxes=False):
+def _probe_join(ctx, classes, window):
     """lattice_oracle.probe_restriction in the shape of lines.join, one
     probe join per restriction: the runs of its lines (_line_runs), and
-    {mask: error} for the first class of the first restriction whose ring
-    is infinite and for each class with a family that never leaves the
-    window.  The oracle takes and gives its classes as frozensets, and
-    takes the census when handed no classes, as a table's join is."""
+    {mask: error class} for the first class of the first restriction whose
+    ring is infinite and for each class with a family that never leaves the
+    window.  The oracle reads boxes exactly when A is a sum of atoms, as the
+    join does, takes and gives its classes as frozensets, and takes the
+    census when handed no classes, as a table's join is."""
     groups, found, errors, cache = {}, [], {}, {}
     for mask, count in ctx.classes if classes is None else classes:
         groups.setdefault(mask & ~1, []).append((_fixed(mask), count))
     for fixed, group in groups.items():
         try:
             fixed_vars = tuple(sorted(_fixed(fixed)))
-            rows, lines_found = probe_restriction(ctx, fixed_vars, group, window, cache, boxes)
-        except NotIsolated as exc:
-            errors.setdefault(_mask(group[0][0]), exc)
+            rows, lines_found = probe_restriction(ctx, fixed_vars, group, window, cache, ctx.walks is not None)
+        except NotIsolated:
+            errors.setdefault(_mask(group[0][0]), NotIsolated)
             continue
         rows = [(_mask(fixed), count, kind) for fixed, count, kind in rows]
         lines_found = [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in lines_found]
@@ -806,10 +808,10 @@ def _probe_join(ctx, classes, window, boxes=False):
     return found, errors
 
 
-def assert_range_join_matches_probe_join(ctx, window, boxes):
+def assert_range_join_matches_probe_join(ctx, window):
     classes = _mask_classes(ctx)
-    got = _solved(lambda ctx, _, *args: lines.join(ctx, *args), ctx, classes, window, boxes)
-    assert got == _solved(_probe_join, ctx, classes, window, boxes)
+    got = _solved(lambda ctx, _, window: lines.join(ctx, window), ctx, classes, window)
+    assert got == _solved(_probe_join, ctx, classes, window)
     return got
 
 
@@ -824,11 +826,10 @@ def test_range_join_matches_probe_join_on_each_sign_of_du(text, sign):
     assert (du > 0) - (du < 0) == sign
     errors = set()
     for window in ((-12, 8), (3, 3), (-4 * abs(du) - 7, 5)):
-        for boxes in (False, True):
-            solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
-            # with du == 0 a window may hold no point but those of the stuck families
-            assert solved or du == 0
-            errors.add(error and error[0])
+        solved, error = assert_range_join_matches_probe_join(ctx, window)
+        # with du == 0 a window may hold no point but those of the stuck families
+        assert solved or du == 0
+        errors.add(error and error[0])
     # with du == 0 a family whose degree lies in the window never leaves it
     assert (NonterminatingFamily in errors) == (du == 0) and errors <= {None, NonterminatingFamily}
 
@@ -876,13 +877,31 @@ def test_tables_and_listings_match_the_probe_join(seed, window, draw):
 
     got = _outcome(solve)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "join", lambda ctx, window, boxes=False: _probe_join(ctx, None, window, boxes))
+        patch.setattr(engine, "join", lambda ctx, window: _probe_join(ctx, None, window))
         assert got == _outcome(solve)
 
 
+@settings(max_examples=60)
+@given(st.integers(0, 10**9), windows, st.booleans())
+def test_listing_raises_as_its_table_does_or_sums_to_its_cells(seed, window, ones):
+    # a listing is the table's join with its hits renamed: it raises exactly
+    # when the table does, with the same error, else its rows sum to the cells
+    p = random_invertible(random.Random(seed), max_vars=6, max_det=3000, ones=ones)
+    ctx = SymmetryContext(p)
+    table = _outcome(lambda: compute_table(p, window, ctx=ctx))
+    listing = _outcome(lambda: aggregate_contributions(class_contributions(p, window, ctx=ctx)))
+    if table[0] == "raised":
+        assert listing == table
+    else:
+        cells = Counter()
+        for row in listing[1]:
+            cells[row["d"], row["q"]] += row["count"]
+        assert cells == table[1].cells
+
+
 @settings(max_examples=40)
-@given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.booleans())
-def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, boxes):
+@given(st.integers(0, 10**9), st.booleans(), st.booleans())
+def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones):
     # a block's alternatives, read off its atom walk and at most two box
     # bases, multiply out to its pairs (closed S_B, basis monomial of w on
     # S_B with -1 on the rest of the block), each once, with S_B as mark
@@ -892,8 +911,8 @@ def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, bo
     packing = lines._packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
     closed = dict(ctx.closed_sets)
     rings = {}
-    for full, alternatives in lines._blocks(ctx, packing, {}, rings, boxes):
-        assert None not in rings.values()
+    for full, alternatives in lines._blocks(ctx, packing, {}, rings):
+        assert rings == {}  # no staircase
         variables = [v for v in range(1, p.nvars + 1) if full >> v & 1]
         got = Counter()
         for factors in alternatives:
@@ -905,10 +924,10 @@ def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones, bo
         expected = Counter()
         for mask in closed[full]:
             r = restrict(p, [v for v in variables if mask >> v & 1])
-            basis = monomial_basis(r, atom_of(r) if boxes else None)
+            basis = monomial_basis(r, atom_of(r))
             if isinstance(basis, BoxBasis):
                 points = [m for box in basis.boxes for m in product(*box)]
-            else:
+            else:  # a loop's empty closed set
                 points = basis.monomials
             expected.update(tuple(dict(zip(basis.variables, m)).get(v, -1) for v in variables) for m in points)
         assert got == expected, (p.matrix, variables)
@@ -930,7 +949,7 @@ def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(mon
 )
 def test_tables_and_listings_match_no_atom_once_the_context_is_built(monkeypatch, text):
     # the context's walks are the one source of atom structure: a chain's
-    # boxes, a loop's box and the listing cap's sizes are read off them
+    # boxes and a loop's box are read off them, and a listing's renaming
     p = parse(text)
     ctx = SymmetryContext(p)
     matched, walks = [], poly.atom_walks
@@ -942,17 +961,33 @@ def test_tables_and_listings_match_no_atom_once_the_context_is_built(monkeypatch
     assert table.total() and listing
 
 
-def test_listing_of_a_chain_is_refused_off_its_walk_before_buchberger(monkeypatch):
-    # the walk x3 -> x1 -> x4 -> x2 gives the chain's ring 2,255,605 > 2^21
-    # monomials; the listing reads that off the walk, with no Groebner basis
-    def refused(gens, key):
-        raise AssertionError("Buchberger ran")
+@pytest.mark.parametrize(
+    "text, window",
+    [
+        ("x3^39*x1+x1^39*x4+x4^39*x2+x2^39", (-2, 2)),  # the walk x3 -> x1 -> x4 -> x2, ring 2,255,605
+        ("+".join(f"x{i}^2*x{i % 16 + 1}" for i in range(1, 17)), (-4, 4)),  # ring 2^16
+        ("x1^7*x2+x2^5*x3+x3^5*x4+x4^5*x5+x5^3*x6+x6^3", (-12, 8)),
+        (_sum("x1^2*x2+x2^3*x1", 3), (-12, 8)),
+        (LAUFER1, (-12, 8)),
+    ],
+    ids=["chain4", "loop16", "chain6", "loops3", "laufer"],
+)
+def test_atom_listing_grows_no_staircase_and_one_basis_per_hit_restriction(monkeypatch, text, window):
+    # a listing of atoms joins their boxes as the table does, then renames
+    # each hit on an atom's part of more than one variable by its normal
+    # form: one Groebner basis per distinct such part, and no staircase
+    def never(*args):
+        raise AssertionError("a staircase was grown")
 
-    monkeypatch.setattr(jacobian, "_groebner", refused)
-    p = parse("x3^39*x1+x1^39*x4+x4^39*x2+x2^39")
-    message = r"^the Jacobian ring on \(1, 2, 3, 4\) has dimension 2255605, more than 2\^21$"
-    with pytest.raises(EngineError, match=message):
-        list(class_contributions(p, (-2, 2)))
+    built, groebner = [], jacobian._groebner
+    monkeypatch.setattr(jacobian, "_staircase", never)
+    monkeypatch.setattr(jacobian, "_groebner", lambda gens, key: built.append(gens) or groebner(gens, key))
+    p = parse(text)
+    ctx = SymmetryContext(p)
+    listing = list(class_contributions(p, window, ctx=ctx))
+    parts = {tuple(v for v, _ in walk if con.monomial.b[v + 1] >= 0) for con in listing for walk, _ in ctx.walks}
+    parts = {part for part in parts if len(part) > 1}
+    assert listing and parts and len(built) == len(parts)
 
 
 def _divisors(N):
@@ -1000,9 +1035,8 @@ def test_range_join_matches_probe_join_when_n_is_a_power_of_two(text, moduli, N)
     ctx = SymmetryContext(parse(text))
     assert (ctx.line_moduli, ctx.line_denominator * abs(ctx.family_step[1])) == (moduli, N)
     for window in ((-12, 8), (-2000, 8)):
-        for boxes in (False, True):
-            solved, error = assert_range_join_matches_probe_join(ctx, window, boxes)
-            assert solved and error is None
+        solved, error = assert_range_join_matches_probe_join(ctx, window)
+        assert solved and error is None
 
 
 def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
@@ -1016,9 +1050,9 @@ def test_kernel_unit_component_leaves_no_line_next_to_an_infinite_one():
         ctx = SymmetryContext(p)
         found, errors = lines.join(ctx, (-10, 10))
         assert full in dict(ctx.classes) and all(run[4][0] != full for run in found)
-        assert (full in errors) == (p is infinite)
+        assert errors.get(full) is (NotIsolated if p is infinite else None)
     with pytest.raises(NotIsolated, match=r"restriction to \(1, 2, 3\) is infinite"):
-        raise errors[full]
+        raise lines.first_error(ctx, {full: errors[full]}, ctx.class_key)
 
 
 def test_not_isolated_reads_the_rings_its_blocks_solved(monkeypatch):
@@ -1112,7 +1146,7 @@ def test_d0_zero_tables_take_one_join_and_no_listing(monkeypatch, text):
         if got[0] == "raised":
             first = next(fixed for fixed, count in sorted(ctx.fixed_census().items(), key=lambda kv: sorted(kv[0]))
                          if _outcome(lambda: _class_contributions(ctx, fixed, count, window, "lex"))[0] == "raised")
-            _, errors = lines.join(ctx, window, boxes=True)
+            _, errors = lines.join(ctx, window)
             assert next(mask for mask, _ in ctx.classes if mask in errors) == _mask(first)
     assert seen == {"value", "raised"}
 

@@ -2,6 +2,7 @@ import random
 import re
 import warnings
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
+from lattice_oracle import member
 from mfhh import jacobian, lines
 from mfhh.errors import EngineError, InputError, NotIsolated
 from mfhh.jacobian import (
@@ -302,7 +304,7 @@ def test_atom_boxes_of_disconnected_restrictions(monkeypatch, text):
 
     def staircases():  # the whole matrix as one closed set of a block with no walk
         rings = {}
-        lines._staircases(ctx, (), False, r.fixed, [full], packing, rings)
+        lines._staircases(ctx, r.fixed, [full], packing, rings)
         return rings
 
     monkeypatch.setattr(lines, "FACTOR_LIMIT", mu)
@@ -316,6 +318,36 @@ def test_atom_boxes_of_disconnected_restrictions(monkeypatch, text):
     monkeypatch.setattr(jacobian, "monomial_basis", never)
     with pytest.raises(EngineError, match=rf"on {re.escape(str(r.fixed))} has dimension {mu}, more than 2\^21$"):
         staircases()
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**9), st.booleans())
+def test_normal_forms_of_the_boxes_are_the_staircase_on_the_same_lines(seed, ones):
+    # an atom's Jacobian ideal is binomial, so on every closed set of every
+    # atom block each box monomial's grevlex normal form is one term; those
+    # terms are the staircase, and each differs from its box monomial by a
+    # relation, so the two, with -1 on the rest of the block, share a line
+    p = random_invertible(random.Random(seed), max_vars=6, max_det=3000, ones=ones)
+    ctx = SymmetryContext(p)
+    relations = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
+    bases = {}
+    for _, closed in ctx.closed_sets:
+        for mask in closed:
+            r = restrict(p, [v for v in range(1, p.nvars + 1) if mask >> v & 1])
+            if not r.fixed:
+                continue
+            walk, loop = atom_of(r)
+            gens = jacobian._groebner(jacobian._jacobian_generators(r.terms, len(r.fixed)), _grevlex_key)
+            forms = []
+            for box in jacobian.atom_boxes((walk, loop)):
+                for point in product(*box):
+                    m = tuple(map(dict(zip([v + 1 for v, _ in walk], point)).get, r.fixed))
+                    (form, _), = jacobian._reduce({m: Fraction(1)}, gens, _grevlex_key).items()
+                    assert jacobian.normal_form(r, m, bases) == form
+                    forms.append(form)
+                    moved = dict(zip(r.fixed, (a - b for a, b in zip(m, form))))
+                    assert member(relations, [0] + [moved.get(v, 0) for v in range(1, p.nvars + 1)])
+            assert sorted(forms, key=_grevlex_key) == list(monomial_basis(r).monomials)
 
 
 LOOP6 = "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1"

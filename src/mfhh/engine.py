@@ -90,21 +90,29 @@ def stretches(runs, sd, sq):
     lines = {}
     for d, q, n, m in runs:
         k, r = divmod(d, sd)
-        lines.setdefault((r, q - k * sq), []).extend(((k, m), (k + n, -m)))
-    for (r, base), events in lines.items():
-        events.sort()
+        line = lines.setdefault((r, q - k * sq), {})  # k: the change of dim at point k
+        line[k] = line.get(k, 0) + m
+        line[k + n] = line.get(k + n, 0) - m
+    for (r, base), line in lines.items():
+        if not any(line.values()):
+            continue  # every change cancels, as in a self-compare
+        ks = sorted(line)
         height = 0
-        for (k, m), (k2, _) in zip(events, events[1:]):
-            height += m
-            if height and k2 > k:
+        for k, k2 in zip(ks, ks[1:]):
+            height += line[k]
+            if height:
                 yield r, base, k, k2, height
 
 
 def clip(runs, step, dmin, dmax):
     """The runs along step cut to the degrees dmin..dmax."""
-    sd, sq = step
-    cuts = ((d, q, m, max(0, -((d - dmin) // sd)), min(n, (dmax - d) // sd + 1)) for d, q, n, m in runs)
-    return [(d + i * sd, q + i * sq, j - i, m) for d, q, m, i, j in cuts if i < j]
+    (sd, sq), out = step, []
+    for d, q, n, m in runs:
+        i = (dmin - d - 1) // sd + 1 if d < dmin else 0  # the points below dmin
+        j = (dmax - d) // sd + 1  # and up to dmax
+        if i < j and i < n:
+            out.append((d + i * sd, q + i * sq, (j if j < n else n) - i, m))
+    return out
 
 
 class BigradedTable:
@@ -115,14 +123,15 @@ class BigradedTable:
     construction.  It holds runs (d, q, n, m), the cells (d + i*sd, q + i*sq),
     i < n, of dim m along its step (sd, sq), sd > 0: one per found line and
     row for compute_table, one per cell for a table built from cells.  Every
-    query is O(runs): row, dim and restrict clip them, and total sums n*m.
+    query is O(runs): row and dim test each run for a point at d, restrict
+    clips them, and total sums n*m.
     The cells are swept from the runs on first read (cell_list, ==).
     """
 
     def __init__(self, dmin, dmax, cells=None, runs=None, step=(1, 1)):
         self.dmin, self.dmax = dmin, dmax
         self.step = step
-        self.runs = [(d, q, 1, dim) for (d, q), dim in cells.items() if dim] if runs is None else runs
+        self.runs = [(d, q, 1, dim) for (d, q), dim in (cells or {}).items() if dim] if runs is None else runs
 
     @cached_property
     def cells(self):
@@ -142,13 +151,16 @@ class BigradedTable:
 
     def row(self, d):
         """The cells of degree d as a new {weight: dim} dict."""
-        out = Counter()
-        for _, q, _, m in clip(self.runs, self.step, d, d):
-            out[q] += m
-        return dict(out)
+        (sd, sq), out = self.step, {}
+        for d0, q, n, m in self.runs:
+            if (d - d0) % sd == 0 and 0 <= d - d0 < n * sd:
+                q += (d - d0) // sd * sq
+                out[q] = out.get(q, 0) + m
+        return out
 
     def dim(self, d):
-        return sum(m for *_, m in clip(self.runs, self.step, d, d))
+        sd = self.step[0]
+        return sum(m for d0, _, n, m in self.runs if (d - d0) % sd == 0 and 0 <= d - d0 < n * sd)
 
     def weights(self, d):
         """Weight multiset in degree d, sorted, with multiplicity."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .engine import clip, compute_table, stretches
@@ -69,6 +70,9 @@ def _last_difference(sides, hi=None):
     pieces = []
     for (runs, (sd, sq), f), sign in zip(sides, (1, -1)):
         j = S // sd if f * sq * (S // sd) == Q else None
+        if j == 1:  # the runs already lie on the common step
+            pieces += [(d, f * q, n, sign * m) for d, q, n, m in runs]
+            continue
         pieces += [(d + i * sd, f * (q + i * sq), -((i - n) // j) if j else 1, sign * m)
                    for d, q, n, m in runs for i in range(min(j or n, n))]
     return max((r + (k2 - 1) * S for r, _, _, k2, _ in stretches(pieces, S, Q)), default=None)
@@ -164,11 +168,11 @@ def small_res_probe(t):
     lo, hi = t.dmin, min(t.dmax, -1)
     sd, ref = t.step[0], t.dim(hi)
     # the rank less ref along the window, one run of -ref per residue class
-    # of the degree step: the witnesses are the points of its stretches
+    # of the degree step: the witnesses, one per degree, are the points of its stretches
     runs = [(d, 0, n, m) for d, _, n, m in clip(t.runs, t.step, lo, hi)]
     runs += [(d, 0, (hi - d) // sd + 1, -ref) for d in range(lo, min(lo + sd, hi + 1))] if ref else []
-    witnesses = tuple(sorted((d, h + ref) for r, _, k, k2, h in stretches(runs, sd, 0)
-                             for d in range(r + k * sd, r + k2 * sd, sd)))
+    witnesses = tuple(sorted(((d, h + ref) for r, _, k, k2, h in stretches(runs, sd, 0)
+                              for d in range(r + k * sd, r + k2 * sd, sd)), key=itemgetter(0)))
     if witnesses:
         return SmallResVerdict("nonconstant", (lo, hi), None, witnesses)
     return SmallResVerdict("constant", (lo, hi), ref)

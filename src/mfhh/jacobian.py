@@ -82,14 +82,13 @@ def _lead(f, key):
 
 
 def _reduce(f, gens, key):
-    """Full normal form of f modulo gens."""
+    """Full normal form of f modulo gens, each held as ((lead, coefficient), generator)."""
     work = dict(f)
     rem = {}
-    leads = [(_lead(g, key), g) for g in gens]
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for (lm, lc), g in leads:
+        for (lm, lc), g in gens:
             if _divides(lm, m):
                 q = _mono_div(m, lm)
                 f2 = c / lc
@@ -109,28 +108,28 @@ def _reduce(f, gens, key):
 
 
 def _groebner(gens, key):
-    basis = [dict(g) for g in gens if g]
+    """A Groebner basis of gens under key, each generator as ((lead, coefficient), generator)."""
+    basis = [(_lead(g, key), dict(g)) for g in gens if g]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)
-        lmi, lci = _lead(basis[i], key)
-        lmj, lcj = _lead(basis[j], key)
+        ((lmi, lci), gi), ((lmj, lcj), gj) = basis[i], basis[j]
         lcm = _lcm(lmi, lmj)
         if lcm == _mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-polynomial reduces to zero
         s = {}
         qi, qj = _mono_div(lcm, lmi), _mono_div(lcm, lmj)
-        for gm, gc in basis[i].items():
+        for gm, gc in gi.items():
             t = _mono_mul(gm, qi)
             s[t] = s.get(t, Fraction(0)) + gc / lci
-        for gm, gc in basis[j].items():
+        for gm, gc in gj.items():
             t = _mono_mul(gm, qj)
             s[t] = s.get(t, Fraction(0)) - gc / lcj
         s = {m: c for m, c in s.items() if c}
         r = _reduce(s, basis, key)
         if r:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(r)
+            basis.append((_lead(r, key), r))
     return basis
 
 
@@ -212,7 +211,7 @@ def _staircase(terms, nvars):
     """Staircase of one component in ascending grevlex order; None if it is
     infinite."""
     gens = _groebner(_jacobian_generators(terms, nvars), _grevlex_key)
-    leads = [max(g, key=_grevlex_key) for g in gens]
+    leads = [lm for (lm, _), _ in gens]
     zero = (0,) * nvars
     # finite iff each variable has a pure-power lead, or 1 is a lead (ring 0)
     bounded = [zero in leads] * nvars

@@ -37,7 +37,7 @@ def box_walk_basis(r, order):
         return MonomialBasis((), ((),))
     key = KEYS[order]
     basis = _groebner(_jacobian_generators(r.terms, nv), key)
-    leads = [max(g, key=key) for g in basis]
+    leads = [lm for (lm, _), _ in basis]
     if (0,) * nv in leads:
         # the unit ideal: the ring is 0 whatever the other leads are
         return MonomialBasis(r.fixed, ())

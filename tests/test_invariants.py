@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
-from mfhh.engine import BigradedTable, compute_table, stretches
+from mfhh.engine import BigradedTable, clip, compute_table, stretches
 from mfhh.errors import GoldenMismatch, NonterminatingFamily, UnknownFamily, WindowMismatch
 from mfhh.invariants import (
     FAMILY_NAMES,
@@ -430,6 +430,67 @@ def test_table_index_matches_cell_scan(data):
     assert (t == other) == same == (other == t)
 
 
+def test_a_table_of_neither_cells_nor_runs_is_empty():
+    t = BigradedTable(-3, 2)
+    assert t.runs == [] and t == BigradedTable(-3, 2, {}) and repr(t) == "BigradedTable(-3, 2, 0 cells)"
+    assert (t.total(), t.cell_list(), t.row(-1), t.dim(-1), t.weights(-1)) == (0, [], {}, 0, ())
+    assert small_res_probe(t) == SmallResVerdict("constant", (-3, -1), 0)
+
+
+@st.composite
+def sweep_runs(draw):
+    """(runs, sd, sq): runs (d, q, n, m) along (sd, sq) with one-point runs,
+    runs cancelled by one of the opposite sign and runs that start where one
+    of the same dim ends."""
+    sd, sq = draw(st.integers(1, 80)), draw(st.integers(-5, 5))
+    run = st.tuples(st.integers(-300, 300), st.integers(-20, 20), st.integers(1, 6),
+                    st.integers(-3, 3).filter(bool))
+    runs = draw(st.lists(run, max_size=12))
+    for d, q, n, m in list(runs):
+        extra = draw(st.sampled_from(["", "cancel", "follow"]))
+        if extra == "cancel":
+            runs.append((d, q, n, -m))
+        elif extra == "follow":
+            runs.append((d + n * sd, q + n * sq, draw(st.integers(1, 6)), m))
+    return draw(st.permutations(runs)), sd, sq
+
+
+def _points(runs, sd, sq):
+    """The summed dims of the runs' points, point by point."""
+    points = Counter()
+    for d, q, n, m in runs:
+        for i in range(n):
+            points[(d + i * sd, q + i * sq)] += m
+    return points
+
+
+@given(sweep_runs())
+def test_stretches_are_the_nonzero_summed_points(drawn):
+    runs, sd, sq = drawn
+    swept = {}
+    for r, base, k, k2, h in stretches(runs, sd, sq):
+        assert k2 > k and h != 0
+        for i in range(k, k2):
+            assert swept.setdefault((r + i * sd, base + i * sq), h) == h
+    assert len(swept) == sum(k2 - k for _, _, k, k2, _ in stretches(runs, sd, sq))
+    assert swept == {point: m for point, m in _points(runs, sd, sq).items() if m}
+
+
+@settings(max_examples=200)
+@given(sweep_runs(), st.data())
+def test_clip_keeps_the_points_in_the_window(drawn, data):
+    # run by run, in order: the points of each run in the window, and no
+    # run for one with none there; the window ends anywhere, or at a point
+    # of a run or next to one
+    runs, sd, sq = drawn
+    ends = [d + i * sd + e for d, _, n, _ in runs for i in range(-1, n + 1) for e in (-1, 0, 1)]
+    end = st.one_of(st.integers(-320, 320), *[st.sampled_from(ends)] * bool(ends))
+    dmin, dmax = data.draw(end), data.draw(end)
+    kept = [[(d + i * sd, q + i * sq, m) for i in range(n) if dmin <= d + i * sd <= dmax] for d, q, n, m in runs]
+    cut = clip(runs, (sd, sq), dmin, dmax)
+    assert [[(d + i * sd, q + i * sq, m) for i in range(n)] for d, q, n, m in cut] == [k for k in kept if k]
+
+
 def test_small_res_probe():
     v = small_res_probe(table(LAUFER1))
     assert v.constant and v.rank == 1
@@ -635,10 +696,10 @@ def test_run_form_invariants_match_cell_references(seed):
     for x in (t1, t2, base, split2, split3, scaled, scaled_cells, cells1, cells2):
         assert small_res_probe(x) == _small_res_probe_scan(_scanning(x))
         copy = BigradedTable(x.dmin, x.dmax, x.cells)
-        assert [x.dim(d) for d in range(x.dmin, x.dmax + 1)] == [
-            sum(dim for (dd, _), dim in copy.cells.items() if dd == d) for d in range(x.dmin, x.dmax + 1)
-        ]
-        assert x.total() == copy.total() == sum(copy.cells.values())
+        # dim, row and weights in every degree, on steps with sd > 1 and
+        # slopes of either sign, and the total, against the cells
+        _assert_matches_scan(x, copy.cells)
+        assert x.total() == copy.total()
         lo = rng.randint(x.dmin, x.dmax)
         hi = rng.randint(lo, x.dmax)
         part = {(d, q): dim for (d, q), dim in x.cells.items() if lo <= d <= hi}

@@ -9,17 +9,17 @@ its dimension equals the Milnor number for the full restriction.  Grevlex is
 the package's only monomial order: the tables do not depend on the basis.
 
 Components.  Call two fixed variables linked when some term contains both,
-and split the variables into the classes this generates.  Each partial
-derivative involves the variables of one class only, so the Jacobian ideal
-is the sum of the classes' ideals, and those live in disjoint variables.
-Take a Groebner basis of each class under grevlex on its variables, which
-is grevlex on all of them restricted to the class.  Their union is a
-Groebner basis of the sum: an S-pair across two classes has coprime leading
-monomials, so it reduces to zero by Buchberger's first criterion.  A
-monomial is therefore standard exactly when its part in each class is, and
-the staircase is the product of the per-class staircases; the ring is 0 if
-one class's is (1 is in its ideal), else finite-dimensional exactly when
-every class's ring is.
+and split the variables into the classes this generates
+(component_variables).  Each partial derivative involves the variables of
+one class only, so the Jacobian ideal is the sum of the classes' ideals,
+and those live in disjoint variables.  An S-pair across two classes has
+coprime leading monomials, so Buchberger's first criterion skips it, and
+one Groebner basis of the whole restriction is the union of the classes'.
+Its staircase is the product of theirs, 0 if one class's ring is, else
+finite exactly when every class's is, and monomial_basis grows it at once.
+The split serves milnor_number, which multiplies the classes' dimensions
+and sizes an atom among them by its boxes, and SymmetryContext, whose
+blocks are the classes of a matrix with no atom matching.
 
 Growing a staircase.  Every monomial m != 0 has one parent m - e_first,
 where first is its lowest variable with a nonzero exponent, so the parents
@@ -42,14 +42,14 @@ monomial_basis a restriction's atom, as SymmetryContext.walks gives it, and
 gets its Kreuzer-Krawitz boxes in walk order with no Groebner basis and no
 matching; milnor_number matches each component once (atom_of) to do the
 same.  A listing renames their points (normal_form) and grows no
-staircase; the staircase serves components that are no atom.
+staircase; the staircase serves restrictions that are no atom.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from operator import itemgetter, le, neg
+from operator import le, neg
 from typing import NamedTuple
 
 from .errors import InputError, NotIsolated
@@ -180,36 +180,9 @@ def _jacobian_generators(terms, nvars):
     return gens
 
 
-def _components(r):
-    """Split the fixed variables into the classes that share a term.
-
-    Yields (positions, terms) per class in order of its first variable:
-    positions index r.fixed, and the class's terms are written over those
-    positions only.
-    """
-    root = list(range(len(r.fixed)))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for t in r.terms:
-        support = [find(k) for k, e in enumerate(t) if e]
-        for k in support[1:]:
-            root[k] = support[0]
-    positions, terms = {}, {}
-    for v in range(len(root)):
-        positions.setdefault(find(v), []).append(v)
-    for t in r.terms:
-        terms.setdefault(find(next(k for k, e in enumerate(t) if e)), []).append(t)
-    for c, pos in positions.items():
-        yield tuple(pos), tuple(tuple(t[v] for v in pos) for t in terms.get(c, ()))
-
-
 def _staircase(terms, nvars):
-    """Staircase of one component in ascending grevlex order; None if it is
-    infinite."""
+    """Staircase of the Jacobian ideal of terms over nvars variables in
+    ascending grevlex order; None if it is infinite."""
     gens = _groebner(_jacobian_generators(terms, nvars), _grevlex_key)
     leads = [lm for (lm, _), _ in gens]
     zero = (0,) * nvars
@@ -276,20 +249,24 @@ def not_isolated(fixed):
 
 
 def component_variables(r):
-    """The variables of each connected component of r, in order of their
-    first variable.  Restricting r.parent to them gives back the component,
-    and r's staircase is the product of theirs."""
-    return [tuple(r.fixed[v] for v in pos) for pos, _ in _components(r)]
+    """The variables of each connected component of r, the classes of r.fixed
+    that share a term, in order of their first variable.  Restricting
+    r.parent to them gives back the component."""
+    root = list(range(len(r.fixed)))
 
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
 
-def _staircases(r):
-    """(positions, staircase) per component of r, or one empty one if a ring is 0."""
-    found = [(pos, _staircase(terms, len(pos))) for pos, terms in _components(r)]
-    if () in (s for _, s in found):
-        return [((), ())]
-    if None in (s for _, s in found):
-        raise not_isolated(r.fixed)
-    return found
+    for t in r.terms:
+        support = [find(k) for k, e in enumerate(t) if e]
+        for k in support[1:]:
+            root[k] = support[0]
+    classes = {}
+    for v in range(len(root)):
+        classes.setdefault(find(v), []).append(r.fixed[v])
+    return [tuple(c) for c in classes.values()]
 
 
 def monomial_basis(r, atom=None):
@@ -303,20 +280,9 @@ def monomial_basis(r, atom=None):
         if tuple(sorted(variables)) != r.fixed:
             raise InputError(f"an atom on {variables} is no basis of the restriction to {r.fixed}")
         return BoxBasis(variables, tuple(atom_boxes(atom)))
-    staircases = list(_staircases(r))
-    if len(staircases) == 1:
-        return MonomialBasis(r.fixed, staircases[0][1])
-    monomials = [()]
-    positions = []
-    for pos, staircase in staircases:
-        monomials = [m + s for m in monomials for s in staircase]
-        positions += pos
-    if positions != sorted(positions):
-        # the classes interleave: move each exponent back to its variable
-        place = itemgetter(*[positions.index(v) for v in range(len(positions))])
-        monomials = [place(m) for m in monomials]
-    monomials.sort(key=_grevlex_key)
-    return MonomialBasis(r.fixed, tuple(monomials))
+    if (staircase := _staircase(r.terms, len(r.fixed))) is None:
+        raise not_isolated(r.fixed)
+    return MonomialBasis(r.fixed, staircase)
 
 
 def normal_form(r, m, bases):

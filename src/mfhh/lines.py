@@ -248,7 +248,7 @@ def join(ctx, window):
     carry, fixed_bits, E, D = high - each, (1 << top) - 1, L * dc, L * du
     rings, errors = {}, {}
     blocks = list(_blocks(ctx, packing, {}, rings))
-    # a class's ring is infinite when a block part's is and none is 0, as in jacobian._staircases
+    # a class's ring is infinite when a block part's is and none is 0 (jacobian's Components)
     fulls = [full for full, _ in blocks if any(not dim and mask & full for mask, dim in rings.items())]
     for mask, _ in ctx.classes if None in rings.values() else ():
         parts = [rings[mask & full] for full in fulls]

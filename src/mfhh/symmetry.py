@@ -28,8 +28,9 @@ with x_1..x_r free, phi_1 has order h = a_1..a_r and phi_j is
 (-1)^(j-1) a_1..a_(j-1) phi_1, so m = h / gcd(h, sum of those factors),
 and a_r = 1 leaves h and m as at r - 1: the terms of that set cancel.  A
 loop has none and all closed, h = prod a - (-1)^k.  A matrix that is no sum
-of atoms applies the rule to each subset of each block, with Smith forms of
-A on the free columns for h_B and, with a row of ones appended, h_B / m_B.
+of atoms walks each block's closed sets, each but the least the closure of
+a smaller one and a variable (the rule is monotone), with Smith forms of A
+on the free columns for h_B and, with a row of ones appended, h_B / m_B.
 Folding the blocks' closed sets, S keeps the signed products c_L of its h_B
 by the lcm L of their m_B: exact(S + {x_0}) = sum c_L / L and exact(S) =
 sum c_L - exact(S + {x_0}).  Cost: about the output, equal sums multiplied
@@ -186,27 +187,34 @@ class SymmetryContext:
         return out
 
     def _block_closed_sets(self, block):
-        """closed_sets' {mask: terms} of one block: the rule, Smith forms and Moebius inversion."""
+        """closed_sets' {mask: terms} of one block: its closed sets, reached from the closure of
+        the empty set by adding one variable and closing again, two Smith forms on each, and
+        Moebius inversion over their closed supersets (a set that is not closed fixes exactly 0)."""
         # each entry 1 of A in the block as masks: (the nonzero entries of its row, itself)
         ones = [(sum(1 << i for i, b in enumerate(row, 1) if b), 1 << j)
                 for row in self.poly.matrix if any(row[v - 1] for v in block)
                 for j, e in enumerate(row, 1) if e == 1]
-        counts = {}
-        for s in sorted(map(sum, itertools.product(*[(0, 1 << v) for v in block])), reverse=True):
-            v = next((v for sup, v in ones if sup & ~s == v), 0)  # x_v is forced
-            if v:
-                counts[s] = counts[s | v]
-                continue
+
+        def close(s):
+            while v := next((v for sup, v in ones if sup & ~s == v), 0):  # x_v is forced
+                s |= v
+            return s
+
+        closed = [close(0)]
+        for s in closed:  # extended while it is walked
+            for v in block:
+                if not s >> v & 1 and (c := close(s | 1 << v)) not in closed:
+                    closed.append(c)
+        exact = {}
+        for s in sorted(closed, reverse=True):  # a superset comes first
             cols = [v - 1 for v in block if not s >> v & 1]
             m = [row for row in ([row[j] for j in cols] for row in self.poly.matrix) if any(row)]
             h = prod(lattice.smith(m).diagonal)
-            counts[s] = {h // prod(lattice.smith(m + [[1] * len(cols)]).diagonal): h}
-        for v in block:
-            for s, at in counts.items():
-                if not s >> v & 1:
-                    up = counts[s | 1 << v]
-                    counts[s] = {m: at.get(m, 0) - up.get(m, 0) for m in {*at, *up}}
-        return {s: t for s, at in counts.items() if (t := frozenset((m, c) for m, c in at.items() if c))}
+            at = {h // prod(lattice.smith(m + [[1] * len(cols)]).diagonal): h}
+            for L, c in [term for t, up in exact.items() if t & s == s for term in up.items()]:
+                at[L] = at.get(L, 0) - c
+            exact[s] = at
+        return {s: t for s, at in exact.items() if (t := frozenset((m, c) for m, c in at.items() if c))}
 
     def fixed_counts(self, mask):
         """(elements fixing exactly S + {x_0}, exactly S) for a mask S of x_1..x_{n+1}: the

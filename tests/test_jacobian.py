@@ -156,11 +156,55 @@ def test_brieskorn_pham_milnor_product(seed):
 def test_connected_basis_is_the_grown_staircase(monkeypatch):
     # one component: the walk's tuple is the basis, with no product or sort
     r = restrict(laufer(1), {1, 2, 3})
-    [(pos, terms)] = jacobian._components(r)
-    grown = jacobian._staircase(terms, len(pos))
+    grown = jacobian._staircase(r.terms, len(r.fixed))
     sentinel = tuple(reversed(grown))  # not in grevlex order, so a sort would show
     monkeypatch.setattr(jacobian, "_staircase", lambda terms, nvars: sentinel)
     assert monomial_basis(r).monomials is sentinel
+
+
+def test_basis_of_two_components_is_the_grown_staircase(monkeypatch):
+    # the components {1, 2, 3} and {4} grow one staircase together: the
+    # walk's tuple is the basis, with no product, un-interleaving or sort
+    r = restrict(laufer(1), range(1, 5))
+    assert component_variables(r) == [(1, 2, 3), (4,)]
+    grown = jacobian._staircase(r.terms, len(r.fixed))
+    sentinel = tuple(reversed(grown))
+    monkeypatch.setattr(jacobian, "_staircase", lambda terms, nvars: sentinel)
+    assert monomial_basis(r).monomials is sentinel
+
+
+def _product_basis(r):
+    """The staircase built per component: each component's staircase, multiplied, placed
+    back on its variables and sorted in grevlex; () if a ring is 0, None if one is infinite."""
+    found = []
+    for variables in component_variables(r):
+        c = restrict(r.parent, variables)
+        found.append((variables, jacobian._staircase(c.terms, len(variables))))
+    if () in (s for _, s in found):
+        return ()
+    if None in (s for _, s in found):
+        return None
+    monomials = [{}]
+    for variables, staircase in found:
+        monomials = [m | dict(zip(variables, s)) for m in monomials for s in staircase]
+    return tuple(sorted((tuple(m[v] for v in r.fixed) for m in monomials), key=_grevlex_key))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**9))
+@example(seed=805)  # a unit Jacobian ideal, as below
+def test_staircase_of_the_whole_restriction_is_the_product_of_its_components(seed):
+    # Buchberger's first criterion skips every S-pair across two components,
+    # so one staircase of the restriction is the product of theirs
+    rng = random.Random(seed)
+    p = _random_nonstandard(rng)
+    r = restrict(p, [v for v in range(1, p.nvars + 1) if rng.random() < 0.7])
+    want = _product_basis(r)
+    if want is None:
+        with pytest.raises(NotIsolated, match=re.escape(str(jacobian.not_isolated(r.fixed)))):
+            monomial_basis(r)
+    else:
+        assert monomial_basis(r).monomials == want
 
 
 def _random_nonstandard(rng):

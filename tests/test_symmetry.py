@@ -273,6 +273,48 @@ def test_census_takes_two_smith_forms_per_closed_block_set(monkeypatch, text, ca
     assert sum(census.values()) == abs(ctx.poly.det())
 
 
+def _square_chain(k):
+    """x1^2*x2^2 + x2^2*x3 + .. + x_(k-1)^2*x_k + x_k^3: one block with no atom matching,
+    whose closed sets are the 2k sets where x_i forces x_(i+1) for 2 <= i < k."""
+    return "+".join(["x1^2*x2^2"] + [f"x{i}^2*x{i + 1}" for i in range(2, k)] + [f"x{k}^3"])
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_census_matches_mask_census_on_square_chains(k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = parse(_square_chain(k), allow_nonstandard=True)
+    assert atom_walks(p.matrix) is None
+    assert SymmetryContext(p).fixed_census() == census_by_masks(p)
+
+
+def test_census_of_a_40_variable_square_chain_walks_no_subsets_in_a_child_process():
+    # 2^40 subsets, 80 closed sets: a census that walked the subsets would
+    # run out of its 1 GB or time out here instead of answering in a second
+    code = textwrap.dedent(f"""
+        import resource, time, warnings
+        from mfhh import lattice
+        from mfhh.poly import parse
+        from mfhh.symmetry import SymmetryContext
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        warnings.simplefilter("ignore")
+        ctx = SymmetryContext(parse({_square_chain(40)!r}, allow_nonstandard=True))
+        counted, smith = [], lattice.smith
+        lattice.smith = lambda m: counted.append(m) or smith(m)
+        start = time.perf_counter()
+        census = ctx.fixed_census()
+        seconds = time.perf_counter() - start
+        assert sum(census.values()) == abs(ctx.poly.det()), census
+        assert len(counted) <= 2 * 80, len(counted)
+        assert seconds < 10, seconds
+    """)
+    src = os.path.dirname(os.path.dirname(mfhh.__file__))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -9,9 +9,10 @@ chi = (1,..,1) is a finite abelian group of order |det A|, whose elements are
 phase vectors mod 1: integer numerators over lcm(d), d the Smith diagonal of A.
 
 b + c*e0 - u*1 is in R exactly when y*A + s*1 = (b_1, .., b_{n+1}) for an
-integer y, s = b0 + c and u = sum(y) + s: one Smith form of [A; 1] gives
-every family line, and its kernel has s != 0 unless A is singular, the one
-case of DegenerateCharacter.
+integer y, s = b0 + c and u = sum(y) + s, so the family lines come from
+Z^{n+1}/rowspace([A; 1]): (+ Z/h_B)/<g> off the walks for a sum of atoms,
+else one Smith form of [A; 1], whose kernel has s != 0 unless A is
+singular, the one case of DegenerateCharacter.
 
 The table only needs how many elements fix each coordinate set, and that
 census has a closed form that never lists an element.  An element is a
@@ -45,7 +46,7 @@ import itertools
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import lattice
@@ -75,6 +76,67 @@ _ONE = frozenset({(1, 1)})
 CENSUS_LIMIT = 1 << 20  # fixed sets the census folds; a join reads it only to name an infinite class
 
 
+def _columns(diag, images, column):
+    """Per coordinate x_v, L times the unknown whose coefficients on U's rows are column, at b' = e_v."""
+    L = lcm(*diag)
+    return [sum(x * (L // dj) * t for x, dj, t in zip(row, diag, column)) for row in images]
+
+
+def _smith_lines(p):
+    """((dc, du), d, the images b'.V, L*s, L*u) off U [A; 1] V = D: b' has the solutions sum_j z_j *
+    U[j], and a row of U past the nonzero d_j solves b' = 0, the family step if it is one with s != 0."""
+    sd = lattice.smith(list(p.matrix) + [(1,) * p.nvars])
+    diag = sd.diagonal
+    hom = [sd.u[i] for i in range(p.nvars + 1) if i >= len(diag) or diag[i] == 0]
+    if len(hom) != 1 or hom[0][-1] == 0:  # only for a singular A: else one line, s != 0
+        raise DegenerateCharacter("the total character has finite order modulo the relations")
+    sign = 1 if hom[0][-1] > 0 else -1
+    return ((sign * hom[0][-1], sign * sum(hom[0])), diag, sd.v,
+            _columns(diag, sd.v, [row[-1] for row in sd.u]), _columns(diag, sd.v, [sum(row) for row in sd.u]))
+
+
+def _walk_lines(p, walks):
+    """_smith_lines' data off the walks: x_v1 of atom B goes to 1 and x_v(i+1) to -a_i times x_vi's
+    image in Z/h_B, and g is the image of 1.  Blocks of coprime orders merge by CRT, blocks whose g
+    is a unit drop out, and only two or more left take a Smith form, of [diag(h); g]."""
+    n1, hs = p.nvars, [prod(e for _, e in walk) - (-1) ** len(walk) * loop for walk, loop in walks]
+    if 0 in hs:  # a singular atom, which the Smith route refuses
+        return _smith_lines(p)
+    D, groups, q = lcm(*hs), [], [0] * n1  # q (A q = 1) as numerators over D
+    for (walk, _), h in zip(walks, hs):
+        chi, x, t = [0] * n1, 1, 0
+        for v, e in walk:
+            chi[v], x, t = x % h, -e * x % h, 1 - e * t
+        t *= (-1) ** (len(walk) + 1) * (D // h)  # D q at x_v1, then a_i q_vi + q_v(i+1) = 1
+        for v, e in walk:
+            q[v], t = t, D - e * t
+        i = next((i for i, (h1, _) in enumerate(groups) if gcd(h1, h) == 1), len(groups))
+        h1, chi1 = groups[i] if i < len(groups) else (1, chi)  # a new group, if none is coprime
+        # Z/h1 + Z/h is Z/(h1 h) by (x1, x) -> x1 h + x h1, as h is a unit mod h1 and h1 mod h
+        groups[i:i + 1] = [(h1 * h, [(x1 * h + x * h1) % (h1 * h) for x1, x in zip(chi1, chi)])]
+    gs = [sum(chi) % h for h, chi in groups]
+    # a unit g0 of h0: rows h0 e0 and g turn into e0 + b g' and h0 g' (b g0 = 1 mod h0), so the
+    # rest takes x' = x - b g' x0 and g' h0, s = b x0 + h0 s' gathers as S.b' + m s', dc as m dc'
+    S, m = [0] * n1, 1
+    while len(groups) > 1 and 1 in (units := [gcd(h, g) for (h, _), g in zip(groups, gs)]):
+        h0, chi0 = groups.pop(i := units.index(1))
+        b = pow(gs.pop(i), -1, h0)
+        S = [s + m * b * c for s, c in zip(S, chi0)]
+        groups = [(h, [(c - b * g * c0) % h for c, c0 in zip(chi, chi0)]) for (h, chi), g in zip(groups, gs)]
+        gs, m = [h0 * g % h for (h, _), g in zip(groups, gs)], m * h0
+    if len(groups) == 1:  # U = [[., 1 / (g/d) mod h/d], [-g/d, h/d]] takes [h; g] to [d; 0]
+        d = gcd(h := groups[0][0], g := gs[0])
+        diag, vs, last, dc = (d,), ((1,),), (pow(g // d, -1, h // d),), m * h // d
+    else:
+        sd = lattice.smith([[h * (i == j) for j in range(len(gs))] for i, (h, _) in enumerate(groups)] + [gs])
+        diag, vs, last, dc = sd.diagonal, sd.v, [row[-1] for row in sd.u], m * abs(sd.u[-1][-1])
+    images = [[sum(map(mul, x, col)) for col in zip(*vs)] for x in zip(*(chi for _, chi in groups))]
+    L, T = lcm(*diag), sum(q)
+    s_weights = [(L * s0 + m * s) % (L * dc) for s0, s in zip(S, _columns(diag, images, last))]
+    return ((dc, dc * (D - T) // D), diag, images, s_weights,  # u = b'.q + s (1 - sum q)
+            [(L * qv + s * (D - T)) // D for qv, s in zip(q, s_weights)])
+
+
 class GroupElement(NamedTuple):
     """An element of ker(chi): phases of t_1..t_{n+1} as fractions in [0,1).
 
@@ -101,41 +163,25 @@ class SymmetryContext:
         self.poly = p
         n1 = p.nvars  # the number of x_1..x_{n+1} variables
         self.n = n1 - 1
-        # unknowns (y, s) against [A; 1]; see the module docstring
-        sd = lattice.smith(list(p.matrix) + [(1,) * n1])
-        diag = sd.diagonal
-        hom = [sd.u[i] for i in range(n1 + 1) if i >= len(diag) or diag[i] == 0]
-        if len(hom) != 1 or hom[0][-1] == 0:  # only for a singular A: else one line, s != 0
-            raise DegenerateCharacter(
-                "the total character has finite order modulo the relations"
-            )
-        dc, du = hom[0][-1], sum(hom[0])
-        if dc < 0:
-            dc, du = -dc, -du
-        self.family_step = (dc, du)
-        # Every d_j is now nonzero.  (y, s)*[A; 1] = b' has a solution iff
-        # each z_j = (b'.V_j)/d_j is an integer, and then (y, s) = sum_j z_j *
-        # U[j].  Over the common denominator L = lcm(d) that sum is one
-        # integer dot product per coordinate, exact once the congruences hold.
-        # All of it is linear in b: line_columns lists its dot products with
-        # line_weights, one per congruence modulus in line_moduli, then the c
-        # weights (s's, -L on b0) and u weights (s's plus sum(y)'s, 0 on b0);
-        # the columns of a sum of vectors are the sums of their columns.
+        # the atoms of A, the one matching that the context's users read, or None for a matrix with none
+        self.walks = atom_walks(p.matrix)
+        # (y, s)*[A; 1] = b' has a solution iff each z_j = (b'.V_j)/d_j is an
+        # integer, b'.V the image of b' in Z^{n+1}/rowspace([A; 1]) = prod Z/d_j.
+        # Over L = lcm(d), s and u are then one integer dot product each per
+        # coordinate, exact once the congruences hold.  All of it is linear in
+        # b: line_columns lists its dot products with line_weights, one per
+        # congruence modulus in line_moduli, then the c weights (s's, -L on b0)
+        # and u weights (0 on b0); the columns of a sum are the sums of columns.
+        lines = _smith_lines(p) if self.walks is None else _walk_lines(p, self.walks)
+        self.family_step, diag, images, s_weights, u_weights = lines
+        dc, du = self.family_step
         L = self.line_denominator = lcm(*diag)
         self.line_moduli = tuple(dj for dj in diag if dj > 1)
-        congruences = tuple(
-            (0, *(row[j] for row in sd.v)) for j, dj in enumerate(diag) if dj > 1
-        )
-        s_weights, u_weights = (
-            tuple(sum(row[j] * (L // dj) * k(sd.u[j]) for j, dj in enumerate(diag)) for row in sd.v)
-            for k in (itemgetter(-1), sum)
-        )
+        congruences = tuple((0, *(row[j] for row in images)) for j, dj in enumerate(diag) if dj > 1)
         c_weights, u_weights = (-L, *s_weights), (0, *u_weights)
         self.line_weights = congruences + (c_weights, u_weights)
         # per coordinate, L times du*c - dc*u: the invariant that every point of a line shares
         self.line_invariant = tuple(du * c - dc * u for c, u in zip(c_weights, u_weights))
-        # the atoms of A, the one matching that the context's users read, or None for a matrix with none
-        self.walks = atom_walks(p.matrix)
         self._ker = None
         self._census = None
 

@@ -6,7 +6,9 @@ Nothing in the package calls these.  `member` goes through echelon
 reduction, with no Smith form, so it checks the package's Smith-based
 solvers independently; `quotient` enumerates ker(chi) by the dual route;
 `family_line` solves one vector's family line from a SymmetryContext's
-line columns, and `chi_power` reads u off that line.  `census_by_masks`
+line columns, and `chi_power` reads u off that line; `smith_lines` builds
+that line data from one Smith form of [A; 1] for any matrix, where the
+package reads a sum of atoms off its walks.  `census_by_masks`
 takes one Smith form per subset of x_0..x_{n+1}, with no blocks or closure.
 `cramer_weights` takes n + 1 Bareiss determinants where `poly.weights`
 makes one elimination.  `probe_restrictions` solves restrictions by the
@@ -23,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from mfhh import jacobian, lattice
@@ -240,6 +242,23 @@ def chi_power(ctx, b):
     if c0 % dc:
         return None
     return u0 - (c0 // dc) * du
+
+
+def smith_lines(p):
+    """((dc, du), L, moduli, line invariant, congruence weights, c weights, u weights) of p's
+    family lines off U [A; 1] V = D: b' = (b_1, .., b_{n+1}) has the solutions (y, s) = sum_j z_j
+    U[j] with z_j = b'.V_j / d_j, and the row of U past the nonzero d_j solves b' = 0."""
+    n1 = p.nvars
+    sd = smith(list(p.matrix) + [(1,) * n1])
+    diag = sd.diagonal
+    (hom,) = [sd.u[i] for i in range(n1 + 1) if i >= len(diag) or diag[i] == 0]
+    dc, du = (hom[-1], sum(hom)) if hom[-1] > 0 else (-hom[-1], -sum(hom))
+    L = lcm(*diag)
+    c, u = ([w0] + [sum(row[j] * (L // dj) * k(sd.u[j]) for j, dj in enumerate(diag)) for row in sd.v]
+            for w0, k in ((-L, lambda r: r[-1]), (0, sum)))
+    congruences = [(0, *(row[j] for row in sd.v)) for j, dj in enumerate(diag) if dj > 1]
+    invariant = tuple(du * ci - dc * ui for ci, ui in zip(c, u))
+    return (dc, du), L, tuple(dj for dj in diag if dj > 1), invariant, congruences, c, u
 
 
 def census_by_masks(p):

@@ -8,16 +8,17 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mfhh
 from conftest import random_invertible
-from lattice_oracle import census_by_masks, chi_power, family_line, member, quotient
+from lattice_oracle import census_by_masks, chi_power, family_line, member, quotient, smith_lines
 from mfhh import lattice
-from mfhh.errors import DegenerateCharacter, EngineError
-from mfhh.lattice import det
+from mfhh.errors import DegenerateCharacter, EngineError, NoPositiveSolution
+from mfhh.lattice import det, smith
 from mfhh.poly import InvertiblePolynomial, atom_walks, parse
 from mfhh.symmetry import GroupElement, SymmetryContext
 
@@ -439,22 +440,114 @@ def test_family_line_matches_degree_and_echelon_membership(seed, data):
             assert on_line(base, *line)
 
 
-def test_family_line_step_matches_weights():
+@settings(max_examples=100)
+@given(st.integers(0, 10**9), st.booleans())
+def test_family_line_step_matches_weights(seed, ones):
     # the family step satisfies du/dc = d0/h after clearing common factors
-    for text in (LAUFER1, "x1^2+x2^2+x3^2+x4^4", "x1^2+x2^3+x3^3+x4^6"):
-        p = parse(text)
-        ctx = SymmetryContext(p)
-        dc, du = ctx.family_step
+    p = random_invertible(random.Random(seed), max_vars=7, max_det=10**6, ones=ones)
+    dc, du = SymmetryContext(p).family_step
+    try:
         w = p.weights()
-        assert du * w.h == dc * w.d0
-        assert dc > 0
+    except NoPositiveSolution:  # an exponent-1 link can leave a weight 0, as in x1^3*x2+x2*x1
+        assume(False)
+    assert du * w.h == dc * w.d0
+    assert dc > 0
+
+
+def _assert_lines_match_smith(p, rng):
+    """The context's line data equal those of one Smith form of [A; 1], and both sets of line
+    columns put a vector on a line, the same one, exactly together."""
+    ctx = SymmetryContext(p)
+    step, L, moduli, invariant, congruences, c_weights, u_weights = smith_lines(p)
+    assert (ctx.family_step, ctx.line_denominator, ctx.line_moduli, ctx.line_invariant) == (
+        step, L, moduli, invariant), p.matrix
+    (dc, du), n1 = step, p.nvars
+    for _ in range(40):
+        b = [rng.randint(-5, 5) for _ in range(n1 + 1)]
+        if rng.random() < 0.5:  # (b0, y*A + s*1) has a family line
+            y, s = [rng.randint(-3, 3) for _ in range(n1)], rng.randint(-3, 3)
+            b[1:] = [sum(yi * row[j] for yi, row in zip(y, p.matrix)) + s for j in range(n1)]
+        *residues, c, u = ctx.line_columns(b)
+        on_line = all(x % dj == 0 for x, dj in zip(residues, moduli))
+        assert on_line == all(sum(map(mul, b, w)) % dj == 0 for w, dj in zip(congruences, moduli))
+        if on_line:  # the two points differ by k steps
+            k, r = divmod(c - sum(map(mul, b, c_weights)), L * dc)
+            assert r == 0 and u - sum(map(mul, b, u_weights)) == k * L * du, (p.matrix, b)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**9), st.booleans())
+@example(seed=64, ones=False)  # d0 = 0, which few draws without exponent-1 links have
+@example(seed=1, ones=True)  # d0 = 0 with exponent-1 links
+@example(seed=0, ones=False)  # 7 variables, blocks of coprime and of shared orders
+def test_lines_of_atoms_match_the_lines_of_one_smith_form(seed, ones):
+    rng = random.Random(seed)
+    _assert_lines_match_smith(random_invertible(rng, max_vars=7, max_det=10**6, ones=ones), rng)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1^11+x2^13+x3^17+x4^19",  # coprime orders: one block by CRT, and g a unit
+        "x1^2+x2^2+x3^4+x4^4",  # shared orders: a Smith form of what is left
+        "x1^2+x2^2", "x1^3+x2^3+x3^3",  # d0 = 0
+        "x1^3*x2+x2^2",  # one cyclic block of order 6 over a g of order 3
+        "x1^3*x2+x2^2+x3^11*x4+x4^5",  # orders 6 and 55, neither g a unit: one block by CRT
+        "x1*x2+x2^3*x1",  # a loop with an exponent-1 link
+        "+".join(f"x{i}^2*x{i % 16 + 1}" for i in range(1, 17)),
+    ],
+)
+def test_lines_of_chosen_atoms_match_the_lines_of_one_smith_form(text):
+    _assert_lines_match_smith(parse(text), random.Random(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x5+x5^3*x6+x6^24",
+        "x1^3*x2+x2^4*x3+x3^7*x4+x4^7*x5+x5^3*x6+x6^4*x1",
+        "+".join(f"x{i}^2*x{i % 16 + 1}" for i in range(1, 17)),
+        "x1^11+x2^13+x3^17+x4^19",
+    ],
+)
+def test_context_of_one_atom_or_coprime_fermat_atoms_takes_no_smith_form(monkeypatch, text):
+    # one atom is a cyclic group Z/h over g; coprime orders merge into one
+    def refusing(m):
+        raise AssertionError("a Smith form was taken")
+
+    p = parse(text)
+    monkeypatch.setattr(lattice, "smith", refusing)
+    ctx = SymmetryContext(p)
+    monkeypatch.undo()
+    assert (ctx.family_step, ctx.line_denominator, ctx.line_moduli, ctx.line_invariant) == smith_lines(p)[:4]
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**9), st.booleans())
+def test_context_of_atoms_takes_no_smith_form_of_n_plus_2_rows(seed, ones):
+    # only two or more blocks left after merging and dropping take one, with a row per block and g
+    p = random_invertible(random.Random(seed), max_vars=7, max_det=10**6, ones=ones)
+    rows = []
+
+    def counting(m):
+        rows.append(len(m))
+        return smith(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "smith", counting)
+        SymmetryContext(p)
+    assert all(r < p.nvars + 1 for r in rows), (p.matrix, rows)
 
 
 def test_degenerate_character_guard():
-    # artificial matrix whose relations span the total character rationally
-    p = InvertiblePolynomial(((1, 1), (-1, -1)))
-    with pytest.raises(DegenerateCharacter):
-        SymmetryContext(p)
+    for rows in (
+        ((1, 1), (-1, -1)),  # artificial matrix whose relations span the total character rationally
+        # loops of exponent-1 links and even length: an atom matching, but h = 1 - 1 = 0
+        ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)),
+        ((1, 1), (1, 1)),
+    ):
+        with pytest.raises(DegenerateCharacter):
+            SymmetryContext(InvertiblePolynomial(rows))
 
 
 def test_guards_survive_python_optimize():
@@ -469,6 +562,7 @@ def test_guards_survive_python_optimize():
         checks = [
             (lambda: SymmetryContext(InvertiblePolynomial(((1, 1), (-1, -1)))),
              DegenerateCharacter),
+            (lambda: SymmetryContext(InvertiblePolynomial(((1, 1), (1, 1)))), DegenerateCharacter),
             (lambda: BigradedTable(-2, 2, {}).restrict(-3, 2), WindowMismatch),
             (lambda: restrict(parse("x1^2+x2^3"), (3,)), InputError),
         ]

@@ -36,7 +36,7 @@ class NoPositiveSolution(InputError):
 
 
 class DegenerateCharacter(EngineError):
-    """The total character has finite order modulo the relation lattice."""
+    """The total character has finite order modulo the relation lattice: exactly when A is singular."""
 
 
 class NotIsolated(EngineError):

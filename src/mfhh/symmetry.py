@@ -5,14 +5,16 @@ For w with exponent matrix A, the extension Gamma of the torus acting on
 prod_j t_j^{a_ij} = t_0 t_1 ... t_{n+1}.  Characters of Gamma are integer
 exponent vectors in Z^{n+2} modulo the relation lattice R spanned by
 r_i = (-1, a_i1 - 1, ..., a_i,n+1 - 1).  The kernel of the total character
-chi = (1,..,1) is a finite abelian group of order |det A|, whose elements are
-phase vectors mod 1: integer numerators over lcm(d), d the Smith diagonal of A.
+chi = (1,..,1) is a finite abelian group of order |det A|, dual to
+Z^{n+1}/rowspace(A) = + Z/h_j: its elements are phase vectors mod 1, sums of
+multiples of chi_j / h_j, held as integer numerators over lcm(h).
 
 b + c*e0 - u*1 is in R exactly when y*A + s*1 = (b_1, .., b_{n+1}) for an
 integer y, s = b0 + c and u = sum(y) + s, so the family lines come from
-Z^{n+1}/rowspace([A; 1]): (+ Z/h_B)/<g> off the walks for a sum of atoms,
-else one Smith form of [A; 1], whose kernel has s != 0 unless A is
-singular, the one case of DegenerateCharacter.
+Z^{n+1}/rowspace([A; 1]) = (+ Z/h_j)/<g>, g the image of 1.  The context
+reads the factors (h_j, chi_j) once: one per atom off its walk, else one per
+entry of A's Smith diagonal.  A 0 in h is a singular A, the one case of
+DegenerateCharacter.
 
 The table only needs how many elements fix each coordinate set, and that
 census has a closed form that never lists an element.  An element is a
@@ -76,40 +78,38 @@ _ONE = frozenset({(1, 1)})
 CENSUS_LIMIT = 1 << 20  # fixed sets the census folds; a join reads it only to name an infinite class
 
 
-def _columns(diag, images, column):
-    """Per coordinate x_v, L times the unknown whose coefficients on U's rows are column, at b' = e_v."""
-    L = lcm(*diag)
-    return [sum(x * (L // dj) * t for x, dj, t in zip(row, diag, column)) for row in images]
-
-
-def _smith_lines(p):
-    """((dc, du), d, the images b'.V, L*s, L*u) off U [A; 1] V = D: b' has the solutions sum_j z_j *
-    U[j], and a row of U past the nonzero d_j solves b' = 0, the family step if it is one with s != 0."""
-    sd = lattice.smith(list(p.matrix) + [(1,) * p.nvars])
-    diag = sd.diagonal
-    hom = [sd.u[i] for i in range(p.nvars + 1) if i >= len(diag) or diag[i] == 0]
-    if len(hom) != 1 or hom[0][-1] == 0:  # only for a singular A: else one line, s != 0
+def _factors(p, walks):
+    """(D = lcm(h), the cyclic factors (h, chi) of Z^{n+1}/rowspace(A), D q with A q = 1): per atom
+    off its walk, x_v1 going to 1 and x_v(i+1) to -a_i times x_vi's image in Z/h, else per column j
+    of V in U A V = diag(h), with D q = V ((U 1)_j D / h_j).  A 0 in h is a singular A."""
+    if walks is None:
+        sd = lattice.smith(p.matrix)
+        hs = sd.diagonal
+    else:
+        hs = [prod(e for _, e in walk) - (-1) ** len(walk) * loop for walk, loop in walks]
+    if 0 in hs:  # a singular atom, or a singular A
         raise DegenerateCharacter("the total character has finite order modulo the relations")
-    sign = 1 if hom[0][-1] > 0 else -1
-    return ((sign * hom[0][-1], sign * sum(hom[0])), diag, sd.v,
-            _columns(diag, sd.v, [row[-1] for row in sd.u]), _columns(diag, sd.v, [sum(row) for row in sd.u]))
-
-
-def _walk_lines(p, walks):
-    """_smith_lines' data off the walks: x_v1 of atom B goes to 1 and x_v(i+1) to -a_i times x_vi's
-    image in Z/h_B, and g is the image of 1.  Blocks of coprime orders merge by CRT, blocks whose g
-    is a unit drop out, and only two or more left take a Smith form, of [diag(h); g]."""
-    n1, hs = p.nvars, [prod(e for _, e in walk) - (-1) ** len(walk) * loop for walk, loop in walks]
-    if 0 in hs:  # a singular atom, which the Smith route refuses
-        return _smith_lines(p)
-    D, groups, q = lcm(*hs), [], [0] * n1  # q (A q = 1) as numerators over D
+    D, factors, q = lcm(*hs), [], [0] * p.nvars
+    if walks is None:
+        u1 = [D // h * sum(row) for h, row in zip(hs, sd.u)]  # (U 1)_j D / h_j
+        return D, list(zip(hs, zip(*sd.v))), [sum(map(mul, row, u1)) for row in sd.v]
     for (walk, _), h in zip(walks, hs):
-        chi, x, t = [0] * n1, 1, 0
+        chi, x, t = [0] * p.nvars, 1, 0
         for v, e in walk:
             chi[v], x, t = x % h, -e * x % h, 1 - e * t
         t *= (-1) ** (len(walk) + 1) * (D // h)  # D q at x_v1, then a_i q_vi + q_v(i+1) = 1
         for v, e in walk:
             q[v], t = t, D - e * t
+        factors.append((h, chi))
+    return D, factors, q
+
+
+def _group_lines(D, factors, q):
+    """((dc, du), d, each x_v's image in Z^{n+1}/rowspace([A; 1]) = (+ Z/h)/<g> = prod Z/d_j, L*s,
+    L*u): factors of coprime orders merge by CRT, groups whose g is a unit drop out, and only two or
+    more left take a Smith form, of [diag(h); g]."""
+    groups = []
+    for h, chi in factors:
         i = next((i for i, (h1, _) in enumerate(groups) if gcd(h1, h) == 1), len(groups))
         h1, chi1 = groups[i] if i < len(groups) else (1, chi)  # a new group, if none is coprime
         # Z/h1 + Z/h is Z/(h1 h) by (x1, x) -> x1 h + x h1, as h is a unit mod h1 and h1 mod h
@@ -117,7 +117,7 @@ def _walk_lines(p, walks):
     gs = [sum(chi) % h for h, chi in groups]
     # a unit g0 of h0: rows h0 e0 and g turn into e0 + b g' and h0 g' (b g0 = 1 mod h0), so the
     # rest takes x' = x - b g' x0 and g' h0, s = b x0 + h0 s' gathers as S.b' + m s', dc as m dc'
-    S, m = [0] * n1, 1
+    S, m = [0] * len(q), 1
     while len(groups) > 1 and 1 in (units := [gcd(h, g) for (h, _), g in zip(groups, gs)]):
         h0, chi0 = groups.pop(i := units.index(1))
         b = pow(gs.pop(i), -1, h0)
@@ -132,7 +132,8 @@ def _walk_lines(p, walks):
         diag, vs, last, dc = sd.diagonal, sd.v, [row[-1] for row in sd.u], m * abs(sd.u[-1][-1])
     images = [[sum(map(mul, x, col)) for col in zip(*vs)] for x in zip(*(chi for _, chi in groups))]
     L, T = lcm(*diag), sum(q)
-    s_weights = [(L * s0 + m * s) % (L * dc) for s0, s in zip(S, _columns(diag, images, last))]
+    last = [L // dj * t for dj, t in zip(diag, last)]  # L s' at b' = e_v is its image . last
+    s_weights = [(L * s0 + m * sum(map(mul, x, last))) % (L * dc) for s0, x in zip(S, images)]
     return ((dc, dc * (D - T) // D), diag, images, s_weights,  # u = b'.q + s (1 - sum q)
             [(L * qv + s * (D - T)) // D for qv, s in zip(q, s_weights)])
 
@@ -161,19 +162,18 @@ class SymmetryContext:
 
     def __init__(self, p):
         self.poly = p
-        n1 = p.nvars  # the number of x_1..x_{n+1} variables
-        self.n = n1 - 1
+        self.n = p.nvars - 1  # the variables are x_1..x_{n+1}
         # the atoms of A, the one matching that the context's users read, or None for a matrix with none
         self.walks = atom_walks(p.matrix)
-        # (y, s)*[A; 1] = b' has a solution iff each z_j = (b'.V_j)/d_j is an
-        # integer, b'.V the image of b' in Z^{n+1}/rowspace([A; 1]) = prod Z/d_j.
+        # (y, s)*[A; 1] = b' has a solution iff b' maps to 0 in
+        # Z^{n+1}/rowspace([A; 1]) = prod Z/d_j, where x_v maps to images[v].
         # Over L = lcm(d), s and u are then one integer dot product each per
         # coordinate, exact once the congruences hold.  All of it is linear in
         # b: line_columns lists its dot products with line_weights, one per
         # congruence modulus in line_moduli, then the c weights (s's, -L on b0)
         # and u weights (0 on b0); the columns of a sum are the sums of columns.
-        lines = _smith_lines(p) if self.walks is None else _walk_lines(p, self.walks)
-        self.family_step, diag, images, s_weights, u_weights = lines
+        self._group = _factors(p, self.walks)
+        self.family_step, diag, images, s_weights, u_weights = _group_lines(*self._group)
         dc, du = self.family_step
         L = self.line_denominator = lcm(*diag)
         self.line_moduli = tuple(dj for dj in diag if dj > 1)
@@ -188,14 +188,12 @@ class SymmetryContext:
     # -- ker chi -----------------------------------------------------------
 
     def _iter_ker(self):
-        """(N, the elements' phase numerators over N = lcm(d)): V * diag(N / d_j) * c mod N for
-        each c in prod Z/d_j, d the Smith diagonal of A, built a column of V at a time."""
-        sd = lattice.smith(self.poly.matrix)
-        N = lcm(*sd.diagonal)
+        """(N, the elements' phase numerators over N = lcm(h)): sum_j c_j chi_j mod N for each c_j
+        in N / h_j * range(h_j), as chi_j / h_j generates factor j's part, built a factor at a time."""
+        N, factors, _ = self._group
         nums = [(0,) * self.poly.nvars]
-        for j, dj in enumerate(sd.diagonal):
-            col = [row[j] * (N // dj) for row in sd.v]
-            nums = [tuple((x + c * y) % N for x, y in zip(e, col)) for e in nums for c in range(dj)]
+        for h, chi in factors:
+            nums = [tuple((x + c * y) % N for x, y in zip(e, chi)) for e in nums for c in range(0, N, N // h)]
         return N, nums
 
     def ker_chi(self):

@@ -8,7 +8,8 @@ solvers independently; `quotient` enumerates ker(chi) by the dual route;
 `family_line` solves one vector's family line from a SymmetryContext's
 line columns, and `chi_power` reads u off that line; `smith_lines` builds
 that line data from one Smith form of [A; 1] for any matrix, where the
-package reads a sum of atoms off its walks.  `census_by_masks`
+package reads cyclic factors of Z^(n+1)/rowspace(A) off the atom walks or
+off a Smith form of A.  `census_by_masks`
 takes one Smith form per subset of x_0..x_{n+1}, with no blocks or closure.
 `cramer_weights` takes n + 1 Bareiss determinants where `poly.weights`
 makes one elimination.  `probe_restrictions` solves restrictions by the

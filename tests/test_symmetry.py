@@ -8,6 +8,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 
 import pytest
@@ -501,6 +502,21 @@ def test_lines_of_chosen_atoms_match_the_lines_of_one_smith_form(text):
     _assert_lines_match_smith(parse(text), random.Random(text))
 
 
+@given(st.integers(0, 10**9))
+def test_lines_and_ker_of_nonstandard_matrices_match_the_oracles(seed):
+    # no atom matching: the factors come from one Smith form of A, which the oracles do not read
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 5:
+        ctx = _random_nonsingular(rng)
+        if ctx is not None and ctx.walks is None:
+            p = ctx.poly
+            _assert_lines_match_smith(p, rng)
+            quot = quotient(list(zip(*p.matrix)))  # the dual route: Z^n modulo the columns of A
+            assert ctx.ker_chi() == sorted(GroupElement.from_phases(e) for e in quot.elements()), p.matrix
+            checked += 1
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -511,15 +527,43 @@ def test_lines_of_chosen_atoms_match_the_lines_of_one_smith_form(text):
     ],
 )
 def test_context_of_one_atom_or_coprime_fermat_atoms_takes_no_smith_form(monkeypatch, text):
-    # one atom is a cyclic group Z/h over g; coprime orders merge into one
+    # one atom is a cyclic group Z/h over g; coprime orders merge into one; ker(chi) is listed
+    # off the same factors (but not the 16-loop's 65,537 elements)
     def refusing(m):
         raise AssertionError("a Smith form was taken")
 
     p = parse(text)
     monkeypatch.setattr(lattice, "smith", refusing)
     ctx = SymmetryContext(p)
+    ker = ctx.ker_chi() if abs(p.det()) < 50000 else None
     monkeypatch.undo()
     assert (ctx.family_step, ctx.line_denominator, ctx.line_moduli, ctx.line_invariant) == smith_lines(p)[:4]
+    if ker is not None:  # |det A| distinct solutions of A * phases = 0 mod 1 are all of them
+        assert len(set(ker)) == len(ker) == abs(p.det()) and ker == sorted(ker)
+        N = lcm(*(x.denominator for g in ker for x in g.phases))
+        nums = [[x.numerator * (N // x.denominator) for x in g.phases] for g in ker]
+        assert all(sum(map(mul, row, e)) % N == 0 for row in p.matrix for e in nums)
+
+
+def test_context_and_ker_of_a_matrix_with_no_atom_matching_take_one_smith_form_of_a(monkeypatch):
+    # the n x n form of A gives the factors of both; no (n+2) x (n+1) form of [A; 1], and none
+    # per ker_chi() call
+    shapes = []
+
+    def counting(m):
+        shapes.append((len(m), len(m[0])))
+        return smith(m)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = parse("x1^2*x2^2+x2^3+x3+x4^3", allow_nonstandard=True)
+    assert atom_walks(p.matrix) is None
+    monkeypatch.setattr(lattice, "smith", counting)
+    ctx = SymmetryContext(p)
+    ker = ctx.ker_chi()
+    ctx._ker = None
+    assert ctx.ker_chi() == ker and len(ker) == abs(p.det())
+    assert shapes == [(4, 4)]
 
 
 @settings(max_examples=100)
@@ -539,14 +583,23 @@ def test_context_of_atoms_takes_no_smith_form_of_n_plus_2_rows(seed, ones):
     assert all(r < p.nvars + 1 for r in rows), (p.matrix, rows)
 
 
-def test_degenerate_character_guard():
+def test_degenerate_character_guard(monkeypatch):
+    message = "^the total character has finite order modulo the relations$"
+    # artificial matrix whose relations span the total character rationally: a 0 on A's Smith diagonal
+    with pytest.raises(DegenerateCharacter, match=message):
+        SymmetryContext(InvertiblePolynomial(((1, 1), (-1, -1))))
+
+    def refusing(m):
+        raise AssertionError("a Smith form was taken")
+
+    monkeypatch.setattr(lattice, "smith", refusing)
     for rows in (
-        ((1, 1), (-1, -1)),  # artificial matrix whose relations span the total character rationally
-        # loops of exponent-1 links and even length: an atom matching, but h = 1 - 1 = 0
+        # loops of exponent-1 links and even length: an atom matching, but h = 1 - 1 = 0 off the walk
         ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)),
         ((1, 1), (1, 1)),
     ):
-        with pytest.raises(DegenerateCharacter):
+        assert atom_walks(rows) is not None
+        with pytest.raises(DegenerateCharacter, match=message):
             SymmetryContext(InvertiblePolynomial(rows))
 
 

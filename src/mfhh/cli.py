@@ -26,15 +26,15 @@ EXIT_INCONCLUSIVE = 4
 FAMILY_NAMES = ("bp_cA", "bp_cD4", "bp_cE6", "bp_cE8", "can_cA", "laufer")
 
 
-def _document(p, ctx, table, contributions=None):
-    w = p.weights()
+def _document(ctx, table, contributions=None):
+    p, w = ctx.poly, ctx.weights()
     doc = {
         "schema": "v1",
         "tool_version": __version__,
         "poly": p.to_json(),
         "transpose": p.transpose().to_json(),
         "weights": {"d": list(w.d), "h": w.h, "d0": w.d0},
-        "ker_chi_order": abs(p.det()),
+        "ker_chi_order": ctx.ker_chi_order,
         # a window holding degree 2 settles the flag without a second table
         "hh2_vanishes": table.dim(2) == 0 if table.complete(2) else hh2_vanishes(p, ctx=ctx),
         "window": [table.dmin, table.dmax],
@@ -139,6 +139,7 @@ def _load_document(path):
 def cmd_table(args, out):
     p = parse(args.poly, allow_nonstandard=args.allow_nonstandard)
     ctx = SymmetryContext(p)
+    ctx.weights()  # one that is not positive is an input error before any table
     window = (args.dmin, args.dmax)
     contributions = None
     if args.monomials:
@@ -148,7 +149,7 @@ def cmd_table(args, out):
         table = BigradedTable(*window, runs=[(r["d"], r["q"], 1, r["count"]) for r in contributions])
     else:
         table = compute_table(p, window, ctx=ctx)
-    doc = _document(p, ctx, table, contributions)
+    doc = _document(ctx, table, contributions)
     if args.format == "json":
         _emit_json(doc, out)
     elif args.format == "csv":
@@ -182,7 +183,9 @@ def cmd_probe(args, out):
     from .invariants import small_res_probe
 
     p = parse(args.poly, allow_nonstandard=args.allow_nonstandard)
-    table = compute_table(p, (args.dmin, -1))
+    ctx = SymmetryContext(p)
+    ctx.weights()  # as in cmd_table
+    table = compute_table(p, (args.dmin, -1), ctx=ctx)
     verdict = small_res_probe(table)
     out.write(f"window probed: [{verdict.window[0]}, {verdict.window[1]}]\n")
     if verdict.constant:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from . import lattice
@@ -252,27 +252,44 @@ def parse(text, allow_nonstandard=False):
     return InvertiblePolynomial(rows)
 
 
-def weights(p):
-    """The primitive positive solution of A*d = h*(1,..,1), plus d0 = h - sum d:
-    d/h solves A*q = (1,..,1) by one exact elimination that skips every zero
-    multiplier, and h is the lcm of q's denominators."""
-    n = p.nvars
-    rows = [[*row, 1] for row in p.matrix]
-    for j in range(n):
-        i = next((i for i in range(j, n) if rows[i][j]), None)
-        if i is None:
-            raise NoPositiveSolution("the exponent matrix is singular: no weight system solves it")
-        rows[i], rows[j] = rows[j], rows[i]
-        for row in rows[j + 1:]:
-            if row[j]:
-                f = Fraction(row[j]) / rows[j][j]
-                row[j:] = [a - f * b for a, b in zip(row[j:], rows[j][j:])]
-    q = [0] * n
-    for j in reversed(range(n)):  # back substitution over the nonzero entries
-        row = rows[j]
-        q[j] = (row[n] - sum(row[k] * q[k] for k in range(j + 1, n) if row[k])) / Fraction(row[j])
-    h = lcm(*(x.denominator for x in q))
-    d = tuple(int(x * h) for x in q)
+def _factors(rows, walks):
+    """(D = lcm(h), the cyclic factors (h, chi) of Z^n/rowspace(A), D q with A q = 1), or None for a
+    singular A: per atom off its walk, x_v1 going to 1 and x_v(i+1) to -a_i times x_vi's image in
+    Z/h, else per column j of V in U A V = diag(h), with D q = V ((U 1)_j D / h_j)."""
+    if walks is None:
+        sd = lattice.smith(rows)
+        hs = sd.diagonal
+    else:
+        hs = [atom_det((walk,)) for walk in walks]
+    if 0 in hs:  # a singular atom, or a singular A
+        return None
+    D, factors, q = lcm(*hs), [], [0] * len(rows)
+    if walks is None:
+        u1 = [D // h * sum(row) for h, row in zip(hs, sd.u)]  # (U 1)_j D / h_j
+        return D, list(zip(hs, zip(*sd.v))), [sum(map(mul, row, u1)) for row in sd.v]
+    for (walk, _), h in zip(walks, hs):
+        chi, x, t = [0] * len(rows), 1, 0
+        for v, e in walk:
+            chi[v], x, t = x % h, -e * x % h, 1 - e * t
+        t *= (-1) ** (len(walk) + 1) * (D // h)  # D q at x_v1, then a_i q_vi + q_v(i+1) = 1
+        for v, e in walk:
+            q[v], t = t, D - e * t
+        factors.append((h, chi))
+    return D, factors, q
+
+
+def _weight_system(group):
+    """The weight system of _factors' (D, factors, D q): h = D / g and d = D q / g, g = gcd(D, D q)."""
+    if group is None:
+        raise NoPositiveSolution("the exponent matrix is singular: no weight system solves it")
+    D, _, q = group
+    g = gcd(D, *q)
+    d, h = tuple(x // g for x in q), D // g
     if any(di <= 0 for di in d):
         raise NoPositiveSolution(f"weight system {d};{h} is not positive")
     return WeightSystem(d, h, h - sum(d))
+
+
+def weights(p):
+    """The primitive positive solution of A*d = h*(1,..,1), plus d0 = h - sum d, off A's factors."""
+    return _weight_system(_factors(p.matrix, atom_walks(p.matrix)))

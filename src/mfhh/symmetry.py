@@ -54,7 +54,7 @@ from typing import NamedTuple
 from . import lattice
 from .errors import DegenerateCharacter, EngineError
 from .jacobian import component_variables, restrict
-from .poly import atom_walks
+from .poly import _factors, _weight_system, atom_walks
 
 
 def _times(x, y):
@@ -76,32 +76,6 @@ def _split(terms):
 _ONE = frozenset({(1, 1)})
 
 CENSUS_LIMIT = 1 << 20  # fixed sets the census folds; a join reads it only to name an infinite class
-
-
-def _factors(p, walks):
-    """(D = lcm(h), the cyclic factors (h, chi) of Z^{n+1}/rowspace(A), D q with A q = 1): per atom
-    off its walk, x_v1 going to 1 and x_v(i+1) to -a_i times x_vi's image in Z/h, else per column j
-    of V in U A V = diag(h), with D q = V ((U 1)_j D / h_j).  A 0 in h is a singular A."""
-    if walks is None:
-        sd = lattice.smith(p.matrix)
-        hs = sd.diagonal
-    else:
-        hs = [prod(e for _, e in walk) - (-1) ** len(walk) * loop for walk, loop in walks]
-    if 0 in hs:  # a singular atom, or a singular A
-        raise DegenerateCharacter("the total character has finite order modulo the relations")
-    D, factors, q = lcm(*hs), [], [0] * p.nvars
-    if walks is None:
-        u1 = [D // h * sum(row) for h, row in zip(hs, sd.u)]  # (U 1)_j D / h_j
-        return D, list(zip(hs, zip(*sd.v))), [sum(map(mul, row, u1)) for row in sd.v]
-    for (walk, _), h in zip(walks, hs):
-        chi, x, t = [0] * p.nvars, 1, 0
-        for v, e in walk:
-            chi[v], x, t = x % h, -e * x % h, 1 - e * t
-        t *= (-1) ** (len(walk) + 1) * (D // h)  # D q at x_v1, then a_i q_vi + q_v(i+1) = 1
-        for v, e in walk:
-            q[v], t = t, D - e * t
-        factors.append((h, chi))
-    return D, factors, q
 
 
 def _group_lines(D, factors, q):
@@ -172,7 +146,10 @@ class SymmetryContext:
         # b: line_columns lists its dot products with line_weights, one per
         # congruence modulus in line_moduli, then the c weights (s's, -L on b0)
         # and u weights (0 on b0); the columns of a sum are the sums of columns.
-        self._group = _factors(p, self.walks)
+        self._group = _factors(p.matrix, self.walks)
+        if self._group is None:  # a singular atom, or a singular A
+            raise DegenerateCharacter("the total character has finite order modulo the relations")
+        self.ker_chi_order = prod(h for h, _ in self._group[1])  # |ker chi| = |det A|
         self.family_step, diag, images, s_weights, u_weights = _group_lines(*self._group)
         dc, du = self.family_step
         L = self.line_denominator = lcm(*diag)
@@ -184,6 +161,10 @@ class SymmetryContext:
         self.line_invariant = tuple(du * c - dc * u for c, u in zip(c_weights, u_weights))
         self._ker = None
         self._census = None
+
+    def weights(self):
+        """p.weights() off the context's factors, raising only when called: a table needs none."""
+        return _weight_system(self._group)
 
     # -- ker chi -----------------------------------------------------------
 

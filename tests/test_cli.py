@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import mfhh
-from mfhh import engine
+from mfhh import cli, engine, poly, symmetry
 from mfhh.cli import main
 from mfhh.engine import BigradedTable, compute_table, hh2_vanishes
 from mfhh.errors import WindowMismatch
@@ -94,6 +94,52 @@ def test_table_walks_the_fixed_classes_once(monkeypatch, extra):
     code, _, err = run(["table", "--poly", LAUFER1, "--dmin", "-12", "--dmax", "4", *extra])
     assert code == 0, err
     assert len(joins) == 1
+
+
+NONSTANDARD = "x1*x2+x2^2*x3^2+x3^3"  # no atom matching
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a window without degree 2 also takes the degree-2 flag's table
+        ["table", "--poly", LAUFER1, "--dmin", "-4", "--dmax", "1"],
+        ["table", "--poly", LAUFER1, "--dmin", "-4", "--dmax", "4", "--monomials"],
+        ["probe-small-res", "--poly", LAUFER1, "--dmin", "-4"],
+        ["table", "--poly", NONSTANDARD, "--dmin", "-4", "--dmax", "1", "--allow-nonstandard"],
+        ["table", "--poly", NONSTANDARD, "--dmin", "-4", "--dmax", "4", "--monomials", "--allow-nonstandard"],
+        ["probe-small-res", "--poly", NONSTANDARD, "--dmin", "-4", "--allow-nonstandard"],
+    ],
+)
+def test_a_command_reads_the_group_of_a_once(monkeypatch, argv):
+    # the weight check, the table, the degree-2 flag and the document's
+    # weights and |ker chi| all read the one context's cyclic factors
+    calls, factors = [], poly._factors
+    counting = lambda rows, walks: calls.append(rows) or factors(rows, walks)
+    monkeypatch.setattr(poly, "_factors", counting)
+    monkeypatch.setattr(symmetry, "_factors", counting)
+    code, out, err = run(argv)
+    assert code == 0 and out, err
+    assert len(calls) == 1
+
+
+def _refuse_tables(monkeypatch):
+    for name in ("compute_table", "class_contributions"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran"))
+
+
+@pytest.mark.parametrize("extra", [[], ["--monomials"]])
+def test_table_checks_the_weight_system_before_any_table(monkeypatch, extra):
+    # the loop x1^3*x2+x2*x1 solves A q = 1 with q = (0, 1)
+    _refuse_tables(monkeypatch)
+    code, out, err = run(["table", "--poly", "x1^3*x2+x2*x1", "--dmin", "-2", "--dmax", "-1", *extra])
+    assert (code, out, err) == (2, "", "error: weight system (0, 1);1 is not positive\n")
+
+
+def test_probe_checks_the_weight_system_before_any_table(monkeypatch):
+    _refuse_tables(monkeypatch)
+    code, out, err = run(["probe-small-res", "--poly", "x1^3*x2+x2*x1", "--dmin", "-4"])
+    assert (code, out, err) == (2, "", "error: weight system (0, 1);1 is not positive\n")
 
 
 @pytest.mark.parametrize("text", [LAUFER1, "x1^5+x2^3", "x2^4+x1^2*x2+x3^2"])

@@ -16,11 +16,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import mfhh
 from conftest import random_invertible
-from lattice_oracle import census_by_masks, chi_power, family_line, member, quotient, smith_lines
-from mfhh import lattice
+from lattice_oracle import census_by_masks, chi_power, cramer_weights, family_line, member, quotient, smith_lines
+from mfhh import cli, lattice
+from mfhh.engine import BigradedTable
 from mfhh.errors import DegenerateCharacter, EngineError, NoPositiveSolution
 from mfhh.lattice import det, smith
-from mfhh.poly import InvertiblePolynomial, atom_walks, parse
+from mfhh.poly import InvertiblePolynomial, WeightSystem, atom_walks, parse
 from mfhh.symmetry import GroupElement, SymmetryContext
 
 LAUFER1 = "x1^3*x2+x2^3*x3+x3^2+x4^2"
@@ -137,7 +138,7 @@ def test_chi_power_matches_degree_and_echelon_membership(seed, data):
     # membership of b - u*1 is then decided by echelon reduction
     p = random_invertible(random.Random(seed))
     ctx = SymmetryContext(p)
-    w = p.weights()
+    w = cramer_weights(p)
     degrees = (w.d0,) + tuple(w.d)
     rows = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     n2 = p.nvars + 1
@@ -412,7 +413,7 @@ def test_family_line_matches_degree_and_echelon_membership(seed, data):
     # with c-step dc, so one exists iff one has c in range(dc)
     p = random_invertible(random.Random(seed))
     ctx = SymmetryContext(p)
-    w = p.weights()
+    w = cramer_weights(p)
     degrees = (w.d0,) + tuple(w.d)
     rows = [(-1,) + tuple(a - 1 for a in row) for row in p.matrix]
     n2 = p.nvars + 1
@@ -448,11 +449,46 @@ def test_family_line_step_matches_weights(seed, ones):
     p = random_invertible(random.Random(seed), max_vars=7, max_det=10**6, ones=ones)
     dc, du = SymmetryContext(p).family_step
     try:
-        w = p.weights()
+        w = cramer_weights(p)
     except NoPositiveSolution:  # an exponent-1 link can leave a weight 0, as in x1^3*x2+x2*x1
         assume(False)
     assert du * w.h == dc * w.d0
     assert dc > 0
+
+
+def _weights_or_error(f):
+    try:
+        return f()
+    except NoPositiveSolution as exc:
+        return str(exc)
+
+
+def test_weights_and_ker_order_off_the_factors_match_cramer_and_bareiss():
+    # p.weights(), the context's weight system and the CLI document's read one
+    # reading of A's cyclic factors; Cramer's rule over Bareiss determinants
+    # is the oracle, with the same message when no positive system exists
+    rng, seen = random.Random(46), Counter()
+    for i in range(900):
+        if i % 3 == 2:  # entries 0..3, most with no atom matching
+            if (ctx := _random_nonsingular(rng)) is None:
+                continue
+        else:  # sums of atoms, exponent-1 links on every other draw
+            ctx = SymmetryContext(random_invertible(rng, max_vars=6, max_det=10**6, ones=i % 3 == 1))
+        p = ctx.poly
+        want = _weights_or_error(lambda: cramer_weights(p))
+
+        def document_weights():
+            doc = cli._document(ctx, BigradedTable(2, 2, {}))
+            assert doc["ker_chi_order"] == abs(det(p.matrix)), p.matrix
+            w = doc["weights"]
+            return WeightSystem(tuple(w["d"]), w["h"], w["d0"])
+
+        got = [_weights_or_error(f) for f in (p.weights, ctx.weights, document_weights)]
+        assert got == [want] * 3, p.matrix
+        assert ctx.ker_chi_order == abs(det(p.matrix)), p.matrix
+        seen[ctx.walks is None, isinstance(want, str)] += 1
+    # atoms and no-atom matrices, each with and without a positive weight system
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
 
 def _assert_lines_match_smith(p, rng):

@@ -33,7 +33,8 @@ Contribution per point of its runs.
 
 Listing names.  A listing names grevlex standard monomials, so each hit's
 box monomial on an atom's part of more than one variable becomes its grevlex
-normal form there (jacobian.normal_form), one to one onto the staircase.
+normal form there (jacobian.normal_form), one to one onto the staircase;
+with no atom matching, on its whole fixed set, where staircase parts stay.
 The ideal's binomials join exponents that differ by sums of A_i - A_k, and
 (0, A_i - A_k) is a relation, so the renamed hit keeps its family line.
 
@@ -250,7 +251,7 @@ def _classes(ctx, window, order):
         rest = tuple(map(dict(zip(variables, exps + exps2)).get, range(1, ctx.n + 2)))
         if rest not in names:
             named = list(rest)
-            for walk, _ in ctx.walks or ():
+            for walk, _ in ctx.walks or [(tuple(enumerate(rest)), False)]:  # else the whole fixed set
                 if len(fixed := sorted(v for v, _ in walk if rest[v] >= 0)) > 1:
                     r = restrict(ctx.poly, [v + 1 for v in fixed])
                     for v, e in zip(fixed, normal_form(r, tuple(rest[v] for v in fixed), bases)):

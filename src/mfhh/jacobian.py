@@ -40,9 +40,9 @@ the pure-power leads.
 Bases of atoms.  A table does not depend on the basis, so the join passes
 monomial_basis a restriction's atom, as SymmetryContext.walks gives it, and
 gets its Kreuzer-Krawitz boxes in walk order with no Groebner basis and no
-matching; milnor_number matches each component once (atom_of) to do the
-same.  A listing renames their points (normal_form) and grows no
-staircase; the staircase serves restrictions that are no atom.
+matching; milnor_number, and the join on a block with no walk, match each
+component once (atom_of) to read its boxes.  A listing renames their points
+(normal_form); the staircase serves only components that are no atom.
 """
 
 from __future__ import annotations

@@ -12,13 +12,12 @@ B).  Each block gives its pairs as alternatives, lists of factors (_blocks):
 a Fermat atom x_v^a, a one-variable block with a >= 2, one factor of
 exponents -1..a-2; a loop its Kreuzer-Krawitz box and the all-dual entry,
 and a chain its boxes over all its closed tails (_chain), read off its walk
-in SymmetryContext.walks; each block of a matrix with no atom matching, the
-union over its closed sets of their grevlex staircases (_staircases), one
-refused before Buchberger runs when its atoms' box counts multiply to more
-than FACTOR_LIMIT monomials.  Each component of S's
-restriction lies in one block, so S's ring is infinite exactly when some
-S_B's is and none is 0.
-A factor of one variable is a slice of that variable's factor of exponents
+in SymmetryContext.walks; a block of a matrix with no atom matching, per
+S_B, its components' bases as milnor_number takes them, an atom's boxes or
+else a staircase (_closed_bases).  Each component of S's restriction lies in
+one block, so S's ring is infinite exactly when some S_B's is and none is 0;
+if du != 0 that class is the first error, which the join returns before
+joining.  A factor of one variable is a slice of its factor of exponents
 -1..a-1 (_ranges).  A table or a listing is one join over the alternatives.
 
 Cost model.  A line's key, the residues of its congruence columns and of
@@ -45,18 +44,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, product
-from math import prod
-from operator import itemgetter, mul
+from operator import mul
 
 # monomial_basis is called through its module, so a wrapper installed on
 # jacobian.monomial_basis, such as perfbench's tracer, sees each call
 from . import jacobian
 from .errors import EngineError, NonterminatingFamily, NotIsolated
-from .jacobian import restrict
-from .poly import atom_walks
+from .jacobian import atom_of, component_variables, restrict
 
 
-FACTOR_LIMIT = 1 << 21  # entries of a factor, a staircase or a join side: x^99999999's factor took minutes
+FACTOR_LIMIT = 1 << 21  # entries of a factor or a join side: x^99999999's factor took minutes
 
 
 def _ceil_div(a, b):
@@ -136,35 +133,35 @@ def _chain(ctx, walk, closed, packing, cache):
     return out
 
 
-def _staircases(ctx, variables, closed, packing, rings):
-    """One factor, the union over the closed sets of their restrictions' grevlex staircases with -1
-    on the rest of the block, each sized before Buchberger runs by its atoms, its restriction's
-    components, whose box counts multiply; rings gets each one's ring dimension, None if infinite."""
-    monomials = []
+def _closed_bases(ctx, variables, closed, packing, cache, rings):
+    """Per closed set of a block with no walk, -1 on the rest of the block times its components' bases
+    as milnor_number takes them (boxes, else a staircase); rings gets each whose ring is 0 (0) or infinite (None)."""
+    out = []
     for mask in closed:
-        fixed = [v for v in variables if mask >> v & 1]
-        r = restrict(ctx.poly, fixed)
-        atoms = atom_walks(r.terms) if len(r.terms) == len(fixed) else None
-        if atoms and (mu := prod(sum(prod(map(len, box)) for box in jacobian.atom_boxes(atom))
-                                 for atom in atoms)) > FACTOR_LIMIT:
-            raise EngineError(f"the Jacobian ring on {tuple(fixed)} has dimension {mu}, more than 2^21")
-        try:
-            rings[mask] = (basis := jacobian.monomial_basis(r)).dimension
-        except NotIsolated:
-            rings[mask] = None
-            continue
-        if len(fixed) == len(variables):
-            monomials += basis.monomials
-        else:  # a proper closed set: its exponents, then the dual marker -1 on the others
-            get = itemgetter(*[fixed.index(v) if v in fixed else -1 for v in variables])
-            monomials += [get(m + (-1,)) for m in basis.monomials]
-    return [[_factor(ctx, variables, monomials, packing)]]
+        dual = [v for v in variables if not mask >> v & 1]
+        parts = [[[_factor(ctx, dual, [(-1,) * len(dual)], packing)]]]  # the empty product when S_B is B
+        for fixed in component_variables(restrict(ctx.poly, [v for v in variables if mask >> v & 1])):
+            if atom := atom_of(c := restrict(ctx.poly, fixed)):
+                parts.append([_ranges(ctx, [v + 1 for v, _ in atom[0]], box, packing, cache)
+                              for box in jacobian.atom_boxes(atom)])
+                continue
+            try:
+                basis = jacobian.monomial_basis(c)
+            except NotIsolated:
+                rings.setdefault(mask, None)  # unless another component's ring is 0
+                continue
+            if not basis.dimension:
+                rings[mask] = 0
+            parts.append([[_factor(ctx, fixed, basis.monomials, packing)]])
+        if mask not in rings:
+            out += [list(chain(*alternative)) for alternative in product(*parts)]
+    return out
 
 
 def _blocks(ctx, packing, cache, rings):
     """Per block of A, the mask of its variables and its alternatives (see the module docstring).
     Only a chain's boxes and the staircases call monomial_basis; cache holds the one-variable
-    factors (_ranges), and rings the ring dimension of each staircase's closed set (_staircases)."""
+    factors (_ranges), and rings the closed sets whose ring is 0 or infinite (_closed_bases)."""
     walks = ctx.walks or [((), False)] * len(ctx.closed_sets)
     for (walk, loop), (full, closed) in zip(walks, ctx.closed_sets):
         v = full.bit_length() - 1
@@ -174,7 +171,7 @@ def _blocks(ctx, packing, cache, rings):
             continue
         variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
         if not walk:  # a matrix with no atom matching
-            yield full, _staircases(ctx, variables, closed, packing, rings)
+            yield full, _closed_bases(ctx, variables, closed, packing, cache, rings)
         elif loop:  # closed sets: all of it, and none of it unless the group of the loop is trivial
             box, = jacobian.atom_boxes((walk, True))
             duals = [[_factor(ctx, variables, [(-1,) * len(variables)], packing)]] if 0 in closed else []
@@ -209,12 +206,13 @@ def join(ctx, window):
     kinds A and B of S + {x0} and C of S, S the line's fixed set; exps +
     exps2, on the variables, are a basis monomial on S and -1 off it: a
     Kreuzer-Krawitz box monomial on an atom's part of S, a grevlex standard
-    monomial on a part of a block with no atom matching.  errors maps to
+    monomial on a component with no atom matching.  errors maps to
     NotIsolated each class with a block part whose ring is infinite and none
     whose ring is 0 (only a block with no atom matching has such a part, and
     only then does the census list the classes) and, when du == 0, to
     NonterminatingFamily each class with a family of kind A or B in the
-    window; each caller raises the first in its own class order (first_error).
+    window (found is [] if du != 0 and errors is not); each caller raises
+    the first in its own class order (first_error).
 
     A line has a point of weight u exactly when its congruences hold and
     u0 = u mod du; in the columns of line_columns, each congruence column
@@ -249,11 +247,12 @@ def join(ctx, window):
     rings, errors = {}, {}
     blocks = list(_blocks(ctx, packing, {}, rings))
     # a class's ring is infinite when a block part's is and none is 0 (jacobian's Components)
-    fulls = [full for full, _ in blocks if any(not dim and mask & full for mask, dim in rings.items())]
     for mask, _ in ctx.classes if None in rings.values() else ():
-        parts = [rings[mask & full] for full in fulls]
+        parts = [rings.get(mask & full, 1) for full, _ in blocks]
         if None in parts and 0 not in parts:
             errors[mask] = NotIsolated
+    if du and errors:  # no family stays in the window, so these come first: no run is read
+        return [], errors
     # a kind of degree offset off wants u in [lo, hi] = spans[off]; a class
     # fixing k of x_1..x_{n+1} has the offsets n - k + 1 and n - k + 2
     spans = {off: (_ceil_div(dmin - off, 2), (dmax - off) // 2) for off in range(n + 3)}

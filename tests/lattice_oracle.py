@@ -12,9 +12,9 @@ package reads cyclic factors of Z^(n+1)/rowspace(A) off the atom walks or
 off a Smith form of A.  `census_by_masks`
 takes one Smith form per subset of x_0..x_{n+1}, with no blocks or closure.
 `cramer_weights` takes n + 1 Bareiss determinants where `poly.weights`
-makes one elimination.  `probe_restrictions` solves restrictions by the
-wanted-key probe join that `lines.solve_restriction` replaced with a range
-join: one key per row and residue of u, each probed per smaller-side key.
+makes one elimination.  `probe_restriction` solves a restriction by a
+wanted-key probe join, where `lines.join` runs a range join over the blocks:
+one key per row and residue of u, each probed per smaller-side key.
 Its keys are tuples of residues, one per line column, added componentwise,
 so it shares no key arithmetic with the packed-int keys of `lines`.
 Matrices are sequences of rows of Python ints (row convention).
@@ -325,14 +325,14 @@ def _factor(ctx, variables, monomials, moduli):
     return variables, list(zip(keys, monomials))
 
 
-def _component(ctx, variables, moduli, cache, boxes):
+def _component(ctx, variables, moduli, cache):
     """The basis of one component as alternatives whose union it is, each a
     list of factors whose product it is: one factor per variable range of
-    each box of a BoxBasis, else one factor holding the staircase.  [] when
-    the ring is 0, None when it is infinite."""
+    each box of an atom's BoxBasis, else one factor holding the staircase.
+    [] when the ring is 0, None when it is infinite."""
     r = restrict(ctx.poly, variables)
     try:
-        basis = jacobian.monomial_basis(r, atom_of(r) if boxes else None)
+        basis = jacobian.monomial_basis(r, atom_of(r))
     except NotIsolated:
         return None
     if not isinstance(basis, BoxBasis):
@@ -358,19 +358,12 @@ def _product(factors, moduli):
     return out
 
 
-def probe_restrictions(ctx, classes, window, boxes=False):
-    """lines.restrictions, each restriction solved by probe_restriction."""
-    groups = {}
-    for fixed, count in classes:
-        groups.setdefault(tuple(sorted(fixed - {0})), []).append((fixed, count))
-    cache = {}
-    for fixed_vars, group in groups.items():
-        yield probe_restriction(ctx, fixed_vars, group, window, cache, boxes)
-
-
-def probe_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
-    """(rows, lines) as lines.solve_restriction gives them, by the wanted-key
-    probe join: one wanted key per row and residue of u mod |du| among the
+def probe_restriction(ctx, fixed_vars, group, window, cache):
+    """(rows, lines) of the classes of one restriction: a row (fixed, count,
+    kind) per class and kind, and a line (c0, u0, exponents on x_1..x_{n+1},
+    indices of its rows) per hit, by the wanted-key probe join, each
+    component's basis taken as milnor_number takes it (_component): one
+    wanted key per row and residue of u mod |du| among the
     window's weights, and each looked up, less a product key of the smaller
     side, in an index of the larger side's product keys."""
     dmin, dmax = window
@@ -385,7 +378,7 @@ def probe_restriction(ctx, fixed_vars, group, window, cache, boxes=False):
     comps, infinite = [], False
     for variables in component_variables(restrict(ctx.poly, fixed_vars)):
         if variables not in cache:
-            cache[variables] = _component(ctx, variables, moduli, cache, boxes)
+            cache[variables] = _component(ctx, variables, moduli, cache)
         if cache[variables] is None:
             infinite = True  # and so is the ring, unless another one is 0
         else:

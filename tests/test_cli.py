@@ -405,15 +405,30 @@ def test_table_of_a_huge_exponent_is_an_engine_error_in_a_child_process():
 
 def test_table_of_a_huge_disconnected_restriction_is_an_engine_error_in_a_child_process():
     # the block has no atom matching; its closed set x2..x4 restricts to a
-    # chain and a Fermat atom, whose ring is sized by the product of their
-    # box counts, 1561 * 1999, before Buchberger runs
+    # chain and a Fermat atom, which take their boxes (1561 * 1999 monomials)
+    # with no Buchberger run, and the closed set x1 alone has an infinite
+    # ring, so the table ends in that error before its join
     argv = ["table", "--poly", "x1^2*x2^2*x4^2+x2^40*x3+x3^40+x4^2000", "--allow-nonstandard",
             "--dmin", "-2", "--dmax", "2"]
     seconds, res = _wide(argv)
     assert seconds < 2
     assert res.returncode == 3 and res.stdout == b""
     assert res.stderr == (b"warning: polynomial is not a sum of Fermat/chain/loop atoms\n"
-                          b"error: the Jacobian ring on (2, 3, 4) has dimension 3120439, more than 2^21\n")
+                          b"error: Jacobian ring of the restriction to (1,) is infinite-dimensional\n")
+
+
+@pytest.mark.parametrize("k, blocks", [(20, 1), (18, 2)])
+def test_table_of_no_atom_chains_ends_in_its_error_in_a_child_process(k, blocks):
+    # x1^2*x2^2 + x2^2*x3 + .. + x_(k-1)^2*x_k + x_k^3 per block: every
+    # proper closed set is a chain and takes its boxes, the whole block's
+    # ring is infinite, and the table stops before its join
+    terms = [f"x{o + i}^2*x{o + i + 1}" + "^2" * (i == 1) for o in range(0, k * blocks, k) for i in range(1, k)]
+    terms += [f"x{o + k}^3" for o in range(0, k * blocks, k)]
+    seconds, res = _wide(["table", "--poly", "+".join(terms), "--allow-nonstandard", "--dmin", "-2", "--dmax", "2"])
+    assert seconds < 1
+    assert res.returncode == 3 and res.stdout == b""
+    assert res.stderr.endswith(f"error: Jacobian ring of the restriction to {tuple(range(1, k * blocks + 1))} "
+                               "is infinite-dimensional\n".encode())
 
 
 def test_probe_empty_window_is_input_error():

@@ -703,15 +703,14 @@ def test_kernel_matches_reference(seed, window, order):
     assert_matches_reference(p, window, abs(p.det()) <= 400, table_order=order)
 
 
-def _component_bases(p, fixed_vars, boxes):
+def _component_bases(p, fixed_vars):
     """(variables, set of basis monomials) per component of the restriction:
-    with boxes, the points of an atom's boxes, else its staircase.  The
-    restriction's basis is the product of these; the join's reads boxes
-    exactly when A is a sum of atoms."""
+    the points of an atom's boxes, else its staircase.  The restriction's
+    basis is the product of these, as the join's is."""
     found = []
     for variables in component_variables(restrict(p, fixed_vars)):
         r = restrict(p, variables)
-        basis = monomial_basis(r, atom_of(r) if boxes else None)
+        basis = monomial_basis(r, atom_of(r))
         if isinstance(basis, BoxBasis):  # its points over the walk's variables, mapped to r.fixed
             found.append((variables, {tuple(map(dict(zip(basis.variables, m)).get, variables))
                                       for box in basis.boxes for m in product(*box)}))
@@ -734,7 +733,7 @@ def assert_lines_decoded(p, window):
         assert window[0] <= d <= window[1] and c >= cmin and points > 0
         fixed_vars = tuple(sorted(_fixed(mask) - {0}))
         assert [e == -1 for e in rest] == [v not in fixed_vars for v in range(1, p.nvars + 1)]
-        for variables, basis in _component_bases(p, fixed_vars, ctx.walks is not None):
+        for variables, basis in _component_bases(p, fixed_vars):
             assert tuple(rest[v - 1] for v in variables) in basis
         assert member(relations, [b - (d - off) // 2 for b in (c,) + rest])
     assert_range_join_matches_probe_join(ctx, window)
@@ -744,7 +743,7 @@ def assert_lines_decoded(p, window):
 @settings(max_examples=40)
 @given(st.integers(0, 10**9), windows, st.booleans())
 def test_kernel_lines_are_decoded_lattice_points(seed, window, nonstandard):
-    # a matrix with no atom matching joins staircases, a sum of atoms boxes
+    # each component joins an atom's boxes, or else its staircase
     rng = random.Random(seed)
     p = _nonstandard(rng) if nonstandard else random_invertible(rng, max_vars=5, max_det=3000)
     assert_lines_decoded(p, window)
@@ -789,23 +788,25 @@ def _probe_join(ctx, classes, window):
     probe join per restriction: the runs of its lines (_line_runs), and
     {mask: error class} for the first class of the first restriction whose
     ring is infinite and for each class with a family that never leaves the
-    window.  The oracle reads boxes exactly when A is a sum of atoms, as the
-    join does, takes and gives its classes as frozensets, and takes the
-    census when handed no classes, as a table's join is."""
+    window, and no run when du != 0 and a class is not isolated, as the
+    join gives none then.  The oracle reads each component's basis as the
+    join does, boxes for an atom and else a staircase, takes and gives its
+    classes as frozensets, and takes the census when handed no classes, as
+    a table's join is."""
     groups, found, errors, cache = {}, [], {}, {}
     for mask, count in ctx.classes if classes is None else classes:
         groups.setdefault(mask & ~1, []).append((_fixed(mask), count))
     for fixed, group in groups.items():
         try:
             fixed_vars = tuple(sorted(_fixed(fixed)))
-            rows, lines_found = probe_restriction(ctx, fixed_vars, group, window, cache, ctx.walks is not None)
+            rows, lines_found = probe_restriction(ctx, fixed_vars, group, window, cache)
         except NotIsolated:
             errors.setdefault(_mask(group[0][0]), NotIsolated)
             continue
         rows = [(_mask(fixed), count, kind) for fixed, count, kind in rows]
         lines_found = [(c0, u0, rest, [rows[i] for i in hits]) for c0, u0, rest, hits in lines_found]
         found += _line_runs(ctx, lines_found, window, errors)
-    return found, errors
+    return ([] if ctx.family_step[1] and NotIsolated in errors.values() else found), errors
 
 
 def assert_range_join_matches_probe_join(ctx, window):
@@ -949,11 +950,12 @@ def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(mon
 )
 def test_tables_and_listings_match_no_atom_once_the_context_is_built(monkeypatch, text):
     # the context's walks are the one source of atom structure: a chain's
-    # boxes and a loop's box are read off them, and a listing's renaming
+    # boxes and a loop's box are read off them, and a listing's renaming;
+    # lines matches a component of a block with no walk through jacobian.atom_of
     p = parse(text)
     ctx = SymmetryContext(p)
     matched, walks = [], poly.atom_walks
-    for module in (poly, jacobian, lines, symmetry):
+    for module in (poly, jacobian, symmetry):
         monkeypatch.setattr(module, "atom_walks", lambda rows: matched.append(rows) or walks(rows))
     table = compute_table(p, (-12, 8), ctx=ctx)
     listing = list(class_contributions(p, (-2, 2), ctx=ctx))
@@ -999,7 +1001,7 @@ def _divisors(N):
 @given(st.integers(1, 24), st.integers(-1, 1), st.data())
 def test_packed_keys_add_and_negate_as_residue_tuples(bits, offset, data):
     # N one below, at and one above a power of two; each field's modulus
-    # divides N and its residue r is packed as r * N/q, as solve_restriction
+    # divides N and its residue r is packed as r * N/q, as lines._factor
     # packs the line columns
     N = max(1, 2**bits + offset)
     moduli = data.draw(st.lists(st.sampled_from(_divisors(N)), min_size=1, max_size=4))
@@ -1262,3 +1264,39 @@ def test_kernel_matches_reference_on_nonstandard_inputs():
             raised[_outcome(lambda: compute_table(p, window))[1]] += 1
     # the same first restriction is named as infinite-dimensional
     assert raised[NotIsolated] >= 5
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1*x2^3*x3^3*x5^3+x4*x5+x3^3+x2^2*x3+x1^2*x2",
+        "x2^3*x4^3+x1^3*x2+x1*x2^2+x3*x4",
+        "x2^2*x3^2*x5+x4^3*x5+x3^3+x1*x2+x5^2",
+        "x3*x4+x2*x4+x1^2*x2+x2^3*x3",
+        "x3*x4+x1^3+x2^2*x3^3+x1*x2^3",
+        "x1^3+x2*x4+x3*x5+x1^3*x2^3+x3*x5^3",
+    ],
+)
+def test_no_atom_closed_sets_take_chain_and_loop_boxes(monkeypatch, text):
+    # answered inputs with no atom matching, found by search, where a closed
+    # set's component is a chain or a loop: it takes its boxes, as
+    # milnor_number does, and only a component with no atom matching grows
+    # a staircase; tables and listings, renamed by normal form over each
+    # hit's fixed set, are the reference's
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = parse(text, allow_nonstandard=True)
+    staircases, boxes = [], []
+    basis, atom_boxes = jacobian.monomial_basis, jacobian.atom_boxes
+    monkeypatch.setattr(jacobian, "monomial_basis", lambda r, *args: staircases.append((r, *args)) or basis(r, *args))
+    monkeypatch.setattr(jacobian, "atom_boxes", lambda atom: boxes.append(atom) or atom_boxes(atom))
+    ctx = SymmetryContext(p)
+    assert ctx.walks is None
+    for window in ((-12, 8), (-40, 10)):
+        compute_table(p, window, ctx=ctx)
+        list(class_contributions(p, window, ctx=ctx))
+    assert any(len(walk) > 1 for walk, _ in boxes)
+    assert staircases and all(len(call) == 1 and atom_of(call[0]) is None for call in staircases)
+    monkeypatch.undo()
+    for window in ((-12, 8), (-40, 10)):
+        assert assert_matches_reference(p, window) == "value"

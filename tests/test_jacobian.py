@@ -13,7 +13,7 @@ from basis_oracle import KEYS, basis_in, box_walk_basis, grevlex_key, lex_key
 from conftest import random_invertible
 from lattice_oracle import member
 from mfhh import jacobian, lines
-from mfhh.errors import EngineError, InputError, NotIsolated
+from mfhh.errors import InputError, NotIsolated
 from mfhh.jacobian import (
     _divides,
     _grevlex_key,
@@ -333,9 +333,9 @@ def test_kreuzer_krawitz_boxes_match_the_staircase(atom):
     ],
 )
 def test_atom_boxes_of_disconnected_restrictions(monkeypatch, text):
-    # the listing cap sizes a closed set of a block with no atom matching by
-    # the set's own atoms, its components: its ring's dimension is the
-    # product of their box counts, whatever their kinds
+    # a closed set of a block with no atom matching takes its components'
+    # bases as milnor_number does: its ring's dimension is the product of
+    # their box counts, whatever their kinds, and no Buchberger runs
     p = parse(text)
     r = restrict(p, range(1, p.nvars + 1))
     mu = monomial_basis(r).dimension
@@ -346,22 +346,20 @@ def test_atom_boxes_of_disconnected_restrictions(monkeypatch, text):
                              len(ctx.line_moduli) + 1)
     full = sum(1 << v for v in r.fixed)
 
-    def staircases():  # the whole matrix as one closed set of a block with no walk
-        rings = {}
-        lines._staircases(ctx, r.fixed, [full], packing, rings)
-        return rings
-
-    monkeypatch.setattr(lines, "FACTOR_LIMIT", mu)
-    assert staircases() == {full: mu}
-
     def never(*args):
         raise AssertionError("Buchberger ran")
 
-    # a ring one monomial over the cap is refused before any basis is made
-    monkeypatch.setattr(lines, "FACTOR_LIMIT", mu - 1)
     monkeypatch.setattr(jacobian, "monomial_basis", never)
-    with pytest.raises(EngineError, match=rf"on {re.escape(str(r.fixed))} has dimension {mu}, more than 2\^21$"):
-        staircases()
+    monkeypatch.setattr(jacobian, "_groebner", never)
+    # the whole matrix as one closed set of a block with no walk, at every
+    # FACTOR_LIMIT that admits its variables' factors: no cap on the ring
+    a = max(map(max, p.matrix))
+    for limit in (a, max(a, mu - 1), max(a, mu), lines.FACTOR_LIMIT):
+        monkeypatch.setattr(lines, "FACTOR_LIMIT", limit)
+        rings = {}
+        alternatives = lines._closed_bases(ctx, r.fixed, [full], packing, {}, rings)
+        assert rings == {}
+        assert sum(prod(len(entries) for _, entries in factors) for factors in alternatives) == mu
 
 
 @settings(max_examples=60)

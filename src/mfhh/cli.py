@@ -271,6 +271,9 @@ def main(argv=None, out=None, err=None):
         except MfhhError as exc:
             err.write(f"error: {exc}\n")
             return EXIT_ENGINE
+        except MemoryError:  # uncaught, it would exit 1, the code of "distinguished"
+            err.write("error: out of memory\n")
+            return EXIT_ENGINE
 
 
 if __name__ == "__main__":

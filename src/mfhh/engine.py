@@ -138,7 +138,8 @@ class BigradedTable:
     def cells(self):
         sd, sq = self.step
         cells = {}  # distinct lines hold distinct cells
-        for r, base, k, k2, dim in stretches(self.runs, sd, sq):
+        # listed first: a MemoryError below leaves no generator to close, which would raise again
+        for r, base, k, k2, dim in list(stretches(self.runs, sd, sq)):
             points = zip(range(r + k * sd, r + k2 * sd, sd), range(base + k * sq, base + k2 * sq, sq))
             cells.update(zip(points, repeat(dim)))
         return cells
@@ -196,9 +197,12 @@ class BigradedTable:
 
 
 def _context(p, window, ctx):
-    """ctx, or a new context for p; an empty window is an InputError."""
+    """ctx, or a new context for p; an empty window, or a ctx built for another polynomial, is an
+    InputError."""
     if window[0] > window[1]:
         raise InputError("empty degree window")
+    if ctx is not None and ctx.poly != p:
+        raise InputError("the context was built for another polynomial")
     return SymmetryContext(p) if ctx is None else ctx
 
 

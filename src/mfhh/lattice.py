@@ -79,20 +79,6 @@ def smith(m):
     if any(len(row) != c for row in w):
         raise ValueError("smith needs rows of equal length")
     w = [row + unit for row, unit in zip(w, identity_matrix(r))] + identity_matrix(c)
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in w:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
-
-    def add_col(src, dst, q):
-        for row in w:
-            row[dst] += q * row[src]
-
     t = 0
     while t < min(r, c):
         piv = _find_pivot(w, t, r, c)
@@ -101,7 +87,8 @@ def smith(m):
         while True:
             pi, pj = piv
             w[t], w[pi] = w[pi], w[t]
-            swap_cols(t, pj)
+            for row in w:
+                row[t], row[pj] = row[pj], row[t]
             if w[t][t] < 0:
                 w[t] = [-x for x in w[t]]
             p = w[t][t]
@@ -109,15 +96,16 @@ def smith(m):
             for i in range(t + 1, r):
                 if w[i][t]:
                     q = w[i][t] // p
-                    if q:
-                        add_row(t, i, -q)
+                    if q:  # row i -= q * row t
+                        w[i] = [x - q * y for x, y in zip(w[i], w[t])]
                     if w[i][t]:
                         clean = False
             for j in range(t + 1, c):
                 if w[t][j]:
                     q = w[t][j] // p
-                    if q:
-                        add_col(t, j, -q)
+                    if q:  # column j -= q * column t
+                        for row in w:
+                            row[j] -= q * row[t]
                     if w[t][j]:
                         clean = False
             if not clean:
@@ -125,14 +113,10 @@ def smith(m):
                 piv = _find_pivot(w, t, r, c)
                 continue
             p = w[t][t]
-            bad = None
-            for i in range(t + 1, r):
-                if any(w[i][j] % p for j in range(t + 1, c)):
-                    bad = i
-                    break
+            bad = next((i for i in range(t + 1, r) if any(w[i][j] % p for j in range(t + 1, c))), None)
             if bad is None:
                 break
-            add_row(bad, t, 1)  # pull the offending row in and keep reducing
+            w[t] = [x + y for x, y in zip(w[t], w[bad])]  # pull the offending row in and keep reducing
             piv = (t, t)
         t += 1
     return SmithDecomposition(

@@ -196,50 +196,32 @@ def parse(text, allow_nonstandard=False):
     are rejected; repeated variables inside one term multiply out (exponents
     add).
     """
-    toks = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        tok = toks[pos] if pos < len(toks) else None
-        pos += 1
-        return tok
-
-    def parse_factor(exps):
-        tok = take()
-        if tok is None:
-            raise PolySyntaxError("unexpected end of input")
-        if tok.isdigit():
-            raise CoefficientError(f"coefficient {tok} is not allowed; monomials are monic")
-        if tok[0] != "x":
-            raise PolySyntaxError(f"expected a variable, got {tok!r}")
-        var = _nat(tok[1:], "variable index")
-        exp = 1
-        if peek() == "^":
-            take()
-            etok = take()
-            if etok is None or not etok.isdigit() or etok.startswith("0"):
+    # want: a factor, "^" or an operator after a variable, an exponent, an operator after one
+    terms, exps, want = [], {}, "factor"
+    for tok in _tokenize(text) + [None]:
+        if want == "factor":
+            if tok is None:
+                raise PolySyntaxError("unexpected end of input")
+            if tok.isdigit():
+                raise CoefficientError(f"coefficient {tok} is not allowed; monomials are monic")
+            if tok[0] != "x":
+                raise PolySyntaxError(f"expected a variable, got {tok!r}")
+            var, want = _nat(tok[1:], "variable index"), "^"
+            exps[var] = exps.get(var, 0) + 1
+        elif want == "exponent":
+            if tok is None or not tok.isdigit() or tok.startswith("0"):
                 raise PolySyntaxError("expected a positive exponent after '^'")
-            exp = _nat(etok, "exponent")
-        exps[var] = exps.get(var, 0) + exp
-
-    def parse_term():
-        exps = {}
-        parse_factor(exps)
-        while peek() == "*":
-            take()
-            parse_factor(exps)
-        return exps
-
-    terms = [parse_term()]
-    while peek() == "+":
-        take()
-        terms.append(parse_term())
-    if pos != len(toks):
-        raise PolySyntaxError(f"unexpected token {toks[pos]!r}")
+            exps[var] += _nat(tok, "exponent") - 1
+            want = "operator"
+        elif tok == "^" and want == "^":
+            want = "exponent"
+        elif tok in ("*", "+", None):
+            if tok != "*":  # a term ends
+                terms.append(exps)
+                exps = {}
+            want = "factor"
+        else:
+            raise PolySyntaxError(f"unexpected token {tok!r}")
 
     # exponents are positive, so equal terms are equal dicts
     if len({frozenset(t.items()) for t in terms}) != len(terms):

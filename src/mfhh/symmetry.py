@@ -79,9 +79,15 @@ CENSUS_LIMIT = 1 << 20  # fixed sets the census folds; a join reads it only to n
 
 
 def _group_lines(D, factors, q):
-    """((dc, du), d, each x_v's image in Z^{n+1}/rowspace([A; 1]) = (+ Z/h)/<g> = prod Z/d_j, L*s,
-    L*u): factors of coprime orders merge by CRT, groups whose g is a unit drop out, and only two or
-    more left take a Smith form, of [diag(h); g]."""
+    """The line data of _factors' (D, factors, D q): (family_step (dc, du), line_denominator L,
+    line_moduli, line_weights).  (y, s)*[A; 1] = b' has a solution iff b' maps to 0 in
+    Z^{n+1}/rowspace([A; 1]) = (+ Z/h)/<g> = prod Z/d_j, and over L = lcm(d) s and u are then one
+    integer dot product each per coordinate, exact once the congruences hold.  All of it is linear
+    in b: line_weights holds, per modulus d_j > 1 in line_moduli, the x_v's images in Z/d_j (0 on
+    b0), then the c weights (L s, -L on b0) and u weights (L u, 0 on b0); line_columns takes their
+    dot products, and the columns of a sum are the sums of columns.  Factors of coprime orders merge
+    by CRT, groups whose g is a unit drop out, and only two or more left take a Smith form, of
+    [diag(h); g]."""
     groups = []
     for h, chi in factors:
         i = next((i for i, (h1, _) in enumerate(groups) if gcd(h1, h) == 1), len(groups))
@@ -108,8 +114,10 @@ def _group_lines(D, factors, q):
     L, T = lcm(*diag), sum(q)
     last = [L // dj * t for dj, t in zip(diag, last)]  # L s' at b' = e_v is its image . last
     s_weights = [(L * s0 + m * sum(map(mul, x, last))) % (L * dc) for s0, x in zip(S, images)]
-    return ((dc, dc * (D - T) // D), diag, images, s_weights,  # u = b'.q + s (1 - sum q)
-            [(L * qv + s * (D - T)) // D for qv, s in zip(q, s_weights)])
+    u_weights = [(L * qv + s * (D - T)) // D for qv, s in zip(q, s_weights)]  # u = b'.q + s (1 - sum q)
+    congruences = [(0, *col) for col, dj in zip(zip(*images), diag) if dj > 1]
+    return ((dc, dc * (D - T) // D), L, tuple(dj for dj in diag if dj > 1),
+            (*congruences, (-L, *s_weights), (0, *u_weights)))
 
 
 class GroupElement(NamedTuple):
@@ -139,26 +147,14 @@ class SymmetryContext:
         self.n = p.nvars - 1  # the variables are x_1..x_{n+1}
         # the atoms of A, the one matching that the context's users read, or None for a matrix with none
         self.walks = atom_walks(p.matrix)
-        # (y, s)*[A; 1] = b' has a solution iff b' maps to 0 in
-        # Z^{n+1}/rowspace([A; 1]) = prod Z/d_j, where x_v maps to images[v].
-        # Over L = lcm(d), s and u are then one integer dot product each per
-        # coordinate, exact once the congruences hold.  All of it is linear in
-        # b: line_columns lists its dot products with line_weights, one per
-        # congruence modulus in line_moduli, then the c weights (s's, -L on b0)
-        # and u weights (0 on b0); the columns of a sum are the sums of columns.
         self._group = _factors(p.matrix, self.walks)
         if self._group is None:  # a singular atom, or a singular A
             raise DegenerateCharacter("the total character has finite order modulo the relations")
         self.ker_chi_order = prod(h for h, _ in self._group[1])  # |ker chi| = |det A|
-        self.family_step, diag, images, s_weights, u_weights = _group_lines(*self._group)
+        self.family_step, self.line_denominator, self.line_moduli, self.line_weights = _group_lines(*self._group)
         dc, du = self.family_step
-        L = self.line_denominator = lcm(*diag)
-        self.line_moduli = tuple(dj for dj in diag if dj > 1)
-        congruences = tuple((0, *(row[j] for row in images)) for j, dj in enumerate(diag) if dj > 1)
-        c_weights, u_weights = (-L, *s_weights), (0, *u_weights)
-        self.line_weights = congruences + (c_weights, u_weights)
         # per coordinate, L times du*c - dc*u: the invariant that every point of a line shares
-        self.line_invariant = tuple(du * c - dc * u for c, u in zip(c_weights, u_weights))
+        self.line_invariant = tuple(du * c - dc * u for c, u in zip(*self.line_weights[-2:]))
         self._ker = None
         self._census = None
 

@@ -158,6 +158,16 @@ def test_table_engine_error_exit_code():
     assert "window" in err
 
 
+def test_running_out_of_memory_is_an_engine_error_not_a_verdict(monkeypatch):
+    # uncaught, a MemoryError would exit 1, which reads as "distinguished"
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compute_table", exhausted)
+    code, out, err = run(["table", "--poly", LAUFER1, "--dmin", "-4", "--dmax", "4"])
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("command", [["table", "--dmax", "2"], ["probe-small-res"]])
 def test_allow_nonstandard_warns_on_err_with_warnings_as_errors(command):
     # one fixed line on the err stream, not a source path, and no traceback under -W error

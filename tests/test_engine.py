@@ -252,6 +252,18 @@ def test_empty_window_is_input_error(monkeypatch):
             call(p, (1, 0))
 
 
+def test_context_of_another_polynomial_is_input_error():
+    # past the check every entry point reads only ctx: this one would give x1^2+x2^3+x3^7's table
+    p, ctx = parse("x1^2+x2^5+x3^7"), SymmetryContext(parse("x1^2+x2^3+x3^7"))
+    calls = (compute_table, list_contributions, lambda p, window, ctx: list(class_contributions(p, window, ctx)))
+    for call in calls:
+        with pytest.raises(InputError, match="^the context was built for another polynomial$"):
+            call(p, (-6, 4), ctx=ctx)
+    with pytest.raises(InputError, match="^the context was built for another polynomial$"):
+        hh2_vanishes(p, ctx=ctx)
+    assert compute_table(p, (-6, 4), ctx=SymmetryContext(parse("x1^2+x2^5+x3^7"))) == compute_table(p, (-6, 4))
+
+
 def test_positive_d0_tables_are_finite():
     p = parse("x1^3")
     assert p.weights().d0 > 0

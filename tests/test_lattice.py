@@ -76,6 +76,26 @@ def test_smith_example():
     assert sd.diagonal == (1, 6)
 
 
+@pytest.mark.parametrize(
+    "m, u, d, v",
+    [
+        ([[2, 1], [0, 3]], ((1, 0), (3, -1)), ((1, 0), (0, 6)), ((0, 1), (1, -2))),
+        # 3 does not divide 2: the divisibility row pull
+        ([[2, 0], [0, 3]], ((1, 1), (3, 2)), ((1, 0), (0, 6)), ((-1, 3), (1, -2))),
+        # [diag(h); g] of the three groups of x1^2*x2+x2^2+x3^3*x4+x4^2*x5+x5^5+x6^2*x7+x7^4*x8+x8^4+x9^4*x10+x10^2
+        (
+            [[30, 0, 0], [0, 32, 0], [0, 0, 8], [16, 28, 4]],
+            ((1, 0, 0, 1), (2, 2, 1, -1), (-16, -26, -15, 30), (64, 105, 60, -120)),
+            ((2, 0, 0), (0, 4, 0), (0, 0, 8), (0, 0, 0)),
+            ((1, -2, 4), (0, 0, 1), (-11, 23, -53)),
+        ),
+    ],
+)
+def test_smith_pins_u_d_and_v(m, u, d, v):
+    # the pivot rule and the order of the row and column operations fix U and V, not only D
+    assert lattice.smith(m) == (u, d, v)
+
+
 def test_smith_already_diagonal():
     sd = lattice.smith([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     assert sd.diagonal == (2, 2, 2, 2)

@@ -65,12 +65,27 @@ def test_parse_rejects():
         ("x1^2+", "unexpected end of input"),
         ("x1^2*^2", "expected a variable, got '^'"),
         ("x1^2 x2^2", "unexpected token 'x2'"),
+        ("", "unexpected end of input"),
+        ("x1*", "unexpected end of input"),
+        ("+x1", "expected a variable, got '+'"),
+        ("x1^", "expected a positive exponent after '^'"),
+        ("x1^0", "expected a positive exponent after '^'"),
+        ("x1^x2", "expected a positive exponent after '^'"),
+        ("x1^2^3", "unexpected token '^'"),
+        ("x1+y", "bad token 'y'"),
+        ("x0^2", "bad token 'x'"),
     ],
 )
 def test_parse_syntax_error_messages(text, message):
     with pytest.raises(PolySyntaxError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def test_parse_coefficient_error_message():
+    with pytest.raises(CoefficientError) as exc:
+        parse("2*x1^2+x2^2")
+    assert str(exc.value) == "coefficient 2 is not allowed; monomials are monic"
 
 
 def test_parse_allow_nonstandard_downgrades_shape_check():

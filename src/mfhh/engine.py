@@ -130,6 +130,8 @@ class BigradedTable:
     """
 
     def __init__(self, dmin, dmax, cells=None, runs=None, step=(1, 1)):
+        if dmin > dmax:
+            raise InputError("empty degree window")
         self.dmin, self.dmax = dmin, dmax
         self.step = step
         self.runs = [(d, q, 1, dim) for (d, q), dim in (cells or {}).items() if dim] if runs is None else runs

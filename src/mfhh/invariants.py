@@ -163,9 +163,12 @@ def small_res_probe(t):
     """Is the total rank the same in every negative degree of the window?
 
     The verdict is window-relative; it checks the cohomological criterion
-    only and says nothing about geometry by itself.
+    only and says nothing about geometry by itself.  A window with no
+    negative degree is a WindowMismatch.
     """
     lo, hi = t.dmin, min(t.dmax, -1)
+    if lo > hi:
+        raise WindowMismatch(f"window {t.window} holds no negative degree")
     sd, ref = t.step[0], t.dim(hi)
     # the rank less ref along the window, one run of -ref per residue class
     # of the degree step: the witnesses, one per degree, are the points of its stretches

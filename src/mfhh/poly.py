@@ -99,47 +99,49 @@ def atom_walks(rows):
     """The atoms of A, or None when no matching of rows to distinct 'tail' variables makes the heads
     disjoint chains and loops (a row's head: None for a pure power x_tail^a, a >= 2, else the variable
     of exponent 1 next to x_tail).  Per atom its (variable, exponent) pairs along the heads from a
-    chain's start (no row's head; a Fermat atom is a chain of one), and whether it is a loop."""
-    n = len(rows)
-    options = []
-    for row in rows:
-        nz = [(j, e) for j, e in enumerate(row) if e]
-        opts = []
-        if len(nz) == 1 and nz[0][1] >= 2:  # a bare linear monomial is not an atom
-            opts = [(nz[0][0], None)]
-        elif len(nz) == 2:
-            (j1, e1), (j2, e2) = nz
-            opts = [(j1, j2)] * (e2 == 1) + [(j2, j1)] * (e1 == 1)
-        if not opts:
+    chain's start (no row's head; a Fermat atom is a chain of one), and whether it is a loop.
+
+    A row holds one or two variables and a variable lies in its tail row and at most one head row, so
+    a walk forces the matching: a chain runs from a variable of one row to its pure power, a loop from
+    its earliest row in the first of its two orientations whose heads have exponent 1.  So the tails
+    come first row by row; chains come by their starts' rows, then loops by their earliest rows."""
+    support = [[j for j, e in enumerate(row) if e] for row in rows]
+    where = {}  # the rows of each variable
+    for r, (row, js) in enumerate(zip(rows, support)):
+        if not (len(js) == 2 or len(js) == 1 and row[js[0]] >= 2):  # a bare linear monomial is no atom
             return None
-        options.append(opts)
-    options.append([])  # past the last row
-    # depth first without recursion: trials[i] yields the options row i has left
-    chosen, trials, tails, heads = [], [iter(options[0])], set(), set()
-    while len(chosen) < n:
-        pick = next((o for o in trials[-1] if o[0] not in tails and o[1] not in heads), None)
-        if pick is None:
-            trials.pop()
-            if not chosen:
+        for j in js:
+            where.setdefault(j, []).append(r)
+    if len(where) != len(rows) or any(len(rs) > 2 for rs in where.values()):
+        return None
+    walked = set()
+
+    def walk(start, r):
+        """From x_start, the tail of row r, along the heads: (pairs, loop), or None off an atom."""
+        v, pairs = start, []
+        while True:
+            walked.add(r)
+            pairs.append((v, rows[r][v]))
+            if len(support[r]) == 1:
+                return tuple(pairs), False
+            head = sum(support[r]) - v
+            if rows[r][head] != 1:
                 return None
-            tail, head = chosen.pop()
-            tails.remove(tail)
-            heads.discard(head)
-            continue
-        chosen.append(pick)
-        tails.add(pick[0])
-        heads |= {pick[1]} - {None}  # any number of rows end a chain
-        trials.append(iter(options[len(chosen)]))
-    follow = {tail: (head, row[tail]) for row, (tail, head) in zip(rows, chosen)}
+            if head == start:
+                return tuple(pairs), True
+            if len(where[head]) == 1:
+                return None
+            v, r = head, sum(where[head]) - r
+
     walks = []
-    for v in [*(v for v in follow if v not in heads), *follow]:  # chains, then loops
-        walk = []
-        while v in follow:
-            walk.append((v, follow[v][1]))
-            v = follow.pop(v)[0]
-        if walk:  # a chain ends at head None, a loop back at its start
-            walks.append((tuple(walk), v is not None))
-    return tuple(walks)
+    for r, js in enumerate(support):  # chains: a variable of one row starts one
+        for v in js:
+            if len(where[v]) == 1:
+                walks.append(walk(v, r))
+    for r, js in enumerate(support):  # loops: what is left
+        if r not in walked:
+            walks.append(next((w for w in (walk(v, r) for v in js) if w and w[1]), None))
+    return None if None in walks else tuple(walks)
 
 
 def atom_det(walks):

@@ -252,6 +252,15 @@ def test_empty_window_is_input_error(monkeypatch):
             call(p, (1, 0))
 
 
+def test_a_table_of_an_empty_window_is_input_error():
+    # as compute_table refuses one: a restriction past the table's top, or a table built so
+    t = compute_table(parse("x1^3*x2+x2^3*x3+x3^2+x4^2"), (-12, 4))
+    for make in (lambda: t.restrict(0, -1), lambda: BigradedTable(0, -1), lambda: BigradedTable(3, 2, {})):
+        with pytest.raises(InputError, match="^empty degree window$"):
+            make()
+    assert t.restrict(0, 0).window == (0, 0)
+
+
 def test_context_of_another_polynomial_is_input_error():
     # past the check every entry point reads only ctx: this one would give x1^2+x2^3+x3^7's table
     p, ctx = parse("x1^2+x2^5+x3^7"), SymmetryContext(parse("x1^2+x2^3+x3^7"))

@@ -282,8 +282,12 @@ def _small_res_probe_scan(t):
 
 def _assert_same_verdicts(t1, t2):
     s1, s2 = _scanning(t1), _scanning(t2)
-    assert small_res_probe(t1) == _small_res_probe_scan(s1)
-    assert small_res_probe(t2) == _small_res_probe_scan(s2)
+    for t, s in ((t1, s1), (t2, s2)):
+        if t.dmin >= 0:  # the scan calls a window of no negative degree constant; the probe refuses it
+            with pytest.raises(WindowMismatch, match=r"^window \(\d+, \d+\) holds no negative degree$"):
+                small_res_probe(t)
+        else:
+            assert small_res_probe(t) == _small_res_probe_scan(s)
     assert scale_compare(t1, t2) == _scale_compare_fractions(s1, s2)
     assert scale_compare(t2, t1) == _scale_compare_fractions(s2, s1)
 
@@ -520,6 +524,16 @@ def test_verdicts_stay_dataclasses_for_asdict():
         "kind": "equivalent", "window": (-12, -1), "c": Fraction(1),
         "witness_degree": None, "witness_weights": None,
     }
+
+
+def test_small_res_probe_of_a_window_with_no_negative_degree_is_a_window_mismatch():
+    # no degree to hold a rank, so no "constant" verdict; exit 4 in the CLI
+    t = compute_table(parse("x1^3*x2+x2^3*x3+x3^2+x4^2"), (1, 4))
+    with pytest.raises(WindowMismatch, match=r"^window \(1, 4\) holds no negative degree$"):
+        small_res_probe(t)
+    with pytest.raises(WindowMismatch, match=r"^window \(0, 0\) holds no negative degree$"):
+        small_res_probe(BigradedTable(0, 0, {(0, 0): 1}))
+    assert small_res_probe(BigradedTable(-1, 4, {(0, 0): 1})) == SmallResVerdict("constant", (-1, -1), 0)
 
 
 def test_small_res_probe_takes_its_reference_at_the_top_of_the_window():

@@ -21,6 +21,7 @@ from mfhh.errors import (
     SchemaError,
 )
 from mfhh.poly import InvertiblePolynomial, atom_det, atom_walks, parse, weights
+from mfhh.symmetry import SymmetryContext
 
 
 def test_parse_diagonal():
@@ -287,7 +288,7 @@ def test_weights_of_150_variables_take_one_solve():
 @given(atom_matrices())
 def test_atom_det_matches_bareiss(rows):
     walks = atom_walks(rows)
-    assert walks is not None
+    assert walks is not None and walks == _atom_walks_search(rows)
     assert abs(atom_det(walks)) == abs(lattice.det(rows))
     # the walks partition the variables, and their steps are the rows of A:
     # a step (v, a) is x_v^a times the next variable of its walk, a loop's
@@ -311,9 +312,138 @@ def test_atom_walks_does_not_recurse_per_row():
     n = 1100
     fermat = tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
     chain = tuple(tuple(2 if i == j else int(j == i + 1) for j in range(n)) for i in range(n))
+    loop = tuple(tuple(int(j in (i, (i + 1) % n)) for j in range(n)) for i in range(n))
     assert atom_walks(fermat) == tuple((((i, 2),), False) for i in range(n))
     assert atom_walks(chain) == ((tuple((i, 2) for i in range(n)), False),)
     assert atom_det(atom_walks(chain)) == 2**n
+    assert atom_walks(loop) == ((tuple((i, 1) for i in range(n)), True),)
+    assert atom_det(atom_walks(loop)) == 0  # a loop of ones of even length is singular
+
+
+def _atom_walks_search(rows):
+    """poly.atom_walks as it was before the forced walk, a depth-first search
+    over each row's tail choice, kept verbatim as the reference for it."""
+    n = len(rows)
+    options = []
+    for row in rows:
+        nz = [(j, e) for j, e in enumerate(row) if e]
+        opts = []
+        if len(nz) == 1 and nz[0][1] >= 2:  # a bare linear monomial is not an atom
+            opts = [(nz[0][0], None)]
+        elif len(nz) == 2:
+            (j1, e1), (j2, e2) = nz
+            opts = [(j1, j2)] * (e2 == 1) + [(j2, j1)] * (e1 == 1)
+        if not opts:
+            return None
+        options.append(opts)
+    options.append([])  # past the last row
+    # depth first without recursion: trials[i] yields the options row i has left
+    chosen, trials, tails, heads = [], [iter(options[0])], set(), set()
+    while len(chosen) < n:
+        pick = next((o for o in trials[-1] if o[0] not in tails and o[1] not in heads), None)
+        if pick is None:
+            trials.pop()
+            if not chosen:
+                return None
+            tail, head = chosen.pop()
+            tails.remove(tail)
+            heads.discard(head)
+            continue
+        chosen.append(pick)
+        tails.add(pick[0])
+        heads |= {pick[1]} - {None}  # any number of rows end a chain
+        trials.append(iter(options[len(chosen)]))
+    follow = {tail: (head, row[tail]) for row, (tail, head) in zip(rows, chosen)}
+    walks = []
+    for v in [*(v for v in follow if v not in heads), *follow]:  # chains, then loops
+        walk = []
+        while v in follow:
+            walk.append((v, follow[v][1]))
+            v = follow.pop(v)[0]
+        if walk:  # a chain ends at head None, a loop back at its start
+            walks.append((tuple(walk), v is not None))
+    return tuple(walks)
+
+
+def _atom_sum(rng, n):
+    """Rows of a shuffled sum of Fermat, chain and loop atoms on n variables,
+    with many exponent-1 links, so loops can close both ways round."""
+    rows, base = [], 0
+    while base < n:
+        m = rng.randint(1, n - base)
+        kind = "fermat" if m == 1 else rng.choice(["chain", "loop"])
+        exps = [rng.choice([1, 1, 2, 3]) for _ in range(m)]
+        if kind != "loop":
+            exps[-1] += 1  # a chain ends in a power x^a with a >= 2
+        for i, a in enumerate(exps):
+            row = {base + i: a}
+            if kind == "chain" and i < m - 1 or kind == "loop":
+                row[base + (i + 1) % m] = 1
+            rows.append(row)
+        base += m
+    perm, order = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[rows[r].get(perm[j], 0) for j in range(n)] for r in order]
+
+
+def _changed_atom_sum(rng, n):
+    rows = _atom_sum(rng, n)
+    for _ in range(rng.randint(1, 2)):
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice([0, 1, 1, 2])
+    return rows
+
+
+def _sparse_rows(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for row in rows:
+        for j in rng.sample(range(n), min(n, rng.choice([1, 2, 2, 2, 3]))):
+            row[j] = rng.choice([1, 1, 2, 3])
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("shape", [_atom_sum, _changed_atom_sum, _sparse_rows])
+def test_atom_walks_is_the_first_matching_of_the_search(shape, seed):
+    rng = random.Random(seed)
+    for _ in range(400):
+        rows = tuple(map(tuple, shape(rng, rng.randint(1, 9))))
+        assert atom_walks(rows) == _atom_walks_search(rows), rows
+
+
+@pytest.mark.parametrize(
+    "text, walks",
+    [
+        ("x1*x2+x2*x3+x3*x1", ((((0, 1), (1, 1), (2, 1)), True),)),
+        ("x3*x1+x2*x3+x1*x2", ((((0, 1), (2, 1), (1, 1)), True),)),  # turned round by its earliest row
+        ("x2^3+x1^2*x2", ((((0, 2), (1, 3)), False),)),
+        ("x1^2*x2+x1*x2^3", ((((0, 2), (1, 3)), True),)),
+        ("x1*x2+x1^2", ((((1, 1), (0, 2)), False),)),  # the tail is the later variable
+        (
+            "x4^2*x1+x1^3+x2*x3+x3^2*x2+x5^2",
+            ((((3, 2), (0, 3)), False), (((4, 2),), False), (((1, 1), (2, 2)), True)),
+        ),
+    ],
+    ids=["loop-of-ones", "loop-turned", "power-first", "loop-of-two", "later-tail", "chains-then-loops"],
+)
+def test_atom_walks_pins(text, walks):
+    assert atom_walks(parse(text).matrix) == walks
+
+
+def _triangles(m, first):
+    return [f"x{a}*x{a + 1}+x{a + 1}*x{a + 2}+x{a + 2}*x{a}" for a in range(first, first + 3 * m, 3)]
+
+
+def test_atoms_are_matched_without_a_search():
+    # F_18: the chain x2 -> x1 and 18 loops of ones, 56 variables; N_18: 18 such loops and a
+    # variable in four rows, 58.  A search over each row's tail choice took 6.7 s and 4.2 s
+    m = 18
+    f_m = "+".join(["x1*x2", *_triangles(m, 3), "x1^2"])
+    p = 3 * m + 1
+    n_m = "+".join([*_triangles(m, 1), f"x{p}*x{p + 1}+x{p}*x{p + 2}+x{p}*x{p + 3}+x{p + 1}^2"])
+    start = time.perf_counter()
+    SymmetryContext(parse(f_m))
+    with pytest.raises(NotInvertible, match="^polynomial is not a sum of Fermat/chain/loop atoms$"):
+        parse(n_m)
+    assert time.perf_counter() - start < 1
 
 
 def test_parse_of_many_variables_takes_no_bareiss():

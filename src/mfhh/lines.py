@@ -10,15 +10,15 @@ A class's fixed set S meets each block B of A in a closed set S_B
 blocks of their pairs (S_B, basis monomial of w on S_B, -1 on the rest of
 B).  Each block gives its pairs as alternatives, lists of factors (_blocks):
 a Fermat atom x_v^a, a one-variable block with a >= 2, one factor of
-exponents -1..a-2; a loop its Kreuzer-Krawitz box and the all-dual entry,
-and a chain its boxes over all its closed tails (_chain), read off its walk
-in SymmetryContext.walks; a block of a matrix with no atom matching, per
-S_B, its components' bases as milnor_number takes them, an atom's boxes or
-else a staircase (_closed_bases).  Each component of S's restriction lies in
-one block, so S's ring is infinite exactly when some S_B's is and none is 0;
-if du != 0 that class is the first error, which the join returns before
-joining.  A factor of one variable is a slice of its factor of exponents
--1..a-1 (_ranges).  A table or a listing is one join over the alternatives.
+exponents -1..a-2; a chain or a loop the Kreuzer-Krawitz boxes of the
+closed tails of its walk in SymmetryContext.walks, -1 before each (_atom);
+a block of a matrix with no atom matching, per S_B, its components' bases
+as milnor_number takes them, an atom's boxes or else a staircase
+(_closed_bases).  Each component of S's restriction lies in one block, so
+S's ring is infinite exactly when some S_B's is and none is 0; if du != 0
+that class is the first error, which the join returns before joining.  A
+factor of one variable is a slice of its factor of exponents -1..a-1
+(_ranges).  A table or a listing is one join over the alternatives.
 
 Cost model.  A line's key, the residues of its congruence columns and of
 its u column modulo L*|du| (c column modulo L*dc when du == 0;
@@ -112,25 +112,24 @@ def _ranges(ctx, variables, box, packing, cache):
     return out
 
 
-def _chain(ctx, walk, closed, packing, cache):
-    """A chain's alternatives over all its closed tails: the boxes of the whole chain and of its tail
-    from its second variable, each with its leading pins as one head factor that also holds them with
-    the first j = 2, 4, .. of them dual, the boxes of the tail j further on."""
+def _atom(ctx, walk, loop, closed, packing, cache):
+    """A chain's or a loop's alternatives: each box of each closed tail order[r:] of its walk, with -1 on
+    order[:r], is an entry of one head, on order[:r + g] for its g leading one-value ranges, which the boxes
+    of the same r + g and ranges after it share; tails differ in their -1s, so no monomial comes twice."""
     order = [v + 1 for v, _ in walk]
-    tails = {r for r in range(len(order) + 1) if sum(1 << v for v in order[r:]) in closed}
-    out = []
-    for r0 in (0, 1):
-        # positional: perfbench's tracer reads a second argument as the order
-        basis = jacobian.monomial_basis(restrict(ctx.poly, order[r0:]), (walk[r0:], False))
-        for box in basis.boxes:  # in walk order
-            # the f pins it leads with: its range at even f first misses a_f - 1 (see jacobian.atom_boxes)
-            f = next((i for i in range(0, len(box), 2) if walk[r0 + i][1] - 1 not in box[i]), len(box))
-            pins = tuple(e.start for e in box[:f])
-            heads = [(-1,) * (r0 + j) + pins[j:] for j in range(0, f + 1, 2) if r0 + j in tails]
-            if heads:
-                head = [_factor(ctx, order[:r0 + f], heads, packing)] if r0 + f else []
-                out.append(head + _ranges(ctx, order[r0 + f:], box[f:], packing, cache))
-    return out
+    heads = {}
+    for r in range(len(order) + 1):
+        if sum(1 << v for v in order[r:]) not in closed:
+            continue
+        if r:
+            boxes = jacobian.atom_boxes((walk[r:], False))
+        else:  # the whole walk's boxes through monomial_basis, so a tracer counts the atom's basis
+            boxes = jacobian.monomial_basis(restrict(ctx.poly, order), (walk, loop)).boxes
+        for box in boxes:
+            g = next((i for i, e in enumerate(box) if len(e) != 1), len(box))
+            heads.setdefault((r + g, box[g:]), []).append((-1,) * r + tuple(e.start for e in box[:g]))
+    return [([_factor(ctx, order[:f], entries, packing)] if f else []) + _ranges(ctx, order[f:], rest, packing, cache)
+            for (f, rest), entries in heads.items()]
 
 
 def _closed_bases(ctx, variables, closed, packing, cache, rings):
@@ -160,7 +159,7 @@ def _closed_bases(ctx, variables, closed, packing, cache, rings):
 
 def _blocks(ctx, packing, cache, rings):
     """Per block of A, the mask of its variables and its alternatives (see the module docstring).
-    Only a chain's boxes and the staircases call monomial_basis; cache holds the one-variable
+    Only an atom's whole walk and the staircases call monomial_basis; cache holds the one-variable
     factors (_ranges), and rings the closed sets whose ring is 0 or infinite (_closed_bases)."""
     walks = ctx.walks or [((), False)] * len(ctx.closed_sets)
     for (walk, loop), (full, closed) in zip(walks, ctx.closed_sets):
@@ -168,16 +167,11 @@ def _blocks(ctx, packing, cache, rings):
         if full == 1 << v and (a := max(row[v - 1] for row in ctx.poly.matrix)) >= 2:
             # a Fermat atom: its dual marker, then its basis
             yield full, [_ranges(ctx, (v,), (range(-1, a - 1),), packing, cache)]
-            continue
-        variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
-        if not walk:  # a matrix with no atom matching
+        elif walk:
+            yield full, _atom(ctx, walk, loop, closed, packing, cache)
+        else:  # a matrix with no atom matching
+            variables = tuple(v for v in range(1, ctx.n + 2) if full >> v & 1)
             yield full, _closed_bases(ctx, variables, closed, packing, cache, rings)
-        elif loop:  # closed sets: all of it, and none of it unless the group of the loop is trivial
-            box, = jacobian.atom_boxes((walk, True))
-            duals = [[_factor(ctx, variables, [(-1,) * len(variables)], packing)]] if 0 in closed else []
-            yield full, [_ranges(ctx, [v + 1 for v, _ in walk], box, packing, cache)] + duals
-        else:
-            yield full, _chain(ctx, walk, closed, packing, cache)
 
 
 def _product(factors, packing):

@@ -10,6 +10,12 @@ settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
 
 
+def triangles(m, first):
+    """m triangle loops x_a*x_b + x_b*x_c + x_c*x_a of exponent 1, on x_first, x_first+1, .. in threes:
+    F_m is x1*x2, triangles(m, 3) and x1^2; N_m is triangles(m, 1) and a variable in four rows."""
+    return [f"x{a}*x{a + 1}+x{a + 1}*x{a + 2}+x{a + 2}*x{a}" for a in range(first, first + 3 * m, 3)]
+
+
 def random_invertible(rng: random.Random, max_vars=4, max_det=10000, max_atom=3, ones=False):
     """A random valid polynomial: a shuffled sum of Fermat/chain/loop atoms,
     each chain or loop of at most max_atom variables.  With ones, chain and

@@ -2,15 +2,16 @@ import inspect
 import io
 import random
 import re
+import time
 import warnings
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basis_oracle import basis_in
-from conftest import random_invertible
+from conftest import random_invertible, triangles
 from lattice_oracle import family_line, member, probe_restriction
 from mfhh import engine, jacobian, lines, poly, symmetry
 from mfhh.cli import main
@@ -923,10 +924,11 @@ def test_listing_raises_as_its_table_does_or_sums_to_its_cells(seed, window, one
 
 @settings(max_examples=40)
 @given(st.integers(0, 10**9), st.booleans(), st.booleans())
+@example(29, True, False)  # _chains_and_loops draws the triangle x2*x6 + x6*x4 + x4*x2
 def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones):
-    # a block's alternatives, read off its atom walk and at most two box
-    # bases, multiply out to its pairs (closed S_B, basis monomial of w on
-    # S_B with -1 on the rest of the block), each once, with S_B as mark
+    # a block's alternatives, read off its atom walk and the box bases of
+    # its closed tails, multiply out to its pairs (closed S_B, basis monomial
+    # of w on S_B with -1 on the rest of the block), each once, with S_B as mark
     rng = random.Random(seed)
     p = _chains_and_loops(rng) if many else random_invertible(rng, max_vars=8, max_det=3000, ones=ones)
     ctx = SymmetryContext(p)
@@ -953,6 +955,46 @@ def test_blocks_and_join_components_read_off_the_atom_walks(seed, many, ones):
                 points = basis.monomials
             expected.update(tuple(dict(zip(basis.variables, m)).get(v, -1) for v in variables) for m in points)
         assert got == expected, (p.matrix, variables)
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("x1*x2+x2*x3+x3*x1", 1), ("x1^3*x2+x2^3*x3+x3^2", 3), ("x1^3*x2+x2^2*x3+x3^2*x4+x4^2", 4)],
+    ids=["triangle", "laufer", "chain4"],
+)
+def test_an_atom_block_has_one_alternative_per_head(text, count):
+    # the boxes of an atom's closed tails, -1 before each, share one head per
+    # length of one-valued prefix and ranges after it: the triangle's box and
+    # its all-dual entry are one head; the Laufer chain's one-valued boxes, of
+    # the whole walk and of its closed tails, share one head beside the first
+    # boxes of the walk and of its tail from x2
+    p = parse(text)
+    ctx = SymmetryContext(p)
+    packing = lines._packing(ctx.line_denominator * (abs(ctx.family_step[1]) or 1), len(ctx.line_moduli) + 1)
+    (_, alternatives), = lines._blocks(ctx, packing, {}, {})
+    assert len(alternatives) == count
+
+
+def test_table_of_f16_takes_one_product_of_alternatives():
+    # F_16: x1*x2, 16 triangles of ones and x1^2.  Each triangle is one
+    # alternative, so the join walks one product of them, not 2^16 products
+    # (several seconds)
+    p = parse("+".join(["x1*x2", *triangles(16, 3), "x1^2"]))
+    start = time.perf_counter()
+    assert compute_table(p, (-2, 2)).cells == {(0, 0): 2, (1, 0): 2}
+    assert time.perf_counter() - start < 1
+
+
+def test_a_table_calls_monomial_basis_once_per_chain_or_loop(monkeypatch):
+    # one call per chain or loop atom, on its whole walk, and none per Fermat
+    # atom or closed tail: perfbench's SMALL_API asserts jacobian.basis_calls > 0
+    # of a table, so the call stays until ROADMAP item 4 counts box bases apart
+    p = parse("x1^3*x2+x2^3*x3+x3^2+x4^2*x5+x5^2*x4+x6^5+x7*x8+x8*x9+x9*x7")
+    ctx = SymmetryContext(p)
+    calls, basis = [], jacobian.monomial_basis
+    monkeypatch.setattr(jacobian, "monomial_basis", lambda r, *args: calls.append((r.fixed, *args)) or basis(r, *args))
+    compute_table(p, (-12, 8), ctx=ctx)
+    assert sorted((fixed, atom[1]) for fixed, atom in calls) == [((1, 2, 3), False), ((4, 5), True), ((7, 8, 9), True)]
 
 
 def test_table_of_atoms_matches_once_per_row_tuple_and_splits_no_restriction(monkeypatch):

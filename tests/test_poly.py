@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_invertible
+from conftest import random_invertible, triangles
 from lattice_oracle import cramer_weights
 from mfhh import lattice
 from mfhh.cli import main
@@ -428,17 +428,13 @@ def test_atom_walks_pins(text, walks):
     assert atom_walks(parse(text).matrix) == walks
 
 
-def _triangles(m, first):
-    return [f"x{a}*x{a + 1}+x{a + 1}*x{a + 2}+x{a + 2}*x{a}" for a in range(first, first + 3 * m, 3)]
-
-
 def test_atoms_are_matched_without_a_search():
     # F_18: the chain x2 -> x1 and 18 loops of ones, 56 variables; N_18: 18 such loops and a
     # variable in four rows, 58.  A search over each row's tail choice took 6.7 s and 4.2 s
     m = 18
-    f_m = "+".join(["x1*x2", *_triangles(m, 3), "x1^2"])
+    f_m = "+".join(["x1*x2", *triangles(m, 3), "x1^2"])
     p = 3 * m + 1
-    n_m = "+".join([*_triangles(m, 1), f"x{p}*x{p + 1}+x{p}*x{p + 2}+x{p}*x{p + 3}+x{p + 1}^2"])
+    n_m = "+".join([*triangles(m, 1), f"x{p}*x{p + 1}+x{p}*x{p + 2}+x{p}*x{p + 3}+x{p + 1}^2"])
     start = time.perf_counter()
     SymmetryContext(parse(f_m))
     with pytest.raises(NotInvertible, match="^polynomial is not a sum of Fermat/chain/loop atoms$"):
